@@ -27,8 +27,8 @@
 //!   this by hand; now drift is a lint failure.
 //! * **R9 `sink_seam`** — every public `mine_*` entry point in
 //!   `ftpm_core` must transitively reach the one mining seam
-//!   (`mine_internal` / `mine_parallel_internal` /
-//!   `mine_exchange_internal`, depth ≤ [`R9_DEPTH`]). One-off mining
+//!   (`mine_parallel_internal` / `mine_exchange_internal`, depth ≤
+//!   [`R9_DEPTH`]). One-off mining
 //!   loops cannot share the sink/boundary/correlation plumbing, so they
 //!   are banned outright. `reference.rs` is exempt by design: the oracle
 //!   must stay independent of the machinery it checks.
@@ -52,11 +52,7 @@ pub const R7_DEPTH: usize = 4;
 pub const R9_DEPTH: usize = 8;
 
 /// The mining seam every public `mine_*` entry point must reach (R9).
-const SINK_SEAMS: &[&str] = &[
-    "mine_internal",
-    "mine_parallel_internal",
-    "mine_exchange_internal",
-];
+const SINK_SEAMS: &[&str] = &["mine_parallel_internal", "mine_exchange_internal"];
 
 /// Files allowed to touch concurrency primitives (R10).
 const CONCURRENCY_FILES: &[&str] = &[
@@ -511,7 +507,7 @@ impl<'a> ItemGraph<'a> {
                 line: f.line,
                 message: format!(
                     "public miner `{}` never reaches the mining seam \
-                     (mine_internal / mine_parallel_internal / mine_exchange_internal, \
+                     (mine_parallel_internal / mine_exchange_internal, \
                      depth ≤ {R9_DEPTH}); route it through the `_internal`/`_with_sink` \
                      family so every miner shares the sink, boundary and correlation \
                      plumbing — or annotate an oracle with \

@@ -1,9 +1,9 @@
 //! R9 fixture (clean): the public miner delegates to the seam.
 
 pub fn mine_tidy(windows: &[u32]) -> usize {
-    mine_internal(windows)
+    mine_parallel_internal(windows)
 }
 
-fn mine_internal(windows: &[u32]) -> usize {
+fn mine_parallel_internal(windows: &[u32]) -> usize {
     windows.len()
 }

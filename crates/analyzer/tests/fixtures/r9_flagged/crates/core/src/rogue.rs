@@ -1,5 +1,5 @@
 //! R9 fixture (flagged): a public miner that never routes through the
-//! `mine_internal` seam family — it would bypass the shared sink,
+//! `mine_*_internal` seam family — it would bypass the shared sink,
 //! boundary and correlation plumbing.
 
 pub fn mine_rogue(windows: &[u32]) -> usize {

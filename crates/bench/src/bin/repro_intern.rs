@@ -3,8 +3,8 @@
 //! "hash-consed pattern pool"): the id-keyed pooled merge accumulator
 //! must beat the retired pattern-keyed design by >= 1.3x on accumulation
 //! wall time, or cut its allocation count >= 5x (the stable arm on a
-//! noisy one-core container), with the end-to-end exchange/merge wall
-//! clock of the nist demo reported alongside. Exits nonzero when the
+//! noisy one-core container), with the end-to-end exchange wall clock of
+//! the nist demo reported alongside. Exits nonzero when the
 //! gate fails, so CI can gate on it. Args: `[scale] [max_events]`.
 use std::process::ExitCode;
 

@@ -14,9 +14,8 @@
 //! Since the one-plan refactor, A-HTPGM is not a separate code path but
 //! a [`CorrelationFilter`] handed to the shared miners: this module is
 //! the *only* place filters are constructed (lint rule R6), and every
-//! execution axis — sequential/parallel via
-//! [`mine_approximate_graph_with_sink`], sharded support-complete and
-//! candidate-exchange via [`crate::ShardPlan::mine_approximate_into`] /
+//! execution axis — any thread count via
+//! [`mine_approximate_graph_with_sink`], sharded candidate exchange via
 //! [`crate::ShardPlan::mine_approximate_exchange_into`] — consumes the
 //! identical gates, so every composition yields the same pattern set as
 //! plain [`mine_approximate`].
@@ -31,14 +30,12 @@ use crate::parallel::mine_parallel_internal;
 use crate::result::{MiningResult, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 
-/// Output of an approximate mining run: what the run produced (a
-/// [`MiningResult`] for collecting entry points, bare [`MiningStats`]
-/// for sink-driven ones) plus the correlation structures, so callers can
-/// inspect what was pruned.
+/// Output of an approximate mining run: the mined result plus the
+/// correlation structures, so callers can inspect what was pruned.
 #[derive(Debug)]
-pub struct ApproxOutcome<T = MiningResult> {
-    /// What the run produced on the correlated subset.
-    pub result: T,
+pub struct ApproxOutcome {
+    /// The patterns mined on the correlated subset.
+    pub result: MiningResult,
     /// The MI threshold actually used.
     pub mu: f64,
     /// The correlation graph (Def 5.5).
@@ -47,8 +44,8 @@ pub struct ApproxOutcome<T = MiningResult> {
     pub correlated: Vec<VariableId>,
 }
 
-/// Wraps a run's output with the correlation structures it was gated by.
-fn outcome<T>(result: T, graph: CorrelationGraph) -> ApproxOutcome<T> {
+/// Wraps a run's result with the correlation structures it was gated by.
+fn outcome(result: MiningResult, graph: CorrelationGraph) -> ApproxOutcome {
     let mu = graph.mu();
     let correlated = graph.correlated_variables();
     ApproxOutcome {
@@ -133,45 +130,10 @@ pub fn mine_approximate_parallel(
     mine_collect(seq_db, CorrelationGraph::build(syb, mu), cfg, threads)
 }
 
-/// Sink-driven [`mine_approximate`]: emits each finished node into
-/// `sink` instead of materializing a [`MiningResult`] — the approximate
-/// counterpart of [`crate::mine_exact_with_sink`]. The outcome wraps the
-/// run statistics.
-pub fn mine_approximate_with_sink(
-    syb: &SymbolicDatabase,
-    seq_db: &SequenceDatabase,
-    mu: f64,
-    cfg: &MinerConfig,
-    sink: &mut (dyn PatternSink + Send),
-) -> ApproxOutcome<MiningStats> {
-    let graph = CorrelationGraph::build(syb, mu);
-    let stats = mine_approximate_graph_with_sink(seq_db, &graph, cfg, 1, sink);
-    outcome(stats, graph)
-}
-
-/// Sink-driven, multi-threaded [`mine_approximate`] — the approximate
-/// counterpart of [`crate::mine_exact_parallel_with_sink`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn mine_approximate_parallel_with_sink(
-    syb: &SymbolicDatabase,
-    seq_db: &SequenceDatabase,
-    mu: f64,
-    cfg: &MinerConfig,
-    threads: usize,
-    sink: &mut (dyn PatternSink + Send),
-) -> ApproxOutcome<MiningStats> {
-    let graph = CorrelationGraph::build(syb, mu);
-    let stats = mine_approximate_graph_with_sink(seq_db, &graph, cfg, threads, sink);
-    outcome(stats, graph)
-}
-
 /// The unsharded A-HTPGM primitive every entry point above reduces to:
 /// mines `seq_db` under a caller-built correlation graph, emitting into
-/// `sink` with `threads` workers (1 = the sequential miner). Build the
-/// graph once — [`CorrelationGraph::build`] for a μ threshold,
+/// `sink` with `threads` workers (one runs on the calling thread). Build
+/// the graph once — [`CorrelationGraph::build`] for a μ threshold,
 /// [`CorrelationGraph::build_with_density`] for the density
 /// parameterization — and reuse it across runs or pass it on to the
 /// sharded variants; that is the "one plan" contract.
@@ -187,7 +149,7 @@ pub fn mine_approximate_graph_with_sink(
     sink: &mut (dyn PatternSink + Send),
 ) -> MiningStats {
     let filter = correlation_filter(graph, seq_db.registry());
-    mine_parallel_internal(seq_db, cfg, threads, Some(&filter), None, sink, None)
+    mine_parallel_internal(seq_db, cfg, threads, Some(&filter), sink, None)
 }
 
 /// Collecting driver behind the non-sink entry points.
@@ -268,7 +230,7 @@ pub fn mine_approximate_event_level(
             Box::new(|ei, ej| graph.has_edge(VariableId(ei.0), VariableId(ej.0))),
         );
         let mut sink = CollectSink::new();
-        let stats = mine_parallel_internal(seq_db, cfg, 1, Some(&filter), None, &mut sink, None);
+        let stats = mine_parallel_internal(seq_db, cfg, 1, Some(&filter), &mut sink, None);
         sink.into_result(stats)
     };
     outcome(result, graph)

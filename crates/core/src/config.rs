@@ -1,6 +1,13 @@
 use ftpm_events::RelationConfig;
 use serde::{Deserialize, Serialize};
 
+/// The longest pattern, in events, any miner grows. A level-`k`
+/// candidate packs its `k − 1` new relations two bits each into one
+/// `u64` grouping key, so [`MinerConfig::max_events`] above this cap is
+/// clamped to it; level-wise mining never gets anywhere near it in
+/// practice.
+pub const MAX_EVENTS_HARD_CAP: usize = 32;
+
 /// Which pruning techniques of E-HTPGM are active — the knobs behind the
 /// paper's Fig 6/7 ablation ((NoPrune)/(Apriori)/(Trans)/(All)-E-HTPGM).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,7 +67,8 @@ pub struct MinerConfig {
     pub relation: RelationConfig,
     /// Upper bound on pattern length (number of events). The miner stops
     /// on its own once a level yields no frequent patterns; this cap is a
-    /// safety valve for pathological inputs. `usize::MAX` by default.
+    /// safety valve for pathological inputs. `usize::MAX` by default;
+    /// miners clamp it to [`MAX_EVENTS_HARD_CAP`].
     pub max_events: usize,
     /// Pruning ablation switches.
     pub pruning: PruningConfig,

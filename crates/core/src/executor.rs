@@ -1,11 +1,12 @@
-//! Two-phase candidate-exchange shard executor.
+//! Two-phase candidate-exchange shard executor — the one sharded path.
 //!
-//! The support-complete sharded path (see [`crate::shard`]) buys an exact
-//! merge by giving up per-shard pruning: each shard mines with local
-//! `σ_abs = 1` because a globally frequent pattern may sit below
-//! threshold in every single shard. This module restores real pruning
-//! with the classic scatter/gather split: shards and a coordinator walk
-//! the Hierarchical Pattern Graph *in lockstep, one level at a time*.
+//! A shard cannot apply the global σ/δ locally: a globally frequent
+//! pattern may sit below threshold in every single shard, so each shard
+//! enumerates its candidates *support-complete* (local `σ_abs = 1`).
+//! Left at that, every shard would enumerate its whole support-1 pattern
+//! space. This module restores real pruning with the classic
+//! scatter/gather split: shards and a coordinator walk the Hierarchical
+//! Pattern Graph *in lockstep, one level at a time*.
 //!
 //! Each round `k`:
 //!
@@ -25,10 +26,10 @@
 //! 3. **Retain/expand** — shards drop the losers' occurrence bindings
 //!    and grow only the survivors into round `k + 1`.
 //!
-//! The surviving candidates accumulate into a [`crate::ShardMerge`],
+//! The surviving candidates accumulate into a [`crate::merge::ShardMerge`],
 //! which keeps the final confidence/stats pass and the deterministic
-//! sorted emission — the merged output is bit-identical to the
-//! support-complete path and to the unsharded [`crate::mine_exact`].
+//! sorted emission — the merged output is bit-identical to the unsharded
+//! [`crate::mine_exact`].
 //!
 //! Shards run their propose/expand stages concurrently on the scoped
 //! worker machinery of [`crate::parallel`]; the thread budget is split
@@ -42,7 +43,7 @@
 //! The exchange wire is *id-keyed*: a candidate is identified by its
 //! [`DeltaKey`] — `(parent pattern id, appended event, packed delta
 //! relation column)` — never by a cloned [`crate::Pattern`]. The
-//! coordinator's [`crate::ShardMerge`] owns the hash-consed
+//! coordinator's [`crate::merge::ShardMerge`] owns the hash-consed
 //! [`crate::PatternPool`]; parents are prior-round survivors whose pool
 //! ids the coordinator broadcast back in its verdict, so proposing,
 //! summing, gating and retaining are all 16-byte-key map operations with
@@ -55,8 +56,8 @@ use std::time::{Duration, Instant};
 use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId};
 
 use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode, WorkPattern, CONF_EPS};
-use crate::config::MinerConfig;
-use crate::exact::{grow_candidates, MAX_EVENTS_HARD_CAP};
+use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
+use crate::exact::grow_candidates;
 use crate::index::DatabaseIndex;
 use crate::merge::{merge_stats, ShardMerge};
 use crate::occ::OccRange;
@@ -74,13 +75,10 @@ pub struct ShardReport {
     pub shard: usize,
     /// Windows this shard owns (its share of the global `|D_SEQ|`).
     pub windows_owned: usize,
-    /// Candidate patterns the shard generated across all levels. Under
-    /// candidate exchange this counts only patterns grown from globally
-    /// surviving parents; under the support-complete path it counts every
-    /// pattern with owned support ≥ 1.
+    /// Candidate patterns the shard proposed across all levels — only
+    /// patterns grown from globally surviving parents.
     pub candidates_proposed: usize,
-    /// Proposed candidates killed by the global σ/δ gate (0 for the
-    /// support-complete path, which defers all filtering to the merge).
+    /// Proposed candidates killed by the global σ/δ gate.
     pub candidates_pruned: usize,
     /// Wall time the shard spent in its mining stages.
     pub wall: Duration,
@@ -482,7 +480,7 @@ pub(crate) fn mine_exchange_internal(
     sched: Option<&crate::schedule::SimCtl>,
 ) -> (MiningStats, Vec<ShardReport>) {
     // Monomorphization seam: fix the boundary kernel once per run (the
-    // same dispatch point discipline as `exact::mine_internal`).
+    // same dispatch point discipline as `parallel::mine_parallel_internal`).
     struct Run<'a, 'b, 'c> {
         plan: &'a ShardPlan,
         cfg: &'a MinerConfig,
@@ -523,12 +521,6 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
     sink: &mut dyn PatternSink,
     sched: Option<&crate::schedule::SimCtl>,
 ) -> (MiningStats, Vec<ShardReport>) {
-    debug_assert!(
-        plan.maps_are_identity(),
-        "exchange proposals are keyed without id translation: shard databases \
-         must already speak the master registry (ShardPlanner guarantees this; \
-         remote shards with foreign registries need the MergeSink seam)"
-    );
     let shards = plan.shards();
     let n_shards = shards.len().max(1);
     let threads = threads.max(1);

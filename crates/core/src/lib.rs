@@ -15,10 +15,8 @@
 //!   graph before running HTPGM. The graph is a [`CorrelationFilter`]
 //!   handed to the shared miners, so A-HTPGM composes with every
 //!   execution axis: parallel ([`mine_approximate_parallel`]), streaming
-//!   ([`mine_approximate_with_sink`],
-//!   [`mine_approximate_graph_with_sink`]), sharded support-complete
-//!   ([`ShardPlan::mine_approximate_into`]) and sharded
-//!   candidate-exchange ([`mine_approximate_sharded_exchange`],
+//!   ([`mine_approximate_graph_with_sink`]) and sharded
+//!   ([`mine_approximate_sharded_exchange`],
 //!   [`ShardPlan::mine_approximate_exchange_into`]) — each yielding the
 //!   identical pattern set;
 //! * [`mine_reference`] — a brute-force miner used as a correctness
@@ -26,18 +24,16 @@
 //! * [`PatternSink`] and friends ([`CollectSink`], [`CountingSink`],
 //!   [`CsvSink`], [`JsonlSink`]) — streaming output: [`mine_exact_with_sink`]
 //!   and [`mine_exact_parallel_with_sink`] emit each finished pattern-graph
-//!   node into a sink instead of materializing a result `Vec`;
-//! * [`ShardPlanner`] / [`mine_sharded`] / [`ShardMerge`] —
-//!   shard-by-time-range mining: K overlapping time-range slices mined
-//!   independently and merged losslessly through a streaming,
-//!   occurrence-deduplicating sink (`t_ov = t_max`, the Fig 3 lemma one
-//!   level up);
-//! * [`mine_sharded_exchange`] / [`ShardPlan::mine_exchange_into`] — the
-//!   two-phase candidate-exchange executor: shards run concurrently and
-//!   propose level-`k` candidates with owned supports, a coordinator
-//!   applies the *global* σ/δ apriori gate between levels, so per-shard
-//!   pruning is restored without giving up exactness ([`ShardReport`]
-//!   exposes per-shard candidate and timing observability).
+//!   node into a sink instead of materializing a result `Vec`. One engine
+//!   runs both: [`mine_exact`] is [`mine_exact_parallel`] at one thread;
+//! * [`ShardPlanner`] / [`mine_sharded_exchange`] /
+//!   [`ShardPlan::mine_exchange_into`] — shard-by-time-range mining: K
+//!   overlapping time-range slices (`t_ov = t_max`, the Fig 3 lemma one
+//!   level up) mined concurrently by the two-phase candidate-exchange
+//!   executor. Shards propose level-`k` candidates with owned supports, a
+//!   coordinator applies the *global* σ/δ apriori gate between levels, and
+//!   the owned statistics merge losslessly ([`ShardReport`] exposes
+//!   per-shard candidate and timing observability).
 //!
 //! # Quickstart
 //!
@@ -80,12 +76,11 @@ mod sink;
 
 pub use approx::{
     correlation_filter, event_indicator_database, mine_approximate, mine_approximate_event_level,
-    mine_approximate_graph_with_sink, mine_approximate_parallel,
-    mine_approximate_parallel_with_sink, mine_approximate_with_density,
-    mine_approximate_with_sink, ApproxOutcome,
+    mine_approximate_graph_with_sink, mine_approximate_parallel, mine_approximate_with_density,
+    ApproxOutcome,
 };
 pub use candidates::CorrelationFilter;
-pub use config::{MinerConfig, PruningConfig};
+pub use config::{MinerConfig, PruningConfig, MAX_EVENTS_HARD_CAP};
 pub use exact::{mine_exact, mine_exact_with_sink};
 pub use parallel::{mine_exact_parallel, mine_exact_parallel_with_sink};
 pub use postprocess::{
@@ -93,15 +88,14 @@ pub use postprocess::{
 };
 pub use hpg::{HierarchicalPatternGraph, Level, Node};
 pub use index::DatabaseIndex;
-pub use merge::{MergeSink, ShardMerge};
 pub use pattern::Pattern;
-pub use pool::{DeltaKey, EventsRev, PatternId, PatternPool, PoolView};
+pub use pool::{DeltaKey, EventsRev, PatternId, PatternPool};
 pub use reference::{mine_reference, mine_reference_filtered};
 pub use result::{FrequentPattern, MiningResult, MiningStats};
 pub use schedule::{ExploreStats, Explorer, Schedule};
 pub use executor::ShardReport;
 pub use shard::{
-    mine_approximate_sharded_exchange, mine_sharded, mine_sharded_exchange, Shard, ShardPlan,
-    ShardPlanner, ShardedMining,
+    mine_approximate_sharded_exchange, mine_sharded_exchange, Shard, ShardPlan, ShardPlanner,
+    ShardedMining,
 };
 pub use sink::{CollectSink, CountingSink, CsvSink, JsonlSink, PatternSink};

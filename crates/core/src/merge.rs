@@ -1,42 +1,23 @@
-//! Lossless merging of per-shard mining output — the seam between the
-//! sharded miners and one downstream [`PatternSink`].
+//! The coordinator-side accumulator of the sharded executor: per-pattern
+//! owned statistics summed across shards, then the global σ/δ pass.
 //!
 //! A shard-by-time-range run (see [`crate::shard`]) mines K overlapping
-//! slices of the data independently. Two things make the naive "union the
-//! per-shard results" merge wrong:
+//! slices of the data. The slices overlap by `t_ov`, so windows inside an
+//! overlap region belong to *both* adjacent shards' databases; summing
+//! per-shard supports naively would count every such window twice and
+//! inflate support. Each shard therefore reports supports restricted to
+//! the windows it *owns* (ownership partitions the window space — see
+//! [`crate::executor`]), and this module sums those owned supports: each
+//! window contributes exactly once.
 //!
-//! 1. **Double counting.** The slices overlap by `t_ov`, so windows
-//!    inside an overlap region are mined by *both* adjacent shards; just
-//!    summing per-shard supports counts every such window twice and
-//!    inflates support. The miners therefore emit supports restricted to
-//!    the windows a shard *owns* (ownership partitions the window space —
-//!    see `owned` on [`crate::exact::mine_internal`]), and this module
-//!    sums those owned supports: each window contributes exactly once.
-//! 2. **Registry drift.** Each shard interns events from its own slice in
-//!    its own order, so `EventId`s are not comparable across shards (the
-//!    PR 3 lesson: compare across splits by label, never by id). Each
-//!    incoming pattern is translated through a per-shard id map into one
-//!    master registry before it is keyed. (The local [`crate::ShardPlanner`]
-//!    goes further and remaps shard databases onto the master registry
-//!    *before mining* — tie-breaks on identical intervals involve the id —
-//!    so its maps are identities; the translation seam here is what a
-//!    remote shard with a foreign registry would use.)
-//!
-//! The merge is *streaming* in the sink sense: per-shard miners emit
-//! straight into a [`MergeSink`] (no per-shard result `Vec` ever exists)
-//! and the accumulator keeps one compact counter pair per distinct
-//! pattern. Patterns are *hash-consed*: every emission is interned into a
-//! [`PatternPool`] at the translation seam — `MergeSink::node` maps event
-//! ids and walks the pool's probe table without materializing a
-//! translated `Pattern` — and statistics accumulate in flat columns
-//! indexed by [`PatternId`], so a pattern emitted by all K shards is
-//! allocated once, not K times, and never re-hashed vector-wide.
-//! [`ShardMerge::finish_into`] applies the global σ/δ thresholds over the
-//! id-indexed columns and resolves only the survivors back to full
-//! patterns, in one deterministic (pattern-sorted) pass. This is the seam
-//! a future network sink plugs into: remote shards would stream
-//! `(pattern id delta, owned support, owned clipped count)` frames
-//! against a shared base pool (see [`crate::pool::PoolView`]).
+//! Patterns are *hash-consed*: the exchange gate interns every survivor
+//! into a [`PatternPool`] by its [`crate::pool::DeltaKey`], and
+//! statistics accumulate in flat columns indexed by [`PatternId`], so a
+//! pattern proposed by all K shards is allocated once, not K times, and
+//! never re-hashed vector-wide. [`ShardMerge::finish_into`] applies the
+//! global σ/δ thresholds over the id-indexed columns and resolves only
+//! the survivors back to full patterns, in one deterministic
+//! (pattern-sorted) pass.
 
 use std::sync::Arc;
 
@@ -91,24 +72,24 @@ struct MergeEntry {
     clipped_occurrences: usize,
 }
 
-/// Streaming union of per-shard pattern statistics, accumulated by
-/// hash-consed [`PatternId`] instead of by owned [`Pattern`] key.
+/// Union of per-shard pattern statistics, accumulated by hash-consed
+/// [`PatternId`] instead of by owned [`Pattern`] key.
 ///
-/// Feed it one shard at a time through [`ShardMerge::sink`] (the
-/// per-shard miners write into that adapter), record each shard's owned
-/// single-event supports and run counters, then call
+/// The exchange coordinator interns each gate survivor and folds its
+/// owned counts in with [`ShardMerge::add_by_id`], records each shard's
+/// owned single-event supports and run counters, then calls
 /// [`ShardMerge::finish_into`] to apply the global thresholds and emit
 /// the merged output into a downstream sink.
 #[derive(Debug)]
-pub struct ShardMerge {
+pub(crate) struct ShardMerge {
     registry: Arc<EventRegistry>,
     /// Total owned windows across all shards — the global `|D_SEQ|`.
     n_sequences: usize,
     /// Owned single-event supports, indexed by master [`EventId`] — the
     /// confidence denominators of the merged output.
     event_supports: Vec<usize>,
-    /// The master pattern pool: every distinct pattern any shard emitted,
-    /// interned once. Roots cover the master registry, so raw event ids
+    /// The master pattern pool: every distinct gate survivor, interned
+    /// once. Roots cover the master registry, so raw event ids
     /// double as root pattern ids.
     pool: PatternPool,
     /// Per-pattern accumulators, aligned with `pool` ids (lazily grown —
@@ -124,7 +105,7 @@ impl ShardMerge {
     /// An empty merge over a master registry covering `n_sequences` owned
     /// windows in total. Accepts the registry by value or as a shared
     /// [`Arc`] (the shard planner hands every shard the same allocation).
-    pub fn new(registry: impl Into<Arc<EventRegistry>>, n_sequences: usize) -> Self {
+    pub(crate) fn new(registry: impl Into<Arc<EventRegistry>>, n_sequences: usize) -> Self {
         let registry = registry.into();
         let event_supports = vec![0; registry.len()];
         let pool = PatternPool::with_roots(registry.len());
@@ -137,17 +118,6 @@ impl ShardMerge {
             touched: Vec::new(),
             stats: MiningStats::default(),
         }
-    }
-
-    /// The master registry merged patterns are expressed in.
-    pub fn registry(&self) -> &EventRegistry {
-        &self.registry
-    }
-
-    /// Number of distinct patterns accumulated so far (before the global
-    /// σ/δ filter).
-    pub fn distinct_patterns(&self) -> usize {
-        self.touched.len()
     }
 
     /// The master pattern pool (exchange-coordinator seam: the gate
@@ -163,23 +133,15 @@ impl ShardMerge {
         &mut self.pool
     }
 
-    /// A [`PatternSink`] adapter for one shard: translates incoming event
-    /// ids through `map` (shard id → master id) and accumulates owned
-    /// supports. The adapter borrows the merge; drop it before starting
-    /// the next shard.
-    pub fn sink<'a>(&'a mut self, map: &'a [EventId]) -> MergeSink<'a> {
-        MergeSink { merge: self, map }
-    }
-
     /// Adds one shard's owned support of a single event (confidence
     /// denominator material).
-    pub fn add_event_support(&mut self, event: EventId, support: usize) {
+    pub(crate) fn add_event_support(&mut self, event: EventId, support: usize) {
         self.event_supports[event.0 as usize] += support;
     }
 
     /// Folds owned statistics into the accumulator column of an interned
-    /// pattern — every emission path (merge sink, exchange gate) lands
-    /// here with an id, never a cloned pattern.
+    /// pattern — the exchange gate lands here with an id, never a cloned
+    /// pattern.
     pub(crate) fn add_by_id(&mut self, id: PatternId, support: usize, clipped: usize) {
         let at = id.0 as usize;
         if self.entries.len() <= at {
@@ -194,14 +156,14 @@ impl ShardMerge {
     }
 
     /// Sums one shard's run counters into the merged work statistics.
-    pub fn add_stats(&mut self, stats: MiningStats) {
+    pub(crate) fn add_stats(&mut self, stats: MiningStats) {
         merge_stats(&mut self.stats, stats);
     }
 
     /// Overrides the boundary observability counters: per-shard counts
-    /// include the duplicated overlap windows, so the shard runner
-    /// recounts them over owned windows only.
-    pub fn set_boundary_counts(&mut self, clipped: u64, discarded: u64) {
+    /// would include the duplicated overlap windows, so the coordinator
+    /// sums the shards' owned-window counts instead.
+    pub(crate) fn set_boundary_counts(&mut self, clipped: u64, discarded: u64) {
         self.stats.clipped_instances = clipped;
         self.stats.discarded_instances = discarded;
     }
@@ -209,12 +171,12 @@ impl ShardMerge {
     /// Applies the *global* thresholds of `cfg` to the merged statistics
     /// and emits the surviving patterns into `sink`, sorted by pattern
     /// (events, then relations) so the merged output is deterministic
-    /// regardless of shard emission interleaving. Only survivors are
+    /// regardless of shard interleaving. Only survivors are
     /// resolved from the pool back to full patterns — allocation is
     /// output-proportional. Returns the merged run statistics: work
     /// counters are summed across shards, while the per-level
     /// `patterns_found`/`nodes_kept` describe the merged final output.
-    pub fn finish_into(self, cfg: &MinerConfig, sink: &mut dyn PatternSink) -> MiningStats {
+    pub(crate) fn finish_into(self, cfg: &MinerConfig, sink: &mut dyn PatternSink) -> MiningStats {
         let ShardMerge {
             registry,
             n_sequences,
@@ -282,39 +244,6 @@ impl ShardMerge {
     }
 }
 
-/// The per-shard side of the merge boundary: a [`PatternSink`] handed to
-/// a shard's miner. Every emitted pattern is interned straight into the
-/// master pool — event ids translate through `map` during the chain walk,
-/// so no translated `Pattern` is ever allocated — and its owned counts
-/// fold into the id-indexed accumulator. Nothing is buffered per shard.
-#[derive(Debug)]
-pub struct MergeSink<'a> {
-    merge: &'a mut ShardMerge,
-    /// `map[shard_event_id] == master_event_id`.
-    map: &'a [EventId],
-}
-
-impl PatternSink for MergeSink<'_> {
-    fn begin(&mut self, _frequent_events: &[(EventId, usize)]) {
-        // Single-event supports counted by the miner cover the whole
-        // shard slice (duplicated windows included); the shard runner
-        // records owned-only supports via `add_event_support` instead.
-    }
-
-    fn node(
-        &mut self,
-        _events: Vec<EventId>,
-        _support: usize,
-        _k: usize,
-        patterns: Vec<FrequentPattern>,
-    ) {
-        for fp in patterns {
-            let id = self.merge.pool.intern_mapped(&fp.pattern, self.map);
-            self.merge.add_by_id(id, fp.support, fp.clipped_occurrences);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,40 +260,27 @@ mod tests {
         reg
     }
 
-    fn fp(e1: u32, e2: u32, support: usize, clipped: usize) -> FrequentPattern {
-        FrequentPattern {
-            pattern: Pattern::pair(EventId(e1), TemporalRelation::Follow, EventId(e2)),
-            support,
-            rel_support: 0.0,
-            confidence: 0.0,
-            clipped_occurrences: clipped,
-        }
+    /// Interns `e1 Follow e2` and folds one shard's owned counts in, the
+    /// way the exchange gate does.
+    fn add(merge: &mut ShardMerge, e1: u32, e2: u32, support: usize, clipped: usize) {
+        let pattern = Pattern::pair(EventId(e1), TemporalRelation::Follow, EventId(e2));
+        let id = merge.pool_mut().intern(&pattern);
+        merge.add_by_id(id, support, clipped);
     }
 
     #[test]
-    fn merge_translates_ids_sums_owned_supports_and_filters() {
-        // Master: A=0, B=1. Shard 1 interned them reversed.
-        let master = registry(&["A", "B"]);
-        let mut merge = ShardMerge::new(master, 8);
-        {
-            let map = [EventId(0), EventId(1)];
-            let mut sink = merge.sink(&map);
-            sink.node(vec![], 0, 2, vec![fp(0, 1, 3, 1)]);
-        }
-        {
-            // Shard 1: local 0 = "B", local 1 = "A".
-            let map = [EventId(1), EventId(0)];
-            let mut sink = merge.sink(&map);
-            // Locally (B=0 local) Follow (A=1 local)... translated this is
-            // A Follow B? No: local pair (1, Follow, 0) -> (A, Follow, B).
-            sink.node(vec![], 0, 2, vec![fp(1, 0, 2, 0)]);
-            // A pattern below the global sigma: dropped by finish.
-            sink.node(vec![], 0, 2, vec![fp(0, 1, 1, 0)]);
-        }
+    fn merge_sums_owned_supports_and_filters() {
+        // Master: A=0, B=1.
+        let mut merge = ShardMerge::new(registry(&["A", "B"]), 8);
+        // Two shards report A -> B with owned supports 3 and 2.
+        add(&mut merge, 0, 1, 3, 1);
+        add(&mut merge, 0, 1, 2, 0);
+        // A pattern below the global sigma: dropped by finish.
+        add(&mut merge, 1, 0, 1, 0);
         merge.add_event_support(EventId(0), 5);
         merge.add_event_support(EventId(0), 3);
         merge.add_event_support(EventId(1), 6);
-        assert_eq!(merge.distinct_patterns(), 2);
+        assert_eq!(merge.touched.len(), 2);
 
         let cfg = MinerConfig::new(0.5, 0.5); // sigma_abs = 4 of 8
         let mut out = CollectSink::new();
@@ -382,13 +298,8 @@ mod tests {
 
     #[test]
     fn finish_applies_confidence_with_tolerance() {
-        let master = registry(&["A", "B"]);
-        let mut merge = ShardMerge::new(master, 10);
-        {
-            let map = [EventId(0), EventId(1)];
-            let mut sink = merge.sink(&map);
-            sink.node(vec![], 0, 2, vec![fp(0, 1, 7, 0)]);
-        }
+        let mut merge = ShardMerge::new(registry(&["A", "B"]), 10);
+        add(&mut merge, 0, 1, 7, 0);
         merge.add_event_support(EventId(0), 10);
         merge.add_event_support(EventId(1), 7);
         // conf = 7/10 must pass delta = 0.7 despite float noise.
@@ -400,19 +311,11 @@ mod tests {
 
     #[test]
     fn same_pattern_from_two_shards_interns_once() {
-        let master = registry(&["A", "B"]);
-        let mut merge = ShardMerge::new(master, 4);
-        let map = [EventId(0), EventId(1)];
-        {
-            let mut sink = merge.sink(&map);
-            sink.node(vec![], 0, 2, vec![fp(0, 1, 1, 0)]);
-        }
+        let mut merge = ShardMerge::new(registry(&["A", "B"]), 4);
+        add(&mut merge, 0, 1, 1, 0);
         let pooled = merge.pool().len();
-        {
-            let mut sink = merge.sink(&map);
-            sink.node(vec![], 0, 2, vec![fp(0, 1, 2, 0)]);
-        }
+        add(&mut merge, 0, 1, 2, 0);
         assert_eq!(merge.pool().len(), pooled, "second emission is a pool hit");
-        assert_eq!(merge.distinct_patterns(), 1);
+        assert_eq!(merge.touched.len(), 1);
     }
 }

@@ -1,18 +1,20 @@
-//! Multi-threaded E-HTPGM.
+//! The E-HTPGM engine, on one thread or many.
 //!
 //! HTPGM parallelizes naturally along the Hierarchical Pattern Graph:
 //! L2 candidate pairs are independent of each other, and from L3 onward
 //! every L2 node's subtree grows independently of its siblings (the only
 //! cross-node structure, the frequent-relation table of Lemmas 4–7, is
 //! complete once L2 is done and read-only afterwards). This module
-//! shards both phases over `std::thread::scope` workers, driving the same
-//! [`crate::candidates`] engine as the single-threaded miner, and emits
-//! finished nodes into a shared [`PatternSink`]. Output is bit-identical
-//! to [`crate::mine_exact`] up to pattern order (asserted by the
+//! shards both phases over `std::thread::scope` workers, driving the
+//! shared [`crate::candidates`] engine, and emits finished nodes into a
+//! shared [`PatternSink`]. It is the only unsharded miner:
+//! [`crate::mine_exact`] is this engine at `threads = 1`, where the one
+//! worker runs on the calling thread and the emission order is fixed (L2
+//! nodes in event order, each subtree depth-first before the next). With
+//! more workers, node emission interleaves, so the order varies run to
+//! run, but the set, supports and confidences do not (asserted by the
 //! equivalence tests, and across seeded interleavings by the
-//! [`crate::schedule`] harness) — node emission interleaves across
-//! workers, so the order is not deterministic run to run, but the set,
-//! supports and confidences are. Run statistics are summed across
+//! [`crate::schedule`] harness). Run statistics are summed across
 //! workers.
 //!
 //! Panic discipline: a panicking task must neither deadlock the pool nor
@@ -27,11 +29,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::ScopedJoinHandle;
 
-use ftpm_events::{BoundaryKernel, BoundaryVisit, EventId, SequenceDatabase};
+use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId, SequenceDatabase};
 
 use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode};
-use crate::config::MinerConfig;
-use crate::exact::{GrowContext, MAX_EVENTS_HARD_CAP};
+use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
+use crate::exact::GrowContext;
 use crate::index::DatabaseIndex;
 use crate::merge::merge_stats;
 use crate::result::{MiningResult, MiningStats};
@@ -40,7 +42,7 @@ use crate::sink::{CollectSink, PatternSink};
 
 /// Mines exactly like [`crate::mine_exact`], distributing the work over
 /// `n_threads` OS threads. The pattern set, supports and confidences are
-/// identical to the single-threaded miner; only the order differs.
+/// identical to the single-threaded run; only the order differs.
 ///
 /// # Panics
 ///
@@ -62,7 +64,7 @@ pub fn mine_exact_parallel(
 /// never materializes the full pattern result; emitted-pattern memory is
 /// bounded per worker by the emission batch plus one node, though L2
 /// working state (all L2 nodes with their occurrence bindings) is still
-/// held during candidate generation, as in the sequential miner.
+/// held during candidate generation.
 ///
 /// # Panics
 ///
@@ -73,7 +75,7 @@ pub fn mine_exact_parallel_with_sink(
     n_threads: usize,
     sink: &mut (dyn PatternSink + Send),
 ) -> MiningStats {
-    mine_parallel_internal(db, cfg, n_threads, None, None, sink, None)
+    mine_parallel_internal(db, cfg, n_threads, None, sink, None)
 }
 
 /// Joins every handle, then re-raises the first panic payload if any
@@ -101,15 +103,45 @@ fn join_all<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
 /// Recovers a lock even when a worker panicked while holding it: the
 /// panic is already propagating via [`join_all`], and these critical
 /// sections leave no half-written state a sibling could observe (slot
-/// mutexes guard disjoint items; the sink lock batches whole nodes).
+/// mutexes guard disjoint items; the node queue hands out whole nodes;
+/// the sink lock batches whole nodes).
 fn lock_clean<'a, T: ?Sized>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The owned-mask-aware engine behind [`mine_exact_parallel_with_sink`]:
-/// `owned` restricts emitted supports to a shard's owned sequences, as in
-/// [`crate::exact::mine_internal`]. Also the path the shard runner uses
-/// for per-shard parallel mining, and — with `sched` set — the engine
+/// Runs `body(worker)` for workers `0..n` and returns the results in
+/// worker order. Workers run on scoped OS threads, except that a single
+/// worker runs on the calling thread: one-thread mining pays for no
+/// spawn. With `sched` set, the sequencer is armed for the phase first
+/// and each worker retires from it on exit, normal or unwinding (see
+/// [`crate::schedule`]).
+fn run_workers<T, F>(n: usize, sched: Option<&SimCtl>, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if let Some(ctl) = sched {
+        ctl.phase(n);
+    }
+    let run = |worker: usize| {
+        let _retire = sched.map(|ctl| Retire::new(ctl, worker));
+        body(worker)
+    };
+    if n == 1 {
+        return vec![run(0)];
+    }
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = (0..n)
+            .map(|worker| scope.spawn(move || run(worker)))
+            .collect();
+        join_all(handles)
+    })
+}
+
+/// The engine behind [`crate::mine_exact`], [`mine_exact_parallel_with_sink`]
+/// and the unsharded A-HTPGM entry points (`corr` is their correlation
+/// filter, see [`crate::approx`]) — and, with `sched` set, the engine
 /// under [`crate::Schedule::mine_parallel`], where every task claim goes
 /// through the seeded sequencer instead of racing on the atomic alone.
 pub(crate) fn mine_parallel_internal(
@@ -117,23 +149,18 @@ pub(crate) fn mine_parallel_internal(
     cfg: &MinerConfig,
     n_threads: usize,
     corr: Option<&CorrelationFilter<'_>>,
-    owned: Option<&[bool]>,
     sink: &mut (dyn PatternSink + Send),
     sched: Option<&SimCtl>,
 ) -> MiningStats {
     // lint: allow(panic, documented # Panics contract: thread count floor)
     assert!(n_threads > 0, "need at least one thread");
-    if n_threads == 1 {
-        return crate::exact::mine_internal(db, cfg, corr, owned, sink);
-    }
-    // Monomorphization seam: fix the boundary kernel once per run (the
-    // same dispatch point discipline as `exact::mine_internal`).
+    // Monomorphization seam: fix the boundary kernel once per run, so
+    // every instance-level decision below compiles branch-free.
     struct Run<'a, 'b, 'c> {
         db: &'a SequenceDatabase,
         cfg: &'a MinerConfig,
         n_threads: usize,
         corr: Option<&'a CorrelationFilter<'c>>,
-        owned: Option<&'a [bool]>,
         sink: &'a mut (dyn PatternSink + Send),
         sched: Option<&'b SimCtl>,
     }
@@ -145,7 +172,6 @@ pub(crate) fn mine_parallel_internal(
                 self.cfg,
                 self.n_threads,
                 self.corr,
-                self.owned,
                 self.sink,
                 self.sched,
             )
@@ -156,11 +182,33 @@ pub(crate) fn mine_parallel_internal(
         cfg,
         n_threads,
         corr,
-        owned,
         sink,
         sched,
     })
 }
+
+/// Records how many instances of `db` carry a window-boundary clip, and
+/// how many of those the active [`BoundaryPolicy`] drops outright — the
+/// run-level observability half of the boundary-artifact story (the
+/// per-pattern half is `clipped_occurrences`).
+fn record_boundary_stats(db: &SequenceDatabase, cfg: &MinerConfig, stats: &mut MiningStats) {
+    let clipped = db
+        .sequences()
+        .iter()
+        .flat_map(|s| s.instances())
+        .filter(|i| i.is_clipped())
+        .count() as u64;
+    stats.clipped_instances = clipped;
+    stats.discarded_instances = match cfg.relation.boundary {
+        BoundaryPolicy::Discard => clipped,
+        BoundaryPolicy::Clip | BoundaryPolicy::TrueExtent => 0,
+    };
+}
+
+/// How many L2 candidate pairs a worker claims at once: batched work
+/// stealing keeps workers balanced even when a few pairs dominate the
+/// cost.
+const PAIR_BATCH: usize = 16;
 
 /// [`mine_parallel_internal`], monomorphized over the boundary kernel.
 fn mine_parallel_internal_k<K: BoundaryKernel>(
@@ -168,15 +216,17 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
     cfg: &MinerConfig,
     n_threads: usize,
     corr: Option<&CorrelationFilter<'_>>,
-    owned: Option<&[bool]>,
     sink: &mut (dyn PatternSink + Send),
     sched: Option<&SimCtl>,
 ) -> MiningStats {
     let sigma_abs = cfg.absolute_support(db.len());
     let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
-    let index = DatabaseIndex::build_masked(db, cfg.relation.boundary, owned);
+    let index = DatabaseIndex::build_with_policy(db, cfg.relation.boundary);
+    let mut stats = MiningStats::default();
+    record_boundary_stats(db, cfg, &mut stats);
+    let db_has_clipped = stats.clipped_instances > 0;
 
-    // ---- L1 ----
+    // ---- L1: frequent single events (Alg. 1 lines 1–4) ----
     let freq_events: Vec<EventId> = db
         .registry()
         .ids()
@@ -189,7 +239,9 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
         .collect();
     sink.begin(&l1);
 
-    // ---- L2, sharded over candidate pairs ----
+    // ---- L2: frequent 2-event patterns (Alg. 1 lines 5–14), workers
+    // claiming batches of the row-major `freq_events × freq_events`
+    // pair space ----
     let engine = L2Engine::<K> {
         db,
         index: &index,
@@ -197,62 +249,51 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
         sigma_abs,
         kernel: PhantomData,
     };
-    let pairs: Vec<(EventId, EventId)> = freq_events
-        .iter()
-        .flat_map(|&ei| freq_events.iter().map(move |&ej| (ei, ej)))
-        .filter(|&(ei, ej)| corr.is_none_or(|c| c.allows_pair(ei, ej)))
-        .collect();
+    let n_freq = freq_events.len();
+    let n_pairs = n_freq * n_freq;
     let next_pair = AtomicUsize::new(0);
-    if let Some(ctl) = sched {
-        ctl.phase(n_threads);
-    }
-    let mut shard_outputs: Vec<(Vec<WorkNode>, MiningStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|worker| {
-                let pairs = &pairs;
-                let next_pair = &next_pair;
-                let engine = &engine;
-                scope.spawn(move || {
-                    let _retire = sched.map(|ctl| Retire::new(ctl, worker));
-                    let mut nodes = Vec::new();
-                    let mut stats = MiningStats::default();
-                    stats.nodes_verified.push(0);
-                    loop {
-                        if let Some(ctl) = sched {
-                            ctl.turn(worker);
-                        }
-                        // Batched work stealing keeps shards balanced even
-                        // when a few pairs dominate the cost.
-                        let at = next_pair.fetch_add(16, Ordering::Relaxed);
-                        if at >= pairs.len() {
-                            break;
-                        }
-                        for &(ei, ej) in &pairs[at..(at + 16).min(pairs.len())] {
-                            if let Some(node) = engine.try_pair(ei, ej, &mut stats) {
-                                nodes.push(node);
-                            }
-                        }
-                    }
-                    (nodes, stats)
-                })
-            })
-            .collect();
-        join_all(handles)
+    let l2_outputs = run_workers(n_threads, sched, |worker| {
+        let mut nodes = Vec::new();
+        let mut stats = MiningStats::default();
+        stats.nodes_verified.push(0);
+        loop {
+            if let Some(ctl) = sched {
+                ctl.turn(worker);
+            }
+            let at = next_pair.fetch_add(PAIR_BATCH, Ordering::Relaxed);
+            if at >= n_pairs {
+                break;
+            }
+            for pair in at..(at + PAIR_BATCH).min(n_pairs) {
+                let (ei, ej) = (freq_events[pair / n_freq], freq_events[pair % n_freq]);
+                if corr.is_some_and(|c| !c.allows_pair(ei, ej)) {
+                    continue;
+                }
+                if let Some(node) = engine.try_pair(ei, ej, &mut stats) {
+                    nodes.push(node);
+                }
+            }
+        }
+        (nodes, stats)
     });
 
-    let mut stats = MiningStats::default();
-    crate::exact::record_boundary_stats(db, cfg, &mut stats);
-    let db_has_clipped = stats.clipped_instances > 0;
     stats.nodes_verified.push(0);
     stats.nodes_kept.push(0);
     stats.patterns_found.push(0);
     let mut level2: Vec<WorkNode> = Vec::new();
-    for (nodes, shard_stats) in shard_outputs.drain(..) {
-        merge_stats(&mut stats, shard_stats);
-        level2.extend(nodes);
+    for (nodes, worker_stats) in l2_outputs {
+        merge_stats(&mut stats, worker_stats);
+        // Take over the first worker's vector rather than copying it:
+        // with one worker it is the whole level.
+        if level2.is_empty() {
+            level2 = nodes;
+        } else {
+            level2.extend(nodes);
+        }
     }
-    // Canonical order so work distribution is deterministic across runs.
-    level2.sort_by(|a, b| a.events.cmp(&b.events));
+    // Canonical order so work distribution is deterministic across runs
+    // (event pairs are unique, so an in-place unstable sort suffices).
+    level2.sort_unstable_by(|a, b| a.events.cmp(&b.events));
     stats.nodes_kept[0] = level2.len();
     stats.patterns_found[0] = level2.iter().map(|n| n.patterns.len()).sum();
 
@@ -263,76 +304,57 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
         }
     }
 
-    // ---- L3+: shard L2 nodes across workers, each growing its subtree
-    // with the shared read-only L2 relation table and emitting finished
-    // nodes straight into the shared sink. ----
-    let next_node = AtomicUsize::new(0);
-    let queue_refs: Vec<Mutex<Option<WorkNode>>> = level2
-        .into_iter()
-        .map(|n| Mutex::new(Some(n)))
-        .collect();
+    // ---- Lk (k ≥ 3): grow nodes (Alg. 1 lines 15–20) ----
+    // Workers claim L2 nodes and grow each to exhaustion depth-first
+    // against the shared read-only L2 relation table, emitting finished
+    // nodes into the shared sink. The level-wise semantics (k-event
+    // patterns derived from (k-1)-event patterns and the L1/L2
+    // structures) are unchanged, but a node's occurrence bindings are
+    // released as soon as its subtree is done — this is what keeps
+    // HTPGM's memory footprint below the list-materializing baselines
+    // (Table VIII).
+    let queue = Mutex::new(level2.into_iter());
     let shared = Mutex::new(sink);
-    if let Some(ctl) = sched {
-        ctl.phase(n_threads);
-    }
-    let shard_stats_out: Vec<MiningStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|worker| {
-                let next_node = &next_node;
-                let queue_refs = &queue_refs;
-                let index = &index;
-                let pair_relations = &pair_relations;
-                let freq_events = &freq_events;
-                let shared = &shared;
-                scope.spawn(move || {
-                    let _retire = sched.map(|ctl| Retire::new(ctl, worker));
-                    let mut worker_sink = SharedSink::new(shared);
-                    let mut shard_stats = MiningStats::default();
-                    loop {
-                        if let Some(ctl) = sched {
-                            ctl.turn(worker);
-                        }
-                        let at = next_node.fetch_add(1, Ordering::Relaxed);
-                        if at >= queue_refs.len() {
-                            break;
-                        }
-                        let node = lock_clean(&queue_refs[at])
-                            .take()
-                            // lint: allow(panic, structural invariant: the atomic counter hands each slot index out once)
-                            .expect("each node taken once");
-                        let mut grow = GrowContext::<K> {
-                            db,
-                            cfg,
-                            index,
-                            pair_relations,
-                            freq_events,
-                            sigma_abs,
-                            max_events,
-                            stats: &mut shard_stats,
-                            sink: &mut worker_sink,
-                            db_has_clipped,
-                            owned,
-                            kernel: PhantomData,
-                        };
-                        grow.grow_node(node, 3);
-                    }
-                    worker_sink.flush();
-                    shard_stats
-                })
-            })
-            .collect();
-        join_all(handles)
+    // A lone worker has no one to contend with for the sink lock, so it
+    // passes every node straight through instead of holding a batch.
+    let batch = if n_threads == 1 { 0 } else { SHARED_SINK_BATCH };
+    let grow_outputs = run_workers(n_threads, sched, |worker| {
+        let mut worker_sink = SharedSink::new(&shared, batch);
+        let mut worker_stats = MiningStats::default();
+        loop {
+            if let Some(ctl) = sched {
+                ctl.turn(worker);
+            }
+            let Some(node) = lock_clean(&queue).next() else {
+                break;
+            };
+            let mut grow = GrowContext::<K> {
+                db,
+                cfg,
+                index: &index,
+                pair_relations: &pair_relations,
+                freq_events: &freq_events,
+                sigma_abs,
+                max_events,
+                stats: &mut worker_stats,
+                sink: &mut worker_sink,
+                db_has_clipped,
+                kernel: PhantomData,
+            };
+            grow.grow_node(node, 3);
+        }
+        worker_sink.flush();
+        worker_stats
     });
 
-    for shard_stats in shard_stats_out {
-        merge_stats(&mut stats, shard_stats);
+    for worker_stats in grow_outputs {
+        merge_stats(&mut stats, worker_stats);
     }
     stats
 }
 
 /// Runs `f(index, &mut item)` for every item, distributing items over up
-/// to `threads` scoped workers with atomic work stealing (the same
-/// machinery the L3 node queue above uses). With one thread — or one
+/// to `threads` scoped workers with atomic work stealing. With one thread — or one
 /// item — it degrades to a plain loop with no spawn at all. Items are
 /// processed exactly once; completion order is unspecified, but every
 /// call has returned when this function returns. With `sched` set, each
@@ -354,32 +376,16 @@ where
     }
     let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
-    if let Some(ctl) = sched {
-        ctl.phase(threads);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let slots = &slots;
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let _retire = sched.map(|ctl| Retire::new(ctl, worker));
-                    loop {
-                        if let Some(ctl) = sched {
-                            ctl.turn(worker);
-                        }
-                        let at = next.fetch_add(1, Ordering::Relaxed);
-                        if at >= slots.len() {
-                            break;
-                        }
-                        let mut item = lock_clean(&slots[at]);
-                        f(at, &mut item);
-                    }
-                })
-            })
-            .collect();
-        join_all(handles);
+    run_workers(threads, sched, |worker| loop {
+        if let Some(ctl) = sched {
+            ctl.turn(worker);
+        }
+        let at = next.fetch_add(1, Ordering::Relaxed);
+        if at >= slots.len() {
+            break;
+        }
+        let mut item = lock_clean(&slots[at]);
+        f(at, &mut item);
     });
 }
 
@@ -415,9 +421,10 @@ where
 /// One buffered node emission awaiting the shared-sink lock.
 type PendingNode = (Vec<EventId>, usize, usize, Vec<crate::result::FrequentPattern>);
 
-/// How many patterns a worker buffers before taking the shared-sink
-/// lock. Amortizes contention when many small nodes finish in bursts;
-/// worker-resident pattern memory stays bounded by this plus one node.
+/// How many patterns each of several workers buffers before taking the
+/// shared-sink lock. Amortizes contention when many small nodes finish in
+/// bursts; worker-resident pattern memory stays bounded by this plus one
+/// node.
 const SHARED_SINK_BATCH: usize = 1024;
 
 /// Per-worker handle on the shared sink: buffers finished nodes and
@@ -430,14 +437,17 @@ struct SharedSink<'a, 'b> {
     shared: &'a Mutex<&'b mut (dyn PatternSink + Send)>,
     pending: Vec<PendingNode>,
     pending_patterns: usize,
+    /// Flush once this many patterns are pending.
+    batch: usize,
 }
 
 impl<'a, 'b> SharedSink<'a, 'b> {
-    fn new(shared: &'a Mutex<&'b mut (dyn PatternSink + Send)>) -> Self {
+    fn new(shared: &'a Mutex<&'b mut (dyn PatternSink + Send)>, batch: usize) -> Self {
         SharedSink {
             shared,
             pending: Vec::new(),
             pending_patterns: 0,
+            batch,
         }
     }
 
@@ -464,7 +474,7 @@ impl PatternSink for SharedSink<'_, '_> {
     ) {
         self.pending_patterns += patterns.len();
         self.pending.push((events, support, k, patterns));
-        if self.pending_patterns >= SHARED_SINK_BATCH {
+        if self.pending_patterns >= self.batch {
             self.flush();
         }
     }
@@ -545,7 +555,7 @@ mod tests {
         {
             let boxed: &mut (dyn PatternSink + Send) = &mut target;
             let shared = Mutex::new(boxed);
-            let mut sink = SharedSink::new(&shared);
+            let mut sink = SharedSink::new(&shared, SHARED_SINK_BATCH);
             sink.node(vec![EventId(0)], 1, 2, Vec::new());
             sink.flush();
         }

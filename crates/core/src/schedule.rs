@@ -414,7 +414,6 @@ impl Schedule {
             cfg,
             self.workers,
             None,
-            None,
             &mut sink,
             Some(&self.ctl),
         );

@@ -1,6 +1,7 @@
 //! Shard-by-time-range mining: cut the symbolic database into K
-//! overlapping time-range shards, mine each shard independently, and
-//! merge the per-shard statistics losslessly (see [`crate::merge`]).
+//! overlapping time-range shards, mine them concurrently through the
+//! candidate-exchange executor, and merge the per-shard statistics
+//! losslessly (see [`crate::executor`] and [`crate::merge`]).
 //!
 //! # Geometry and the `t_ov = t_max` lemma
 //!
@@ -14,8 +15,8 @@
 //!
 //! Each shard computes run extents *within its own slice*, exactly as an
 //! independent service node holding only its time range (± the pad)
-//! would. This is lossless for [`BoundaryPolicy::TrueExtent`] with
-//! `t_ov = t_max` by an extension of the PR 3 window lemma: a run extent
+//! would. This is lossless for [`ftpm_events::BoundaryPolicy::TrueExtent`]
+//! with `t_ov = t_max` by an extension of the window lemma: a run extent
 //! truncated at a slice edge necessarily spans more than `t_ov ≥ t_max`
 //! ticks, so no occurrence involving a truncated extent can ever satisfy
 //! the duration constraint — in the shard *or* in the unsharded baseline
@@ -24,34 +25,29 @@
 //! conversion's. `Clip` and `Discard` never look past the clipped
 //! interval / clip flags, so they shard losslessly as well.
 //!
-//! # Support-complete vs candidate-exchange per-shard mining
+//! # Why shards exchange candidates
 //!
 //! A pattern's global support is the sum of its owned supports across
 //! shards, so a shard cannot apply the global σ/δ locally — a pattern
 //! frequent overall may sit below threshold in every single shard. The
-//! *support-complete* path ([`ShardPlan::mine_into`]) has each shard mine
-//! with absolute support 1 and no confidence gate, and the merge applies
-//! the global thresholds to the summed statistics — exact, but with no
-//! per-shard pruning at all. The *candidate-exchange* path
-//! ([`ShardPlan::mine_exchange_into`], see [`crate::executor`]) restores
-//! pruning: shards propose level-`k` candidates with owned supports, a
-//! coordinator applies the global σ/δ gate to the sums, and only the
-//! survivors are grown to level `k + 1` — same exact output, strictly
-//! fewer candidates, and the shards run concurrently.
+//! plan therefore mines through the two-phase candidate-exchange executor
+//! ([`ShardPlan::mine_exchange_into`], see [`crate::executor`]): shards
+//! propose level-`k` candidates with owned supports, a coordinator
+//! applies the global σ/δ gate to the sums, and only the survivors are
+//! grown to level `k + 1` — exact output with per-shard pruning, and the
+//! shards run concurrently.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use ftpm_events::{
-    to_sequence_database, BoundaryPolicy, EventId, EventInstance, EventRegistry,
-    SequenceDatabase, ShardSpan, SplitConfig, TemporalSequence,
+    to_sequence_database, EventId, EventInstance, EventRegistry, SequenceDatabase, ShardSpan,
+    SplitConfig, TemporalSequence,
 };
 use ftpm_mi::CorrelationGraph;
 use ftpm_timeseries::SymbolicDatabase;
 
 use crate::config::MinerConfig;
 use crate::executor::{mine_exchange_internal, ShardReport};
-use crate::merge::ShardMerge;
 use crate::result::{MiningResult, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 
@@ -73,7 +69,7 @@ use crate::sink::{CollectSink, PatternSink};
 /// let plan = ShardPlanner::new(4)
 ///     .plan(&data.syb, data.split, cfg.relation.t_max)
 ///     .expect("valid geometry");
-/// let result = plan.mine(&cfg, 1);
+/// let (result, _reports) = plan.mine_exchange(&cfg, 1);
 /// assert!(!result.is_empty());
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -92,9 +88,10 @@ impl ShardPlanner {
     /// `t_ov` ticks, converts each slice with `split`, and builds the
     /// master registry the merged output is expressed in.
     ///
-    /// For a lossless run under [`BoundaryPolicy::TrueExtent`], pass the
-    /// miner's `t_max` as `t_ov` (the Fig 3 lemma, one level up); `Clip`
-    /// and `Discard` are lossless for any `t_ov ≥ 0`.
+    /// For a lossless run under
+    /// [`ftpm_events::BoundaryPolicy::TrueExtent`], pass the miner's
+    /// `t_max` as `t_ov` (the Fig 3 lemma, one level up); `Clip` and
+    /// `Discard` are lossless for any `t_ov ≥ 0`.
     pub fn plan(
         &self,
         syb: &SymbolicDatabase,
@@ -142,7 +139,6 @@ impl ShardPlanner {
         // memory).
         let registry = Arc::new(registry);
         let mut shards = Vec::with_capacity(converted.len());
-        let mut maps = Vec::with_capacity(converted.len());
         for (index, (span, slice_db, remap)) in converted.into_iter().enumerate() {
             let sequences = slice_db
                 .sequences()
@@ -173,10 +169,6 @@ impl ShardPlanner {
                 span.owned_windows.1 - span.owned_windows.0,
                 "every owned window must be emitted by its shard's slice"
             );
-            // The shard db already speaks master ids, so its merge map
-            // is the identity; MergeSink keeps the translation seam for
-            // remote shards that arrive with foreign registries.
-            maps.push(registry.ids().collect());
             shards.push(Shard {
                 index,
                 db,
@@ -186,7 +178,6 @@ impl ShardPlanner {
         }
         Ok(ShardPlan {
             shards,
-            maps,
             registry,
             n_windows,
             t_ov,
@@ -215,8 +206,6 @@ pub struct Shard {
 #[derive(Debug)]
 pub struct ShardPlan {
     shards: Vec<Shard>,
-    /// Per shard: shard `EventId` → master `EventId`.
-    maps: Vec<Vec<EventId>>,
     /// Shared with every shard database (see [`ShardPlanner::plan`]).
     registry: Arc<EventRegistry>,
     /// Global window count — the merged `|D_SEQ|`.
@@ -253,142 +242,13 @@ impl ShardPlan {
         self.t_ov
     }
 
-    /// Whether every shard's id map is the identity — true for every
-    /// locally planned run, because [`ShardPlanner::plan`] remaps shard
-    /// databases onto the master registry *before* mining. The exchange
-    /// executor keys proposals without per-shard translation on the
-    /// strength of this invariant (and asserts it in debug builds); a
-    /// future remote shard arriving with a foreign registry must go
-    /// through [`crate::MergeSink`]'s translation seam instead.
-    pub(crate) fn maps_are_identity(&self) -> bool {
-        self.maps
-            .iter()
-            .all(|map| map.iter().enumerate().all(|(i, e)| e.0 as usize == i))
-    }
-
-    /// Mines every shard (each with `threads` workers) into a streaming
-    /// [`ShardMerge`], then emits the merged, globally-thresholded output
-    /// into `sink`. Returns the merged run statistics.
-    ///
-    /// This is the support-complete path: shards run sequentially and
-    /// without any per-shard pruning. Prefer
-    /// [`ShardPlan::mine_exchange_into`] unless cross-validating it.
-    pub fn mine_into(
-        &self,
-        cfg: &MinerConfig,
-        threads: usize,
-        sink: &mut dyn PatternSink,
-    ) -> MiningStats {
-        self.mine_into_reported(cfg, threads, sink).0
-    }
-
-    /// [`ShardPlan::mine_into`] plus one [`ShardReport`] per shard
-    /// (candidates generated, wall time; `candidates_pruned` is always 0
-    /// here — the support-complete path defers all filtering to the
-    /// merge).
-    pub fn mine_into_reported(
-        &self,
-        cfg: &MinerConfig,
-        threads: usize,
-        sink: &mut dyn PatternSink,
-    ) -> (MiningStats, Vec<ShardReport>) {
-        self.mine_into_reported_filtered(cfg, threads, None, sink)
-    }
-
-    /// The filter-aware engine behind [`ShardPlan::mine_into_reported`]
-    /// and [`ShardPlan::mine_approximate_into`]: `corr` is the global
-    /// A-HTPGM gate (built once against the master registry, which every
-    /// shard database already speaks), applied by each shard's miner at
-    /// the same L1/L2 points as everywhere else.
-    fn mine_into_reported_filtered(
-        &self,
-        cfg: &MinerConfig,
-        threads: usize,
-        corr: Option<&crate::candidates::CorrelationFilter<'_>>,
-        sink: &mut dyn PatternSink,
-    ) -> (MiningStats, Vec<ShardReport>) {
-        // Support-complete shard mining: absolute support 1, no local
-        // confidence gate — only the merge can apply the global σ/δ.
-        let shard_cfg = MinerConfig {
-            sigma: f64::MIN_POSITIVE,
-            delta: f64::MIN_POSITIVE,
-            ..*cfg
-        };
-        let mut merge = ShardMerge::new(Arc::clone(&self.registry), self.n_windows);
-        let mut reports = Vec::with_capacity(self.shards.len());
-        let mut clipped = 0u64;
-        let mut discarded = 0u64;
-        for (shard, map) in self.shards.iter().zip(&self.maps) {
-            let started = Instant::now();
-            let candidates_proposed;
-            {
-                let mut merge_sink = merge.sink(map);
-                let stats = crate::parallel::mine_parallel_internal(
-                    &shard.db,
-                    &shard_cfg,
-                    threads.max(1),
-                    corr,
-                    Some(&shard.owned),
-                    &mut merge_sink,
-                    None,
-                );
-                candidates_proposed = stats.patterns_found.iter().sum();
-                merge.add_stats(stats);
-            }
-            // Owned single-event supports and boundary counts, under the
-            // same boundary policy the miners applied.
-            let mut seen: Vec<bool> = vec![false; map.len()];
-            for (si, seq) in shard.db.sequences().iter().enumerate() {
-                if !shard.owned[si] {
-                    continue;
-                }
-                seen.iter_mut().for_each(|s| *s = false);
-                for inst in seq.instances() {
-                    if inst.is_clipped() {
-                        clipped += 1;
-                        if cfg.relation.boundary == BoundaryPolicy::Discard {
-                            discarded += 1;
-                            continue;
-                        }
-                    }
-                    seen[inst.event.0 as usize] = true;
-                }
-                // Events outside X_C stay invisible to the merge too, so
-                // the merged frequent-event list and confidence
-                // denominators match the unsharded approximate miner.
-                for (e, s) in seen.iter().enumerate() {
-                    if *s && corr.is_none_or(|c| c.allows_event(map[e])) {
-                        merge.add_event_support(map[e], 1);
-                    }
-                }
-            }
-            reports.push(ShardReport {
-                shard: shard.index,
-                windows_owned: shard.owned.iter().filter(|&&o| o).count(),
-                candidates_proposed,
-                candidates_pruned: 0,
-                wall: started.elapsed(),
-            });
-        }
-        merge.set_boundary_counts(clipped, discarded);
-        (merge.finish_into(cfg, sink), reports)
-    }
-
-    /// Like [`ShardPlan::mine_into`], collecting into a [`MiningResult`]
-    /// (expressed in [`ShardPlan::registry`]).
-    pub fn mine(&self, cfg: &MinerConfig, threads: usize) -> MiningResult {
-        let mut sink = CollectSink::new();
-        let stats = self.mine_into(cfg, threads, &mut sink);
-        sink.into_result(stats)
-    }
-
     /// Mines the plan through the two-phase candidate-exchange executor
     /// (see [`crate::executor`]): shards run *concurrently*, propose
     /// level-`k` candidates with owned supports, and only candidates
     /// passing the global σ/δ gate are grown to level `k + 1`. The
-    /// merged output is identical to [`ShardPlan::mine_into`] and to the
-    /// unsharded [`crate::mine_exact`]; per-shard candidate and timing
-    /// observability comes back as [`ShardReport`]s.
+    /// merged output is identical to the unsharded [`crate::mine_exact`];
+    /// per-shard candidate and timing observability comes back as
+    /// [`ShardReport`]s.
     ///
     /// `threads` is the total worker budget, split between concurrent
     /// shards and intra-shard parallelism.
@@ -411,23 +271,6 @@ impl ShardPlan {
         let mut sink = CollectSink::new();
         let (stats, reports) = self.mine_exchange_into(cfg, threads, &mut sink);
         (sink.into_result(stats), reports)
-    }
-
-    /// A-HTPGM over the support-complete sharded path: every shard mines
-    /// under the one globally-built correlation `graph` (constructed by
-    /// the caller from the *unsliced* symbolic database — per-shard
-    /// graphs would gate on slice-local MI and diverge). The merged
-    /// output equals the unsharded [`crate::mine_approximate`] run with
-    /// the same graph exactly.
-    pub fn mine_approximate_into(
-        &self,
-        graph: &CorrelationGraph,
-        cfg: &MinerConfig,
-        threads: usize,
-        sink: &mut dyn PatternSink,
-    ) -> (MiningStats, Vec<ShardReport>) {
-        let filter = crate::approx::correlation_filter(graph, &self.registry);
-        self.mine_into_reported_filtered(cfg, threads, Some(&filter), sink)
     }
 
     /// A-HTPGM over the candidate-exchange executor: the coordinator
@@ -461,9 +304,10 @@ impl ShardPlan {
     }
 }
 
-/// The result of [`mine_sharded`]: the merged mining result plus the
-/// master registry its event ids refer to (shard slices intern events in
-/// their own orders, so the caller's registry does not apply).
+/// The result of [`mine_sharded_exchange`] and
+/// [`mine_approximate_sharded_exchange`]: the merged mining result plus
+/// the master registry its event ids refer to (shard slices intern events
+/// in their own orders, so the caller's registry does not apply).
 #[derive(Debug)]
 pub struct ShardedMining {
     /// The merged, globally-thresholded result.
@@ -478,36 +322,15 @@ pub struct ShardedMining {
 }
 
 /// One-call sharded mining: plans `shards` time-range shards over
-/// `syb`/`split` with `t_ov = cfg.relation.t_max`, mines each with
-/// `threads` workers, and merges. Equals the unsharded
-/// [`crate::mine_exact`] run on the same split — by label, support,
-/// confidence and clipped-occurrence count — for every
-/// [`BoundaryPolicy`] (for [`BoundaryPolicy::TrueExtent`] this needs the
-/// `t_ov = t_max` pad, which is why the overlap is taken from the
-/// config's `t_max`).
-pub fn mine_sharded(
-    syb: &SymbolicDatabase,
-    split: SplitConfig,
-    cfg: &MinerConfig,
-    shards: usize,
-    threads: usize,
-) -> Result<ShardedMining, String> {
-    let plan = ShardPlanner::new(shards).plan(syb, split, cfg.relation.t_max)?;
-    let result = plan.mine(cfg, threads);
-    let n_shards = plan.shards.len();
-    Ok(ShardedMining {
-        result,
-        registry: plan.registry,
-        shards: n_shards,
-        t_ov: plan.t_ov,
-    })
-}
-
-/// One-call sharded mining through the two-phase candidate-exchange
-/// executor (concurrent shards, global apriori gate between levels —
-/// see [`crate::executor`]). Output equals [`mine_sharded`] and the
-/// unsharded [`crate::mine_exact`] exactly; the [`ShardReport`]s expose
-/// how many candidates each shard proposed and how many the gate pruned.
+/// `syb`/`split` with `t_ov = cfg.relation.t_max` and mines them through
+/// the two-phase candidate-exchange executor (concurrent shards, global
+/// apriori gate between levels — see [`crate::executor`]) with `threads`
+/// workers. Equals the unsharded [`crate::mine_exact`] run on the same
+/// split — by label, support, confidence and clipped-occurrence count —
+/// for every [`ftpm_events::BoundaryPolicy`] (for `TrueExtent` this needs
+/// the `t_ov = t_max` pad, which is why the overlap is taken from the
+/// config's `t_max`). The [`ShardReport`]s expose how many candidates
+/// each shard proposed and how many the gate pruned.
 pub fn mine_sharded_exchange(
     syb: &SymbolicDatabase,
     split: SplitConfig,

@@ -13,14 +13,11 @@
 //! candidate nodes and the occurrence bindings of the subtree currently
 //! being grown) occupies memory.
 //!
-//! The same seam is what shard-by-time-range mining plugs into: each
-//! per-shard miner emits into a [`crate::MergeSink`] that forwards owned
-//! pattern statistics across the merge boundary instead of buffering a
-//! per-shard result, and [`crate::ShardMerge::finish_into`] streams the
-//! merged output into whatever downstream sink the caller chose — so
-//! `ftpm mine --shards K --stream` composes sharding with the writer
-//! sinks without ever materializing a pattern `Vec`. A future network
-//! sink slots into the same boundary (see ROADMAP "Sharding/scale").
+//! Shard-by-time-range mining ends in the same seam: the exchange
+//! coordinator accumulates owned pattern statistics by pattern id and
+//! streams the merged output into whatever downstream sink the caller
+//! chose — so `ftpm mine --shards K --stream` composes sharding with the
+//! writer sinks without ever materializing a pattern `Vec`.
 //!
 //! Writer sinks record the first I/O error internally and go quiet; the
 //! error is surfaced by [`PatternSink::finish`], so the mining hot path
@@ -50,8 +47,8 @@ use crate::result::{FrequentPattern, MiningResult, MiningStats};
 ///
 /// The miner calls [`begin`](PatternSink::begin) once, then
 /// [`node`](PatternSink::node) for every archived pattern-bearing node
-/// (in discovery order for the single-threaded miner; interleaved across
-/// shards for the parallel one), and the driver calls
+/// (in discovery order at one thread; interleaved across workers with
+/// more), and the driver calls
 /// [`finish`](PatternSink::finish) at the end.
 pub trait PatternSink {
     /// Announces the run: the frequent single events of L1 with their

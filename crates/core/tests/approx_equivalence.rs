@@ -14,93 +14,22 @@
 //! Event ids differ across conversions (intern order), so everything
 //! compares by label.
 
-use std::collections::HashMap;
+mod common;
 
+use common::{assert_equivalent, labelled, policy_cfg, random_syb, Labelled};
 use ftpm_core::{
     correlation_filter, mine_approximate, mine_approximate_parallel,
     mine_approximate_sharded_exchange, mine_approximate_with_density, mine_reference_filtered,
-    CollectSink, MinerConfig, MiningResult, ShardPlanner,
+    MinerConfig, ShardPlanner,
 };
-use ftpm_events::{
-    to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
-};
+use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
 use ftpm_mi::{mu_for_density, CorrelationGraph};
-use ftpm_timeseries::{Alphabet, SymbolId, SymbolicDatabase, SymbolicSeries, VariableId};
-
-/// Deterministic pseudo-random on/off symbolic database with run lengths
-/// in `1..=max_run` — long runs cross window and shard boundaries, which
-/// is exactly what the shard pads and the exchange must survive.
-fn random_syb(seed: u64, vars: usize, n_steps: usize, step: i64, max_run: u64) -> SymbolicDatabase {
-    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-    let mut next = move || {
-        // xorshift64*
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545f4914f6cdd1d)
-    };
-    let mut db = SymbolicDatabase::new(0, step, n_steps);
-    for v in 0..vars {
-        let mut symbols = Vec::with_capacity(n_steps);
-        let mut sym = SymbolId((next() % 2) as u16);
-        while symbols.len() < n_steps {
-            let run = 1 + (next() % max_run) as usize;
-            for _ in 0..run.min(n_steps - symbols.len()) {
-                symbols.push(sym);
-            }
-            sym = SymbolId(1 - sym.0);
-        }
-        db.push(SymbolicSeries::new(
-            format!("V{v}"),
-            Alphabet::on_off(),
-            symbols,
-        ));
-    }
-    db
-}
-
-type Labelled = HashMap<String, (usize, f64, usize)>;
-
-fn labelled(result: &MiningResult, reg: &EventRegistry) -> Labelled {
-    result
-        .patterns
-        .iter()
-        .map(|p| {
-            (
-                p.pattern.display(reg).to_string(),
-                (p.support, p.confidence, p.clipped_occurrences),
-            )
-        })
-        .collect()
-}
-
-fn assert_equivalent(base: &Labelled, other: &Labelled, context: &str) {
-    for (label, (supp, conf, clipped)) in base {
-        match other.get(label) {
-            None => panic!("{context}: lost {label}"),
-            Some((s, c, cl)) => {
-                assert_eq!(supp, s, "{context}: support mismatch on {label}");
-                assert!(
-                    (conf - c).abs() < 1e-9,
-                    "{context}: confidence mismatch on {label}"
-                );
-                assert_eq!(clipped, cl, "{context}: clipped count mismatch on {label}");
-            }
-        }
-    }
-    assert_eq!(base.len(), other.len(), "{context}: fabricated patterns");
-}
-
-fn policy_cfg(sigma: f64, delta: f64, t_max: i64, policy: BoundaryPolicy) -> MinerConfig {
-    MinerConfig::new(sigma, delta)
-        .with_max_events(3)
-        .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(policy))
-}
+use ftpm_timeseries::{SymbolicDatabase, VariableId};
 
 /// The full composition check for one (data, split, cfg, μ, K): the
 /// single-threaded unsharded approximate run is the baseline, and the
-/// parallel, sharded support-complete and sharded candidate-exchange
-/// compositions must all reproduce it exactly.
+/// parallel and sharded candidate-exchange compositions must both
+/// reproduce it exactly.
 fn check_compositions(
     syb: &SymbolicDatabase,
     split: SplitConfig,
@@ -130,20 +59,6 @@ fn check_compositions(
     let plan = ShardPlanner::new(shards)
         .plan(syb, split, cfg.relation.t_max)
         .unwrap_or_else(|e| panic!("{context}: shard plan failed: {e}"));
-
-    let mut sink = CollectSink::new();
-    let (stats, _) = plan.mine_approximate_into(&graph, cfg, threads, &mut sink);
-    let complete = sink.into_result(stats);
-    assert_equivalent(
-        &base_l,
-        &labelled(&complete, plan.registry()),
-        &format!("{context} [sharded support-complete]"),
-    );
-    assert_eq!(
-        base.result.frequent_events.len(),
-        complete.frequent_events.len(),
-        "{context}: support-complete L1 count"
-    );
 
     let (exchanged, reports) =
         mine_approximate_sharded_exchange(syb, split, &graph, cfg, shards, threads)

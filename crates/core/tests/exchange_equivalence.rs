@@ -1,95 +1,22 @@
 //! The two-phase candidate-exchange executor must be *exact*: for any
 //! data, any split, any shard count and any boundary policy, its merged
-//! output equals both the support-complete sharded merge (the PR 4 path
-//! it cross-validates against) and the unsharded `mine_exact` baseline —
-//! same pattern labels, supports, confidences and clipped-occurrence
-//! counts — while generating strictly fewer candidates per shard than
-//! support-complete mining whenever the global gate has anything to kill.
+//! output equals the unsharded `mine_exact` baseline — same pattern
+//! labels, supports, confidences and clipped-occurrence counts — while
+//! its global gate kills candidates before the next level is enumerated.
 //! Event ids differ across conversions (intern order), so everything
 //! compares by label.
 
-use std::collections::HashMap;
+mod common;
 
-use ftpm_core::{
-    mine_exact, mine_sharded, mine_sharded_exchange, MinerConfig, MiningResult, ShardPlanner,
-};
-use ftpm_events::{
-    to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
-};
-use ftpm_timeseries::{Alphabet, SymbolId, SymbolicDatabase, SymbolicSeries};
+use common::{assert_equivalent, labelled, policy_cfg, random_syb};
+use ftpm_core::{mine_exact, mine_sharded_exchange, MinerConfig, ShardPlanner};
+use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
+use ftpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};
 
-/// Deterministic pseudo-random on/off symbolic database with run lengths
-/// in `1..=max_run` — long runs cross window and shard boundaries, which
-/// is exactly what the shard pads and the exchange must survive.
-fn random_syb(seed: u64, vars: usize, n_steps: usize, step: i64, max_run: u64) -> SymbolicDatabase {
-    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-    let mut next = move || {
-        // xorshift64*
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545f4914f6cdd1d)
-    };
-    let mut db = SymbolicDatabase::new(0, step, n_steps);
-    for v in 0..vars {
-        let mut symbols = Vec::with_capacity(n_steps);
-        let mut sym = SymbolId((next() % 2) as u16);
-        while symbols.len() < n_steps {
-            let run = 1 + (next() % max_run) as usize;
-            for _ in 0..run.min(n_steps - symbols.len()) {
-                symbols.push(sym);
-            }
-            sym = SymbolId(1 - sym.0);
-        }
-        db.push(SymbolicSeries::new(
-            format!("V{v}"),
-            Alphabet::on_off(),
-            symbols,
-        ));
-    }
-    db
-}
-
-type Labelled = HashMap<String, (usize, f64, usize)>;
-
-fn labelled(result: &MiningResult, reg: &EventRegistry) -> Labelled {
-    result
-        .patterns
-        .iter()
-        .map(|p| {
-            (
-                p.pattern.display(reg).to_string(),
-                (p.support, p.confidence, p.clipped_occurrences),
-            )
-        })
-        .collect()
-}
-
-fn assert_equivalent(base: &Labelled, other: &Labelled, context: &str) {
-    for (label, (supp, conf, clipped)) in base {
-        match other.get(label) {
-            None => panic!("{context}: lost {label}"),
-            Some((s, c, cl)) => {
-                assert_eq!(supp, s, "{context}: support mismatch on {label}");
-                assert!(
-                    (conf - c).abs() < 1e-9,
-                    "{context}: confidence mismatch on {label}"
-                );
-                assert_eq!(clipped, cl, "{context}: clipped count mismatch on {label}");
-            }
-        }
-    }
-    assert_eq!(base.len(), other.len(), "{context}: fabricated patterns");
-}
-
-fn policy_cfg(sigma: f64, delta: f64, t_max: i64, policy: BoundaryPolicy) -> MinerConfig {
-    MinerConfig::new(sigma, delta)
-        .with_max_events(3)
-        .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(policy))
-}
-
-/// One full three-way check: unsharded vs support-complete vs exchange.
-fn check_three_way(
+/// One full check: the exchange against the unsharded baseline —
+/// patterns, L1 and boundary observability — plus the shard reports'
+/// bookkeeping.
+fn check_exchange(
     syb: &SymbolicDatabase,
     split: SplitConfig,
     cfg: &MinerConfig,
@@ -98,33 +25,26 @@ fn check_three_way(
     context: &str,
 ) {
     let seq = to_sequence_database(syb, split);
-    let base = labelled(&mine_exact(&seq, cfg), seq.registry());
-    let complete = mine_sharded(syb, split, cfg, shards, threads)
-        .unwrap_or_else(|e| panic!("{context}: support-complete plan failed: {e}"));
-    assert_equivalent(
-        &base,
-        &labelled(&complete.result, &complete.registry),
-        &format!("{context} [support-complete]"),
-    );
+    let base = mine_exact(&seq, cfg);
     let (exchange, reports) = mine_sharded_exchange(syb, split, cfg, shards, threads)
         .unwrap_or_else(|e| panic!("{context}: exchange plan failed: {e}"));
     assert_equivalent(
-        &base,
+        &labelled(&base, seq.registry()),
         &labelled(&exchange.result, &exchange.registry),
         &format!("{context} [exchange]"),
     );
     // L1 and boundary observability agree too.
     assert_eq!(
-        complete.result.frequent_events.len(),
+        base.frequent_events.len(),
         exchange.result.frequent_events.len(),
         "{context}: L1 count"
     );
     assert_eq!(
-        complete.result.stats.clipped_instances, exchange.result.stats.clipped_instances,
+        base.stats.clipped_instances, exchange.result.stats.clipped_instances,
         "{context}: clipped_instances"
     );
     assert_eq!(
-        complete.result.stats.discarded_instances, exchange.result.stats.discarded_instances,
+        base.stats.discarded_instances, exchange.result.stats.discarded_instances,
         "{context}: discarded_instances"
     );
     // Ownership partitions the window space.
@@ -153,7 +73,7 @@ fn exchange_equals_baselines_across_policies_and_shard_counts() {
     ] {
         let cfg = policy_cfg(0.25, 0.25, 20, policy);
         for shards in [1usize, 2, 4] {
-            check_three_way(&syb, split, &cfg, shards, 1, &format!("{policy} K={shards}"));
+            check_exchange(&syb, split, &cfg, shards, 1, &format!("{policy} K={shards}"));
         }
     }
 }
@@ -176,12 +96,12 @@ fn concurrent_shards_match_sequential_exchange() {
     }
 }
 
-/// The headline of the exchange: the global gate kills candidates *before*
-/// the next level is enumerated, so every shard generates strictly fewer
-/// candidates than the support-complete path on the same plan — while the
-/// outputs stay identical (asserted above and in `repro_exchange`).
+/// The headline of the exchange: the global gate kills candidates
+/// *before* the next level is enumerated, while the output stays
+/// identical to the unsharded baseline (asserted here and in
+/// `repro_exchange`).
 #[test]
-fn exchange_prunes_strictly_fewer_candidates_than_support_complete() {
+fn exchange_gate_prunes_candidates_and_matches_unsharded() {
     let data = ftpm_datagen::nist_like(0.01).project_variables(6);
     let t_max = 3 * 60;
     let cfg = MinerConfig::new(0.25, 0.25)
@@ -190,22 +110,12 @@ fn exchange_prunes_strictly_fewer_candidates_than_support_complete() {
     let plan = ShardPlanner::new(4)
         .plan(&data.syb, data.split, t_max)
         .expect("plan");
-    let mut sink = ftpm_core::CountingSink::default();
-    let (_, complete_reports) = plan.mine_into_reported(&cfg, 1, &mut sink);
-    let (exchange_result, exchange_reports) = plan.mine_exchange(&cfg, 1);
-
-    let complete_total: usize = complete_reports.iter().map(|r| r.candidates_proposed).sum();
-    let exchange_total: usize = exchange_reports.iter().map(|r| r.candidates_proposed).sum();
+    let (exchange_result, reports) = plan.mine_exchange(&cfg, 1);
+    let pruned: usize = reports.iter().map(|r| r.candidates_pruned).sum();
     assert!(
-        exchange_total < complete_total,
-        "exchange must generate strictly fewer candidates \
-         ({exchange_total} vs {complete_total})"
-    );
-    assert!(
-        exchange_reports.iter().any(|r| r.candidates_pruned > 0),
+        pruned > 0,
         "the global gate must actually kill candidates on the energy demo"
     );
-    // And it still finds everything the unsharded baseline finds.
     let base = mine_exact(&data.seq, &cfg);
     assert_equivalent(
         &labelled(&base, data.seq.registry()),
@@ -234,16 +144,13 @@ fn empty_shards_propose_nothing() {
         assert_eq!(r.candidates_proposed, 0, "shard {} proposed from nothing", r.shard);
         assert_eq!(r.candidates_pruned, 0);
     }
-    // The support-complete path agrees.
-    let complete = plan.mine(&cfg, 1);
-    assert!(complete.is_empty());
 }
 
 /// Variant 2: a sparse tail — activity only near the start, then one long
 /// constant run. Under `Discard`, tail windows hold only boundary-clipped
 /// instances, so with one shard per window the tail shards see an empty
 /// masked index. The exchange must still match the unsharded baseline
-/// (and the support-complete merge) exactly.
+/// exactly.
 #[test]
 fn discard_hidden_tail_shards_do_not_poison_the_exchange() {
     let mut syb = SymbolicDatabase::new(0, 5, 48); // 12 windows of 4 steps
@@ -263,7 +170,7 @@ fn discard_hidden_tail_shards_do_not_poison_the_exchange() {
         // sigma low enough that head-only patterns survive globally.
         let cfg = policy_cfg(0.05, 0.05, 20, policy);
         let n_windows = to_sequence_database(&syb, split).len();
-        check_three_way(
+        check_exchange(
             &syb,
             split,
             &cfg,
@@ -280,11 +187,10 @@ mod prop {
 
     proptest! {
         /// Random series, random σ/δ, K in {1, 2, 4}, every boundary
-        /// policy: exchange-mode sharded output == support-complete merge
-        /// == unsharded `mine_exact` (labels, supports, confidences,
-        /// clipped counts).
+        /// policy: exchange-mode sharded output == unsharded `mine_exact`
+        /// (labels, supports, confidences, clipped counts).
         #[test]
-        fn exchange_equals_support_complete_and_unsharded(
+        fn exchange_equals_unsharded(
             seed in 0u64..24,
             vars in 2usize..4,
             sigma in 0.15f64..0.7,
@@ -309,22 +215,17 @@ mod prop {
                 );
             let seq = to_sequence_database(&syb, split);
             let base = labelled(&mine_exact(&seq, &cfg), seq.registry());
-            let complete = mine_sharded(&syb, split, &cfg, shards, 1).expect("plan");
             let (exchange, _) =
                 mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
-            let cm = labelled(&complete.result, &complete.registry);
             let em = labelled(&exchange.result, &exchange.registry);
             for (label, (supp, conf, clipped)) in &base {
-                for (name, m) in [("support-complete", &cm), ("exchange", &em)] {
-                    let (s, c, cl) = m.get(label).unwrap_or_else(|| {
-                        panic!("{name} lost {label} (K={shards}, {policy})")
-                    });
-                    prop_assert_eq!(supp, s, "{} support of {}", name, label);
-                    prop_assert!((conf - c).abs() < 1e-9, "{} confidence of {}", name, label);
-                    prop_assert_eq!(clipped, cl, "{} clipped of {}", name, label);
-                }
+                let (s, c, cl) = em.get(label).unwrap_or_else(|| {
+                    panic!("exchange lost {label} (K={shards}, {policy})")
+                });
+                prop_assert_eq!(supp, s, "support of {}", label);
+                prop_assert!((conf - c).abs() < 1e-9, "confidence of {}", label);
+                prop_assert_eq!(clipped, cl, "clipped of {}", label);
             }
-            prop_assert_eq!(base.len(), cm.len(), "support-complete pattern count");
             prop_assert_eq!(base.len(), em.len(), "exchange pattern count");
         }
     }

@@ -1,13 +1,11 @@
 //! Property tests for the hash-consed pattern pool: over random pattern
 //! batches, interning round-trips bit-identically, parent-delta chain
-//! construction agrees with flat construction, hash-consing never grows
-//! the pool for a known pattern, and the base-plus-delta `PoolView`
-//! layering at the shard seam (including registry remaps and `absorb`
-//! translation) preserves every pattern exactly.
+//! construction agrees with flat construction, and hash-consing never
+//! grows the pool for a known pattern.
 
 use std::collections::HashMap;
 
-use ftpm_core::{DeltaKey, Pattern, PatternPool, PoolView};
+use ftpm_core::{DeltaKey, Pattern, PatternPool};
 use ftpm_events::{EventId, TemporalRelation};
 
 /// xorshift64* — the workspace's deterministic test RNG idiom.
@@ -123,20 +121,17 @@ mod prop {
             }
         }
 
-        /// Hash-consing: re-interning a known batch (in reverse order,
-        /// and through a permuting identity map) returns the same ids
-        /// without growing the pool, and distinct patterns never share
-        /// an id.
+        /// Hash-consing: re-interning a known batch (in reverse order)
+        /// returns the same ids without growing the pool, and distinct
+        /// patterns never share an id.
         #[test]
         fn hash_consing_dedups(seed in 0u64..64, n_events in 2usize..9) {
             let mut pool = PatternPool::with_roots(n_events);
             let batch = random_batch(seed, n_events, 40);
             let ids: Vec<_> = batch.iter().map(|p| pool.intern(p)).collect();
             let len = pool.len();
-            let identity: Vec<EventId> = (0..n_events as u32).map(EventId).collect();
             for (p, &id) in batch.iter().zip(&ids).rev() {
                 prop_assert_eq!(pool.intern(p), id);
-                prop_assert_eq!(pool.intern_mapped(p, &identity), id);
             }
             prop_assert_eq!(pool.len(), len, "re-interning must not grow the pool");
             let mut by_id = HashMap::new();
@@ -145,62 +140,6 @@ mod prop {
                 if let Some(prev) = prev {
                     prop_assert_eq!(&prev, p, "one id, one pattern");
                 }
-            }
-        }
-
-        /// The shard seam: a `PoolView` over a frozen base resolves
-        /// every pattern identically, base hits keep their base ids,
-        /// and `absorb` translates each delta id to a master id that
-        /// direct interning agrees with.
-        #[test]
-        fn view_layering_matches_direct_intern(seed in 0u64..64, n_events in 2usize..9) {
-            let batch = random_batch(seed, n_events, 30);
-            let mut base = PatternPool::with_roots(n_events);
-            // The coordinator has already seen every other pattern.
-            let base_ids: Vec<_> = batch
-                .iter()
-                .step_by(2)
-                .map(|p| base.intern(p))
-                .collect();
-            let snapshot = base.clone();
-            let mut view = PoolView::new(&snapshot);
-            let view_ids: Vec<_> = batch.iter().map(|p| view.intern(p)).collect();
-            for (p, &id) in batch.iter().zip(&view_ids) {
-                prop_assert_eq!(view.resolve(id), p.clone());
-            }
-            for (&base_id, &view_id) in base_ids.iter().zip(view_ids.iter().step_by(2)) {
-                prop_assert_eq!(view_id, base_id, "base hits keep base ids");
-            }
-            let translate = view.absorb(&mut base);
-            for (p, &id) in batch.iter().zip(&view_ids) {
-                let master = if (id.0 as usize) < snapshot.len() {
-                    id
-                } else {
-                    translate[id.0 as usize - snapshot.len()]
-                };
-                prop_assert_eq!(base.resolve(master), p.clone());
-                prop_assert_eq!(base.intern(p), master, "absorb agrees with direct intern");
-            }
-        }
-
-        /// `intern_mapped` under a registry permutation equals interning
-        /// the hand-translated pattern — the id-translation seam a shard
-        /// with a foreign registry crosses on merge.
-        #[test]
-        fn mapped_intern_translates_like_rewriting(seed in 0u64..64, n_events in 2usize..9) {
-            // A deterministic permutation of the master event space.
-            let mut rng = Rng::new(seed ^ 0xabcd);
-            let mut map: Vec<EventId> = (0..n_events as u32).map(EventId).collect();
-            for i in (1..map.len()).rev() {
-                map.swap(i, rng.below(i + 1));
-            }
-            let mut pool = PatternPool::with_roots(n_events);
-            for p in random_batch(seed, n_events, 30) {
-                let rewritten = Pattern::new(
-                    p.events().iter().map(|e| map[e.0 as usize]).collect(),
-                    p.relations().to_vec(),
-                );
-                prop_assert_eq!(pool.intern_mapped(&p, &map), pool.intern(&rewritten));
             }
         }
     }

@@ -8,76 +8,13 @@
 //! candidate-exchange executor equals the single-threaded baseline on
 //! every one of them. Any failure names the seed that reproduces it.
 
-use std::collections::{HashMap, HashSet};
+mod common;
 
-use ftpm_core::{mine_exact, Explorer, MinerConfig, MiningResult, Schedule, ShardPlanner};
-use ftpm_events::{
-    to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
-};
-use ftpm_timeseries::{Alphabet, SymbolId, SymbolicDatabase, SymbolicSeries};
+use std::collections::HashSet;
 
-/// Deterministic pseudo-random on/off symbolic database (xorshift64*),
-/// the same generator idiom the equivalence tests use: run lengths in
-/// `1..=max_run` so runs cross window and shard boundaries.
-fn random_syb(seed: u64, vars: usize, n_steps: usize, step: i64, max_run: u64) -> SymbolicDatabase {
-    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545f4914f6cdd1d)
-    };
-    let mut db = SymbolicDatabase::new(0, step, n_steps);
-    for v in 0..vars {
-        let mut symbols = Vec::with_capacity(n_steps);
-        let mut sym = SymbolId((next() % 2) as u16);
-        while symbols.len() < n_steps {
-            let run = 1 + (next() % max_run) as usize;
-            for _ in 0..run.min(n_steps - symbols.len()) {
-                symbols.push(sym);
-            }
-            sym = SymbolId(1 - sym.0);
-        }
-        db.push(SymbolicSeries::new(
-            format!("V{v}"),
-            Alphabet::on_off(),
-            symbols,
-        ));
-    }
-    db
-}
-
-type Labelled = HashMap<String, (usize, f64, usize)>;
-
-fn labelled(result: &MiningResult, reg: &EventRegistry) -> Labelled {
-    result
-        .patterns
-        .iter()
-        .map(|p| {
-            (
-                p.pattern.display(reg).to_string(),
-                (p.support, p.confidence, p.clipped_occurrences),
-            )
-        })
-        .collect()
-}
-
-fn assert_equivalent(base: &Labelled, other: &Labelled, context: &str) {
-    for (label, (supp, conf, clipped)) in base {
-        match other.get(label) {
-            None => panic!("{context}: lost {label}"),
-            Some((s, c, cl)) => {
-                assert_eq!(supp, s, "{context}: support mismatch on {label}");
-                assert!(
-                    (conf - c).abs() < 1e-9,
-                    "{context}: confidence mismatch on {label}"
-                );
-                assert_eq!(clipped, cl, "{context}: clipped count mismatch on {label}");
-            }
-        }
-    }
-    assert_eq!(base.len(), other.len(), "{context}: fabricated patterns");
-}
+use common::{assert_equivalent, labelled, random_syb};
+use ftpm_core::{mine_exact, Explorer, MinerConfig, Schedule, ShardPlanner};
+use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
 
 fn cfg() -> MinerConfig {
     MinerConfig::new(0.3, 0.4)
@@ -230,6 +167,29 @@ fn explorer_exhausts_two_worker_exchange_interleavings() {
     eprintln!("exchange K=2 exhaustive: {stats:?}");
     assert!(stats.exhausted && !stats.capped, "{stats:?}");
     assert!(stats.schedules > 10, "space must branch: {stats:?}");
+}
+
+/// One worker runs the engine on the calling thread — the same code
+/// `mine_exact` runs — and the sequencer still sees every claim: exactly
+/// one interleaving, with the exact emission order of the baseline.
+#[test]
+fn explorer_covers_the_one_worker_engine() {
+    let syb = random_syb(42, 2, 60, 5, 5);
+    let seq = to_sequence_database(&syb, SplitConfig::new(30, 0));
+    let cfg = cfg();
+    let base = mine_exact(&seq, &cfg);
+    assert!(!base.is_empty(), "baseline must find patterns to compare");
+
+    let stats = Explorer::new(1)
+        .explore(|sched| {
+            let run = sched.mine_parallel(&seq, &cfg);
+            assert_eq!(run.patterns, base.patterns, "one worker keeps the emission order");
+            assert!(!sched.trace().is_empty(), "claims must go through the sequencer");
+            Ok::<(), String>(())
+        })
+        .expect("the one-worker run matches the baseline");
+    assert_eq!(stats.schedules, 1, "{stats:?}");
+    assert!(stats.exhausted && !stats.capped, "{stats:?}");
 }
 
 /// K=4 is too wide to exhaust outright; a preemption bound of 1 keeps

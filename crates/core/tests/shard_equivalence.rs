@@ -1,86 +1,20 @@
-//! Shard-by-time-range mining must be lossless: for any data, any split,
-//! and any shard count, the merged output of `mine_sharded` (shards cut
-//! with `t_ov = t_max`, mined independently on their own slices) equals
-//! the unsharded `mine_exact` baseline on the same split — same pattern
-//! labels, supports, confidences and clipped-occurrence counts. Event ids
-//! differ across conversions (intern order), so everything compares by
-//! label.
+//! Shard geometry on the candidate-exchange executor, the one sharded
+//! path: shards cut with `t_ov = t_max` and mined on their own slices
+//! must reproduce the unsharded `mine_exact` baseline on the same split —
+//! same pattern labels, supports, confidences and clipped-occurrence
+//! counts. The cases here pin the geometry: K = 1, instances tied on
+//! `(start, end)`, the overlap dedup against a naive union, and random
+//! overlaps. Event ids differ across conversions (intern order), so
+//! everything compares by label.
+
+mod common;
 
 use std::collections::HashMap;
 
-use ftpm_core::{mine_exact, mine_sharded, MinerConfig, MiningResult, ShardPlanner};
-use ftpm_events::{
-    to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
-};
-use ftpm_timeseries::{Alphabet, SymbolId, SymbolicDatabase, SymbolicSeries};
-
-/// Deterministic pseudo-random on/off symbolic database with run lengths
-/// in `1..=max_run` — long runs cross window and shard boundaries, which
-/// is exactly what the shard pads must survive.
-fn random_syb(seed: u64, vars: usize, n_steps: usize, step: i64, max_run: u64) -> SymbolicDatabase {
-    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-    let mut next = move || {
-        // xorshift64*
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545f4914f6cdd1d)
-    };
-    let mut db = SymbolicDatabase::new(0, step, n_steps);
-    for v in 0..vars {
-        let mut symbols = Vec::with_capacity(n_steps);
-        let mut sym = SymbolId((next() % 2) as u16);
-        while symbols.len() < n_steps {
-            let run = 1 + (next() % max_run) as usize;
-            for _ in 0..run.min(n_steps - symbols.len()) {
-                symbols.push(sym);
-            }
-            sym = SymbolId(1 - sym.0);
-        }
-        db.push(SymbolicSeries::new(
-            format!("V{v}"),
-            Alphabet::on_off(),
-            symbols,
-        ));
-    }
-    db
-}
-
-type Labelled = HashMap<String, (usize, f64, usize)>;
-
-fn labelled(result: &MiningResult, reg: &EventRegistry) -> Labelled {
-    result
-        .patterns
-        .iter()
-        .map(|p| {
-            (
-                p.pattern.display(reg).to_string(),
-                (p.support, p.confidence, p.clipped_occurrences),
-            )
-        })
-        .collect()
-}
-
-fn assert_equivalent(base: &Labelled, sharded: &Labelled, context: &str) {
-    for (label, (supp, conf, clipped)) in base {
-        match sharded.get(label) {
-            None => panic!("{context}: sharded run lost {label}"),
-            Some((s, c, cl)) => {
-                assert_eq!(supp, s, "{context}: support mismatch on {label}");
-                assert!(
-                    (conf - c).abs() < 1e-9,
-                    "{context}: confidence mismatch on {label}"
-                );
-                assert_eq!(clipped, cl, "{context}: clipped count mismatch on {label}");
-            }
-        }
-    }
-    assert_eq!(
-        base.len(),
-        sharded.len(),
-        "{context}: sharded run fabricated patterns"
-    );
-}
+use common::{assert_equivalent, labelled, random_syb};
+use ftpm_core::{mine_exact, mine_sharded_exchange, MinerConfig, ShardPlanner};
+use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
+use ftpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};
 
 fn check(
     syb: &SymbolicDatabase,
@@ -91,7 +25,7 @@ fn check(
 ) {
     let seq = to_sequence_database(syb, split);
     let base = mine_exact(&seq, cfg);
-    let sharded = mine_sharded(syb, split, cfg, shards, 1)
+    let (sharded, _) = mine_sharded_exchange(syb, split, cfg, shards, 1)
         .unwrap_or_else(|e| panic!("{context}: plan failed: {e}"));
     assert_equivalent(
         &labelled(&base, seq.registry()),
@@ -135,7 +69,7 @@ fn k1_degenerate_case_matches_mine_exact_bit_for_bit() {
     let cfg = true_extent_cfg(20);
     let seq = to_sequence_database(&syb, split);
     let base = mine_exact(&seq, &cfg);
-    let sharded = mine_sharded(&syb, split, &cfg, 1, 1).expect("plan");
+    let (sharded, _) = mine_sharded_exchange(&syb, split, &cfg, 1, 1).expect("plan");
     assert_eq!(sharded.shards, 1);
     // One shard covering everything: identical content (the merge emits
     // in sorted order, so compare as maps plus exact counts).
@@ -210,7 +144,7 @@ fn tied_instances_bind_in_the_global_intern_order() {
         "baseline must bind the tie as {tied}: {base:?}"
     );
     for shards in [2usize, 4] {
-        let sharded = mine_sharded(&syb, split, &cfg, shards, 1).expect("plan");
+        let (sharded, _) = mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
         assert_equivalent(
             &base,
             &labelled(&sharded.result, &sharded.registry),
@@ -248,7 +182,7 @@ fn overlap_dedup_never_under_counts_and_naive_merge_over_counts() {
 
     let plan = ShardPlanner::new(3).plan(&syb, split, cfg.relation.t_max).expect("plan");
     // The deduplicating merge reproduces the baseline exactly.
-    let merged = plan.mine(&cfg, 1);
+    let (merged, _) = plan.mine_exchange(&cfg, 1);
     let merged_map = labelled(&merged, plan.registry());
     assert_equivalent(&base_map, &merged_map, "dedup merge");
 
@@ -297,9 +231,10 @@ mod prop {
     use proptest::prelude::*;
 
     proptest! {
-        /// Random series, random sigma/delta, K in {1, 2, 4}: sharded
-        /// mining with TrueExtent and t_ov = t_max equals the unsharded
-        /// baseline (patterns, supports, confidences, clipped counts).
+        /// Random series, random sigma/delta, random window overlap, K in
+        /// {1, 2, 4}: sharded mining with TrueExtent and t_ov = t_max
+        /// equals the unsharded baseline (patterns, supports,
+        /// confidences, clipped counts).
         #[test]
         fn sharded_true_extent_equals_unsharded(
             seed in 0u64..40,
@@ -322,7 +257,8 @@ mod prop {
                 );
             let seq = to_sequence_database(&syb, split);
             let base = mine_exact(&seq, &cfg);
-            let sharded = mine_sharded(&syb, split, &cfg, shards, 1).expect("plan");
+            let (sharded, _) =
+                mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
             let (bm, sm) = (
                 labelled(&base, seq.registry()),
                 labelled(&sharded.result, &sharded.registry),

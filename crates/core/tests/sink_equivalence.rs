@@ -117,6 +117,61 @@ fn check_all_paths(seq: &ftpm_events::SequenceDatabase, cfg: &MinerConfig, conte
     }
 }
 
+/// FNV-1a over a result in emission order: per pattern, the bytes of its
+/// rendered label, then its support as a little-endian `u64`.
+fn order_digest(result: &MiningResult, registry: &ftpm_events::EventRegistry) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for fp in &result.patterns {
+        let label = fp.pattern.display(registry).to_string();
+        let support = (fp.support as u64).to_le_bytes();
+        for &b in label.as_bytes().iter().chain(&support) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The one-thread output is pinned to numbers recorded on the retired
+/// sequential DFS engine, so the threaded engine that now runs
+/// `threads = 1` is checked against a different implementation rather
+/// than against itself: pattern count and every work counter. The
+/// digest pins the emission order. The retired engine grouped a node's
+/// extensions in a randomly seeded map, so its order varied from run to
+/// run; this value is one it produced, and the order is now fixed.
+#[test]
+fn one_thread_output_matches_the_retired_sequential_engine() {
+    let data = nist_like(0.01).project_variables(8);
+    let cfg = MinerConfig::new(0.25, 0.25).with_max_events(4);
+    let registry = data.seq.registry();
+    let pinned = |result: &MiningResult, context: &str| {
+        assert_eq!(result.len(), 1632, "{context}: pattern count");
+        let stats = &result.stats;
+        assert_eq!(stats.nodes_verified, vec![254, 1854, 5330], "{context}");
+        assert_eq!(stats.nodes_kept, vec![186, 605, 697], "{context}");
+        assert_eq!(stats.patterns_found, vec![242, 677, 713], "{context}");
+        assert_eq!(stats.apriori_pruned, 2, "{context}");
+        assert_eq!(stats.transitivity_pruned, 8061, "{context}");
+        assert_eq!(stats.instance_checks, 17195, "{context}");
+        assert_eq!(stats.clipped_instances, 186, "{context}");
+        assert_eq!(
+            order_digest(result, registry),
+            0xd477_57d5_f4e6_36be,
+            "{context}: emission order"
+        );
+    };
+    assert_eq!(data.seq.len(), 16);
+    let exact = mine_exact(&data.seq, &cfg);
+    pinned(&exact, "mine_exact");
+    let mut sink = CollectSink::new();
+    let stats = mine_exact_with_sink(&data.seq, &cfg, &mut sink);
+    pinned(&sink.into_result(stats), "mine_exact_with_sink");
+
+    let par = mine_exact_parallel(&data.seq, &cfg, 2);
+    assert_eq!(par.stats, exact.stats, "2 threads: stats");
+    assert_same_patterns(&exact, &par, "2 threads");
+}
+
 #[test]
 fn all_output_paths_agree_on_demo_datasets() {
     let datasets: [Dataset; 3] = [nist_like(0.008), ukdale_like(0.008), dataport_like(0.01)];

@@ -8,12 +8,10 @@
 //!            --output patterns.jsonl --stream
 //! ftpm mine  --demo city --approx-density 0.6 --sigma 0.3 --delta 0.3
 //! ftpm mine  --demo energy --approx-density 0.8 --shards 4 --threads 4 \
-//!            --stream                     # A-HTPGM, sharded + exchange
+//!            --stream                     # A-HTPGM, sharded
 //! ftpm mine  --demo nist --sort support --top 20
 //! ftpm mine  --demo nist --scale 0.01 --boundary true-extent --t-max 180 \
-//!            --shards 4 --shard-by time --json            # candidate exchange
-//! ftpm mine  --demo nist --scale 0.01 --boundary true-extent --t-max 180 \
-//!            --shards 4 --no-exchange                     # support-complete
+//!            --shards 4 --json            # candidate exchange
 //! ftpm graph --demo nist --scale 0.02 --mu 0.4
 //! ```
 //!
@@ -28,10 +26,9 @@
 //! pattern set in memory.
 //!
 //! Every flag selects one axis of the same plan: `--mu` /
-//! `--approx-density` (A-HTPGM), `--threads`, `--shards`,
-//! `--exchange`/`--no-exchange` and `--stream` compose freely, and every
-//! composition yields the same pattern set as its single-threaded,
-//! unsharded counterpart.
+//! `--approx-density` (A-HTPGM), `--threads`, `--shards` and `--stream`
+//! compose freely, and every composition yields the same pattern set as
+//! its single-threaded, unsharded counterpart.
 
 use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
@@ -65,8 +62,7 @@ USAGE:
              [--boundary clip|true-extent|discard] [--t-max MIN]
              [--threshold F | --states N] [--scale F]
              [--mu F | --approx-density F] [--max-events N]
-             [--threads N] [--shards K] [--shard-by time]
-             [--exchange | --no-exchange]
+             [--threads N] [--shards K]
              [--output FILE.{{csv,jsonl}}] [--stream]
              [--sort support|confidence] [--top N] [--json]
   ftpm graph [--input FILE.csv | --demo ...] [--mu F] [--scale F]
@@ -89,25 +85,19 @@ OPTIONS:
   --threshold F      On/Off symbolization threshold       [default 0.05]
   --states N         use N quantile states instead of On/Off
   --mu F             A-HTPGM with explicit NMI threshold; composes with
-                     --threads/--shards/--exchange/--stream — same
-                     pattern set on every composition
+                     --threads/--shards/--stream — same pattern set
+                     on every composition
   --approx-density F A-HTPGM with correlation-graph density target
                      (mutually exclusive with --mu)
-  --max-events N     cap pattern length                   [default 5]
+  --max-events N     cap pattern length, 2..={MAX_EVENTS_HARD_CAP}           [default 5]
   --threads N        worker threads                   [default: all cores]
   --shards K         shard-by-time-range mining: cut the data into K
-                     time-range shards overlapping by t_max, mine each
-                     independently, merge losslessly (output equals the
-                     unsharded run, exact or approximate)  [default 1]
-  --shard-by KEY     sharding axis; only \"time\" is implemented
-  --exchange         two-phase candidate exchange (default with --shards):
-                     shards run concurrently, propose level-k candidates
-                     with owned supports, and the global sigma/delta gate
-                     prunes losers before the next level — same output,
-                     strictly fewer candidates per shard
-  --no-exchange      keep the support-complete path (no per-shard pruning,
-                     sequential shards) for cross-validation; keep
-                     --max-events low on wide alphabets
+                     time-range shards overlapping by t_max and mine them
+                     concurrently with two-phase candidate exchange —
+                     shards propose level-k candidates with owned
+                     supports, and the global sigma/delta gate prunes
+                     losers before the next level. Output equals the
+                     unsharded run, exact or approximate  [default 1]
   --output FILE      export patterns (.csv or .jsonl, by extension)
   --stream           stream patterns straight to --output while mining —
                      or, without --output, as CSV to stdout (the summary
@@ -238,9 +228,6 @@ struct Options {
     max_events: usize,
     threads: usize,
     shards: usize,
-    /// `--exchange` / `--no-exchange` as given; `None` means "default":
-    /// candidate exchange whenever `--shards` > 1.
-    exchange: Option<bool>,
     output: Option<String>,
     stream: bool,
     sort: Option<PatternSort>,
@@ -275,7 +262,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         max_events: 5,
         threads: default_threads(),
         shards: 1,
-        exchange: None,
         output: None,
         stream: false,
         sort: None,
@@ -310,37 +296,34 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opt.t_max = Some(t_max);
             }
             "--threshold" => opt.threshold = num(&value("--threshold")?)?,
-            "--states" => opt.states = Some(num(&value("--states")?)? as usize),
+            "--states" => opt.states = Some(count("--states", &value("--states")?)?),
             "--mu" => opt.mu = Some(num(&value("--mu")?)?),
             "--approx-density" => opt.density = Some(num(&value("--approx-density")?)?),
-            "--max-events" => opt.max_events = num(&value("--max-events")?)? as usize,
+            "--max-events" => {
+                let n = count("--max-events", &value("--max-events")?)?;
+                if !(2..=MAX_EVENTS_HARD_CAP).contains(&n) {
+                    return Err(format!(
+                        "--max-events must be between 2 and {MAX_EVENTS_HARD_CAP}, got {n}"
+                    ));
+                }
+                opt.max_events = n;
+            }
             "--threads" => {
-                opt.threads = num(&value("--threads")?)? as usize;
+                opt.threads = count("--threads", &value("--threads")?)?;
                 if opt.threads == 0 {
                     return Err("--threads must be at least 1".into());
                 }
             }
             "--shards" => {
-                opt.shards = num(&value("--shards")?)? as usize;
+                opt.shards = count("--shards", &value("--shards")?)?;
                 if opt.shards == 0 {
                     return Err("--shards must be at least 1".into());
-                }
-            }
-            "--exchange" => opt.exchange = Some(true),
-            "--no-exchange" => opt.exchange = Some(false),
-            "--shard-by" => {
-                let axis = value("--shard-by")?;
-                if axis != "time" {
-                    return Err(format!(
-                        "--shard-by {axis:?}: only \"time\" is implemented \
-                         (variable-group sharding is a ROADMAP item)"
-                    ));
                 }
             }
             "--output" => opt.output = Some(value("--output")?),
             "--stream" => opt.stream = true,
             "--sort" => opt.sort = Some(value("--sort")?.parse()?),
-            "--top" => opt.top = Some(num(&value("--top")?)? as usize),
+            "--top" => opt.top = Some(count("--top", &value("--top")?)?),
             "--json" => opt.json = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -370,16 +353,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--mu and --approx-density both choose the correlation graph; pick one".into(),
         );
     }
-    // A silent no-op would read as "exchange ran": candidate exchange is
-    // a property of sharded runs, so asking for it without shards is a
-    // usage error, not something to ignore.
-    if opt.exchange == Some(true) && opt.shards <= 1 {
-        return Err(
-            "--exchange needs --shards K (K > 1): candidate exchange coordinates \
-             per-shard mining rounds, so there is nothing to exchange unsharded"
-                .into(),
-        );
-    }
     // The shard slices overlap by t_ov = t_max; with t_max unconstrained
     // every slice degrades to the whole series. Still lossless — each
     // shard owns its own windows, only the slices are redundant — so it
@@ -404,6 +377,13 @@ fn parse(args: &[String]) -> Result<Options, String> {
 
 fn num(s: &str) -> Result<f64, String> {
     s.parse::<f64>().map_err(|e| format!("bad number {s:?}: {e}"))
+}
+
+/// Parses the value of a count flag as an unsigned integer: `2.7` or `-5`
+/// is a usage error naming the flag, never a silently truncated count.
+fn count(flag: &str, s: &str) -> Result<usize, String> {
+    s.parse::<usize>()
+        .map_err(|e| format!("{flag} expects a whole number, got {s:?}: {e}"))
 }
 
 /// Export format, decided by the `--output` extension.
@@ -513,50 +493,40 @@ fn write_patterns(
 }
 
 /// The one mining plan: every `ftpm mine` run — exact or approximate,
-/// sequential or parallel, unsharded, sharded support-complete or
-/// sharded candidate-exchange, collecting or streaming — is this single
-/// dispatch over (shard plan, correlation graph, exchange, threads)
-/// feeding one sink. A-HTPGM is not a separate code path: `graph` gates
-/// the same miners the exact rows use, so every composition yields the
-/// identical pattern set.
+/// on any number of threads, unsharded or sharded through the candidate
+/// exchange, collecting or streaming — is this single dispatch over
+/// (shard plan, correlation graph, threads) feeding one sink. A-HTPGM is
+/// not a separate code path: `graph` gates the same miners the exact
+/// rows use, so every composition yields the identical pattern set.
 fn run_plan(
     seq: &SequenceDatabase,
     cfg: &MinerConfig,
     threads: usize,
     shard_plan: Option<&ShardPlan>,
-    exchange: bool,
     graph: Option<&CorrelationGraph>,
     sink: &mut (dyn PatternSink + Send),
 ) -> (MiningStats, Vec<ShardReport>) {
     match (shard_plan, graph) {
-        (Some(plan), Some(g)) if exchange => {
-            plan.mine_approximate_exchange_into(g, cfg, threads, sink)
-        }
-        (Some(plan), Some(g)) => plan.mine_approximate_into(g, cfg, threads, sink),
-        (Some(plan), None) if exchange => plan.mine_exchange_into(cfg, threads, sink),
-        (Some(plan), None) => plan.mine_into_reported(cfg, threads, sink),
+        (Some(plan), Some(g)) => plan.mine_approximate_exchange_into(g, cfg, threads, sink),
+        (Some(plan), None) => plan.mine_exchange_into(cfg, threads, sink),
         (None, Some(g)) => (
             mine_approximate_graph_with_sink(seq, g, cfg, threads, sink),
             Vec::new(),
         ),
-        (None, None) if threads > 1 => {
-            (mine_exact_parallel_with_sink(seq, cfg, threads, sink), Vec::new())
-        }
-        (None, None) => (mine_exact_with_sink(seq, cfg, sink), Vec::new()),
+        (None, None) => (mine_exact_parallel_with_sink(seq, cfg, threads, sink), Vec::new()),
     }
 }
 
 /// Streams the mining run straight into `--output` (stdout CSV without
 /// one); returns the number of patterns written, the run statistics and
-/// (for sharded runs) the per-shard reports. With a shard plan, each
-/// shard's miner streams through the deduplicating merge into the same
-/// writer sink — the full pattern set is still never materialized.
+/// (for sharded runs) the per-shard reports. With a shard plan, the
+/// exchange coordinator's merge streams into the same writer sink — the
+/// full pattern set is still never materialized.
 fn mine_streaming(
     seq: &SequenceDatabase,
     cfg: &MinerConfig,
     threads: usize,
     shard_plan: Option<&ShardPlan>,
-    exchange: bool,
     graph: Option<&CorrelationGraph>,
     path: Option<&str>,
 ) -> Result<(u64, MiningStats, Vec<ShardReport>), String> {
@@ -564,7 +534,7 @@ fn mine_streaming(
     let mut reports = Vec::new();
     let registry = shard_plan.map_or(seq.registry(), |p| p.registry());
     let written = write_patterns(path, registry, &mut |sink| {
-        (stats, reports) = run_plan(seq, cfg, threads, shard_plan, exchange, graph, sink);
+        (stats, reports) = run_plan(seq, cfg, threads, shard_plan, graph, sink);
     })?;
     Ok((written, stats, reports))
 }
@@ -680,7 +650,7 @@ fn try_mine(args: &[String]) -> Result<(), String> {
         relation = relation.with_t_max(t_max);
     }
     let cfg = MinerConfig::new(opt.sigma, opt.delta)
-        .with_max_events(opt.max_events.max(2))
+        .with_max_events(opt.max_events)
         .with_relation(relation);
     let threads = opt.threads;
     // One correlation graph per run, built once on the full symbolic
@@ -705,9 +675,6 @@ fn try_mine(args: &[String]) -> Result<(), String> {
         None
     };
     let shards = shard_plan.as_ref().map_or(1, |p| p.shards().len());
-    // Candidate exchange is the default sharded executor; --no-exchange
-    // keeps the support-complete PR 4 path for cross-validation.
-    let exchange = shard_plan.is_some() && opt.exchange.unwrap_or(true);
     let label = {
         let core = match (&graph, opt.mu, opt.density) {
             (Some(_), Some(mu), _) => format!("A-HTPGM(mu={mu})"),
@@ -715,11 +682,7 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             _ => "E-HTPGM".to_owned(),
         };
         match &shard_plan {
-            Some(plan) => format!(
-                "{core}[{} shards{}]",
-                plan.shards().len(),
-                if exchange { ", exchange" } else { "" }
-            ),
+            Some(plan) => format!("{core}[{} shards]", plan.shards().len()),
             None => core,
         }
     };
@@ -732,7 +695,6 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             &cfg,
             threads,
             shard_plan.as_ref(),
-            exchange,
             graph.as_ref(),
             path,
         )?;
@@ -747,7 +709,6 @@ fn try_mine(args: &[String]) -> Result<(), String> {
                 "distinct_events": seq.registry().len(),
                 "threads": threads,
                 "shards": shards,
-                "exchange": exchange,
                 "boundary": opt.boundary.as_str(),
                 "clipped_instances": stats.clipped_instances,
                 "discarded_instances": stats.discarded_instances,
@@ -797,7 +758,6 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             &cfg,
             threads,
             shard_plan.as_ref(),
-            exchange,
             graph.as_ref(),
             &mut sink,
         );
@@ -820,7 +780,6 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             "distinct_events": seq.registry().len(),
             "threads": threads,
             "shards": shards,
-            "exchange": exchange,
             "boundary": opt.boundary.as_str(),
             "clipped_instances": result.stats.clipped_instances,
             "discarded_instances": result.stats.discarded_instances,

@@ -50,15 +50,14 @@ pub use ftpm_core::{
     closed_patterns, correlation_filter, event_indicator_database, maximal_patterns,
     pattern_lift, rank_patterns, top_k_by_lift, mine_approximate,
     mine_approximate_event_level, mine_approximate_graph_with_sink, mine_approximate_parallel,
-    mine_approximate_parallel_with_sink, mine_approximate_sharded_exchange,
-    mine_approximate_with_density, mine_approximate_with_sink, mine_exact, mine_exact_parallel,
-    mine_exact_parallel_with_sink, mine_exact_with_sink, mine_reference,
-    mine_reference_filtered, mine_sharded, mine_sharded_exchange, ApproxOutcome, CollectSink,
+    mine_approximate_sharded_exchange, mine_approximate_with_density, mine_exact,
+    mine_exact_parallel, mine_exact_parallel_with_sink, mine_exact_with_sink, mine_reference,
+    mine_reference_filtered, mine_sharded_exchange, ApproxOutcome, CollectSink,
     CorrelationFilter, CountingSink, CsvSink, DatabaseIndex, ExploreStats, Explorer,
     DeltaKey, EventsRev, FrequentPattern, HierarchicalPatternGraph, JsonlSink, Level,
-    MergeSink, MinerConfig, MiningResult, MiningStats, Node, Pattern, PatternId, PatternPool,
-    PatternSink, PatternSort, PoolView, PruningConfig, Schedule, Shard, ShardMerge, ShardPlan,
-    ShardPlanner, ShardReport, ShardedMining,
+    MinerConfig, MiningResult, MiningStats, Node, Pattern, PatternId, PatternPool,
+    PatternSink, PatternSort, PruningConfig, Schedule, Shard, ShardPlan, ShardPlanner,
+    ShardReport, ShardedMining, MAX_EVENTS_HARD_CAP,
 };
 pub use ftpm_datagen::{
     dataport_like, generate_city, generate_energy, nist_like, random_sequence_database,
