@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// Install with `#[global_allocator]` in a harness binary:
 ///
@@ -25,7 +24,6 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         if !ptr.is_null() {
             let live = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
-            COUNT.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
@@ -51,18 +49,18 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 }
 
 /// Bytes currently allocated.
-pub fn current_bytes() -> usize {
+fn current_bytes() -> usize {
     CURRENT.load(Ordering::Relaxed)
 }
 
 /// High-water mark since the last [`reset_peak`].
-pub fn peak_bytes() -> usize {
+fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
 
 /// Resets the high-water mark to the current live size. Call immediately
 /// before the measured region.
-pub fn reset_peak() {
+fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
@@ -74,22 +72,4 @@ pub fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
     reset_peak();
     let out = f();
     (out, peak_bytes().saturating_sub(baseline))
-}
-
-/// Total allocation events (successful `alloc` calls) since process
-/// start. Reallocs and frees are not counted — this is the "how many
-/// times did the workload hit the allocator" metric the intern-speedup
-/// gate compares.
-pub fn alloc_count() -> usize {
-    COUNT.load(Ordering::Relaxed)
-}
-
-/// Allocation events performed while running `f` — the per-workload
-/// delta of [`alloc_count`]. Only meaningful in a single-threaded
-/// region: concurrent allocations from other threads land in the same
-/// counter.
-pub fn measure_allocs<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = alloc_count();
-    let out = f();
-    (out, alloc_count() - before)
 }

@@ -1,11 +1,12 @@
 #![deny(unsafe_code)]
 //! Benchmark harness reproducing every table and figure of the paper's
-//! evaluation (Section VI). See DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results.
+//! evaluation (Section VI), plus threads scaling and output-path peak
+//! memory.
 //!
-//! Each experiment has a `repro_*` binary (printing paper-style rows and
-//! writing `results/*.csv`) and, for the runtime-critical ones, a
-//! Criterion bench under `benches/`.
+//! Each experiment has a `repro_*` binary that prints paper-style rows
+//! and writes `results/<name>.csv`. Correctness is asserted by the test
+//! suites (`cargo test`), and the speed of `ftpm mine` is measured by
+//! `perfbench/`; this crate only reproduces the paper's numbers.
 
 // The allocation-tracking harness implements `GlobalAlloc`, which is
 // inherently unsafe; it is the single unsafe-permitted module in the
@@ -15,8 +16,5 @@ mod alloc_track;
 pub mod experiments;
 mod util;
 
-pub use alloc_track::{
-    alloc_count, current_bytes, measure_allocs, measure_peak, peak_bytes, reset_peak,
-    TrackingAllocator,
-};
-pub use util::{secs, time, Method, Opts, Report};
+pub use alloc_track::TrackingAllocator;
+pub use util::Opts;

@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use ftpm_core::{MinerConfig, MiningResult};
+use ftpm_core::{MinerConfig, MiningResult, MAX_EVENTS_HARD_CAP};
 use ftpm_datagen::Dataset;
 
 /// Times a closure.
@@ -76,7 +76,7 @@ impl Method {
 
 /// Harness options shared by every experiment binary: positional args
 /// `[scale] [max_events]`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Opts {
     /// Dataset scale in (0, 1] relative to the paper's full size.
     pub scale: f64,
@@ -86,18 +86,40 @@ pub struct Opts {
 
 impl Opts {
     /// Parses `[scale] [max_events]` from argv with the given defaults.
+    /// An argument that does not parse or is out of range, and any third
+    /// argument, is a usage error: it is named on stderr and the process
+    /// exits with status 1 instead of running the defaults.
     pub fn from_args(default_scale: f64, default_max_events: usize) -> Opts {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Opts {
-            scale: args
-                .first()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(default_scale),
-            max_events: args
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(default_max_events),
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        let args: Vec<String> = argv.collect();
+        let defaults = Opts { scale: default_scale, max_events: default_max_events };
+        Opts::parse(&args, defaults).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {bin} [scale] [max_events]");
+            std::process::exit(1)
+        })
+    }
+
+    fn parse(args: &[String], mut opts: Opts) -> Result<Opts, String> {
+        if let Some(extra) = args.get(2) {
+            return Err(format!("unexpected argument {extra:?}"));
         }
+        if let Some(s) = args.first() {
+            opts.scale = s
+                .parse()
+                .ok()
+                .filter(|x: &f64| *x > 0.0 && *x <= 1.0)
+                .ok_or_else(|| format!("scale must be a number in (0, 1], got {s:?}"))?;
+        }
+        if let Some(s) = args.get(1) {
+            let cap = MAX_EVENTS_HARD_CAP;
+            opts.max_events = s
+                .parse()
+                .ok()
+                .filter(|n| (2..=cap).contains(n))
+                .ok_or_else(|| format!("max_events must be an integer in 2..={cap}, got {s:?}"))?;
+        }
+        Ok(opts)
     }
 }
 
@@ -170,4 +192,31 @@ impl Report {
 /// Formats a duration in seconds with sensible precision.
 pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Opts;
+
+    #[test]
+    fn bad_or_extra_arguments_are_usage_errors_that_name_them() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Opts::parse(&args, Opts { scale: 0.02, max_events: 3 })
+        };
+        assert_eq!(parse(&[]), Ok(Opts { scale: 0.02, max_events: 3 }));
+        assert_eq!(parse(&["1", "4"]), Ok(Opts { scale: 1.0, max_events: 4 }));
+        for (args, bad) in [
+            (&["0,01"][..], "0,01"),
+            (&["0"], "0"),
+            (&["1.5"], "1.5"),
+            (&["nan"], "nan"),
+            (&["0.01", "3.5"], "3.5"),
+            (&["0.01", "1"], "1"),
+            (&["0.01", "3", "x"], "x"),
+        ] {
+            let err = parse(args).expect_err("a usage error");
+            assert!(err.contains(&format!("{bad:?}")), "{args:?}: {err}");
+        }
+    }
 }

@@ -18,9 +18,9 @@
 //!   reduced through a tree of carry-save adders (5 cheap bitwise ops
 //!   each) so only one two-lane popcount is paid per block. The tree
 //!   is written over `[u64; 2]` lanes so the superword-level
-//!   vectorizer maps it onto 128-bit registers; measured against the
-//!   auto-vectorized scalar loop this is a ≥1.5× win on this container
-//!   (see `repro_kernels`).
+//!   vectorizer maps it onto 128-bit registers. Its per-call cost on
+//!   real mining operands is the `bitmap.and_count_ns` layer row of
+//!   `perfbench/`.
 //!
 //! Every kernel has a `*_scalar` reference — the loop the pre-kernel
 //! `Bitmap` methods used — and property tests in `crate::tests` pin the
@@ -147,8 +147,8 @@ pub fn and_count_words(a: &[u64], b: &[u64]) -> usize {
 }
 
 /// Scalar reference for [`and_count_words`]: the loop `Bitmap::and_count`
-/// used before the kernel layer. Kept as the property-test pin and the
-/// "before" arm of the `repro_kernels` microbenchmark.
+/// used before the kernel layer. Kept as the property-test pin and as
+/// the tail loop of [`and_count_many_words`].
 pub fn and_count_words_scalar(a: &[u64], b: &[u64]) -> usize {
     a.iter()
         .zip(b)

@@ -146,16 +146,6 @@ impl Bitmap {
         kernel::and_count_words(&self.words, &other.words)
     }
 
-    /// Scalar reference implementation of [`and_count`] — the pre-kernel
-    /// loop, kept so property tests and the `repro_kernels` benchmark
-    /// can pin the carry-save-adder kernel against it.
-    ///
-    /// [`and_count`]: Bitmap::and_count
-    pub fn and_count_scalar(&self, other: &Bitmap) -> usize {
-        debug_assert_eq!(self.len, other.len, "bitmap universe mismatch");
-        kernel::and_count_words_scalar(&self.words, &other.words)
-    }
-
     /// Fused AND+popcount of `self` against every bitmap in `partners`
     /// in one pass over `self`'s words; `counts` is cleared and filled
     /// with one support per partner. Equivalent to calling

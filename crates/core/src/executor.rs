@@ -68,7 +68,7 @@ use crate::shard::{Shard, ShardPlan};
 use crate::sink::PatternSink;
 
 /// How a shard behaved during one sharded mining run — the per-shard
-/// observability the CLI and the `repro_exchange` gate report.
+/// observability the CLI reports and the exchange tests assert on.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard position in the plan, `0..K`.

@@ -159,29 +159,58 @@ fn reference_oracle_agrees_under_the_same_filter() {
     );
 }
 
-/// The headline of propose-time gating: pairs the coordinator's `G_C`
-/// gate rejects are never enumerated, so the approximate exchange
-/// generates strictly fewer candidates than the exact exchange on the
-/// same plan — and its output equals filtering the exact output post
-/// hoc (every pattern whose events are all correlated and pairwise
-/// edge-connected).
+/// The headline of propose-time gating, on the 8-appliance energy demo
+/// at density 0.8: pairs the coordinator's `G_C` gate rejects are never
+/// enumerated, so the approximate exchange generates strictly fewer
+/// candidates than the exact exchange on the same plan — and its output
+/// equals filtering the exact output post hoc (every pattern whose
+/// events are all correlated and pairwise edge-connected). The 4-thread
+/// parallel run and the 4-shard exchange at 4 threads both equal
+/// single-threaded `mine_approximate_with_density`.
 #[test]
 fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
-    let data = ftpm_datagen::nist_like(0.01).project_variables(6);
+    const DENSITY: f64 = 0.8;
+    let data = ftpm_datagen::nist_like(0.01).project_variables(8);
     let t_max = 3 * 60;
     let cfg = MinerConfig::new(0.25, 0.25)
         .with_max_events(3)
         .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(BoundaryPolicy::TrueExtent));
-    let graph = CorrelationGraph::build_with_density(&data.syb, 0.8);
+    let base = mine_approximate_with_density(&data.syb, &data.seq, DENSITY, &cfg);
+    let base_l = labelled(&base.result, data.seq.registry());
+    let graph = CorrelationGraph::build_with_density(&data.syb, DENSITY);
+    assert!(
+        (graph.mu() - base.mu).abs() < 1e-12,
+        "one density must resolve to one mu: {} vs {}",
+        graph.mu(),
+        base.mu
+    );
+
+    let par = mine_approximate_parallel(&data.syb, &data.seq, graph.mu(), &cfg, 4);
+    assert_equivalent(
+        &base_l,
+        &labelled(&par.result, data.seq.registry()),
+        "energy demo [parallel, 4 threads]",
+    );
+
     let plan = ShardPlanner::new(4)
         .plan(&data.syb, data.split, t_max)
         .expect("plan");
-
-    let (exact_result, exact_reports) = plan.mine_exchange(&cfg, 1);
-    let (approx_result, approx_reports) = plan.mine_approximate_exchange(&graph, &cfg, 1);
+    let (exact_result, exact_reports) = plan.mine_exchange(&cfg, 4);
+    let (approx_result, approx_reports) = plan.mine_approximate_exchange(&graph, &cfg, 4);
+    let registry = plan.registry();
+    assert_equivalent(
+        &base_l,
+        &labelled(&approx_result, registry),
+        "energy demo [4-shard exchange, 4 threads]",
+    );
 
     let exact_total: usize = exact_reports.iter().map(|r| r.candidates_proposed).sum();
     let approx_total: usize = approx_reports.iter().map(|r| r.candidates_proposed).sum();
+    eprintln!(
+        "energy demo: {} patterns, {approx_total} exchange candidates with MI at \
+         propose time vs {exact_total} exact",
+        approx_result.len()
+    );
     assert!(
         approx_total < exact_total,
         "MI at propose time must generate strictly fewer exchange candidates \
@@ -190,7 +219,6 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
 
     // Post-hoc baseline: keep exactly the exact-exchange patterns whose
     // events all lie in X_C and are pairwise connected in G_C.
-    let registry = plan.registry();
     let mut in_xc = vec![false; graph.n_vertices()];
     for var in graph.correlated_variables() {
         in_xc[var.0 as usize] = true;
@@ -223,7 +251,7 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
     assert!(
         !approx_result.patterns.is_empty(),
         "the energy demo at density 0.8 must keep patterns — otherwise the \
-         equality above is vacuous"
+         equalities above are vacuous"
     );
 }
 

@@ -98,30 +98,34 @@ fn concurrent_shards_match_sequential_exchange() {
 
 /// The headline of the exchange: the global gate kills candidates
 /// *before* the next level is enumerated, while the output stays
-/// identical to the unsharded baseline (asserted here and in
-/// `repro_exchange`).
+/// identical to the unsharded baseline — on the 8-appliance energy demo,
+/// at K = 2 and K = 4.
 #[test]
 fn exchange_gate_prunes_candidates_and_matches_unsharded() {
-    let data = ftpm_datagen::nist_like(0.01).project_variables(6);
+    let data = ftpm_datagen::nist_like(0.01).project_variables(8);
     let t_max = 3 * 60;
     let cfg = MinerConfig::new(0.25, 0.25)
         .with_max_events(3)
         .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(BoundaryPolicy::TrueExtent));
-    let plan = ShardPlanner::new(4)
-        .plan(&data.syb, data.split, t_max)
-        .expect("plan");
-    let (exchange_result, reports) = plan.mine_exchange(&cfg, 1);
-    let pruned: usize = reports.iter().map(|r| r.candidates_pruned).sum();
-    assert!(
-        pruned > 0,
-        "the global gate must actually kill candidates on the energy demo"
-    );
-    let base = mine_exact(&data.seq, &cfg);
-    assert_equivalent(
-        &labelled(&base, data.seq.registry()),
-        &labelled(&exchange_result, plan.registry()),
-        "energy demo",
-    );
+    let base = labelled(&mine_exact(&data.seq, &cfg), data.seq.registry());
+    for shards in [2usize, 4] {
+        let plan = ShardPlanner::new(shards)
+            .plan(&data.syb, data.split, t_max)
+            .expect("plan");
+        let (exchange_result, reports) = plan.mine_exchange(&cfg, 1);
+        let proposed: usize = reports.iter().map(|r| r.candidates_proposed).sum();
+        let pruned: usize = reports.iter().map(|r| r.candidates_pruned).sum();
+        eprintln!("energy demo K={shards}: the gate pruned {pruned} of {proposed} candidates");
+        assert!(
+            pruned > 0,
+            "K={shards}: the global gate must actually kill candidates on the energy demo"
+        );
+        assert_equivalent(
+            &base,
+            &labelled(&exchange_result, plan.registry()),
+            &format!("energy demo K={shards}"),
+        );
+    }
 }
 
 /// A shard whose slice contains no (visible) instances must propose

@@ -74,13 +74,14 @@ OPTIONS:
   --scale F          demo dataset scale in (0,1]          [default 0.02]
   --sigma F          support threshold in (0,1]           [default 0.5]
   --delta F          confidence threshold in (0,1]        [default 0.5]
-  --window MIN       sequence window length in ticks      [default 360]
-  --overlap MIN      window overlap t_ov in ticks         [default 0]
+  --window MIN       window length in whole ticks         [default 360]
+  --overlap MIN      window overlap t_ov in whole ticks   [default 0]
+                     (both --input only: a demo has its own split)
   --boundary POLICY  treatment of window-boundary-clipped instances:
                      clip (historical), true-extent (relations and t-max
                      on the real run extents), discard (drop clipped
                      instances)                           [default clip]
-  --t-max MIN        maximal pattern duration t_max in ticks
+  --t-max MIN        maximal pattern duration t_max in whole ticks
                      [default: unconstrained]
   --threshold F      On/Off symbolization threshold       [default 0.05]
   --states N         use N quantile states instead of On/Off
@@ -214,10 +215,9 @@ struct Options {
     scale: f64,
     sigma: f64,
     delta: f64,
-    window: i64,
-    overlap: i64,
-    /// The validated split geometry (`--window`/`--overlap`), built once
-    /// at the end of `parse` — the single place the values are checked.
+    /// The validated split geometry (`--window`/`--overlap`, which apply
+    /// only to `--input`), built once at the end of `parse` — the single
+    /// place the values are checked.
     split: SplitConfig,
     boundary: BoundaryPolicy,
     t_max: Option<i64>,
@@ -244,14 +244,13 @@ fn default_threads() -> usize {
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
+    let (mut window, mut overlap) = (None, None);
     let mut opt = Options {
         input: None,
         demo: None,
         scale: 0.02,
         sigma: 0.5,
         delta: 0.5,
-        window: 360,
-        overlap: 0,
         split: SplitConfig::new(360, 0),
         boundary: BoundaryPolicy::Clip,
         t_max: None,
@@ -281,26 +280,26 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--scale" => opt.scale = num(&value("--scale")?)?,
             "--sigma" => opt.sigma = num(&value("--sigma")?)?,
             "--delta" => opt.delta = num(&value("--delta")?)?,
-            "--window" => opt.window = num(&value("--window")?)? as i64,
-            "--overlap" => opt.overlap = num(&value("--overlap")?)? as i64,
+            "--window" => window = Some(int("--window", &value("--window")?)?),
+            "--overlap" => overlap = Some(int("--overlap", &value("--overlap")?)?),
             "--boundary" => {
                 opt.boundary = value("--boundary")?
                     .parse()
                     .map_err(|e| format!("--boundary: {e}"))?;
             }
             "--t-max" => {
-                let t_max = num(&value("--t-max")?)? as i64;
+                let t_max: i64 = int("--t-max", &value("--t-max")?)?;
                 if t_max <= 0 {
                     return Err(format!("--t-max must be positive, got {t_max}"));
                 }
                 opt.t_max = Some(t_max);
             }
             "--threshold" => opt.threshold = num(&value("--threshold")?)?,
-            "--states" => opt.states = Some(count("--states", &value("--states")?)?),
+            "--states" => opt.states = Some(int("--states", &value("--states")?)?),
             "--mu" => opt.mu = Some(num(&value("--mu")?)?),
             "--approx-density" => opt.density = Some(num(&value("--approx-density")?)?),
             "--max-events" => {
-                let n = count("--max-events", &value("--max-events")?)?;
+                let n = int("--max-events", &value("--max-events")?)?;
                 if !(2..=MAX_EVENTS_HARD_CAP).contains(&n) {
                     return Err(format!(
                         "--max-events must be between 2 and {MAX_EVENTS_HARD_CAP}, got {n}"
@@ -309,13 +308,13 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opt.max_events = n;
             }
             "--threads" => {
-                opt.threads = count("--threads", &value("--threads")?)?;
+                opt.threads = int("--threads", &value("--threads")?)?;
                 if opt.threads == 0 {
                     return Err("--threads must be at least 1".into());
                 }
             }
             "--shards" => {
-                opt.shards = count("--shards", &value("--shards")?)?;
+                opt.shards = int("--shards", &value("--shards")?)?;
                 if opt.shards == 0 {
                     return Err("--shards must be at least 1".into());
                 }
@@ -323,7 +322,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--output" => opt.output = Some(value("--output")?),
             "--stream" => opt.stream = true,
             "--sort" => opt.sort = Some(value("--sort")?.parse()?),
-            "--top" => opt.top = Some(count("--top", &value("--top")?)?),
+            "--top" => opt.top = Some(int("--top", &value("--top")?)?),
             "--json" => opt.json = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -331,10 +330,17 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if opt.input.is_none() && opt.demo.is_none() {
         return Err("need --input FILE or --demo NAME".into());
     }
+    // The demos carry their own split geometry, so a window or overlap
+    // given with one would be ignored.
+    if opt.demo.is_some() && (window.is_some() || overlap.is_some()) {
+        return Err(
+            "--window/--overlap apply only to --input; a --demo dataset has its own split".into(),
+        );
+    }
     // Validate the split geometry here instead of letting
     // `SplitConfig::new` assert deep inside the pipeline: a bad value
     // should be a usage error naming the flags, not a panic backtrace.
-    opt.split = SplitConfig::try_new(opt.window, opt.overlap)
+    opt.split = SplitConfig::try_new(window.unwrap_or(360), overlap.unwrap_or(0))
         .map_err(|e| format!("--window/--overlap: {e}"))?;
     if !(opt.sigma > 0.0 && opt.sigma <= 1.0) {
         return Err(format!("--sigma must be in (0, 1], got {}", opt.sigma));
@@ -379,10 +385,15 @@ fn num(s: &str) -> Result<f64, String> {
     s.parse::<f64>().map_err(|e| format!("bad number {s:?}: {e}"))
 }
 
-/// Parses the value of a count flag as an unsigned integer: `2.7` or `-5`
-/// is a usage error naming the flag, never a silently truncated count.
-fn count(flag: &str, s: &str) -> Result<usize, String> {
-    s.parse::<usize>()
+/// Parses the value of an integer flag — a count, or a tick length such
+/// as `--window`: `2.7`, `1e30` or (for a count) `-5` is a usage error
+/// naming the flag, never a silently truncated or saturated value.
+fn int<T>(flag: &str, s: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    s.parse::<T>()
         .map_err(|e| format!("{flag} expects a whole number, got {s:?}: {e}"))
 }
 

@@ -114,30 +114,60 @@ fn overlap_preserves_all_short_patterns_generically() {
     }
 }
 
-#[test]
-fn true_extent_overlap_split_matches_the_unsplit_baseline_exactly() {
-    // The property repro_boundary asserts on the energy demo, on the
-    // Fig 3 cascade: under BoundaryPolicy::TrueExtent with t_ov = t_max,
-    // the overlapped split finds *exactly* the unsplit database's
-    // patterns of duration <= t_max — not just the lower bound the
-    // overlap lemma guarantees.
-    let syb = fig3_database();
-    let unsplit = to_sequence_database(&syb, SplitConfig::new(80, 0));
-    let overlapped = to_sequence_database(&syb, SplitConfig::new(60, 40));
+/// Mines `syb` through windows of `window` ticks overlapped by
+/// t_ov = t_max, and as the one unsplit sequence covering the
+/// full-window prefix those windows tile. Under `TrueExtent` the two
+/// must find the same patterns (compared by label: the two conversions
+/// intern events in different orders). Returns the pattern count.
+fn assert_true_extent_split_equals_unsplit(
+    syb: &SymbolicDatabase,
+    window: i64,
+    t_max: i64,
+    max_events: usize,
+) -> usize {
+    let step = syb.step();
+    let overlapped = SplitConfig::new(window, t_max);
+    // Derive the geometry from the rounding the split itself applies, so
+    // the baseline prefix cannot drift from it.
+    let eff = overlapped.effective(step);
+    assert_eq!(eff.overlap, t_max, "t_max must survive step rounding");
+    let win_steps = (eff.window / step) as usize;
+    let stride_steps = (eff.stride() / step) as usize;
+    let n_steps = syb.n_steps();
+    assert!(n_steps >= win_steps, "the data must fill one window");
+    let covered_steps = ((n_steps - win_steps) / stride_steps) * stride_steps + win_steps;
+    let unsplit = SplitConfig::new(covered_steps as i64 * step, 0);
     let cfg = MinerConfig::new(0.01, 0.01)
-        .with_max_events(4)
-        .with_relation(RelationConfig::new(0, 1, 40).with_boundary(BoundaryPolicy::TrueExtent));
-    let labels = |db: &SequenceDatabase| -> std::collections::BTreeSet<String> {
-        mine_exact(db, &cfg)
+        .with_max_events(max_events)
+        .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(BoundaryPolicy::TrueExtent));
+    let labels = |split: SplitConfig| -> std::collections::BTreeSet<String> {
+        let db = to_sequence_database(syb, split);
+        mine_exact(&db, &cfg)
             .patterns
             .iter()
             .map(|p| p.pattern.display(db.registry()).to_string())
             .collect()
     };
-    let base = labels(&unsplit);
-    let split = labels(&overlapped);
+    let base = labels(unsplit);
+    let split = labels(overlapped);
     assert!(!base.is_empty(), "the unsplit data must contain patterns");
     assert_eq!(base, split, "true-extent split must equal the baseline");
+    base.len()
+}
+
+#[test]
+fn true_extent_overlap_split_matches_the_unsplit_baseline_exactly() {
+    // Under BoundaryPolicy::TrueExtent with t_ov = t_max, the overlapped
+    // split finds *exactly* the unsplit database's patterns of duration
+    // <= t_max — not just the lower bound the overlap lemma guarantees.
+    // First on the Fig 3 cascade: 60-tick windows at stride 20 tile all
+    // 80 ticks.
+    assert_true_extent_split_equals_unsplit(&fig3_database(), 60, 40, 4);
+    // Then on the 8-appliance energy demo: 6 h windows overlapped by
+    // t_max = 3 h.
+    let demo = nist_like(0.01).project_variables(8);
+    let n = assert_true_extent_split_equals_unsplit(&demo.syb, 6 * 60, 3 * 60, 3);
+    eprintln!("energy demo: {n} patterns, split = unsplit");
 }
 
 #[test]
