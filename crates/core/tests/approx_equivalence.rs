@@ -9,7 +9,9 @@
 //! parameterizations (μ and edge density), checks the brute-force
 //! reference oracle under the same filter, and asserts the exchange
 //! coordinator's MI-at-propose gate generates strictly fewer candidates
-//! than mining exactly and filtering post hoc.
+//! than mining exactly and filtering post hoc. The graph itself is
+//! pinned too: its NMI matrix equals the scalar Def 5.3 bit for bit on
+//! the energy demo.
 //!
 //! Event ids differ across conversions (intern order), so everything
 //! compares by label.
@@ -23,7 +25,7 @@ use ftpm_core::{
     MinerConfig, ShardPlanner,
 };
 use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
-use ftpm_mi::{mu_for_density, CorrelationGraph};
+use ftpm_mi::{mu_for_density, normalized_mutual_information, CorrelationGraph};
 use ftpm_timeseries::{SymbolicDatabase, VariableId};
 
 /// The full composition check for one (data, split, cfg, μ, K): the
@@ -253,6 +255,40 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
         "the energy demo at density 0.8 must keep patterns — otherwise the \
          equalities above are vacuous"
     );
+}
+
+/// The correlation graph's NMI matrix is the scalar Def 5.3 bit for bit
+/// on the energy demo — all 5,112 ordered pairs of its 72 On/Off
+/// series — and the density route resolves to the μ and the edges of
+/// `build(mu_for_density(..))`.
+#[test]
+fn nmi_matrix_equals_the_scalar_definition_on_the_energy_demo() {
+    const DENSITY: f64 = 0.8;
+    let syb = ftpm_datagen::nist_like(0.02).syb;
+    let graph = CorrelationGraph::build_with_density(&syb, DENSITY);
+    let mut pairs = 0;
+    for (i, x) in syb.iter() {
+        for (j, y) in syb.iter() {
+            if i != j {
+                assert_eq!(
+                    graph.nmi(i, j).to_bits(),
+                    normalized_mutual_information(x, y).to_bits(),
+                    "NMI({}; {})",
+                    x.name(),
+                    y.name()
+                );
+                pairs += 1;
+            }
+        }
+    }
+    assert_eq!(pairs, 5112);
+    let by_mu = CorrelationGraph::build(&syb, mu_for_density(&syb, DENSITY));
+    assert_eq!(graph.mu().to_bits(), by_mu.mu().to_bits());
+    for (i, _) in syb.iter() {
+        for (j, _) in syb.iter() {
+            assert_eq!(graph.has_edge(i, j), by_mu.has_edge(i, j), "{i:?}-{j:?}");
+        }
+    }
 }
 
 mod prop {

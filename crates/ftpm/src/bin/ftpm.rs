@@ -13,6 +13,7 @@
 //! ftpm mine  --demo nist --scale 0.01 --boundary true-extent --t-max 180 \
 //!            --shards 4 --json            # candidate exchange
 //! ftpm graph --demo nist --scale 0.02 --mu 0.4
+//! ftpm graph --demo nist --scale 0.02 --approx-density 0.8
 //! ```
 //!
 //! CSV input: first column is the timestamp (integer ticks at a constant
@@ -38,8 +39,8 @@ use ftpm::*;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("mine") => run_mine(&args[1..]),
-        Some("graph") => run_graph(&args[1..]),
+        Some("mine") => exit_status(try_mine(&args[1..])),
+        Some("graph") => exit_status(try_graph(&args[1..])),
         Some("lint") => run_lint(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_help();
@@ -65,13 +66,15 @@ USAGE:
              [--threads N] [--shards K]
              [--output FILE.{{csv,jsonl}}] [--stream]
              [--sort support|confidence] [--top N] [--json]
-  ftpm graph [--input FILE.csv | --demo ...] [--mu F] [--scale F]
+  ftpm graph [--input FILE.csv | --demo ...] [--mu F | --approx-density F]
+             [--scale F]
   ftpm lint  [--root DIR] [--json FILE] [--strict-allows]
 
 OPTIONS:
   --input FILE       CSV with a time column followed by numeric variables
   --demo NAME        use a built-in synthetic dataset instead of a file
   --scale F          demo dataset scale in (0,1]          [default 0.02]
+                     (--demo only: CSV input is used as given)
   --sigma F          support threshold in (0,1]           [default 0.5]
   --delta F          confidence threshold in (0,1]        [default 0.5]
   --window MIN       window length in whole ticks         [default 360]
@@ -85,11 +88,13 @@ OPTIONS:
                      [default: unconstrained]
   --threshold F      On/Off symbolization threshold       [default 0.05]
   --states N         use N quantile states instead of On/Off
+                     (both --input only: a demo comes symbolized)
   --mu F             A-HTPGM with explicit NMI threshold; composes with
                      --threads/--shards/--stream — same pattern set
                      on every composition
   --approx-density F A-HTPGM with correlation-graph density target
-                     (mutually exclusive with --mu)
+                     (mutually exclusive with --mu; `ftpm graph` defaults
+                     to density 0.4 when neither is given)
   --max-events N     cap pattern length, 2..={MAX_EVENTS_HARD_CAP}           [default 5]
   --threads N        worker threads                   [default: all cores]
   --shards K         shard-by-time-range mining: cut the data into K
@@ -245,6 +250,7 @@ fn default_threads() -> usize {
 
 fn parse(args: &[String]) -> Result<Options, String> {
     let (mut window, mut overlap) = (None, None);
+    let (mut scale, mut threshold) = (None, None);
     let mut opt = Options {
         input: None,
         demo: None,
@@ -277,7 +283,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         match flag.as_str() {
             "--input" => opt.input = Some(value("--input")?),
             "--demo" => opt.demo = Some(value("--demo")?),
-            "--scale" => opt.scale = num(&value("--scale")?)?,
+            "--scale" => scale = Some(num(&value("--scale")?)?),
             "--sigma" => opt.sigma = num(&value("--sigma")?)?,
             "--delta" => opt.delta = num(&value("--delta")?)?,
             "--window" => window = Some(int("--window", &value("--window")?)?),
@@ -294,7 +300,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 }
                 opt.t_max = Some(t_max);
             }
-            "--threshold" => opt.threshold = num(&value("--threshold")?)?,
+            "--threshold" => threshold = Some(num(&value("--threshold")?)?),
             "--states" => opt.states = Some(int("--states", &value("--states")?)?),
             "--mu" => opt.mu = Some(num(&value("--mu")?)?),
             "--approx-density" => opt.density = Some(num(&value("--approx-density")?)?),
@@ -327,16 +333,43 @@ fn parse(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if opt.input.is_none() && opt.demo.is_none() {
-        return Err("need --input FILE or --demo NAME".into());
+    // Each data source has its own knobs: a flag meant for the other
+    // source would be silently ignored, so it is a usage error instead.
+    match (&opt.input, &opt.demo) {
+        (None, None) => return Err("need --input FILE or --demo NAME".into()),
+        (Some(_), Some(_)) => {
+            return Err("--input and --demo both choose the data; pick one".into());
+        }
+        (Some(_), None) => {
+            if scale.is_some() {
+                return Err("--scale applies only to --demo; --input data is used as given".into());
+            }
+            if threshold.is_some() && opt.states.is_some() {
+                return Err("--threshold and --states both choose the symbolizer; pick one".into());
+            }
+        }
+        (None, Some(_)) => {
+            // The demos carry their own split geometry and symbols.
+            if window.is_some() || overlap.is_some() {
+                return Err(
+                    "--window/--overlap apply only to --input; a --demo dataset has its own split"
+                        .into(),
+                );
+            }
+            if threshold.is_some() || opt.states.is_some() {
+                let flag = if threshold.is_some() {
+                    "--threshold"
+                } else {
+                    "--states"
+                };
+                return Err(format!(
+                    "{flag} applies only to --input; a --demo dataset comes symbolized"
+                ));
+            }
+        }
     }
-    // The demos carry their own split geometry, so a window or overlap
-    // given with one would be ignored.
-    if opt.demo.is_some() && (window.is_some() || overlap.is_some()) {
-        return Err(
-            "--window/--overlap apply only to --input; a --demo dataset has its own split".into(),
-        );
-    }
+    opt.scale = scale.unwrap_or(opt.scale);
+    opt.threshold = threshold.unwrap_or(opt.threshold);
     // Validate the split geometry here instead of letting
     // `SplitConfig::new` assert deep inside the pipeline: a bad value
     // should be a usage error naming the flags, not a panic backtrace.
@@ -358,6 +391,17 @@ fn parse(args: &[String]) -> Result<Options, String> {
         return Err(
             "--mu and --approx-density both choose the correlation graph; pick one".into(),
         );
+    }
+    // The demo generators and the graph builders (Defs 5.4 and 5.6)
+    // assert these domains.
+    for (flag, value) in [
+        ("--scale", scale),
+        ("--mu", opt.mu),
+        ("--approx-density", opt.density),
+    ] {
+        if let Some(v) = value.filter(|v| !(*v > 0.0 && *v <= 1.0)) {
+            return Err(format!("{flag} must be in (0, 1], got {v}"));
+        }
     }
     // The shard slices overlap by t_ov = t_max; with t_max unconstrained
     // every slice degrades to the whole series. Still lossless — each
@@ -627,8 +671,10 @@ fn export_selection(
     })
 }
 
-fn run_mine(args: &[String]) -> ExitCode {
-    match try_mine(args) {
+/// Exit status of `mine` and `graph`: a usage, input or I/O error is
+/// printed as `error: …` and exits 1.
+fn exit_status(result: Result<(), String>) -> ExitCode {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -876,41 +922,43 @@ fn try_mine(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_graph(args: &[String]) -> ExitCode {
-    let opt = match parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+/// `ftpm graph`: the correlation graph `G_C` the same flags would give
+/// A-HTPGM — `--mu` sets the NMI threshold, otherwise `--approx-density`
+/// (default 0.4) picks it — then one line per edge. A closed stdout is
+/// an error, not a panic.
+fn try_graph(args: &[String]) -> Result<(), String> {
+    let opt = parse(args)?;
+    let (syb, _, _) = load(&opt)?;
+    let graph = match opt.mu {
+        Some(mu) => CorrelationGraph::build(&syb, mu),
+        None => CorrelationGraph::build_with_density(&syb, opt.density.unwrap_or(0.4)),
     };
-    let (syb, _, _) = match load(&opt) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mu = opt.mu.unwrap_or_else(|| mu_for_density(&syb, 0.4));
-    let graph = CorrelationGraph::build(&syb, mu);
-    println!(
-        "correlation graph: {} vertices, {} edges, density {:.2} (mu = {mu:.3})",
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    let io_err = |e: std::io::Error| format!("stdout: {e}");
+    writeln!(
+        out,
+        "correlation graph: {} vertices, {} edges, density {:.2} (mu = {:.3})",
         graph.n_vertices(),
         graph.n_edges(),
         graph.density(),
-    );
+        graph.mu(),
+    )
+    .map_err(io_err)?;
     for (i, a) in syb.iter() {
         for (j, b) in syb.iter() {
             if i < j && graph.has_edge(i, j) {
-                println!(
+                writeln!(
+                    out,
                     "  {} -- {}  (NMI {:.2}/{:.2})",
                     a.name(),
                     b.name(),
                     graph.nmi(i, j),
                     graph.nmi(j, i),
-                );
+                )
+                .map_err(io_err)?;
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

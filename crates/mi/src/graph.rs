@@ -1,7 +1,8 @@
-use ftpm_timeseries::{SymbolicDatabase, VariableId};
+use ftpm_bitmap::Bitmap;
+use ftpm_timeseries::{SymbolicDatabase, SymbolicSeries, VariableId};
 use serde::{Deserialize, Serialize};
 
-use crate::info::normalized_mutual_information;
+use crate::info::{entropy, joint_counts, mi_sum, mi_terms, normalized};
 
 /// The correlation graph `G_C = (V, E)` of Def 5.5: vertices are symbolic
 /// series, and there is an (undirected) edge between `X_i` and `X_j` iff
@@ -150,20 +151,82 @@ pub fn mu_for_density(db: &SymbolicDatabase, density: f64) -> f64 {
     mu_from_matrix(&nmi_matrix(db), density)
 }
 
+/// Largest alphabet whose joint counts come from per-symbol bitmaps. A
+/// table of `|Σ_X|·|Σ_Y|` cells costs that many `and_count`s of
+/// `⌈T/64⌉` words each, a counting pass costs `T` symbol reads, so up to
+/// 8 × 8 = 64 cells the bitmaps read no more than the pass does.
+const BITMAP_MAX_SYMBOLS: usize = 8;
+
+/// What one series contributes to every pair it is in, computed once:
+/// its marginal `p(x)`, its entropy `H(X)`, and (for small alphabets)
+/// one indicator bitmap per symbol over the `T` steps.
+struct Marginal<'a> {
+    series: &'a SymbolicSeries,
+    probs: Vec<f64>,
+    entropy: f64,
+    indicators: Option<Vec<Bitmap>>,
+}
+
+impl<'a> Marginal<'a> {
+    fn new(series: &'a SymbolicSeries) -> Self {
+        let probs = series.symbol_probabilities();
+        let entropy = entropy(&probs);
+        let indicators = (probs.len() <= BITMAP_MAX_SYMBOLS).then(|| {
+            let mut bits = vec![Bitmap::new(series.len()); probs.len()];
+            for (t, s) in series.symbols().iter().enumerate() {
+                bits[s.0 as usize].set(t);
+            }
+            bits
+        });
+        Marginal {
+            series,
+            probs,
+            entropy,
+            indicators,
+        }
+    }
+}
+
+/// The joint count table of a pair, row-major `|Σ_X| × |Σ_Y|` as
+/// [`joint_counts`] lays it out: `and_count` over the indicator bitmaps
+/// when both alphabets are small, one pass over the symbols otherwise.
+fn pair_counts(x: &Marginal, y: &Marginal) -> Vec<usize> {
+    match (&x.indicators, &y.indicators) {
+        (Some(xb), Some(yb)) => xb
+            .iter()
+            .flat_map(|a| yb.iter().map(move |b| a.and_count(b)))
+            .collect(),
+        _ => joint_counts(x.series, y.series),
+    }
+}
+
 /// The full pairwise NMI matrix of a symbolic database (diagonal 1).
+///
+/// Each unordered pair gets one joint count table and one table of Eq. 9
+/// summands, and both directions sum it: row-major for `Ĩ(X_i;X_j)`,
+/// column-major for `Ĩ(X_j;X_i)` — the orders
+/// [`mutual_information`](crate::mutual_information) uses for each. Every
+/// cell therefore has the bits
+/// [`normalized_mutual_information`](crate::normalized_mutual_information)
+/// returns for its pair.
 fn nmi_matrix(db: &SymbolicDatabase) -> Vec<Vec<f64>> {
-    let n = db.n_variables();
-    let mut nmi = vec![vec![0.0; n]; n];
-    for (i, row) in nmi.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = if i == j {
-                1.0
-            } else {
-                normalized_mutual_information(
-                    db.series(VariableId(i as u32)),
-                    db.series(VariableId(j as u32)),
-                )
-            };
+    let marginals: Vec<Marginal> = db.iter().map(|(_, s)| Marginal::new(s)).collect();
+    let n = marginals.len();
+    let mut nmi = vec![vec![1.0; n]; n];
+    for (i, x) in marginals.iter().enumerate() {
+        for (j, y) in marginals.iter().enumerate().skip(i + 1) {
+            // Constant series are NMI 1 in their own direction; a pair of
+            // them needs no table.
+            if x.entropy == 0.0 && y.entropy == 0.0 {
+                continue;
+            }
+            let steps = x.series.len() as f64;
+            let terms = mi_terms(&pair_counts(x, y), steps, &x.probs, &y.probs);
+            let cols = y.probs.len();
+            nmi[i][j] = normalized(x.entropy, || mi_sum(terms.iter().copied()));
+            nmi[j][i] = normalized(y.entropy, || {
+                mi_sum((0..cols).flat_map(|b| terms.iter().skip(b).step_by(cols).copied()))
+            });
         }
     }
     nmi
@@ -190,7 +253,9 @@ fn mu_from_matrix(nmi: &[Vec<f64>], density: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftpm_timeseries::{Alphabet, SymbolicSeries};
+    use crate::info::normalized_mutual_information;
+    use ftpm_timeseries::{Alphabet, SymbolId, SymbolicSeries};
+    use proptest::prelude::*;
 
     fn onoff(name: &str, bits: &str) -> SymbolicSeries {
         SymbolicSeries::from_labels(
@@ -301,5 +366,88 @@ mod tests {
     fn mu_zero_rejected() {
         let d = db(&[("A", "10"), ("B", "01")]);
         let _ = CorrelationGraph::build(&d, 0.0);
+    }
+
+    /// A random database over `steps` steps, one series per entry of
+    /// `sizes` (its alphabet size). Each series uses a random window of
+    /// its alphabet — a one-symbol window makes it constant, a narrower
+    /// one leaves symbols unused — and follows a latent sequence all
+    /// series share, a noisy copy of it, or draws of its own.
+    fn random_db(sizes: &[usize], steps: usize, seed: u64) -> SymbolicDatabase {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let latent: Vec<u64> = (0..steps).map(|_| next()).collect();
+        let mut d = SymbolicDatabase::new(0, 1, steps);
+        for (s, &size) in sizes.iter().enumerate() {
+            let used = 1 + next() % size as u64;
+            let offset = next() % (size as u64 - used + 1);
+            let mode = next() % 3;
+            let symbols = latent
+                .iter()
+                .map(|&l| {
+                    let r = match mode {
+                        0 => l,
+                        1 if next() % 4 != 0 => l,
+                        _ => next(),
+                    };
+                    SymbolId((offset + r % used) as u16)
+                })
+                .collect();
+            let alphabet = Alphabet::new((0..size).map(|k| format!("S{k}")));
+            d.push(SymbolicSeries::new(format!("X{s}"), alphabet, symbols));
+        }
+        d
+    }
+
+    /// Every off-diagonal cell of the graph's matrix has the bits of the
+    /// scalar Def 5.3, and the density route picks the μ and the edges
+    /// that `build(mu_for_density(..))` does.
+    fn assert_matches_scalar(d: &SymbolicDatabase, density: f64) {
+        let g = CorrelationGraph::build_with_density(d, density);
+        for (i, x) in d.iter() {
+            for (j, y) in d.iter() {
+                if i != j {
+                    assert_eq!(
+                        g.nmi(i, j).to_bits(),
+                        normalized_mutual_information(x, y).to_bits(),
+                        "NMI({}; {})",
+                        x.name(),
+                        y.name()
+                    );
+                }
+            }
+        }
+        let by_mu = CorrelationGraph::build(d, mu_for_density(d, density));
+        assert_eq!(g.mu().to_bits(), by_mu.mu().to_bits());
+        for (i, _) in d.iter() {
+            for (j, _) in d.iter() {
+                assert_eq!(g.has_edge(i, j), by_mu.has_edge(i, j), "{i:?}-{j:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn matrix_matches_scalar_definitions_on_both_sides_of_the_bitmap_rule() {
+        // Alphabets of 1 (constant), 2 and 8 symbols take the bitmap
+        // table; pairs with 9 or 12 take the counting pass.
+        let d = random_db(&[1, 2, 8, 9, 12, 2, 8, 12], 500, 7);
+        assert_matches_scalar(&d, 0.5);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_matrix_matches_scalar_definitions(
+            sizes in proptest::collection::vec(1usize..13, 2..7),
+            steps in 1usize..301,
+            seed in 0u64..u64::MAX,
+            density in 0.01f64..1.0,
+        ) {
+            assert_matches_scalar(&random_db(&sizes, steps, seed), density);
+        }
     }
 }

@@ -26,19 +26,32 @@ pub fn entropy(probs: &[f64]) -> f64 {
 ///
 /// Panics if the series have different lengths or are empty.
 pub fn joint_distribution(x: &SymbolicSeries, y: &SymbolicSeries) -> Vec<Vec<f64>> {
+    let counts = joint_counts(x, y);
+    let cols = y.alphabet().len();
+    let n = x.len() as f64;
+    (0..x.alphabet().len())
+        .map(|a| (0..cols).map(|b| counts[a * cols + b] as f64 / n).collect())
+        .collect()
+}
+
+/// The joint symbol counts of two aligned series: a row-major
+/// `|Σ_X| × |Σ_Y|` table whose cell `a·|Σ_Y| + b` counts the steps with
+/// `X = a` and `Y = b`.
+///
+/// # Panics
+///
+/// Panics if the series have different lengths or are empty.
+pub(crate) fn joint_counts(x: &SymbolicSeries, y: &SymbolicSeries) -> Vec<usize> {
     // lint: allow(panic, documented # Panics contract: aligned series)
     assert_eq!(x.len(), y.len(), "series must be aligned");
     // lint: allow(panic, documented # Panics contract: non-empty series)
     assert!(!x.is_empty(), "series must be non-empty");
-    let mut counts = vec![vec![0usize; y.alphabet().len()]; x.alphabet().len()];
+    let cols = y.alphabet().len();
+    let mut counts = vec![0; x.alphabet().len() * cols];
     for (xs, ys) in x.symbols().iter().zip(y.symbols()) {
-        counts[xs.0 as usize][ys.0 as usize] += 1;
+        counts[xs.0 as usize * cols + ys.0 as usize] += 1;
     }
-    let n = x.len() as f64;
     counts
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c as f64 / n).collect())
-        .collect()
 }
 
 /// Conditional entropy `H(X|Y) = −Σ p(x,y)·ln(p(x,y)/p(y))` (Def 5.1,
@@ -62,16 +75,35 @@ pub fn conditional_entropy(x: &SymbolicSeries, y: &SymbolicSeries) -> f64 {
 ///
 /// Symmetric: `I(X;Y) = I(Y;X)`.
 pub fn mutual_information(x: &SymbolicSeries, y: &SymbolicSeries) -> f64 {
-    let joint = joint_distribution(x, y);
-    let px = x.symbol_probabilities();
-    let py = y.symbol_probabilities();
-    let mut mi = 0.0;
-    for (i, row) in joint.iter().enumerate() {
-        for (j, &pxy) in row.iter().enumerate() {
-            if pxy > 0.0 {
-                mi += pxy * (pxy / (px[i] * py[j])).ln();
-            }
+    let counts = joint_counts(x, y);
+    let (px, py) = (x.symbol_probabilities(), y.symbol_probabilities());
+    mi_sum(mi_terms(&counts, x.len() as f64, &px, &py))
+}
+
+/// The summands of Eq. 9 over an integer joint count table: `counts` is
+/// row-major `px.len() × py.len()` over `n` steps, and cell `(a, b)`
+/// becomes `p·ln(p/(p(x)·p(y)))` with `p = count/n`, or `None` for an
+/// empty cell, which Eq. 9 skips. A summand is the same float in both
+/// directions of a pair (`p(x)·p(y)` and `p(y)·p(x)` round alike), so
+/// `I(X;Y)` and `I(Y;X)` sum one table of them, row-major and
+/// column-major.
+pub(crate) fn mi_terms(counts: &[usize], n: f64, px: &[f64], py: &[f64]) -> Vec<Option<f64>> {
+    let cols = py.len();
+    let mut terms = Vec::with_capacity(counts.len());
+    for (a, &pa) in px.iter().enumerate() {
+        for (b, &pb) in py.iter().enumerate() {
+            let pxy = counts[a * cols + b] as f64 / n;
+            terms.push((pxy > 0.0).then(|| pxy * (pxy / (pa * pb)).ln()));
         }
+    }
+    terms
+}
+
+/// `I` as the sum of its Eq. 9 summands in the order given.
+pub(crate) fn mi_sum(terms: impl IntoIterator<Item = Option<f64>>) -> f64 {
+    let mut mi = 0.0;
+    for term in terms.into_iter().flatten() {
+        mi += term;
     }
     // Clamp tiny negative values caused by floating point noise.
     mi.max(0.0)
@@ -87,10 +119,16 @@ pub fn mutual_information(x: &SymbolicSeries, y: &SymbolicSeries) -> f64 {
 /// mirroring the fact that they carry no pattern information to lose.
 pub fn normalized_mutual_information(x: &SymbolicSeries, y: &SymbolicSeries) -> f64 {
     let hx = entropy(&x.symbol_probabilities());
+    normalized(hx, || mutual_information(x, y))
+}
+
+/// Def 5.3 from `H(X)` and a way to compute `I(X;Y)`, which runs only
+/// when `H(X) > 0`: the one place the constant-series convention lives.
+pub(crate) fn normalized(hx: f64, mi: impl FnOnce() -> f64) -> f64 {
     if hx == 0.0 {
         return 1.0;
     }
-    (mutual_information(x, y) / hx).clamp(0.0, 1.0)
+    (mi() / hx).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

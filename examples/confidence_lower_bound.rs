@@ -24,8 +24,8 @@ fn main() {
     let cfg = MinerConfig::new(0.3, 0.01).with_max_events(2);
     let exact = mine_exact(&data.seq, &cfg);
 
-    let mu = mu_for_density(&data.syb, 0.4);
-    let graph = CorrelationGraph::build(&data.syb, mu);
+    let graph = CorrelationGraph::build_with_density(&data.syb, 0.4);
+    let mu = graph.mu();
     let registry = data.seq.registry();
 
     let (mut corr_min, mut uncorr_min) = (f64::INFINITY, f64::INFINITY);

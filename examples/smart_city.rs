@@ -63,8 +63,8 @@ fn main() {
 
     // The correlation graph view A-HTPGM exploits: weather variables on
     // the same latent factor cluster together.
-    let mu = mu_for_density(&data.syb, 0.2);
-    let graph = CorrelationGraph::build(&data.syb, mu);
+    let graph = CorrelationGraph::build_with_density(&data.syb, 0.2);
+    let mu = graph.mu();
     println!(
         "\ncorrelation graph at 20% density: mu={mu:.3}, {} edges, {} correlated of {} series",
         graph.n_edges(),

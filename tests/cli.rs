@@ -1,9 +1,12 @@
 //! The `ftpm` binary end to end. Usage errors: count and tick flags take
-//! whole numbers in range, `--window`/`--overlap` apply only to
-//! `--input`, and retired flags are unknown. Every rejection exits with
-//! status 1 and names the offending flag, before any data is loaded.
-//! Composition: a sharded, threaded A-HTPGM run streams the rows of the
-//! sequential one.
+//! whole numbers in range, `--scale`/`--mu`/`--approx-density` lie in
+//! (0, 1], a flag of the other data source (`--window`, `--overlap`,
+//! `--threshold` and `--states` with `--demo`; `--scale` with
+//! `--input`) or a second source is rejected, and retired flags are
+//! unknown. Every rejection exits with status 1 and names the offending
+//! flag, before any data is loaded. Composition: a sharded, threaded
+//! A-HTPGM run streams the rows of the sequential one. `ftpm graph`
+//! honours `--approx-density` and exits 1 on a closed stdout.
 
 use std::process::{Command, Output};
 
@@ -114,6 +117,80 @@ fn window_and_overlap_are_rejected_with_a_demo() {
     ] {
         assert_usage_error(&mine(extra), "--window/--overlap apply only to --input");
     }
+}
+
+/// Each data source has its own flags: one meant for the other source,
+/// or a second source, would be silently dropped, so it is a usage
+/// error. The CSV path need not exist — parsing rejects the flags first.
+#[test]
+fn flags_of_the_other_data_source_are_rejected() {
+    for (extra, flag) in [
+        (&["--input", "absent.csv"][..], "--input"),
+        (&["--states", "3"], "--states"),
+        (&["--threshold", "0.5"], "--threshold"),
+    ] {
+        assert_usage_error(&mine(extra), flag);
+    }
+    for (extra, flag) in [
+        (&["--scale", "0.1"][..], "--scale"),
+        (&["--threshold", "0.5", "--states", "3"], "--states"),
+    ] {
+        let mut args = vec!["mine", "--input", "absent.csv"];
+        args.extend_from_slice(extra);
+        assert_usage_error(&ftpm(&args), flag);
+    }
+}
+
+#[test]
+fn fraction_flags_lie_in_the_unit_interval() {
+    for (flag, bad) in [
+        ("--scale", "0"),
+        ("--scale", "1.5"),
+        ("--mu", "0"),
+        ("--mu", "1.5"),
+        ("--approx-density", "0"),
+        ("--approx-density", "nan"),
+    ] {
+        assert_usage_error(&mine(&[flag, bad]), flag);
+    }
+}
+
+/// A tiny `ftpm graph` run over the 72-series energy demo.
+fn graph(extra: &[&str]) -> Output {
+    let mut args = vec!["graph", "--demo", "nist", "--scale", "0.005"];
+    args.extend_from_slice(extra);
+    ftpm(&args)
+}
+
+/// `--approx-density` picks μ so that the density's share of the 2,556
+/// pairs survives, as `CorrelationGraph::build_with_density` does.
+#[test]
+fn graph_honours_the_approx_density() {
+    for (density, edges) in [("0.1", 256), ("0.9", 2301)] {
+        let out = graph(&["--approx-density", density]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{out:?}");
+        let head = format!("correlation graph: 72 vertices, {edges} edges,");
+        assert!(stdout.starts_with(&head), "density {density}: {stdout}");
+        assert_eq!(stdout.lines().count(), 1 + edges, "one line per edge");
+    }
+}
+
+/// Writing to a pipe nobody reads (`ftpm graph | head -1` after `head`
+/// exits) is an I/O error with exit status 1, not a panic.
+#[test]
+fn graph_to_a_closed_pipe_exits_1_without_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_ftpm"))
+        .args(["graph", "--demo", "nist", "--scale", "0.005"])
+        .stdout(writer)
+        .output()
+        .expect("the ftpm binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.contains("error: stdout:"), "stderr: {stderr}");
 }
 
 /// The plan axes compose: A-HTPGM at density 0.8 through a 4-shard
