@@ -53,7 +53,7 @@
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId};
+use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId, TemporalRelation};
 
 use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode, WorkPattern, CONF_EPS};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
@@ -586,7 +586,7 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
     for key in verdict.keys() {
         pair_relations.insert(
             EventId(key.parent.0),
-            decode_column(key.code, 1)[0],
+            decode_column(key.code, &mut [TemporalRelation::Follow])[0],
             key.last,
         );
     }

@@ -56,6 +56,14 @@ impl OccArena {
         }
     }
 
+    /// Empties the arena but keeps its capacity, so a scratch arena that
+    /// is refilled many times allocates only while it grows.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.seqs.clear();
+        self.insts.clear();
+    }
+
     /// The bound-instance count per occurrence.
     #[inline]
     pub(crate) fn width(&self) -> usize {
@@ -206,6 +214,20 @@ mod tests {
         assert_eq!(seqs, vec![2, 3, 7, 8, 9]);
         let insts: Vec<u32> = (0..a.len()).map(|i| a.tuple(i)[0]).collect();
         assert_eq!(insts, vec![20, 30, 70, 80, 90]);
+    }
+
+    #[test]
+    fn clear_keeps_capacity() {
+        let mut a = OccArena::new(2);
+        for i in 0..8u32 {
+            a.push_extend(i, &[i], i + 1);
+        }
+        let (seqs, insts) = (a.seqs.capacity(), a.insts.capacity());
+        a.clear();
+        assert_eq!(a.len(), 0);
+        assert_eq!((a.seqs.capacity(), a.insts.capacity()), (seqs, insts));
+        a.push(3, &[4, 5]);
+        assert_eq!((a.seq(0), a.tuple(0)), (3, &[4, 5][..]));
     }
 
     #[test]

@@ -432,7 +432,7 @@ const SHARED_SINK_BATCH: usize = 1024;
 /// lands atomically while workers contend far less. (Serialization work
 /// done *inside* the target sink — e.g. CSV formatting — still happens
 /// under the lock; moving that worker-side needs a byte-level seam, see
-/// ROADMAP "Output channels".)
+/// the ROADMAP item "Performance: the sink speaks ids".)
 struct SharedSink<'a, 'b> {
     shared: &'a Mutex<&'b mut (dyn PatternSink + Send)>,
     pending: Vec<PendingNode>,

@@ -39,6 +39,7 @@
 
 use ftpm_events::{EventId, TemporalRelation};
 
+use crate::config::MAX_EVENTS_HARD_CAP;
 use crate::pattern::Pattern;
 
 /// Dense identity of an interned pattern. Equality, ordering and hashing
@@ -83,14 +84,15 @@ pub(crate) fn pack_relation(code: u64, r: TemporalRelation) -> u64 {
     (code << 2) | (r.index() as u64 + 1)
 }
 
-/// Reverses [`pack_relation`] for a column of `len` relations.
-pub(crate) fn decode_column(mut code: u64, len: usize) -> Vec<TemporalRelation> {
-    let mut rels = vec![TemporalRelation::Follow; len];
-    for slot in rels.iter_mut().rev() {
+/// Reverses [`pack_relation`] into `out`, one relation per entry (the
+/// column's length is `out.len()`), and returns the decoded column.
+/// Callers decode into a stack buffer, so this never allocates.
+pub(crate) fn decode_column(mut code: u64, out: &mut [TemporalRelation]) -> &[TemporalRelation] {
+    for slot in out.iter_mut().rev() {
         *slot = TemporalRelation::ALL[(code & 3) as usize - 1];
         code >>= 2;
     }
-    rels
+    out
 }
 
 /// FNV-1a, the workspace's hash for small fixed-width keys: no
@@ -276,13 +278,9 @@ impl PatternPool {
     /// survivors without touching a relation slice.
     pub fn intern_packed(&mut self, key: DeltaKey) -> PatternId {
         let len = self.event_count(key.parent);
-        let mut buf = [TemporalRelation::Follow; 32];
-        let mut code = key.code;
-        for slot in buf[..len].iter_mut().rev() {
-            *slot = TemporalRelation::ALL[(code & 3) as usize - 1];
-            code >>= 2;
-        }
-        self.intern_raw(key.parent, key.last, &buf[..len])
+        let mut buf = [TemporalRelation::Follow; MAX_EVENTS_HARD_CAP];
+        let delta = decode_column(key.code, &mut buf[..len]);
+        self.intern_raw(key.parent, key.last, delta)
     }
 
     /// Interns a fully materialized pattern, level by level, returning
@@ -524,7 +522,7 @@ mod tests {
         });
         let sliced = pool.intern_child(l2, EventId(0), &[Contain, Follow]);
         assert_eq!(packed, sliced);
-        assert_eq!(decode_column(code, 2), vec![Contain, Follow]);
+        assert_eq!(decode_column(code, &mut [Follow; 2]), [Contain, Follow]);
     }
 
     #[test]

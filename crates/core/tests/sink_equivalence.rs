@@ -170,6 +170,27 @@ fn one_thread_output_matches_the_retired_sequential_engine() {
     let par = mine_exact_parallel(&data.seq, &cfg, 2);
     assert_eq!(par.stats, exact.stats, "2 threads: stats");
     assert_same_patterns(&exact, &par, "2 threads");
+
+    // On the input above no parent pattern has two surviving extension
+    // groups whose order could differ, so the digest does not pin the
+    // order of a parent's groups. Here some parents do: emitting them in
+    // first-appearance order (instead of the code-keyed FNV map's
+    // iteration order) moves the digest to 0xcb29_6085_e880_fda8.
+    let data = nist_like(0.005).project_variables(8);
+    let cfg = MinerConfig::new(0.25, 0.25).with_max_events(3);
+    let registry = data.seq.registry();
+    let pinned = |result: &MiningResult, context: &str| {
+        assert_eq!(result.len(), 1019, "{context}: pattern count");
+        assert_eq!(
+            order_digest(result, registry),
+            0x7f7d_a826_fe30_602c,
+            "{context}: emission order"
+        );
+    };
+    pinned(&mine_exact(&data.seq, &cfg), "mine_exact, groups");
+    let mut sink = CollectSink::new();
+    let stats = mine_exact_with_sink(&data.seq, &cfg, &mut sink);
+    pinned(&sink.into_result(stats), "mine_exact_with_sink, groups");
 }
 
 #[test]

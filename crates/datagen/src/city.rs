@@ -148,7 +148,8 @@ mod tests {
         let sym: Vec<SymbolicSeries> = series[..cfg.n_weather]
             .iter()
             .map(|ts| {
-                let q = QuantileSymbolizer::from_data(labels, ts.values());
+                let q = QuantileSymbolizer::from_data(labels, ts.values())
+                    .expect("generated weather readings have distinct quantiles");
                 SymbolicSeries::from_time_series(ts, &q)
             })
             .collect();

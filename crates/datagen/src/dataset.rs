@@ -138,7 +138,10 @@ pub fn smartcity_like(scale: f64) -> Dataset {
     let collision_labels = ["None", "Low", "Medium", "High"];
     for ts in &series {
         if ts.name().starts_with("weather") {
-            let q = QuantileSymbolizer::from_data(weather_labels, ts.values());
+            // Generated weather readings are finite and continuously
+            // distributed, so their five quantiles never collide.
+            let q = QuantileSymbolizer::from_data(weather_labels, ts.values())
+                .expect("generated weather readings have distinct quantiles");
             syb.push(SymbolicSeries::from_time_series(ts, &q));
         } else {
             // Collision counts are heavily zero-inflated; quantiles would

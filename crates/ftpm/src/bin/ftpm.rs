@@ -87,7 +87,7 @@ OPTIONS:
   --t-max MIN        maximal pattern duration t_max in whole ticks
                      [default: unconstrained]
   --threshold F      On/Off symbolization threshold       [default 0.05]
-  --states N         use N quantile states instead of On/Off
+  --states N         use N quantile states (1..=65535) instead of On/Off
                      (both --input only: a demo comes symbolized)
   --mu F             A-HTPGM with explicit NMI threshold; composes with
                      --threads/--shards/--stream — same pattern set
@@ -301,7 +301,16 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opt.t_max = Some(t_max);
             }
             "--threshold" => threshold = Some(num(&value("--threshold")?)?),
-            "--states" => opt.states = Some(int("--states", &value("--states")?)?),
+            "--states" => {
+                let n = int("--states", &value("--states")?)?;
+                if !(1..=u16::MAX as usize).contains(&n) {
+                    return Err(format!(
+                        "--states must be between 1 and {}, got {n}",
+                        u16::MAX
+                    ));
+                }
+                opt.states = Some(n);
+            }
             "--mu" => opt.mu = Some(num(&value("--mu")?)?),
             "--approx-density" => opt.density = Some(num(&value("--approx-density")?)?),
             "--max-events" => {
@@ -488,7 +497,8 @@ fn load(opt: &Options) -> Result<(SymbolicDatabase, SequenceDatabase, SplitConfi
             }
             Some(n) => {
                 let labels: Vec<String> = (0..n).map(|i| format!("S{i}")).collect();
-                let q = QuantileSymbolizer::from_data(labels, ts.values());
+                let q = QuantileSymbolizer::from_data(labels, ts.values())
+                    .map_err(|e| format!("column {:?}: {e}", ts.name()))?;
                 syb.add_time_series(ts, &q);
             }
         }

@@ -73,6 +73,6 @@ pub use ftpm_mi::{
     mutual_information, normalized_mutual_information, CorrelationGraph,
 };
 pub use ftpm_timeseries::{
-    Alphabet, QuantileSymbolizer, SaxSymbolizer, SymbolId, SymbolicDatabase, SymbolicSeries,
-    Symbolizer, ThresholdSymbolizer, TimeSeries, TrendSymbolizer, VariableId,
+    Alphabet, QuantileError, QuantileSymbolizer, SaxSymbolizer, SymbolId, SymbolicDatabase,
+    SymbolicSeries, Symbolizer, ThresholdSymbolizer, TimeSeries, TrendSymbolizer, VariableId,
 };

@@ -20,5 +20,6 @@ pub use alphabet::{Alphabet, SymbolId};
 pub use series::TimeSeries;
 pub use symbolic::{SymbolicDatabase, SymbolicSeries, VariableId};
 pub use symbolizer::{
-    QuantileSymbolizer, SaxSymbolizer, Symbolizer, ThresholdSymbolizer, TrendSymbolizer,
+    QuantileError, QuantileSymbolizer, SaxSymbolizer, Symbolizer, ThresholdSymbolizer,
+    TrendSymbolizer,
 };

@@ -79,9 +79,12 @@ impl Symbolizer for ThresholdSymbolizer {
 /// // Temperature → {VeryCold, Cold, Mild, Hot, VeryHot}
 /// let data: Vec<f64> = (0..100).map(f64::from).collect();
 /// let s = QuantileSymbolizer::from_data(
-///     ["VeryCold", "Cold", "Mild", "Hot", "VeryHot"], &data);
+///     ["VeryCold", "Cold", "Mild", "Hot", "VeryHot"], &data).unwrap();
 /// assert_eq!(s.alphabet().label(s.symbolize(-3.0)), "VeryCold");
 /// assert_eq!(s.alphabet().label(s.symbolize(99.0)), "VeryHot");
+///
+/// // Constant data has no quantile breakpoints.
+/// assert!(QuantileSymbolizer::from_data(["Low", "Mid", "High"], &[1.0; 10]).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantileSymbolizer {
@@ -121,17 +124,32 @@ impl QuantileSymbolizer {
     /// 50th/75th/95th); [`QuantileSymbolizer::with_breaks`] supports that
     /// directly, while this constructor is the generic k-quantile version.
     ///
+    /// # Errors
+    ///
+    /// Returns a [`QuantileError`] if `data` is empty, holds a NaN or
+    /// infinite sample, or has quantiles that collide (e.g. constant
+    /// data, or fewer distinct values than labels).
+    ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or quantiles collide (constant data).
+    /// Panics if `labels` is not a valid [`Alphabet`] (empty, duplicated
+    /// or more than `u16::MAX` labels).
     pub fn from_data<S: Into<String>>(
         labels: impl IntoIterator<Item = S>,
         data: &[f64],
-    ) -> Self {
+    ) -> Result<Self, QuantileError> {
         let alphabet = Alphabet::new(labels);
-        assert!(!data.is_empty(), "cannot derive quantiles from empty data");
+        if data.is_empty() {
+            return Err(QuantileError::EmptyData);
+        }
+        if let Some(index) = data.iter().position(|v| !v.is_finite()) {
+            return Err(QuantileError::NonFinite {
+                index,
+                value: data[index],
+            });
+        }
         let mut sorted: Vec<f64> = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in data"));
+        sorted.sort_by(f64::total_cmp);
         let k = alphabet.len();
         let breaks: Vec<f64> = (1..k)
             .map(|i| {
@@ -139,14 +157,13 @@ impl QuantileSymbolizer {
                 sorted[rank.round() as usize]
             })
             .collect();
-        assert!(
-            breaks.windows(2).all(|w| w[0] < w[1]),
-            "data quantiles collide; use fewer states or explicit breakpoints"
-        );
-        QuantileSymbolizer {
-            breaks,
-            alphabet,
+        if let Some(w) = breaks.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(QuantileError::CollidingQuantiles {
+                states: k,
+                value: w[0],
+            });
         }
+        Ok(QuantileSymbolizer { breaks, alphabet })
     }
 
     /// The ascending breakpoints separating the bins.
@@ -154,6 +171,49 @@ impl QuantileSymbolizer {
         &self.breaks
     }
 }
+
+/// Why [`QuantileSymbolizer::from_data`] could not derive breakpoints.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QuantileError {
+    /// The data has no samples.
+    EmptyData,
+    /// The sample at `index` is NaN or infinite.
+    NonFinite {
+        /// Position of the first non-finite sample.
+        index: usize,
+        /// The sample itself.
+        value: f64,
+    },
+    /// Two adjacent quantiles are equal, so a bin would be empty: the
+    /// data has fewer distinct values than `states` needs.
+    CollidingQuantiles {
+        /// The requested number of states (labels).
+        states: usize,
+        /// The quantile value shared by two breakpoints.
+        value: f64,
+    },
+}
+
+impl std::fmt::Display for QuantileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            QuantileError::EmptyData => write!(f, "cannot derive quantiles from empty data"),
+            QuantileError::NonFinite { index, value } => {
+                write!(
+                    f,
+                    "sample {index} is {value}; quantile states need finite data"
+                )
+            }
+            QuantileError::CollidingQuantiles { states, value } => write!(
+                f,
+                "data quantiles collide at {value}: too few distinct values for {states} states; \
+                 use fewer states or explicit breakpoints"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for QuantileError {}
 
 impl Symbolizer for QuantileSymbolizer {
     fn alphabet(&self) -> &Alphabet {
@@ -214,7 +274,8 @@ mod tests {
     #[test]
     fn from_data_splits_uniform_data_evenly() {
         let data: Vec<f64> = (0..1000).map(f64::from).collect();
-        let s = QuantileSymbolizer::from_data(["Q1", "Q2", "Q3", "Q4"], &data);
+        let s =
+            QuantileSymbolizer::from_data(["Q1", "Q2", "Q3", "Q4"], &data).expect("uniform data");
         let counts = {
             let mut c = [0usize; 4];
             for &v in &data {
@@ -225,6 +286,40 @@ mod tests {
         for count in counts {
             assert!((200..=300).contains(&count), "unbalanced bins: {counts:?}");
         }
+    }
+
+    #[test]
+    fn from_data_rejects_empty_data() {
+        let err = QuantileSymbolizer::from_data(["A", "B"], &[]).unwrap_err();
+        assert_eq!(err, QuantileError::EmptyData);
+        assert!(err.to_string().contains("empty data"), "{err}");
+    }
+
+    #[test]
+    fn from_data_rejects_a_non_finite_sample() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = QuantileSymbolizer::from_data(["A", "B"], &[1.0, 2.0, bad, 3.0]).unwrap_err();
+            assert!(
+                matches!(err, QuantileError::NonFinite { index: 2, value } if value.to_bits() == bad.to_bits()),
+                "{err:?}"
+            );
+            assert!(err.to_string().starts_with("sample 2 is "), "{err}");
+        }
+    }
+
+    #[test]
+    fn from_data_rejects_colliding_quantiles() {
+        let err = QuantileSymbolizer::from_data(["A", "B", "C"], &[1.0; 5]).unwrap_err();
+        assert_eq!(
+            err,
+            QuantileError::CollidingQuantiles {
+                states: 3,
+                value: 1.0
+            }
+        );
+        assert!(err.to_string().contains("3 states"), "{err}");
+        let error: &dyn std::error::Error = &err;
+        assert!(error.source().is_none());
     }
 
     proptest! {

@@ -4,7 +4,8 @@
 //! `--threshold` and `--states` with `--demo`; `--scale` with
 //! `--input`) or a second source is rejected, and retired flags are
 //! unknown. Every rejection exits with status 1 and names the offending
-//! flag, before any data is loaded. Composition: a sharded, threaded
+//! flag, before any data is loaded; `--states` data that has no quantile
+//! breakpoints is an error naming the column. Composition: a sharded, threaded
 //! A-HTPGM run streams the rows of the sequential one. `ftpm graph`
 //! honours `--approx-density` and exits 1 on a closed stdout.
 
@@ -139,6 +140,41 @@ fn flags_of_the_other_data_source_are_rejected() {
         args.extend_from_slice(extra);
         assert_usage_error(&ftpm(&args), flag);
     }
+}
+
+/// `--states` outside 1..=65535 is a usage error; data that cannot be
+/// cut into that many quantile states (a constant column, a NaN cell) is
+/// an error naming the column. None of them is a panic.
+#[test]
+fn quantile_states_reject_bad_counts_and_unusable_columns() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let write = |name: &str, a_column: [&str; 5]| {
+        let mut text = String::from("t,a,b\n");
+        for ((t, a), b) in [0, 5, 10, 15, 20].iter().zip(a_column).zip([0, 2, 0, 3, 0]) {
+            text.push_str(&format!("{t},{a},{b}\n"));
+        }
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("the temp dir is writable");
+        path.display().to_string()
+    };
+    let constant = write("states_constant.csv", ["1"; 5]);
+    let nan = write("states_nan.csv", ["1", "NaN", "0", "2", "1"]);
+    let run = |csv: &str, states: &str| {
+        ftpm(&["mine", "--input", csv, "--window", "10", "--states", states])
+    };
+    for (out, needle) in [
+        (run(&constant, "0"), "--states"),
+        (run(&constant, "65536"), "--states"),
+        (run(&constant, "3"), "column \"a\": data quantiles collide"),
+        (run(&nan, "3"), "column \"a\": sample 1 is NaN"),
+    ] {
+        assert_usage_error(&out, needle);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    }
+    // Column b alone has three distinct quantiles.
+    let out = run(&write("states_ok.csv", ["1", "2", "0", "2", "1"]), "3");
+    assert!(out.status.success(), "{out:?}");
 }
 
 #[test]
