@@ -1,14 +1,15 @@
 //! A counting global allocator for the Table VIII memory-usage
-//! experiments: tracks live bytes and the high-water mark, so each mining
-//! run's peak memory can be reported deterministically (the paper
-//! measures process memory; peak live heap is the same quantity without
-//! allocator/OS noise).
+//! experiments: tracks live bytes, the high-water mark and the number of
+//! allocations, so each mining run's peak memory can be reported
+//! deterministically (the paper measures process memory; peak live heap
+//! is the same quantity without allocator/OS noise).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 /// Install with `#[global_allocator]` in a harness binary:
 ///
@@ -22,6 +23,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
             let live = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
         }
@@ -45,6 +47,19 @@ unsafe impl GlobalAlloc for TrackingAllocator {
             }
         }
         new_ptr
+    }
+}
+
+impl TrackingAllocator {
+    /// Runs `f` and returns its output, the heap allocations it made
+    /// (calls to `alloc`; a `realloc` is not counted) and its peak heap:
+    /// the high-water mark of live bytes while it ran, minus the live
+    /// bytes at entry. Allocations of other threads during `f` count
+    /// too. Reads zeros unless this allocator is the global allocator.
+    pub fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let (out, peak) = measure_peak(f);
+        (out, ALLOCATIONS.load(Ordering::Relaxed) - before, peak)
     }
 }
 

@@ -1,0 +1,58 @@
+//! The candidate exchange's heap budget. A shard proposes candidates by
+//! counting them and re-derives only the gate's survivors, so a sharded
+//! run must not allocate per proposal. On the long perfbench workload's
+//! flags over a smaller input, the 4-shard exchange must stay within 4×
+//! the unsharded run's allocations and 16 MiB of peak heap, and find the
+//! same patterns.
+//!
+//! One test per binary: the counting allocator is process-wide, so a
+//! second test running alongside would count into this one.
+
+use ftpm_bench::TrackingAllocator;
+use ftpm_core::{mine_approximate_graph_with_sink, CountingSink, MinerConfig, ShardPlanner};
+use ftpm_events::{BoundaryPolicy, RelationConfig};
+use ftpm_mi::CorrelationGraph;
+
+#[global_allocator]
+static ALLOC: TrackingAllocator = TrackingAllocator;
+
+#[test]
+fn exchange_allocations_and_peak_heap_stay_bounded() {
+    let data = ftpm_datagen::nist_like(0.02);
+    let t_max = 180;
+    let cfg = MinerConfig::new(0.1, 0.1).with_max_events(5).with_relation(
+        RelationConfig::default()
+            .with_boundary(BoundaryPolicy::TrueExtent)
+            .with_t_max(t_max),
+    );
+    let graph = CorrelationGraph::build_with_density(&data.syb, 0.8);
+    let plan = ShardPlanner::new(4)
+        .plan(&data.syb, data.split, t_max)
+        .expect("plan");
+
+    let mut unsharded = CountingSink::default();
+    let (_, unsharded_allocs, _) = TrackingAllocator::measure(|| {
+        mine_approximate_graph_with_sink(&data.seq, &graph, &cfg, 1, &mut unsharded)
+    });
+    let mut exchange = CountingSink::default();
+    let (_, exchange_allocs, exchange_peak) = TrackingAllocator::measure(|| {
+        plan.mine_approximate_exchange_into(&graph, &cfg, 1, &mut exchange)
+    });
+
+    eprintln!(
+        "exchange: {exchange_allocs} allocations (unsharded {unsharded_allocs}), \
+         peak heap {exchange_peak} bytes, {} patterns",
+        exchange.patterns()
+    );
+    assert!(unsharded.patterns() > 0, "the input must yield patterns");
+    assert_eq!(exchange.patterns(), unsharded.patterns(), "pattern count");
+    assert!(
+        exchange_allocs <= 4 * unsharded_allocs,
+        "the exchange made {exchange_allocs} allocations, more than 4x the unsharded \
+         run's {unsharded_allocs}"
+    );
+    assert!(
+        exchange_peak <= 16 << 20,
+        "the exchange's peak heap is {exchange_peak} bytes, above 16 MiB"
+    );
+}

@@ -116,7 +116,9 @@ impl Bitmap {
     pub fn and(&self, other: &Bitmap) -> Bitmap {
         // lint: allow(panic, documented # Panics contract: universes must match)
         assert_eq!(self.len, other.len, "bitmap universe mismatch");
-        let mut words = Vec::new();
+        // Exactly sized: mining keeps these bitmaps in its nodes, and a
+        // growing `Vec` would round a one-word bitmap up to four.
+        let mut words = Vec::with_capacity(self.words.len());
         kernel::and_words(&self.words, &other.words, &mut words);
         Bitmap { words, len: self.len }
     }

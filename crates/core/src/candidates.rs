@@ -208,15 +208,12 @@ pub(crate) struct L2Engine<'a, K: BoundaryKernel> {
 }
 
 impl<K: BoundaryKernel> L2Engine<'_, K> {
-    /// Runs one ordered candidate pair `(ei, ej)` end to end: Apriori
-    /// gate, then instance verification. `stats.nodes_verified[0]` counts
-    /// the pairs that reach verification.
-    pub(crate) fn try_pair(
-        &self,
-        ei: EventId,
-        ej: EventId,
-        stats: &mut MiningStats,
-    ) -> Option<WorkNode> {
+    /// The Apriori gate of one ordered candidate pair `(ei, ej)`: returns
+    /// the pair's confidence denominator `max(supp(ei), supp(ej))` iff it
+    /// proceeds to instance verification, and counts it in
+    /// `stats.nodes_verified[0]`.
+    #[inline]
+    fn gate_pair(&self, ei: EventId, ej: EventId, stats: &mut MiningStats) -> Option<usize> {
         let max_supp = self.index.support(ei).max(self.index.support(ej));
         if self.cfg.pruning.apriori {
             // Gate on the fused AND+popcount first: most candidates die
@@ -232,36 +229,131 @@ impl<K: BoundaryKernel> L2Engine<'_, K> {
             // popcount pass.
             return None;
         }
-        let joint = self.index.bitmap(ei).and(self.index.bitmap(ej));
         stats.nodes_verified[0] += 1;
-        self.verify_pair(ei, ej, &joint, max_supp, stats)
+        Some(max_supp)
     }
 
-    /// Step 2.2: verify the instance pairs of one candidate event pair
-    /// and collect its frequent relations.
+    /// Runs one ordered candidate pair `(ei, ej)` end to end: Apriori
+    /// gate, then instance verification, binding each frequent
+    /// relation's occurrences into the node's arena.
+    pub(crate) fn try_pair(
+        &self,
+        ei: EventId,
+        ej: EventId,
+        stats: &mut MiningStats,
+    ) -> Option<WorkNode> {
+        let max_supp = self.gate_pair(ei, ej, stats)?;
+        let joint = self.index.bitmap(ei).and(self.index.bitmap(ej));
+        // One occurrence accumulator per relation type.
+        let mut occs = [OccArena::new(2), OccArena::new(2), OccArena::new(2)];
+        let supports = self.verify_pair(ei, ej, joint.iter_ones(), stats, |r, seq, pair| {
+            occs[r.index()].push(seq, &pair);
+        });
+
+        let mut node_patterns = Vec::new();
+        let mut node_occs = OccArena::new(2);
+        for r in TemporalRelation::ALL {
+            let support = supports[r.index()];
+            let Some(confidence) =
+                passes_thresholds(support, max_supp, self.sigma_abs, self.cfg.delta)
+            else {
+                continue;
+            };
+            let scratch = &occs[r.index()];
+            let all = scratch.since(0);
+            node_patterns.push(WorkPattern {
+                pattern: Pattern::pair(ei, r, ej),
+                support,
+                confidence,
+                occurrences: node_occs.append_from(scratch, all),
+                id: PatternId::NONE,
+                parent_id: PatternId(ei.0),
+                code: pack_relation(0, r),
+            });
+        }
+        if node_patterns.is_empty() {
+            return None; // a "brown" node: frequent pair, no frequent pattern.
+        }
+        Some(WorkNode {
+            events: vec![ei, ej],
+            support: joint.count_ones(),
+            bitmap: joint,
+            patterns: node_patterns,
+            occs: node_occs,
+        })
+    }
+
+    /// The count-only twin of [`L2Engine::try_pair`]: the same gate and
+    /// instance loop, but nothing is bound — no joint bitmap, arena or
+    /// [`Pattern`]. Passes each relation that clears the thresholds to
+    /// `propose` as `(relation, support, clipped)`, where `clipped`
+    /// counts the occurrences that bind a boundary-clipped instance (0
+    /// unless `count_clipped`), and returns how many relations it passed.
+    pub(crate) fn count_pair(
+        &self,
+        ei: EventId,
+        ej: EventId,
+        count_clipped: bool,
+        stats: &mut MiningStats,
+        mut propose: impl FnMut(TemporalRelation, usize, usize),
+    ) -> usize {
+        let Some(max_supp) = self.gate_pair(ei, ej, stats) else {
+            return 0;
+        };
+        let (bitmap_i, bitmap_j) = (self.index.bitmap(ei), self.index.bitmap(ej));
+        let joint = bitmap_i.iter_ones().filter(|&seq| bitmap_j.get(seq));
+        let seqs = self.db.sequences();
+        let mut clipped = [0usize; 3];
+        let supports = self.verify_pair(ei, ej, joint, stats, |r, seq, pair| {
+            if count_clipped {
+                let insts = seqs[seq as usize].instances();
+                if pair.iter().any(|&ti| insts[ti as usize].is_clipped()) {
+                    clipped[r.index()] += 1;
+                }
+            }
+        });
+        let mut proposed = 0;
+        for r in TemporalRelation::ALL {
+            let support = supports[r.index()];
+            if passes_thresholds(support, max_supp, self.sigma_abs, self.cfg.delta).is_some() {
+                propose(r, support, clipped[r.index()]);
+                proposed += 1;
+            }
+        }
+        proposed
+    }
+
+    /// Step 2.2, the one L2 instance loop: checks the instance pairs of
+    /// `(ei, ej)` in the sequences `joint` (ascending ids, each holding
+    /// both events) and passes every related pair to `record` as
+    /// `(relation, sequence, [instance of ei, instance of ej])`. Returns
+    /// each relation's support, indexed by [`TemporalRelation::index`]:
+    /// the sequences holding one of its occurrences, counted where the
+    /// sequence changes, since `joint` ascends.
+    #[inline]
     fn verify_pair(
         &self,
         ei: EventId,
         ej: EventId,
-        joint: &Bitmap,
-        max_supp: usize,
+        joint: impl Iterator<Item = usize>,
         stats: &mut MiningStats,
-    ) -> Option<WorkNode> {
-        let n_seqs = self.db.len();
-        // One accumulator per relation type.
-        let mut bitmaps = [
-            Bitmap::new(n_seqs),
-            Bitmap::new(n_seqs),
-            Bitmap::new(n_seqs),
-        ];
-        let mut occs = [OccArena::new(2), OccArena::new(2), OccArena::new(2)];
+        mut record: impl FnMut(TemporalRelation, u32, [u32; 2]),
+    ) -> [usize; 3] {
+        let mut supports = [0usize; 3];
+        let mut last_seq = [usize::MAX; 3];
+        let mut prev_seq = None;
 
         // The boundary kernel `K` decides which interval of each instance
         // the relation model sees (clipped view, true run extent, or none
         // at all). Under `Discard` the index already hides clipped
         // instances, so the `None` arms are just belt-and-braces.
         let rel = &self.cfg.relation;
-        for seq_id in joint.iter_ones() {
+        for seq_id in joint {
+            debug_assert!(
+                prev_seq.is_none_or(|prev| prev < seq_id),
+                "the joint sequences ascend"
+            );
+            prev_seq = Some(seq_id);
             let seq = &self.db.sequences()[seq_id];
             for &ii in self.index.instances_in(seq_id, ei) {
                 let inst_i = &seq.instances()[ii as usize];
@@ -290,44 +382,17 @@ impl<K: BoundaryKernel> L2Engine<'_, K> {
                         continue;
                     }
                     if let Some(r) = rel.relate(&iv_i, &iv_j) {
-                        bitmaps[r.index()].set(seq_id);
-                        occs[r.index()].push(seq_id as u32, &[ii, jj]);
+                        let at = r.index();
+                        if last_seq[at] != seq_id {
+                            supports[at] += 1;
+                            last_seq[at] = seq_id;
+                        }
+                        record(r, seq_id as u32, [ii, jj]);
                     }
                 }
             }
         }
-
-        let mut node_patterns = Vec::new();
-        let mut node_occs = OccArena::new(2);
-        for r in TemporalRelation::ALL {
-            let support = bitmaps[r.index()].count_ones();
-            let Some(confidence) =
-                passes_thresholds(support, max_supp, self.sigma_abs, self.cfg.delta)
-            else {
-                continue;
-            };
-            let scratch = &occs[r.index()];
-            let all = scratch.since(0);
-            node_patterns.push(WorkPattern {
-                pattern: Pattern::pair(ei, r, ej),
-                support,
-                confidence,
-                occurrences: node_occs.append_from(scratch, all),
-                id: PatternId::NONE,
-                parent_id: PatternId(ei.0),
-                code: pack_relation(0, r),
-            });
-        }
-        if node_patterns.is_empty() {
-            return None; // a "brown" node: frequent pair, no frequent pattern.
-        }
-        Some(WorkNode {
-            events: vec![ei, ej],
-            support: joint.count_ones(),
-            bitmap: joint.clone(),
-            patterns: node_patterns,
-            occs: node_occs,
-        })
+        supports
     }
 }
 

@@ -17,7 +17,9 @@
 //! The L1/L2 loop lives in the one mining engine, [`crate::parallel`],
 //! which runs [`mine_exact`] at `threads = 1` on the calling thread. This
 //! module holds the paper-named entry points and the level-`k` growth
-//! step that engine and the exchange executor share. Candidate gating
+//! step that engine and the exchange executor share: the executor's
+//! count-only [`count_candidates`] runs the same gates and grouping loop
+//! as [`grow_candidates`] and builds no child. Candidate gating
 //! (the Apriori support/confidence bounds and the L2 verification step)
 //! lives in [`crate::candidates`]; output flows through a
 //! [`PatternSink`] (see [`crate::sink`]) so finished nodes can be
@@ -57,9 +59,9 @@ use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase, TemporalRelation};
 use crate::candidates::{apriori_gate, passes_thresholds, PairRelations, WorkNode, WorkPattern};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::index::DatabaseIndex;
-use crate::occ::OccArena;
+use crate::occ::{OccArena, OccRange};
 use crate::parallel::mine_parallel_internal;
-use crate::pool::{decode_column, pack_relation, FnvHashMap, PatternId};
+use crate::pool::{decode_column, pack_relation, DeltaKey, FnvHashMap, PatternId};
 use crate::result::{FrequentPattern, MiningResult, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 
@@ -108,8 +110,9 @@ struct GroupSlot {
     occs: OccArena,
 }
 
-/// Reused extension-group slots for growing one node: one scratch per
-/// [`grow_candidates`] call, shared by every candidate last event, so a
+/// Reused extension-group slots for growing nodes of one level: one
+/// scratch per [`grow_candidates`] call (or per batch of
+/// [`count_candidates`] calls), shared by every candidate last event, so a
 /// candidate allocates only what a surviving child keeps. Slots are
 /// reset without giving back their capacity.
 pub(crate) struct ExtensionGroups {
@@ -124,7 +127,8 @@ pub(crate) struct ExtensionGroups {
 }
 
 impl ExtensionGroups {
-    fn new(width: usize) -> Self {
+    /// Empty slots for children of `width` events.
+    pub(crate) fn new(width: usize) -> Self {
         ExtensionGroups {
             slots: Vec::new(),
             used: 0,
@@ -186,7 +190,7 @@ impl ExtensionGroups {
         threshold: impl Fn(usize) -> Option<f64>,
         mut emit: impl FnMut(&GroupSlot, f64),
     ) {
-        let groups = &self.slots[..self.used];
+        let groups = self.current();
         let mut emit_survivor = |slot: &GroupSlot| {
             if let Some(confidence) = threshold(slot.support) {
                 emit(slot, confidence);
@@ -210,13 +214,148 @@ impl ExtensionGroups {
         }
         order.values().for_each(|&i| emit_survivor(&groups[i]));
     }
+
+    /// The current parent's groups, in first-appearance order.
+    fn current(&self) -> &[GroupSlot] {
+        &self.slots[..self.used]
+    }
+}
+
+/// The confidence denominator of extending `node` by `ek`: the largest
+/// single-event support among the child's events.
+pub(crate) fn max_support(index: &DatabaseIndex, node: &WorkNode, ek: EventId) -> usize {
+    node.events
+        .iter()
+        .map(|&e| index.support(e))
+        .max()
+        // lint: allow(panic, structural invariant: HPG nodes always hold at least one event)
+        .expect("nodes have events")
+        .max(index.support(ek))
+}
+
+/// Occurrences in `range` of `occs` that bind a boundary-clipped
+/// instance — the per-pattern artifact measure exported through the
+/// sinks.
+fn clipped_occurrences(db: &SequenceDatabase, occs: &OccArena, range: OccRange) -> usize {
+    range
+        .iter()
+        .filter(|&oi| {
+            let insts = db.sequences()[occs.seq(oi) as usize].instances();
+            occs.tuple(oi)
+                .iter()
+                .any(|&ti| insts[ti as usize].is_clipped())
+        })
+        .count()
+}
+
+/// Step 3.2's grouping loop, shared by [`extend_node`] and
+/// [`count_candidates`]: extends each occurrence of `parent` (a pattern of
+/// `node`) with one instance of `ek` that is chronologically last,
+/// verifies the new triples iteratively (pruning through L2 when
+/// transitivity pruning is on), and files each valid extension into the
+/// reset `groups` by its packed relation column
+/// (r(E_1,E_k), …, r(E_{k-1},E_k)).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn group_extensions<K: BoundaryKernel>(
+    db: &SequenceDatabase,
+    index: &DatabaseIndex,
+    cfg: &MinerConfig,
+    stats: &mut MiningStats,
+    node: &WorkNode,
+    parent: &WorkPattern,
+    ek: EventId,
+    pair_relations: &PairRelations,
+    groups: &mut ExtensionGroups,
+) {
+    let rel = &cfg.relation;
+    let ek_bitmap = index.bitmap(ek);
+    groups.start_parent();
+    for oi in parent.occurrences.iter() {
+        let seq_id = node.occs.seq(oi);
+        // verify_pair binds occurrences in ascending sequence order,
+        // and growth, `append_from` and `compact` keep it.
+        debug_assert!(
+            oi == parent.occurrences.start as usize || node.occs.seq(oi - 1) <= seq_id,
+            "a pattern's occurrences ascend by sequence id"
+        );
+        // Every occurrence lies in a sequence of `node.bitmap`, so
+        // ek's own bit is the joint-bitmap test.
+        debug_assert!(node.bitmap.get(seq_id as usize));
+        if !ek_bitmap.get(seq_id as usize) {
+            continue;
+        }
+        let tuple = node.occs.tuple(oi);
+        let seq = &db.sequences()[seq_id as usize];
+        // Bound instances passed the boundary policy when the parent
+        // occurrence was built, so their effective interval exists.
+        let bound_iv = |ti: u32| {
+            K::interval(&seq.instances()[ti as usize])
+                // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
+                .expect("bound instances pass the boundary policy")
+        };
+        let last_key =
+            // lint: allow(panic, structural invariant: the binding is non-empty on this path)
+            K::key(&seq.instances()[*tuple.last().expect("non-empty") as usize]);
+        let first_start = bound_iv(tuple[0]).start;
+        let tuple_max_end = tuple
+            .iter()
+            .map(|&ti| bound_iv(ti).end)
+            .max()
+            // lint: allow(panic, structural invariant: the binding is non-empty on this path)
+            .expect("non-empty");
+        for &xi in index.instances_in(seq_id as usize, ek) {
+            let x = &seq.instances()[xi as usize];
+            let Some(x_iv) = K::interval(x) else {
+                continue;
+            };
+            // The new instance must be chronologically last so each
+            // occurrence is enumerated exactly once (Lemma 4 adds the
+            // new instance at the end of the sequence order).
+            if K::key(x) <= last_key {
+                continue;
+            }
+            stats.instance_checks += 1;
+            let max_end = tuple_max_end.max(x_iv.end);
+            if !rel.within_t_max(first_start, max_end) {
+                continue;
+            }
+            let mut code = 0u64;
+            let mut ok = true;
+            for (pos, &ti) in tuple.iter().enumerate() {
+                match rel.relate(&bound_iv(ti), &x_iv) {
+                    Some(r) => {
+                        // Lemmas 4–7: the triple (E_pos, r, E_k) must
+                        // itself be a frequent, confident 2-event
+                        // pattern, or this extension cannot yield one.
+                        if cfg.pruning.transitivity
+                            && !pair_relations.contains(node.events[pos], r, ek)
+                        {
+                            stats.transitivity_pruned += 1;
+                            ok = false;
+                            break;
+                        }
+                        code = pack_relation(code, r);
+                    }
+                    None => {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+            if !ok {
+                continue;
+            }
+            groups.push(code, seq_id, tuple, xi);
+        }
+    }
 }
 
 /// Step 3.2: extend each frequent pattern of `node` with one instance of
-/// `ek` that is chronologically last, verifying the new triples
-/// iteratively (and pruning through L2 when transitivity pruning is on).
-/// `groups` is the node's reused scratch; the child's bitmap, arena and
-/// patterns are built only when some group survives the thresholds.
+/// `ek` that is chronologically last (see [`group_extensions`]) and keep
+/// the groups that pass the thresholds as the child's patterns. `groups`
+/// is the node's reused scratch; the child's bitmap, arena and patterns
+/// are built only when some group survives the thresholds.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn extend_node<K: BoundaryKernel>(
     db: &SequenceDatabase,
@@ -231,95 +370,23 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
     pair_relations: &PairRelations,
     groups: &mut ExtensionGroups,
 ) -> Option<WorkNode> {
-    let rel = &cfg.relation;
-    let ek_bitmap = index.bitmap(ek);
     let mut new_patterns: Vec<WorkPattern> = Vec::new();
     let mut child_occs = OccArena::new(node.events.len() + 1);
     let mut column = [TemporalRelation::Follow; MAX_EVENTS_HARD_CAP];
     let threshold = |support| passes_thresholds(support, max_supp, sigma_abs, cfg.delta);
 
     for parent in &node.patterns {
-        // Group candidate extensions by their packed relation column
-        // (r(E_1,E_k), …, r(E_{k-1},E_k)).
-        groups.start_parent();
-        for oi in parent.occurrences.iter() {
-            let seq_id = node.occs.seq(oi);
-            // verify_pair binds occurrences in ascending sequence order,
-            // and growth, `append_from` and `compact` keep it.
-            debug_assert!(
-                oi == parent.occurrences.start as usize || node.occs.seq(oi - 1) <= seq_id,
-                "a pattern's occurrences ascend by sequence id"
-            );
-            // Every occurrence lies in a sequence of `node.bitmap`, so
-            // ek's own bit is the joint-bitmap test.
-            debug_assert!(node.bitmap.get(seq_id as usize));
-            if !ek_bitmap.get(seq_id as usize) {
-                continue;
-            }
-            let tuple = node.occs.tuple(oi);
-            let seq = &db.sequences()[seq_id as usize];
-            // Bound instances passed the boundary policy when the parent
-            // occurrence was built, so their effective interval exists.
-            let bound_iv = |ti: u32| {
-                K::interval(&seq.instances()[ti as usize])
-                    // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
-                    .expect("bound instances pass the boundary policy")
-            };
-            let last_key =
-                // lint: allow(panic, structural invariant: the binding is non-empty on this path)
-                K::key(&seq.instances()[*tuple.last().expect("non-empty") as usize]);
-            let first_start = bound_iv(tuple[0]).start;
-            let tuple_max_end = tuple
-                .iter()
-                .map(|&ti| bound_iv(ti).end)
-                .max()
-                // lint: allow(panic, structural invariant: the binding is non-empty on this path)
-                .expect("non-empty");
-            for &xi in index.instances_in(seq_id as usize, ek) {
-                let x = &seq.instances()[xi as usize];
-                let Some(x_iv) = K::interval(x) else {
-                    continue;
-                };
-                // The new instance must be chronologically last so each
-                // occurrence is enumerated exactly once (Lemma 4 adds the
-                // new instance at the end of the sequence order).
-                if K::key(x) <= last_key {
-                    continue;
-                }
-                stats.instance_checks += 1;
-                let max_end = tuple_max_end.max(x_iv.end);
-                if !rel.within_t_max(first_start, max_end) {
-                    continue;
-                }
-                let mut code = 0u64;
-                let mut ok = true;
-                for (pos, &ti) in tuple.iter().enumerate() {
-                    match rel.relate(&bound_iv(ti), &x_iv) {
-                        Some(r) => {
-                            // Lemmas 4–7: the triple (E_pos, r, E_k) must
-                            // itself be a frequent, confident 2-event
-                            // pattern, or this extension cannot yield one.
-                            if cfg.pruning.transitivity
-                                && !pair_relations.contains(node.events[pos], r, ek)
-                            {
-                                stats.transitivity_pruned += 1;
-                                ok = false;
-                                break;
-                            }
-                            code = pack_relation(code, r);
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                groups.push(code, seq_id, tuple, xi);
-            }
-        }
+        group_extensions::<K>(
+            db,
+            index,
+            cfg,
+            stats,
+            node,
+            parent,
+            ek,
+            pair_relations,
+            groups,
+        );
         groups.for_each_survivor(threshold, |group, confidence| {
             let rels = decode_column(group.code, &mut column[..node.events.len()]);
             new_patterns.push(WorkPattern {
@@ -342,24 +409,21 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
     events.push(ek);
     Some(WorkNode {
         events,
-        bitmap: node.bitmap.and(ek_bitmap),
+        bitmap: node.bitmap.and(index.bitmap(ek)),
         support: joint_supp,
         patterns: new_patterns,
         occs: child_occs,
     })
 }
 
-/// Tries every candidate last event `ek` for `node` (level `k` in event
-/// count for the children) and returns the surviving children — the
-/// candidate-extension loop shared by the depth-first
-/// [`GrowContext::grow_node`] and the exchange executor's propose stage
-/// (which passes local `sigma_abs = 1` so only empty joints are gated).
-/// Keeping one copy is load-bearing: the two paths must stay
-/// semantically identical for the exchange's bit-identical-output
-/// guarantee. `stats` must already have level slots up to `k - 1`.
+/// Phases 1–3 of growing `node` (level `k` in event count for the
+/// children), shared by [`grow_candidates`] and [`count_candidates`]:
+/// the Lemma 5 screen, the fused AND-count and the Apriori gate. Calls
+/// `verify(stats, ek, joint_supp, max_supp)` for every candidate last
+/// event that passes, after counting it in `stats.nodes_verified[k - 2]`.
+#[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn grow_candidates<K: BoundaryKernel>(
-    db: &SequenceDatabase,
+fn for_each_gated_candidate(
     index: &DatabaseIndex,
     cfg: &MinerConfig,
     stats: &mut MiningStats,
@@ -368,7 +432,8 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
     pair_relations: &PairRelations,
     sigma_abs: usize,
     k: usize,
-) -> Vec<WorkNode> {
+    mut verify: impl FnMut(&mut MiningStats, EventId, usize, usize),
+) {
     // Phase 1 — per-node Lemma 5 screen: every node event must form at
     // least one frequent relation with ek, or no k-event pattern over
     // this combination can be frequent.
@@ -394,23 +459,42 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
     let mut joint_supps: Vec<usize> = Vec::new();
     node.bitmap.and_count_many(&partners, &mut joint_supps);
 
-    // Phase 3 — Apriori gate + instance verification per survivor, all
-    // on the node's one set of reused extension-group slots.
-    let mut children: Vec<WorkNode> = Vec::new();
-    let mut groups = ExtensionGroups::new(node.events.len() + 1);
+    // Phase 3 — Apriori gate, then instance verification per survivor.
     for (&ek, &joint_supp) in cands.iter().zip(&joint_supps) {
-        let max_supp = node
-            .events
-            .iter()
-            .map(|&e| index.support(e))
-            .max()
-            // lint: allow(panic, structural invariant: HPG nodes always hold at least one event)
-            .expect("nodes have events")
-            .max(index.support(ek));
+        let max_supp = max_support(index, node, ek);
         if !apriori_gate(cfg, sigma_abs, joint_supp, max_supp, stats) {
             continue;
         }
         stats.nodes_verified[k - 2] += 1;
+        verify(stats, ek, joint_supp, max_supp);
+    }
+}
+
+/// Tries every candidate last event `ek` for `node` (level `k` in event
+/// count for the children) and returns the surviving children — the
+/// candidate-extension loop of the depth-first [`GrowContext::grow_node`],
+/// whose gates and grouping loop the exchange executor's count-only
+/// [`count_candidates`] shares. Keeping one copy is load-bearing: the two
+/// paths must stay semantically identical for the exchange's
+/// bit-identical-output guarantee. `stats` must already have level slots
+/// up to `k - 1`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn grow_candidates<K: BoundaryKernel>(
+    db: &SequenceDatabase,
+    index: &DatabaseIndex,
+    cfg: &MinerConfig,
+    stats: &mut MiningStats,
+    node: &WorkNode,
+    freq_events: &[EventId],
+    pair_relations: &PairRelations,
+    sigma_abs: usize,
+    k: usize,
+) -> Vec<WorkNode> {
+    // Every candidate verifies on the node's one set of reused
+    // extension-group slots.
+    let mut children: Vec<WorkNode> = Vec::new();
+    let mut groups = ExtensionGroups::new(node.events.len() + 1);
+    let verify = |stats: &mut MiningStats, ek, joint_supp, max_supp| {
         if let Some(child) = extend_node::<K>(
             db,
             index,
@@ -428,8 +512,91 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
             stats.patterns_found[k - 2] += child.patterns.len();
             children.push(child);
         }
-    }
+    };
+    for_each_gated_candidate(
+        index,
+        cfg,
+        stats,
+        node,
+        freq_events,
+        pair_relations,
+        sigma_abs,
+        k,
+        verify,
+    );
     children
+}
+
+/// The count-only twin of [`grow_candidates`], for the exchange's
+/// propose stage: the same gates, grouping loop and counters, but no
+/// child is built. Passes each group that clears the thresholds to
+/// `propose` as `(key, support, clipped)`: its [`DeltaKey`], its support
+/// read off the slot, and — when `count_clipped` — its occurrences that
+/// bind a boundary-clipped instance, counted off the slot's arena.
+/// `groups` is the caller's scratch for nodes of this level (width `k`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn count_candidates<K: BoundaryKernel>(
+    db: &SequenceDatabase,
+    index: &DatabaseIndex,
+    cfg: &MinerConfig,
+    stats: &mut MiningStats,
+    node: &WorkNode,
+    freq_events: &[EventId],
+    pair_relations: &PairRelations,
+    sigma_abs: usize,
+    k: usize,
+    count_clipped: bool,
+    groups: &mut ExtensionGroups,
+    mut propose: impl FnMut(DeltaKey, usize, usize),
+) {
+    let count = |stats: &mut MiningStats, ek, _, max_supp| {
+        let mut patterns = 0;
+        for parent in &node.patterns {
+            group_extensions::<K>(
+                db,
+                index,
+                cfg,
+                stats,
+                node,
+                parent,
+                ek,
+                pair_relations,
+                groups,
+            );
+            for group in groups.current() {
+                if passes_thresholds(group.support, max_supp, sigma_abs, cfg.delta).is_none() {
+                    continue;
+                }
+                let clipped = if count_clipped {
+                    clipped_occurrences(db, &group.occs, group.occs.since(0))
+                } else {
+                    0
+                };
+                let key = DeltaKey {
+                    parent: parent.id,
+                    last: ek,
+                    code: group.code,
+                };
+                propose(key, group.support, clipped);
+                patterns += 1;
+            }
+        }
+        if patterns > 0 {
+            stats.nodes_kept[k - 2] += 1;
+            stats.patterns_found[k - 2] += patterns;
+        }
+    };
+    for_each_gated_candidate(
+        index,
+        cfg,
+        stats,
+        node,
+        freq_events,
+        pair_relations,
+        sigma_abs,
+        k,
+        count,
+    );
 }
 
 /// Depth-first growth of the Hierarchical Pattern Graph below L2.
@@ -460,11 +627,7 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
             archive_node(self.sink, self.db, self.db_has_clipped, node, k - 1);
             return;
         }
-        while self.stats.nodes_verified.len() < k - 1 {
-            self.stats.nodes_verified.push(0);
-            self.stats.nodes_kept.push(0);
-            self.stats.patterns_found.push(0);
-        }
+        self.stats.ensure_levels(k - 1);
         let children = grow_candidates::<K>(
             self.db,
             self.index,
@@ -507,17 +670,11 @@ pub(crate) fn archive_node(
         patterns,
         occs,
     } = node;
-    let count_clipped = |oi: usize| {
-        let insts = db.sequences()[occs.seq(oi) as usize].instances();
-        occs.tuple(oi)
-            .iter()
-            .any(|&ti| insts[ti as usize].is_clipped())
-    };
     let patterns: Vec<FrequentPattern> = patterns
         .into_iter()
         .map(|wp| {
             let clipped_occurrences = if db_has_clipped {
-                wp.occurrences.iter().filter(|&oi| count_clipped(oi)).count()
+                clipped_occurrences(db, &occs, wp.occurrences)
             } else {
                 0
             };

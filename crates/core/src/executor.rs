@@ -8,12 +8,17 @@
 //! scatter/gather split: shards and a coordinator walk the Hierarchical
 //! Pattern Graph *in lockstep, one level at a time*.
 //!
-//! Each round `k`:
+//! Each round `k` has three steps:
 //!
-//! 1. **Propose** — every shard enumerates its level-`k` candidates
+//! 1. **Count** — every shard counts its level-`k` candidates
 //!    (support-complete locally, grown only from the previous round's
-//!    survivors) and reports each with its **owned** support and owned
-//!    clipped-occurrence count: "what do you see, and how often?".
+//!    survivors) straight from the scratch of the instance loops: the
+//!    per-relation counters of [`L2Engine::count_pair`] at level 2, the
+//!    reused extension-group slots of [`count_candidates`] above. It
+//!    reports each candidate with its **owned** support and owned
+//!    clipped-occurrence count — "what do you see, and how often?" — and
+//!    builds nothing for it: no [`crate::Pattern`], joint bitmap or
+//!    occurrence range.
 //! 2. **Gate** — the coordinator sums owned supports across shards
 //!    (window ownership partitions the window space, so the sums are the
 //!    exact global statistics) and applies the *global* σ/δ Apriori gate.
@@ -23,22 +28,32 @@
 //!    occurrence of a `(k+1)`-pattern contains an occurrence of its
 //!    `k`-prefix in the same window, so `supp(prefix) ≥ supp(P)` and
 //!    `conf(prefix) ≥ conf(P)` hold on the *summed* statistics.
-//! 3. **Retain/expand** — shards drop the losers' occurrence bindings
-//!    and grow only the survivors into round `k + 1`.
+//! 3. **Re-derive** — each shard re-runs [`L2Engine::try_pair`] or
+//!    [`extend_node`] only where it proposed a survivor, and keeps only
+//!    the survivors, with their occurrence bindings, as the parents of
+//!    round `k + 1`. Nothing is re-derived after the last round.
+//!
+//! Between rounds a shard therefore holds survivors only — about 7 % of
+//! its proposals on the long perfbench input, where 215,471 of 230,783
+//! die at the gate. Re-deriving repeats the survivors' instance loops;
+//! holding every proposal's bindings until the verdict instead would
+//! keep a whole level of them alive in every shard. The re-derivation's
+//! counters go to a scratch [`MiningStats`], since the count already
+//! recorded that work.
 //!
 //! The surviving candidates accumulate into a [`crate::merge::ShardMerge`],
 //! which keeps the final confidence/stats pass and the deterministic
 //! sorted emission — the merged output is bit-identical to the unsharded
 //! [`crate::mine_exact`].
 //!
-//! Shards run their propose/expand stages concurrently on the scoped
-//! worker machinery of [`crate::parallel`]; the thread budget is split
-//! between shard-level concurrency and intra-shard workers (L2 pair
-//! chunks, level-`k` node growth), so `--threads` composes with
-//! `--shards`. The propose/recount calls on `ShardWorker` are the seam
-//! a cross-machine deployment would turn into RPC messages: the
-//! coordinator only ever sees `(candidate key, owned support, owned
-//! clipped)` triples and broadcasts survivor sets.
+//! Shards run their stages concurrently on the scoped worker machinery
+//! of [`crate::parallel`]; the thread budget is split between
+//! shard-level concurrency and intra-shard workers (chunks of L2 pairs
+//! or level-`k` nodes), so `--threads` composes with `--shards`. The
+//! propose/recount calls on `ShardWorker` are the seam a cross-machine
+//! deployment would turn into RPC messages: the coordinator only ever
+//! sees `(candidate key, owned support, owned clipped)` triples and
+//! broadcasts survivor sets.
 //!
 //! The exchange wire is *id-keyed*: a candidate is identified by its
 //! [`DeltaKey`] — `(parent pattern id, appended event, packed delta
@@ -46,23 +61,24 @@
 //! coordinator's [`crate::merge::ShardMerge`] owns the hash-consed
 //! [`crate::PatternPool`]; parents are prior-round survivors whose pool
 //! ids the coordinator broadcast back in its verdict, so proposing,
-//! summing, gating and retaining are all 16-byte-key map operations with
-//! zero pattern allocation. Patterns materialize exactly once: in the
-//! merge's final sorted emission.
+//! summing and gating are all 16-byte-key map operations. A shard builds
+//! a pattern only for a survivor it re-derives, and the merge resolves
+//! each output pattern once, in its final sorted emission.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId, TemporalRelation};
 
 use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode, WorkPattern, CONF_EPS};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
-use crate::exact::grow_candidates;
+use crate::exact::{count_candidates, extend_node, max_support, ExtensionGroups};
 use crate::index::DatabaseIndex;
 use crate::merge::{merge_stats, ShardMerge};
 use crate::occ::OccRange;
 use crate::parallel::{par_for_each, par_map};
-use crate::pool::{decode_column, DeltaKey, FnvHashMap, PatternId};
+use crate::pool::{decode_column, pack_relation, DeltaKey, FnvHashMap, PatternId};
 use crate::result::MiningStats;
 use crate::shard::{Shard, ShardPlan};
 use crate::sink::PatternSink;
@@ -103,18 +119,23 @@ fn delta_key(wp: &WorkPattern) -> DeltaKey {
     }
 }
 
+/// How many work items (L2 pairs, or level-`k` nodes) one intra-shard
+/// work unit takes: the scoped workers amortize their bookkeeping over a
+/// chunk.
+const CHUNK: usize = 32;
+
 /// Per-shard worker of the exchange executor: holds the shard's masked
-/// index and the current level's occurrence bindings, and answers the
-/// two protocol questions — [`propose`](ShardWorker::propose_l2) ("what
-/// do you see?") and [`recount`](ShardWorker::recount) ("how often do
-/// you see these?") — as independent calls.
+/// index and the previous round's survivors, and answers the two
+/// protocol questions — [`propose`](ShardWorker::propose_l2) ("what do
+/// you see?") and [`recount`](ShardWorker::recount) ("how often do you
+/// see these?") — as independent calls.
 pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
     shard: &'a Shard,
     /// Support-complete local config: global relation model and pruning
     /// switches, but `σ`/`δ` ≈ 0 — only the coordinator may threshold.
     local_cfg: MinerConfig,
     boundary: BoundaryPolicy,
-    /// Intra-shard worker threads for the propose stages.
+    /// Intra-shard worker threads for the propose and re-derive stages.
     threads: usize,
     /// Masked to the shard's owned windows (built by [`ShardWorker::l1`]
     /// in the first concurrent round): overlap-pad windows are invisible
@@ -129,8 +150,11 @@ pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
     l1_supports: Vec<usize>,
     /// Owned `(clipped, discarded)` instance counts from the L1 scan.
     l1_boundary: (u64, u64),
-    /// Current level's nodes with occurrence bindings (survivors only,
-    /// once the coordinator's verdict is in).
+    /// The parents of the next propose round. A round counts its
+    /// proposals without building them, the coordinator gates them, and
+    /// the shard then re-derives only the verdict's survivors among its
+    /// own proposals: they are kept here with their occurrence bindings,
+    /// stamped with their master pool ids. Nothing else is ever built.
     level: Vec<WorkNode>,
     /// The A-HTPGM gate, built once globally by the coordinator (from
     /// the *global* correlation graph over the master registry — never
@@ -210,127 +234,129 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         self.index = Some(index);
     }
 
-    /// Propose round for level 2: enumerates candidate pairs over the
-    /// globally frequent events, support-complete locally, and records
-    /// each resulting pattern with its owned statistics.
-    fn propose_l2(&mut self, freq: &[EventId]) {
+    /// The masked index.
+    fn index(&self) -> &DatabaseIndex {
         // lint: allow(panic, structural invariant: the executor always runs l1 before later rounds)
-        let index = self.index.as_ref().expect("l1 ran first");
-        // Only locally present events can contribute an occurrence.
+        self.index.as_ref().expect("l1 ran first")
+    }
+
+    /// The shard's L2 engine, support-complete at local `σ_abs = 1`.
+    fn l2_engine(&self) -> L2Engine<'_, K> {
+        L2Engine {
+            db: &self.shard.db,
+            index: self.index(),
+            cfg: &self.local_cfg,
+            sigma_abs: 1,
+            kernel: PhantomData,
+        }
+    }
+
+    /// The candidate pairs over the globally frequent events that this
+    /// shard can hold: both events locally present, and (under A-HTPGM)
+    /// the pair allowed by the G_C edge gate. The gate applies *at
+    /// propose time*: an MI-pruned pair is never enumerated, so no shard
+    /// ever verifies it — strictly fewer proposals than filtering the
+    /// exchange output post hoc.
+    fn l2_pairs(&self, freq: &[EventId]) -> Vec<(EventId, EventId)> {
+        let index = self.index();
         let local: Vec<EventId> = freq
             .iter()
             .copied()
             .filter(|&e| index.support(e) > 0)
             .collect();
-        // The G_C edge gate applies *at propose time*: an MI-pruned pair
-        // is never enumerated, so no shard ever verifies it — strictly
-        // fewer proposals than filtering the exchange output post hoc.
         let corr = self.corr;
-        let pairs: Vec<(EventId, EventId)> = local
+        local
             .iter()
             .flat_map(|&ei| local.iter().map(move |&ej| (ei, ej)))
             .filter(|&(ei, ej)| corr.is_none_or(|c| c.allows_pair(ei, ej)))
-            .collect();
-        let engine = L2Engine::<K> {
-            db: &self.shard.db,
-            index,
-            cfg: &self.local_cfg,
-            sigma_abs: 1,
-            kernel: PhantomData,
-        };
-        // Chunked by index range over the shared pair list (no per-chunk
-        // copies) so the scoped workers amortize their bookkeeping.
-        let starts: Vec<usize> = (0..pairs.len()).step_by(32).collect();
-        let pairs = &pairs;
-        let outputs = par_map(starts, self.threads, |start| {
-            let mut stats = MiningStats::default();
-            stats.nodes_verified.push(0);
-            let mut nodes = Vec::new();
-            for &(ei, ej) in &pairs[start..(start + 32).min(pairs.len())] {
-                if let Some(node) = engine.try_pair(ei, ej, &mut stats) {
-                    nodes.push(node);
+            .collect()
+    }
+
+    /// Propose round for level 2: counts every candidate pair's relations
+    /// support-complete locally, building nothing, and records each
+    /// relation with its owned statistics.
+    fn propose_l2(&mut self, freq: &[EventId]) {
+        let mut proposals = std::mem::take(&mut self.proposals);
+        let mut stats = std::mem::take(&mut self.stats);
+        stats.ensure_levels(1);
+        let pairs = self.l2_pairs(freq);
+        let engine = self.l2_engine();
+        let count_clipped = self.has_clipped;
+        let count = |range: Range<usize>, stats: &mut MiningStats, propose: &mut Propose<'_>| {
+            for &(ei, ej) in &pairs[range] {
+                let parent = PatternId(ei.0);
+                let found =
+                    engine.count_pair(ei, ej, count_clipped, stats, |r, support, clipped| {
+                        let code = pack_relation(0, r);
+                        propose(
+                            DeltaKey {
+                                parent,
+                                last: ej,
+                                code,
+                            },
+                            (support, clipped),
+                        );
+                    });
+                if found > 0 {
+                    stats.nodes_kept[0] += 1;
+                    stats.patterns_found[0] += found;
                 }
             }
-            (nodes, stats)
-        });
-        self.stats.nodes_verified.push(0);
-        self.stats.nodes_kept.push(0);
-        self.stats.patterns_found.push(0);
-        self.level.clear();
-        for (nodes, stats) in outputs {
-            merge_stats(&mut self.stats, stats);
-            self.level.extend(nodes);
-        }
-        self.stats.nodes_kept[0] += self.level.len();
-        self.stats.patterns_found[0] +=
-            self.level.iter().map(|n| n.patterns.len()).sum::<usize>();
-        self.collect_proposals();
+        };
+        count_proposals(
+            pairs.len(),
+            2,
+            self.threads,
+            count,
+            &mut proposals,
+            &mut stats,
+        );
+        self.proposals = proposals;
+        self.stats = stats;
+        self.proposed_total += self.proposals.len();
     }
 
-    /// Propose round for level `k ≥ 3`: grows the retained survivors by
-    /// one chronologically-last event each, support-complete locally.
+    /// Propose round for level `k ≥ 3`: counts the extensions of the
+    /// re-derived survivors by one chronologically-last event each,
+    /// support-complete locally, building nothing.
     fn propose_next(&mut self, freq: &[EventId], pair_relations: &PairRelations, k: usize) {
-        let nodes = std::mem::take(&mut self.level);
-        let db = &self.shard.db;
-        // lint: allow(panic, structural invariant: the executor always runs l1 before later rounds)
-        let index = self.index.as_ref().expect("l1 ran first");
-        let cfg = &self.local_cfg;
-        let outputs = par_map(nodes, self.threads, |node| {
-            let mut stats = MiningStats::default();
-            while stats.nodes_verified.len() < k - 1 {
-                stats.nodes_verified.push(0);
-                stats.nodes_kept.push(0);
-                stats.patterns_found.push(0);
+        let mut proposals = std::mem::take(&mut self.proposals);
+        let mut stats = std::mem::take(&mut self.stats);
+        let (db, index, cfg) = (&self.shard.db, self.index(), &self.local_cfg);
+        let (level, count_clipped) = (&self.level, self.has_clipped);
+        // The same gates and grouping loop as the unsharded miner —
+        // local σ_abs = 1 gates only empty joints, and the Lemma 5 table
+        // is the *global* one the coordinator broadcast. One set of
+        // extension-group slots serves a whole chunk of nodes.
+        let count = |range: Range<usize>, stats: &mut MiningStats, propose: &mut Propose<'_>| {
+            let mut groups = ExtensionGroups::new(k);
+            for node in &level[range] {
+                count_candidates::<K>(
+                    db,
+                    index,
+                    cfg,
+                    stats,
+                    node,
+                    freq,
+                    pair_relations,
+                    1,
+                    k,
+                    count_clipped,
+                    &mut groups,
+                    |key, support, clipped| propose(key, (support, clipped)),
+                );
             }
-            // The exact same extension loop as the unsharded miner —
-            // local σ_abs = 1 gates only empty joints, and the Lemma 5
-            // table is the *global* one the coordinator broadcast.
-            let children = grow_candidates::<K>(
-                db,
-                index,
-                cfg,
-                &mut stats,
-                &node,
-                freq,
-                pair_relations,
-                1,
-                k,
-            );
-            (children, stats)
-        });
-        for (children, stats) in outputs {
-            merge_stats(&mut self.stats, stats);
-            self.level.extend(children);
-        }
-        self.collect_proposals();
-    }
-
-    /// Records the current level's patterns as this round's proposals,
-    /// with owned support (the masked index makes every occurrence an
-    /// owned occurrence, so the pattern's support *is* its owned support)
-    /// and owned clipped-occurrence count.
-    fn collect_proposals(&mut self) {
-        self.proposals.clear();
-        for node in &self.level {
-            for wp in &node.patterns {
-                let clipped = if self.has_clipped {
-                    let seqs = self.shard.db.sequences();
-                    wp.occurrences
-                        .iter()
-                        .filter(|&oi| {
-                            let insts = seqs[node.occs.seq(oi) as usize].instances();
-                            node.occs
-                                .tuple(oi)
-                                .iter()
-                                .any(|&ti| insts[ti as usize].is_clipped())
-                        })
-                        .count()
-                } else {
-                    0
-                };
-                self.proposals.insert(delta_key(wp), (wp.support, clipped));
-            }
-        }
+        };
+        count_proposals(
+            level.len(),
+            k,
+            self.threads,
+            count,
+            &mut proposals,
+            &mut stats,
+        );
+        self.proposals = proposals;
+        self.stats = stats;
         self.proposed_total += self.proposals.len();
     }
 
@@ -347,35 +373,172 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
             .collect()
     }
 
-    /// Applies the coordinator's verdict: drops every pattern (and every
-    /// emptied node) the global gate killed, releasing their occurrence
-    /// bindings before the next round, and stamps each survivor with the
-    /// master pool id the coordinator assigned it — next round's
-    /// extensions inherit it as their [`DeltaKey`] parent.
-    fn retain(&mut self, verdict: &Verdict) {
-        let before: usize = self.level.iter().map(|n| n.patterns.len()).sum();
-        for node in &mut self.level {
-            node.patterns.retain_mut(|wp| match verdict.get(&delta_key(wp)) {
-                Some(&id) => {
-                    wp.id = id;
-                    true
-                }
-                None => false,
-            });
-            // Drop the losers' occurrence bindings: patterns hold
-            // ascending disjoint arena ranges, so releasing them is one
-            // compaction sweep over the node's flat columns.
-            let mut kept: Vec<OccRange> =
-                node.patterns.iter().map(|wp| wp.occurrences).collect();
-            node.occs.compact(&mut kept);
-            for (wp, range) in node.patterns.iter_mut().zip(kept) {
-                wp.occurrences = range;
-            }
-        }
-        self.level.retain(|n| !n.patterns.is_empty());
-        let after: usize = self.level.iter().map(|n| n.patterns.len()).sum();
-        self.pruned_total += before - after;
+    /// The verdict's survivors among this shard's proposals.
+    fn proposed_survivors<'v>(
+        &'v self,
+        verdict: &'v Verdict,
+    ) -> impl Iterator<Item = &'v DeltaKey> + 'v {
+        verdict
+            .keys()
+            .filter(|key| self.proposals.contains_key(key))
     }
+
+    /// Counts this round's proposals that the coordinator's gate killed.
+    fn count_pruned(&mut self, verdict: &Verdict) {
+        let survived = self.proposed_survivors(verdict).count();
+        self.pruned_total += self.proposals.len() - survived;
+    }
+
+    /// Re-derives the level-2 survivors this shard proposed: re-runs
+    /// [`L2Engine::try_pair`] on each surviving event pair and keeps only
+    /// the verdict's patterns. The proposal already counted this work, so
+    /// its counters go to a scratch [`MiningStats`].
+    fn rederive_l2(&mut self, verdict: &Verdict) {
+        let mut pairs: Vec<(EventId, EventId)> = self
+            .proposed_survivors(verdict)
+            .map(|key| (EventId(key.parent.0), key.last))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let engine = self.l2_engine();
+        let starts: Vec<usize> = (0..pairs.len()).step_by(CHUNK).collect();
+        let outputs = par_map(starts, self.threads, |start| {
+            let mut scratch = MiningStats::default();
+            scratch.ensure_levels(1);
+            pairs[start..(start + CHUNK).min(pairs.len())]
+                .iter()
+                .filter_map(|&(ei, ej)| engine.try_pair(ei, ej, &mut scratch))
+                .filter_map(|node| keep_survivors(node, verdict))
+                .collect::<Vec<_>>()
+        });
+        self.level = outputs.into_iter().flatten().collect();
+    }
+
+    /// Re-derives the level-`k` survivors this shard proposed: each
+    /// surviving `(parent node, appended event)` pair re-runs
+    /// [`extend_node`] on the node's reused extension-group slots, and
+    /// only the verdict's patterns are kept. The parents are released
+    /// afterwards; the proposal already counted this work, so its
+    /// counters go to a scratch [`MiningStats`].
+    fn rederive_next(&mut self, verdict: &Verdict, pair_relations: &PairRelations, k: usize) {
+        let parents = std::mem::take(&mut self.level);
+        // Every proposal's parent is a pattern of one of these nodes.
+        let node_of: FnvHashMap<PatternId, usize> = parents
+            .iter()
+            .enumerate()
+            .flat_map(|(i, node)| node.patterns.iter().map(move |wp| (wp.id, i)))
+            .collect();
+        let mut work: Vec<(usize, EventId)> = self
+            .proposed_survivors(verdict)
+            .filter_map(|key| node_of.get(&key.parent).map(|&i| (i, key.last)))
+            .collect();
+        work.sort_unstable();
+        work.dedup();
+        let (db, index, cfg) = (&self.shard.db, self.index(), &self.local_cfg);
+        let per_node: Vec<&[(usize, EventId)]> = work.chunk_by(|a, b| a.0 == b.0).collect();
+        let outputs = par_map(per_node, self.threads, |run| {
+            let node = &parents[run[0].0];
+            let mut scratch = MiningStats::default();
+            let mut groups = ExtensionGroups::new(k);
+            run.iter()
+                .filter_map(|&(_, ek)| {
+                    let joint_supp = node.bitmap.and_count(index.bitmap(ek));
+                    let max_supp = max_support(index, node, ek);
+                    extend_node::<K>(
+                        db,
+                        index,
+                        cfg,
+                        &mut scratch,
+                        node,
+                        ek,
+                        joint_supp,
+                        max_supp,
+                        1,
+                        pair_relations,
+                        &mut groups,
+                    )
+                })
+                .filter_map(|child| keep_survivors(child, verdict))
+                .collect::<Vec<_>>()
+        });
+        self.level = outputs.into_iter().flatten().collect();
+    }
+}
+
+/// Where a count-only proposal loop sends its rows.
+type Propose<'p> = dyn FnMut(DeltaKey, OwnedStats) + 'p;
+
+/// Runs `count` over the work items `0..n` of a level-`k` propose round,
+/// on up to `threads` workers, and collects the rows it proposes into
+/// `proposals` (cleared first) and its counters into `stats`. A single
+/// worker counts every item at once, writing its rows straight into the
+/// map; several take chunks of [`CHUNK`] items and buffer each chunk's
+/// rows, merged in item order.
+fn count_proposals(
+    n: usize,
+    k: usize,
+    threads: usize,
+    count: impl Fn(Range<usize>, &mut MiningStats, &mut Propose<'_>) + Sync,
+    proposals: &mut FnvHashMap<DeltaKey, OwnedStats>,
+    stats: &mut MiningStats,
+) {
+    proposals.clear();
+    if n == 0 {
+        return;
+    }
+    let fresh = || {
+        let mut stats = MiningStats::default();
+        stats.ensure_levels(k - 1);
+        stats
+    };
+    if threads <= 1 {
+        let mut local = fresh();
+        count(0..n, &mut local, &mut |key, owned| {
+            proposals.insert(key, owned);
+        });
+        merge_stats(stats, local);
+        return;
+    }
+    let starts: Vec<usize> = (0..n).step_by(CHUNK).collect();
+    let outputs = par_map(starts, threads, |start| {
+        let mut local = fresh();
+        let mut rows = Vec::new();
+        let end = (start + CHUNK).min(n);
+        count(start..end, &mut local, &mut |key, owned| {
+            rows.push((key, owned))
+        });
+        (rows, local)
+    });
+    for (rows, local) in outputs {
+        merge_stats(stats, local);
+        proposals.extend(rows);
+    }
+}
+
+/// Keeps the patterns of a re-derived `node` that the verdict let
+/// through, stamps each with the master pool id the coordinator assigned
+/// it — next round's extensions inherit it as their [`DeltaKey`] parent —
+/// and compacts the node's arena over them. `None` if none survived.
+fn keep_survivors(mut node: WorkNode, verdict: &Verdict) -> Option<WorkNode> {
+    node.patterns
+        .retain_mut(|wp| match verdict.get(&delta_key(wp)) {
+            Some(&id) => {
+                wp.id = id;
+                true
+            }
+            None => false,
+        });
+    if node.patterns.is_empty() {
+        return None;
+    }
+    // Patterns hold ascending disjoint arena ranges, so dropping the
+    // losers' bindings is one compaction sweep over the flat columns.
+    let mut kept: Vec<OccRange> = node.patterns.iter().map(|wp| wp.occurrences).collect();
+    node.occs.compact(&mut kept);
+    for (wp, range) in node.patterns.iter_mut().zip(kept) {
+        wp.occurrences = range;
+    }
+    Some(node)
 }
 
 /// Runs one stage on every worker, shards concurrent up to `outer`
@@ -461,7 +624,7 @@ fn debug_assert_recount<K: BoundaryKernel>(
 }
 
 /// Drives the two-phase exchange over a [`ShardPlan`]: concurrent shard
-/// workers, a level-lockstep propose → gate → expand loop, and the final
+/// workers, a level-lockstep count → gate → re-derive loop, and the final
 /// [`ShardMerge`] confidence/emission pass into `sink`. Returns the
 /// merged run statistics and one [`ShardReport`] per shard.
 ///
@@ -571,11 +734,16 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
         .map(|e| EventId(e as u32))
         .collect();
 
-    // ---- Round 2: L2 propose → global gate → retain ----
+    // ---- Round 2: L2 count → global gate → re-derive ----
     run_round(&mut workers, outer, sched, |w| w.propose_l2(&freq));
     let mut verdict = gate_round(&workers, &event_supports, sigma_abs, cfg.delta, &mut merge);
     debug_assert_recount(&workers, &verdict);
-    run_round(&mut workers, outer, sched, |w| w.retain(&verdict));
+    run_round(&mut workers, outer, sched, |w| {
+        w.count_pruned(&verdict);
+        if max_events > 2 {
+            w.rederive_l2(&verdict);
+        }
+    });
 
     // The survivors are by construction the globally frequent 2-event
     // patterns — the transitivity table of Lemmas 4–7, identical to the
@@ -601,7 +769,13 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
         });
         verdict = gate_round(&workers, &event_supports, sigma_abs, cfg.delta, &mut merge);
         debug_assert_recount(&workers, &verdict);
-        run_round(&mut workers, outer, sched, |w| w.retain(&verdict));
+        // Nothing is re-derived after the last round.
+        run_round(&mut workers, outer, sched, |w| {
+            w.count_pruned(&verdict);
+            if k < max_events {
+                w.rederive_next(&verdict, &pair_relations, k);
+            }
+        });
     }
 
     // ---- Final pass: merged stats, thresholds (idempotent here — the

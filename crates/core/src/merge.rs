@@ -175,7 +175,9 @@ impl ShardMerge {
     /// resolved from the pool back to full patterns — allocation is
     /// output-proportional. Returns the merged run statistics: work
     /// counters are summed across shards, while the per-level
-    /// `patterns_found`/`nodes_kept` describe the merged final output.
+    /// `patterns_found`/`nodes_kept` describe the merged final output
+    /// (one slot per level of `nodes_verified`, `nodes_kept` counting
+    /// distinct event lists).
     pub(crate) fn finish_into(self, cfg: &MinerConfig, sink: &mut dyn PatternSink) -> MiningStats {
         let ShardMerge {
             registry,
@@ -220,16 +222,24 @@ impl ShardMerge {
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
 
-        stats.nodes_kept = Vec::new();
-        stats.patterns_found = Vec::new();
-        for (pattern, entry, confidence) in rows {
+        // One slot per verified level, as the unsharded miner reports. A
+        // node is an event list, and rows sort by events first, so a
+        // node's patterns are adjacent.
+        stats.nodes_kept = vec![0; stats.nodes_verified.len()];
+        stats.patterns_found = vec![0; stats.nodes_verified.len()];
+        for (i, (pattern, _, _)) in rows.iter().enumerate() {
             let k = pattern.len();
             while stats.patterns_found.len() < k - 1 {
                 stats.patterns_found.push(0);
                 stats.nodes_kept.push(0);
             }
             stats.patterns_found[k - 2] += 1;
-            stats.nodes_kept[k - 2] += 1;
+            if i == 0 || rows[i - 1].0.events() != pattern.events() {
+                stats.nodes_kept[k - 2] += 1;
+            }
+        }
+        for (pattern, entry, confidence) in rows {
+            let k = pattern.len();
             let events = pattern.events().to_vec();
             let fp = FrequentPattern {
                 pattern,
@@ -307,6 +317,26 @@ mod tests {
         let mut out = CollectSink::new();
         let stats = merge.finish_into(&cfg, &mut out);
         assert_eq!(out.into_result(stats).len(), 1);
+    }
+
+    #[test]
+    fn nodes_kept_counts_event_lists() {
+        let mut merge = ShardMerge::new(registry(&["A", "B"]), 4);
+        for r in [TemporalRelation::Follow, TemporalRelation::Contain] {
+            let pattern = Pattern::pair(EventId(0), r, EventId(1));
+            let id = merge.pool_mut().intern(&pattern);
+            merge.add_by_id(id, 4, 0);
+        }
+        add(&mut merge, 1, 0, 4, 0);
+        merge.add_event_support(EventId(0), 4);
+        merge.add_event_support(EventId(1), 4);
+        merge.add_stats(MiningStats {
+            nodes_verified: vec![2, 0],
+            ..MiningStats::default()
+        });
+        let stats = merge.finish_into(&MinerConfig::new(0.5, 0.5), &mut CollectSink::new());
+        assert_eq!(stats.patterns_found, vec![3, 0]);
+        assert_eq!(stats.nodes_kept, vec![2, 0], "(A, B) holds two patterns");
     }
 
     #[test]

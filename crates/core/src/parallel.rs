@@ -392,9 +392,9 @@ where
 /// Maps `f` over `items` with up to `threads` scoped workers, preserving
 /// input order in the output. Built on [`par_for_each`]; single-threaded
 /// calls stay allocation- and spawn-free. Used for the intra-shard
-/// parallelism of the exchange executor's propose stages (L2 pair chunks,
-/// level-k node growth), composing with the shard-level concurrency the
-/// way `--threads` composes with `--shards`.
+/// parallelism of the exchange executor's count and re-derive stages
+/// (chunks of L2 pairs or level-k nodes), composing with the shard-level
+/// concurrency the way `--threads` composes with `--shards`.
 pub(crate) fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,

@@ -56,6 +56,17 @@ pub struct MiningStats {
     pub discarded_instances: u64,
 }
 
+impl MiningStats {
+    /// Opens zeroed per-level slots until `levels` levels have one.
+    pub(crate) fn ensure_levels(&mut self, levels: usize) {
+        while self.nodes_verified.len() < levels {
+            self.nodes_verified.push(0);
+            self.nodes_kept.push(0);
+            self.patterns_found.push(0);
+        }
+    }
+}
+
 /// The output of a mining run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MiningResult {

@@ -8,7 +8,7 @@
 //! replaces the pools' free-running claim loops with a seeded
 //! sequencer, so each seed drives one reproducible interleaving of the
 //! task-claim order — L2 pair chunks and L3 subtrees for
-//! [`Schedule::mine_parallel`], propose → gate → expand shard rounds for
+//! [`Schedule::mine_parallel`], count → gate → re-derive shard rounds for
 //! [`Schedule::mine_exchange`] — and a test sweeps seeds asserting the
 //! merged output never changes.
 //!
@@ -421,7 +421,7 @@ impl Schedule {
     }
 
     /// [`ShardPlan::mine_exchange`] under this schedule: the shard
-    /// workers' propose → gate → expand rounds run in the seeded
+    /// workers' count → gate → re-derive rounds run in the seeded
     /// interleaving. Intra-shard parallelism is forced to 1 so the
     /// schedule fully determines the execution (the exchange protocol's
     /// concurrency story *is* the shard-level round loop).

@@ -47,6 +47,16 @@ fn check_exchange(
         base.stats.discarded_instances, exchange.result.stats.discarded_instances,
         "{context}: discarded_instances"
     );
+    // The merged output describes the same HPG: one node per event list,
+    // one slot per level.
+    assert_eq!(
+        base.stats.nodes_kept, exchange.result.stats.nodes_kept,
+        "{context}: nodes_kept"
+    );
+    assert_eq!(
+        base.stats.patterns_found, exchange.result.stats.patterns_found,
+        "{context}: patterns_found"
+    );
     // Ownership partitions the window space.
     assert_eq!(
         reports.iter().map(|r| r.windows_owned).sum::<usize>(),
@@ -96,10 +106,19 @@ fn concurrent_shards_match_sequential_exchange() {
     }
 }
 
+/// Pinned work of one exchange run on the energy demo: per-shard
+/// `(candidates_proposed, candidates_pruned)`, then the merged
+/// `nodes_verified`, `instance_checks`, `apriori_pruned` and
+/// `transitivity_pruned`.
+type ExchangeWork = (Vec<(usize, usize)>, Vec<usize>, u64, u64, u64);
+
 /// The headline of the exchange: the global gate kills candidates
 /// *before* the next level is enumerated, while the output stays
 /// identical to the unsharded baseline — on the 8-appliance energy demo,
-/// at K = 2 and K = 4.
+/// at K = 2 and K = 4. The proposals and work counters are pinned
+/// exactly, at 1 and 2 threads: a shard must propose precisely the
+/// candidates that building every locally present node would show, and
+/// do the same instance work.
 #[test]
 fn exchange_gate_prunes_candidates_and_matches_unsharded() {
     let data = ftpm_datagen::nist_like(0.01).project_variables(8);
@@ -108,23 +127,43 @@ fn exchange_gate_prunes_candidates_and_matches_unsharded() {
         .with_max_events(3)
         .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(BoundaryPolicy::TrueExtent));
     let base = labelled(&mine_exact(&data.seq, &cfg), data.seq.registry());
-    for shards in [2usize, 4] {
+    let pinned: [(usize, ExchangeWork); 2] = [
+        (2, (vec![(71, 50), (71, 50)], vec![512, 20], 2_287, 0, 509)),
+        (
+            4,
+            (
+                vec![(52, 35), (34, 15), (61, 40), (40, 19)],
+                vec![1016, 38],
+                2_287,
+                8,
+                939,
+            ),
+        ),
+    ];
+    for (shards, want) in pinned {
         let plan = ShardPlanner::new(shards)
             .plan(&data.syb, data.split, t_max)
             .expect("plan");
-        let (exchange_result, reports) = plan.mine_exchange(&cfg, 1);
-        let proposed: usize = reports.iter().map(|r| r.candidates_proposed).sum();
-        let pruned: usize = reports.iter().map(|r| r.candidates_pruned).sum();
-        eprintln!("energy demo K={shards}: the gate pruned {pruned} of {proposed} candidates");
-        assert!(
-            pruned > 0,
-            "K={shards}: the global gate must actually kill candidates on the energy demo"
-        );
-        assert_equivalent(
-            &base,
-            &labelled(&exchange_result, plan.registry()),
-            &format!("energy demo K={shards}"),
-        );
+        for threads in [1usize, 2] {
+            let (exchange_result, reports) = plan.mine_exchange(&cfg, threads);
+            let stats = &exchange_result.stats;
+            let got: ExchangeWork = (
+                reports
+                    .iter()
+                    .map(|r| (r.candidates_proposed, r.candidates_pruned))
+                    .collect(),
+                stats.nodes_verified.clone(),
+                stats.instance_checks,
+                stats.apriori_pruned,
+                stats.transitivity_pruned,
+            );
+            assert_eq!(got, want, "energy demo K={shards}, {threads} threads");
+            assert_equivalent(
+                &base,
+                &labelled(&exchange_result, plan.registry()),
+                &format!("energy demo K={shards}, {threads} threads"),
+            );
+        }
     }
 }
 
@@ -218,7 +257,9 @@ mod prop {
                     RelationConfig::new(0, 1, t_max_steps * step).with_boundary(policy),
                 );
             let seq = to_sequence_database(&syb, split);
-            let base = labelled(&mine_exact(&seq, &cfg), seq.registry());
+            let base_result = mine_exact(&seq, &cfg);
+            let base_stats = &base_result.stats;
+            let base = labelled(&base_result, seq.registry());
             let (exchange, _) =
                 mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
             let em = labelled(&exchange.result, &exchange.registry);
@@ -231,6 +272,16 @@ mod prop {
                 prop_assert_eq!(clipped, cl, "clipped of {}", label);
             }
             prop_assert_eq!(base.len(), em.len(), "exchange pattern count");
+            prop_assert_eq!(
+                &base_stats.nodes_kept,
+                &exchange.result.stats.nodes_kept,
+                "nodes_kept"
+            );
+            prop_assert_eq!(
+                &base_stats.patterns_found,
+                &exchange.result.stats.patterns_found,
+                "patterns_found"
+            );
         }
     }
 }
