@@ -98,4 +98,4 @@ pub use shard::{
     mine_approximate_sharded_exchange, mine_sharded_exchange, Shard, ShardPlan, ShardPlanner,
     ShardedMining,
 };
-pub use sink::{CollectSink, CountingSink, CsvSink, JsonlSink, PatternSink};
+pub use sink::{CollectSink, CountingSink, CsvSink, JsonlSink, PatternSink, RowEncoder};

@@ -36,9 +36,9 @@ use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::exact::GrowContext;
 use crate::index::DatabaseIndex;
 use crate::merge::merge_stats;
-use crate::result::{MiningResult, MiningStats};
+use crate::result::{FrequentPattern, MiningResult, MiningStats};
 use crate::schedule::{Retire, SimCtl};
-use crate::sink::{CollectSink, PatternSink};
+use crate::sink::{CollectSink, PatternSink, RowEncoder};
 
 /// Mines exactly like [`crate::mine_exact`], distributing the work over
 /// `n_threads` OS threads. The pattern set, supports and confidences are
@@ -62,7 +62,8 @@ pub fn mine_exact_parallel(
 /// nodes into the shared `sink` as they complete (each emission is
 /// atomic, but emissions interleave across workers). The streaming path
 /// never materializes the full pattern result; emitted-pattern memory is
-/// bounded per worker by the emission batch plus one node, though L2
+/// bounded per worker by the emission batch plus one node (for a writer
+/// sink, about 64 KiB of rows rendered on the worker), though L2
 /// working state (all L2 nodes with their occurrence bindings) is still
 /// held during candidate generation.
 ///
@@ -314,12 +315,13 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
     // HTPGM's memory footprint below the list-materializing baselines
     // (Table VIII).
     let queue = Mutex::new(level2.into_iter());
+    let encoder = sink.encoder();
     let shared = Mutex::new(sink);
     // A lone worker has no one to contend with for the sink lock, so it
     // passes every node straight through instead of holding a batch.
     let batch = if n_threads == 1 { 0 } else { SHARED_SINK_BATCH };
     let grow_outputs = run_workers(n_threads, sched, |worker| {
-        let mut worker_sink = SharedSink::new(&shared, batch);
+        let mut worker_sink = SharedSink::new(&shared, encoder.clone(), batch);
         let mut worker_stats = MiningStats::default();
         loop {
             if let Some(ctl) = sched {
@@ -419,7 +421,7 @@ where
 }
 
 /// One buffered node emission awaiting the shared-sink lock.
-type PendingNode = (Vec<EventId>, usize, usize, Vec<crate::result::FrequentPattern>);
+type PendingNode = (Vec<EventId>, usize, usize, Vec<FrequentPattern>);
 
 /// How many patterns each of several workers buffers before taking the
 /// shared-sink lock. Amortizes contention when many small nodes finish in
@@ -427,40 +429,89 @@ type PendingNode = (Vec<EventId>, usize, usize, Vec<crate::result::FrequentPatte
 /// node.
 const SHARED_SINK_BATCH: usize = 1024;
 
-/// Per-worker handle on the shared sink: buffers finished nodes and
-/// drains them in batches under one lock acquisition, so each node still
-/// lands atomically while workers contend far less. (Serialization work
-/// done *inside* the target sink — e.g. CSV formatting — still happens
-/// under the lock; moving that worker-side needs a byte-level seam, see
-/// the ROADMAP item "Performance: the sink speaks ids".)
+/// How many rendered bytes a worker buffers before taking the
+/// shared-sink lock to append them.
+const ROW_BUFFER_BYTES: usize = 64 << 10;
+
+/// What a worker holds between two acquisitions of the sink lock.
+enum Pending {
+    /// Rows rendered on the worker with the sink's encoder. `open`
+    /// turns false once the sink has latched an I/O error, and the
+    /// worker stops rendering.
+    Rows {
+        encoder: RowEncoder,
+        bytes: Vec<u8>,
+        rows: u64,
+        open: bool,
+    },
+    /// Whole nodes for a sink without an encoder; drained once
+    /// `patterns` reaches `batch`.
+    Nodes {
+        nodes: Vec<PendingNode>,
+        patterns: usize,
+        batch: usize,
+    },
+}
+
+/// Per-worker handle on the shared sink. When the sink offers a
+/// [`RowEncoder`], the worker renders each finished node's rows into its
+/// own buffer and takes the lock only to append about
+/// [`ROW_BUFFER_BYTES`] of finished bytes; otherwise it buffers whole
+/// nodes and drains them under one lock acquisition. Either way a node's
+/// rows land contiguously, and one worker appends in emission order.
 struct SharedSink<'a, 'b> {
     shared: &'a Mutex<&'b mut (dyn PatternSink + Send)>,
-    pending: Vec<PendingNode>,
-    pending_patterns: usize,
-    /// Flush once this many patterns are pending.
-    batch: usize,
+    pending: Pending,
 }
 
 impl<'a, 'b> SharedSink<'a, 'b> {
-    fn new(shared: &'a Mutex<&'b mut (dyn PatternSink + Send)>, batch: usize) -> Self {
-        SharedSink {
-            shared,
-            pending: Vec::new(),
-            pending_patterns: 0,
-            batch,
-        }
+    fn new(
+        shared: &'a Mutex<&'b mut (dyn PatternSink + Send)>,
+        encoder: Option<RowEncoder>,
+        batch: usize,
+    ) -> Self {
+        let pending = match encoder {
+            Some(encoder) => Pending::Rows {
+                encoder,
+                bytes: Vec::new(),
+                rows: 0,
+                open: true,
+            },
+            None => Pending::Nodes {
+                nodes: Vec::new(),
+                patterns: 0,
+                batch,
+            },
+        };
+        SharedSink { shared, pending }
     }
 
-    /// Drains the buffer into the shared sink under one lock.
+    /// Hands everything pending to the shared sink under one lock.
     fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
+        match &mut self.pending {
+            Pending::Rows {
+                bytes, rows, open, ..
+            } => {
+                if bytes.is_empty() {
+                    return;
+                }
+                *open = lock_clean(self.shared).append_rows(bytes, *rows);
+                bytes.clear();
+                *rows = 0;
+            }
+            Pending::Nodes {
+                nodes, patterns, ..
+            } => {
+                if nodes.is_empty() {
+                    return;
+                }
+                let mut sink = lock_clean(self.shared);
+                for (events, support, k, node_patterns) in nodes.drain(..) {
+                    sink.node(events, support, k, node_patterns);
+                }
+                *patterns = 0;
+            }
         }
-        let mut sink = lock_clean(self.shared);
-        for (events, support, k, patterns) in self.pending.drain(..) {
-            sink.node(events, support, k, patterns);
-        }
-        self.pending_patterns = 0;
     }
 }
 
@@ -470,11 +521,33 @@ impl PatternSink for SharedSink<'_, '_> {
         events: Vec<EventId>,
         support: usize,
         k: usize,
-        patterns: Vec<crate::result::FrequentPattern>,
+        node_patterns: Vec<FrequentPattern>,
     ) {
-        self.pending_patterns += patterns.len();
-        self.pending.push((events, support, k, patterns));
-        if self.pending_patterns >= self.batch {
+        let full = match &mut self.pending {
+            Pending::Rows {
+                encoder,
+                bytes,
+                rows,
+                open,
+            } => {
+                if !*open {
+                    return;
+                }
+                encoder.encode_node(k, &node_patterns, bytes);
+                *rows += node_patterns.len() as u64;
+                bytes.len() >= ROW_BUFFER_BYTES
+            }
+            Pending::Nodes {
+                nodes,
+                patterns,
+                batch,
+            } => {
+                *patterns += node_patterns.len();
+                nodes.push((events, support, k, node_patterns));
+                *patterns >= *batch
+            }
+        };
+        if full {
             self.flush();
         }
     }
@@ -555,10 +628,66 @@ mod tests {
         {
             let boxed: &mut (dyn PatternSink + Send) = &mut target;
             let shared = Mutex::new(boxed);
-            let mut sink = SharedSink::new(&shared, SHARED_SINK_BATCH);
+            let mut sink = SharedSink::new(&shared, None, SHARED_SINK_BATCH);
             sink.node(vec![EventId(0)], 1, 2, Vec::new());
             sink.flush();
         }
         assert_eq!(target.nodes(), 1);
+    }
+
+    #[test]
+    fn shared_sink_renders_rows_and_stops_after_an_io_error() {
+        use crate::pattern::Pattern;
+        use crate::sink::JsonlSink;
+        use ftpm_events::{EventRegistry, TemporalRelation};
+        use ftpm_timeseries::{SymbolId, VariableId};
+
+        /// Accepts this many writes, then fails.
+        struct Failing(usize);
+        impl std::io::Write for Failing {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(std::io::Error::other("closed"));
+                }
+                self.0 -= 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut reg = EventRegistry::new();
+        let a = reg.intern(VariableId(0), SymbolId(1), || "A=On".into());
+        let b = reg.intern(VariableId(1), SymbolId(1), || "B=On".into());
+        let node = || {
+            let pattern = Pattern::pair(a, TemporalRelation::Follow, b);
+            vec![FrequentPattern {
+                pattern,
+                support: 1,
+                rel_support: 0.5,
+                confidence: 1.0,
+                clipped_occurrences: 0,
+            }]
+        };
+        let mut target = JsonlSink::new(Failing(1), &reg);
+        {
+            let encoder = target.encoder();
+            assert!(encoder.is_some(), "a writer sink offers its encoder");
+            let boxed: &mut (dyn PatternSink + Send) = &mut target;
+            let shared = Mutex::new(boxed);
+            let mut sink = SharedSink::new(&shared, encoder, 0);
+            sink.node(vec![a, b], 1, 2, node());
+            // Below the byte threshold: nothing reached the sink yet.
+            assert!(matches!(&sink.pending, Pending::Rows { rows: 1, .. }));
+            sink.flush();
+            sink.node(vec![a, b], 1, 2, node());
+            sink.flush();
+            assert!(matches!(&sink.pending, Pending::Rows { open: false, .. }));
+            // The worker learned of the error and renders no more.
+            sink.node(vec![a, b], 1, 2, node());
+            assert!(matches!(&sink.pending, Pending::Rows { rows: 0, .. }));
+        }
+        assert_eq!(target.written(), 1, "the failed append counts no row");
+        assert!(target.finish().is_err(), "the error is reported at finish");
     }
 }

@@ -19,6 +19,16 @@
 //! chose — so `ftpm mine --shards K --stream` composes sharding with the
 //! writer sinks without ever materializing a pattern `Vec`.
 //!
+//! The writer sinks render rows with a [`RowEncoder`], built once per
+//! registry: every event label is escaped once, and a row is assembled
+//! by byte appends, with no allocation per row. A sink offers its
+//! encoder through [`PatternSink::encoder`]; the threaded engine's
+//! workers then render finished nodes into their own buffers and take
+//! the sink lock only to hand over the bytes
+//! ([`PatternSink::append_rows`]). Sinks without an encoder (collecting,
+//! counting, or wrapping another sink) receive every node through
+//! [`PatternSink::node`].
+//!
 //! Writer sinks record the first I/O error internally and go quiet; the
 //! error is surfaced by [`PatternSink::finish`], so the mining hot path
 //! stays infallible.
@@ -36,10 +46,13 @@
 //! ```
 
 use std::io::{self, Write};
+use std::marker::PhantomData;
+use std::sync::Arc;
 
-use ftpm_events::{EventId, EventRegistry};
+use ftpm_events::{EventId, EventRegistry, TemporalRelation};
 
 use crate::hpg::{HierarchicalPatternGraph, Level, Node};
+use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, MiningResult, MiningStats};
 
 /// Receives the output of a mining run incrementally, one Hierarchical
@@ -49,7 +62,9 @@ use crate::result::{FrequentPattern, MiningResult, MiningStats};
 /// [`node`](PatternSink::node) for every archived pattern-bearing node
 /// (in discovery order at one thread; interleaved across workers with
 /// more), and the driver calls
-/// [`finish`](PatternSink::finish) at the end.
+/// [`finish`](PatternSink::finish) at the end. A sink that offers an
+/// [`encoder`](PatternSink::encoder) may receive rendered rows through
+/// [`append_rows`](PatternSink::append_rows) in place of `node` calls.
 pub trait PatternSink {
     /// Announces the run: the frequent single events of L1 with their
     /// supports. Called once, before any node.
@@ -66,6 +81,31 @@ pub trait PatternSink {
         k: usize,
         patterns: Vec<FrequentPattern>,
     );
+
+    /// The encoder of this sink's rows, if its output is nothing but
+    /// [`RowEncoder`] rows in arrival order. A producer that gets one may
+    /// render nodes itself and hand over finished bytes through
+    /// [`append_rows`](PatternSink::append_rows) instead of calling
+    /// [`node`](PatternSink::node): the threaded engine's workers render
+    /// off the sink lock this way. Offer one only when appending a
+    /// node's rendered rows is exactly what `node` would do, as
+    /// [`CsvSink`] and [`JsonlSink`] do. The default, `None`, keeps every
+    /// node on `node`; a sink that wraps another and observes its nodes
+    /// should not forward the inner encoder.
+    fn encoder(&self) -> Option<RowEncoder> {
+        None
+    }
+
+    /// Appends `bytes`, `rows` whole rows rendered by this sink's
+    /// [`encoder`](PatternSink::encoder), through the sink's latched-error
+    /// logic; returns whether the sink still accepts rows (false once an
+    /// I/O error is latched, so the producer can stop rendering). A sink
+    /// without an encoder accepts no bytes: the default drops them and
+    /// returns false.
+    fn append_rows(&mut self, bytes: &[u8], rows: u64) -> bool {
+        let _ = (bytes, rows);
+        false
+    }
 
     /// Flushes buffered output and reports the first I/O error, if any.
     fn finish(&mut self) -> io::Result<()> {
@@ -178,109 +218,249 @@ impl PatternSink for CountingSink {
     }
 }
 
-/// Escapes a CSV field per RFC 4180: always quoted, `"` doubled.
-fn csv_field(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        if c == '"' {
-            out.push('"');
-        }
-        out.push(c);
-    }
-    out.push('"');
+/// The CSV header line [`CsvSink`] writes first.
+const CSV_HEADER: &[u8] = b"pattern,length,support,rel_support,confidence,clipped_occurrences\n";
+
+/// The row layout a [`RowEncoder`] renders.
+#[derive(Debug, Clone, Copy)]
+enum RowFormat {
+    Csv,
+    Jsonl,
 }
 
-/// Escapes a JSON string body (without the surrounding quotes).
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Every event label of one registry, escaped for one format, back to
+/// back in one buffer (the symbol-table layout: a label is addressed by
+/// its [`EventId`]).
+#[derive(Debug)]
+struct EscapedLabels {
+    bytes: Vec<u8>,
+    /// Event `e`'s label is `bytes[starts[e]..starts[e + 1]]`.
+    starts: Vec<usize>,
+}
+
+/// Renders pattern rows as the bytes [`CsvSink`] or [`JsonlSink`]
+/// writes, by appends to a `Vec<u8>`.
+///
+/// Every event label is escaped once, when the encoder is built;
+/// relation names and punctuation are static, integers go through a
+/// stack digit buffer, and `rel_support` and `confidence` keep `f64`'s
+/// `Display` (the shortest digits that round-trip). Rendering a row
+/// therefore allocates nothing beyond the output buffer's growth.
+/// Escaping is per character and no punctuation needs it, so escaping
+/// each label alone gives the bytes of escaping the whole rendered
+/// pattern.
+///
+/// A producer gets the encoder from a writer sink
+/// ([`PatternSink::encoder`]) and renders with
+/// [`encode_node`](RowEncoder::encode_node). Clones share the labels: a
+/// clone costs one reference count, and the encoder is `Send + Sync`, so
+/// every worker of a threaded run renders with its own clone.
+#[derive(Debug, Clone)]
+pub struct RowEncoder {
+    format: RowFormat,
+    labels: Arc<EscapedLabels>,
+}
+
+impl RowEncoder {
+    /// The encoder of [`CsvSink`]'s rows: the pattern text is one field,
+    /// always quoted, with `"` doubled (RFC 4180).
+    pub(crate) fn csv(registry: &EventRegistry) -> Self {
+        RowEncoder::new(RowFormat::Csv, registry)
+    }
+
+    /// The encoder of [`JsonlSink`]'s lines: the pattern text is a JSON
+    /// string, with `"`, `\`, `\n`, `\r` and `\t` escaped by a backslash
+    /// and the other characters below U+0020 as `\u00XX`.
+    pub(crate) fn jsonl(registry: &EventRegistry) -> Self {
+        RowEncoder::new(RowFormat::Jsonl, registry)
+    }
+
+    fn new(format: RowFormat, registry: &EventRegistry) -> Self {
+        let mut bytes = Vec::new();
+        let mut starts = Vec::with_capacity(registry.len() + 1);
+        starts.push(0);
+        for id in registry.ids() {
+            // Every character either format escapes is ASCII, and no
+            // byte of a multi-byte UTF-8 character is, so escaping byte
+            // by byte is escaping character by character.
+            for &b in registry.label(id).as_bytes() {
+                match (format, b) {
+                    (RowFormat::Csv, b'"') => bytes.extend_from_slice(b"\"\""),
+                    (RowFormat::Jsonl, b'"') => bytes.extend_from_slice(b"\\\""),
+                    (RowFormat::Jsonl, b'\\') => bytes.extend_from_slice(b"\\\\"),
+                    (RowFormat::Jsonl, b'\n') => bytes.extend_from_slice(b"\\n"),
+                    (RowFormat::Jsonl, b'\r') => bytes.extend_from_slice(b"\\r"),
+                    (RowFormat::Jsonl, b'\t') => bytes.extend_from_slice(b"\\t"),
+                    (RowFormat::Jsonl, b) if b < 0x20 => {
+                        const HEX: &[u8; 16] = b"0123456789abcdef";
+                        bytes.extend_from_slice(b"\\u00");
+                        bytes.push(HEX[usize::from(b >> 4)]);
+                        bytes.push(HEX[usize::from(b & 0xf)]);
+                    }
+                    (_, b) => bytes.push(b),
+                }
             }
-            c => out.push(c),
+            starts.push(bytes.len());
         }
+        RowEncoder {
+            format,
+            labels: Arc::new(EscapedLabels { bytes, starts }),
+        }
+    }
+
+    /// Appends one row per pattern of a node with `k` events to `out`.
+    /// The rows of a node are contiguous; [`CsvSink`] and [`JsonlSink`]
+    /// write exactly these bytes for the node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern names an event outside the registry the
+    /// encoder was built from.
+    pub fn encode_node(&self, k: usize, patterns: &[FrequentPattern], out: &mut Vec<u8>) {
+        for fp in patterns {
+            match self.format {
+                RowFormat::Csv => {
+                    out.push(b'"');
+                    self.push_pattern(&fp.pattern, out);
+                    out.extend_from_slice(b"\",");
+                    push_usize(out, k);
+                    out.push(b',');
+                    push_usize(out, fp.support);
+                    out.push(b',');
+                    push_f64(out, fp.rel_support);
+                    out.push(b',');
+                    push_f64(out, fp.confidence);
+                    out.push(b',');
+                    push_usize(out, fp.clipped_occurrences);
+                    out.push(b'\n');
+                }
+                RowFormat::Jsonl => {
+                    out.extend_from_slice(b"{\"pattern\":\"");
+                    self.push_pattern(&fp.pattern, out);
+                    out.extend_from_slice(b"\",\"events\":[");
+                    for (i, e) in fp.pattern.events().iter().enumerate() {
+                        if i > 0 {
+                            out.push(b',');
+                        }
+                        push_usize(out, e.0 as usize);
+                    }
+                    out.extend_from_slice(b"],\"length\":");
+                    push_usize(out, k);
+                    out.extend_from_slice(b",\"support\":");
+                    push_usize(out, fp.support);
+                    out.extend_from_slice(b",\"rel_support\":");
+                    push_f64(out, fp.rel_support);
+                    out.extend_from_slice(b",\"confidence\":");
+                    push_f64(out, fp.confidence);
+                    out.extend_from_slice(b",\"clipped_occurrences\":");
+                    push_usize(out, fp.clipped_occurrences);
+                    out.extend_from_slice(b"}\n");
+                }
+            }
+        }
+    }
+
+    /// Appends the pattern's text in the paper's triple notation (the
+    /// bytes of [`Pattern::display`], labels escaped).
+    fn push_pattern(&self, pattern: &Pattern, out: &mut Vec<u8>) {
+        let events = pattern.events();
+        for (n, (i, j, r)) in pattern.triples().enumerate() {
+            out.extend_from_slice(if n == 0 { b"(" } else { b", (" });
+            out.extend_from_slice(self.label(events[i]));
+            out.push(b' ');
+            out.extend_from_slice(relation_name(r));
+            out.push(b' ');
+            out.extend_from_slice(self.label(events[j]));
+            out.push(b')');
+        }
+    }
+
+    fn label(&self, id: EventId) -> &[u8] {
+        let e = id.0 as usize;
+        &self.labels.bytes[self.labels.starts[e]..self.labels.starts[e + 1]]
     }
 }
 
-/// Streams patterns as CSV rows
-/// (`pattern,length,support,rel_support,confidence,clipped_occurrences`),
-/// one row per pattern, header first. Pattern text uses the paper's
-/// triple notation rendered through the event registry;
-/// `clipped_occurrences` counts the pattern's bound occurrences that
-/// touch a window-boundary-clipped instance (see
-/// [`FrequentPattern::clipped_occurrences`]).
-pub struct CsvSink<'r, W: Write> {
+/// The relation's `Display` name, as bytes.
+fn relation_name(r: TemporalRelation) -> &'static [u8] {
+    match r {
+        TemporalRelation::Follow => b"Follow",
+        TemporalRelation::Contain => b"Contain",
+        TemporalRelation::Overlap => b"Overlap",
+    }
+}
+
+/// Appends `v` in decimal.
+fn push_usize(out: &mut Vec<u8>, mut v: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `x` in `f64`'s `Display` form.
+fn push_f64(out: &mut Vec<u8>, x: f64) {
+    // lint: allow(write_discard, io::Write to Vec<u8> is infallible)
+    let _ = write!(out, "{x}");
+}
+
+/// What [`CsvSink`] and [`JsonlSink`] share: a writer, the encoder of
+/// their rows, a reused row buffer, the row count and the first I/O
+/// error, latched until [`PatternSink::finish`].
+struct RowWriter<W: Write> {
     out: W,
-    registry: &'r EventRegistry,
+    encoder: RowEncoder,
+    buf: Vec<u8>,
     written: u64,
     err: Option<io::Error>,
-    line: String,
 }
 
-impl<'r, W: Write> CsvSink<'r, W> {
-    /// Wraps a writer; `registry` renders event labels.
-    pub fn new(out: W, registry: &'r EventRegistry) -> Self {
-        CsvSink {
+impl<W: Write> RowWriter<W> {
+    fn new(out: W, encoder: RowEncoder) -> Self {
+        RowWriter {
             out,
-            registry,
+            encoder,
+            buf: Vec::new(),
             written: 0,
             err: None,
-            line: String::new(),
         }
     }
 
-    /// Number of pattern rows written so far (excludes the header).
-    pub fn written(&self) -> u64 {
-        self.written
+    /// Writes `bytes`, which hold `rows` rows, unless an error is
+    /// latched; latches a new one. Returns whether the writer still
+    /// accepts rows.
+    fn append(&mut self, bytes: &[u8], rows: u64) -> bool {
+        if self.err.is_some() {
+            return false;
+        }
+        match self.out.write_all(bytes) {
+            Ok(()) => {
+                self.written += rows;
+                true
+            }
+            Err(e) => {
+                self.err = Some(e);
+                false
+            }
+        }
     }
 
-    fn put(&mut self) {
+    fn node(&mut self, k: usize, patterns: &[FrequentPattern]) {
         if self.err.is_some() {
             return;
         }
-        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
-            self.err = Some(e);
-        }
-    }
-}
-
-impl<W: Write> PatternSink for CsvSink<'_, W> {
-    fn begin(&mut self, _frequent_events: &[(EventId, usize)]) {
-        self.line.clear();
-        self.line
-            .push_str("pattern,length,support,rel_support,confidence,clipped_occurrences\n");
-        self.put();
-    }
-
-    fn node(
-        &mut self,
-        _events: Vec<EventId>,
-        _support: usize,
-        k: usize,
-        patterns: Vec<FrequentPattern>,
-    ) {
-        use std::fmt::Write as _;
-        for fp in &patterns {
-            self.line.clear();
-            let text = fp.pattern.display(self.registry).to_string();
-            csv_field(&text, &mut self.line);
-            // lint: allow(write_discard, fmt::Write to String is infallible)
-            let _ = writeln!(
-                self.line,
-                ",{k},{},{},{},{}",
-                fp.support, fp.rel_support, fp.confidence, fp.clipped_occurrences
-            );
-            self.put();
-            if self.err.is_some() {
-                return;
-            }
-            self.written += 1;
-        }
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        self.encoder.encode_node(k, patterns, &mut buf);
+        self.append(&buf, patterns.len() as u64);
+        self.buf = buf;
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -291,34 +471,90 @@ impl<W: Write> PatternSink for CsvSink<'_, W> {
     }
 }
 
+/// Streams patterns as CSV rows
+/// (`pattern,length,support,rel_support,confidence,clipped_occurrences`),
+/// one row per pattern, header first. Pattern text uses the paper's
+/// triple notation rendered through the event registry;
+/// `clipped_occurrences` counts the pattern's bound occurrences that
+/// touch a window-boundary-clipped instance (see
+/// [`FrequentPattern::clipped_occurrences`]). Rows are rendered by
+/// [`RowEncoder::csv`], which the sink offers to the threaded engine's
+/// workers.
+pub struct CsvSink<'r, W: Write> {
+    rows: RowWriter<W>,
+    /// The registry the labels were escaped from, borrowed in name only:
+    /// the encoder holds its own copy.
+    registry: PhantomData<&'r EventRegistry>,
+}
+
+impl<'r, W: Write> CsvSink<'r, W> {
+    /// Wraps a writer; `registry` renders event labels.
+    pub fn new(out: W, registry: &'r EventRegistry) -> Self {
+        CsvSink {
+            rows: RowWriter::new(out, RowEncoder::csv(registry)),
+            registry: PhantomData,
+        }
+    }
+
+    /// Number of pattern rows written so far (excludes the header).
+    pub fn written(&self) -> u64 {
+        self.rows.written
+    }
+}
+
+impl<W: Write> PatternSink for CsvSink<'_, W> {
+    fn begin(&mut self, _frequent_events: &[(EventId, usize)]) {
+        self.rows.append(CSV_HEADER, 0);
+    }
+
+    fn node(
+        &mut self,
+        _events: Vec<EventId>,
+        _support: usize,
+        k: usize,
+        patterns: Vec<FrequentPattern>,
+    ) {
+        self.rows.node(k, &patterns);
+    }
+
+    fn encoder(&self) -> Option<RowEncoder> {
+        Some(self.rows.encoder.clone())
+    }
+
+    fn append_rows(&mut self, bytes: &[u8], rows: u64) -> bool {
+        self.rows.append(bytes, rows)
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        self.rows.finish()
+    }
+}
+
 /// Streams patterns as JSON Lines: one object per pattern with fields
 /// `pattern` (rendered triple notation), `events` (raw event ids),
 /// `length`, `support`, `rel_support`, `confidence`, and
 /// `clipped_occurrences` (occurrences touching a window-boundary-clipped
-/// instance, see [`FrequentPattern::clipped_occurrences`]).
+/// instance, see [`FrequentPattern::clipped_occurrences`]). Lines are
+/// rendered by [`RowEncoder::jsonl`], which the sink offers to the
+/// threaded engine's workers.
 pub struct JsonlSink<'r, W: Write> {
-    out: W,
-    registry: &'r EventRegistry,
-    written: u64,
-    err: Option<io::Error>,
-    line: String,
+    rows: RowWriter<W>,
+    /// As in [`CsvSink`].
+    registry: PhantomData<&'r EventRegistry>,
 }
 
 impl<'r, W: Write> JsonlSink<'r, W> {
     /// Wraps a writer; `registry` renders event labels.
     pub fn new(out: W, registry: &'r EventRegistry) -> Self {
         JsonlSink {
-            out,
-            registry,
-            written: 0,
-            err: None,
-            line: String::new(),
+            rows: RowWriter::new(out, RowEncoder::jsonl(registry)),
+            registry: PhantomData,
         }
     }
 
     /// Number of pattern lines written so far.
     pub fn written(&self) -> u64 {
-        self.written
+        self.rows.written
     }
 }
 
@@ -330,43 +566,19 @@ impl<W: Write> PatternSink for JsonlSink<'_, W> {
         k: usize,
         patterns: Vec<FrequentPattern>,
     ) {
-        use std::fmt::Write as _;
-        if self.err.is_some() {
-            return;
-        }
-        for fp in &patterns {
-            self.line.clear();
-            self.line.push_str("{\"pattern\":\"");
-            let text = fp.pattern.display(self.registry).to_string();
-            json_escape(&text, &mut self.line);
-            self.line.push_str("\",\"events\":[");
-            for (i, e) in fp.pattern.events().iter().enumerate() {
-                if i > 0 {
-                    self.line.push(',');
-                }
-                // lint: allow(write_discard, fmt::Write to String is infallible)
-                let _ = write!(self.line, "{}", e.0);
-            }
-            // lint: allow(write_discard, fmt::Write to String is infallible)
-            let _ = writeln!(
-                self.line,
-                "],\"length\":{k},\"support\":{},\"rel_support\":{},\"confidence\":{},\
-                 \"clipped_occurrences\":{}}}",
-                fp.support, fp.rel_support, fp.confidence, fp.clipped_occurrences
-            );
-            if let Err(e) = self.out.write_all(self.line.as_bytes()) {
-                self.err = Some(e);
-                return;
-            }
-            self.written += 1;
-        }
+        self.rows.node(k, &patterns);
+    }
+
+    fn encoder(&self) -> Option<RowEncoder> {
+        Some(self.rows.encoder.clone())
+    }
+
+    fn append_rows(&mut self, bytes: &[u8], rows: u64) -> bool {
+        self.rows.append(bytes, rows)
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        self.out.flush()
+        self.rows.finish()
     }
 }
 
@@ -527,6 +739,87 @@ mod tests {
              \"length\":2,\"support\":2,\"rel_support\":0.5,\"confidence\":1,\
              \"clipped_occurrences\":1}"
         );
+    }
+
+    /// A three-event node over labels that need escaping in one format
+    /// or the other: a quote and a backslash, three whitespace controls,
+    /// other control characters, a comma and non-ASCII text. Ten filler
+    /// events first, so the ids take two digits.
+    fn escaping_node() -> (EventRegistry, Vec<EventId>, Vec<FrequentPattern>) {
+        use ftpm_timeseries::{SymbolId, VariableId};
+        use TemporalRelation::{Contain, Follow, Overlap};
+        let mut reg = EventRegistry::new();
+        for v in 0..10 {
+            reg.intern(VariableId(v), SymbolId(0), || format!("filler{v}"));
+        }
+        let a = reg.intern(VariableId(10), SymbolId(1), || "a\"q\\s".into());
+        let b = reg.intern(VariableId(11), SymbolId(1), || "n\nr\rt\t".into());
+        let c = reg.intern(VariableId(12), SymbolId(1), || {
+            "\u{1}\u{1f}\u{7f},é日本".into()
+        });
+        let events = vec![a, b, c];
+        let row = |relations, support, rel_support, confidence, clipped| FrequentPattern {
+            pattern: Pattern::new(events.clone(), relations),
+            support,
+            rel_support,
+            confidence,
+            clipped_occurrences: clipped,
+        };
+        let big = 12_345_678_901;
+        let patterns = vec![
+            row(vec![Follow, Contain, Overlap], big, 1.0 / 3.0, 1.0, 0),
+            row(vec![Overlap, Follow, Follow], 7, 0.1 + 0.2, 0.75, 42),
+        ];
+        (reg, events, patterns)
+    }
+
+    #[test]
+    fn relation_names_are_their_display() {
+        for r in TemporalRelation::ALL {
+            assert_eq!(relation_name(r), r.to_string().as_bytes());
+        }
+    }
+
+    #[test]
+    fn csv_rows_escape_every_label_character() {
+        let (reg, events, patterns) = escaping_node();
+        let mut buf = Vec::new();
+        let mut sink = CsvSink::new(&mut buf, &reg);
+        sink.begin(&[]);
+        sink.node(events, 7, 3, patterns);
+        sink.finish().expect("vec write");
+        drop(sink);
+        let (a, b, c) = ("a\"\"q\\s", "n\nr\rt\t", "\u{1}\u{1f}\u{7f},é日本");
+        let expected = format!(
+            "pattern,length,support,rel_support,confidence,clipped_occurrences\n\
+             \"({a} Follow {b}), ({a} Contain {c}), ({b} Overlap {c})\",\
+             3,12345678901,0.3333333333333333,1,0\n\
+             \"({a} Overlap {b}), ({a} Follow {c}), ({b} Follow {c})\",\
+             3,7,0.30000000000000004,0.75,42\n"
+        );
+        assert_eq!(String::from_utf8(buf).expect("utf8"), expected);
+    }
+
+    #[test]
+    fn jsonl_rows_escape_every_label_character() {
+        let (reg, events, patterns) = escaping_node();
+        let mut buf = Vec::new();
+        let mut sink = JsonlSink::new(&mut buf, &reg);
+        sink.begin(&[]);
+        sink.node(events, 7, 3, patterns);
+        sink.finish().expect("vec write");
+        drop(sink);
+        let (a, b, c) = ("a\\\"q\\\\s", "n\\nr\\rt\\t", "\\u0001\\u001f\u{7f},é日本");
+        let expected = format!(
+            "{{\"pattern\":\"({a} Follow {b}), ({a} Contain {c}), ({b} Overlap {c})\",\
+             \"events\":[10,11,12],\"length\":3,\"support\":12345678901,\
+             \"rel_support\":0.3333333333333333,\"confidence\":1,\"clipped_occurrences\":0}}\n\
+             {{\"pattern\":\"({a} Overlap {b}), ({a} Follow {c}), ({b} Follow {c})\",\
+             \"events\":[10,11,12],\"length\":3,\"support\":7,\
+             \"rel_support\":0.30000000000000004,\"confidence\":0.75,\
+             \"clipped_occurrences\":42}}\n"
+        );
+        assert_eq!(String::from_utf8(buf).expect("utf8"), expected);
     }
 
     #[test]

@@ -42,6 +42,65 @@ fn assert_same_patterns(a: &MiningResult, b: &MiningResult, context: &str) {
     }
 }
 
+/// Streams one run into a `CsvSink` and into a `JsonlSink`, with
+/// `threads` workers, and returns both outputs; each sink must report
+/// `patterns` rows written.
+fn stream_writers(
+    seq: &ftpm_events::SequenceDatabase,
+    cfg: &MinerConfig,
+    threads: usize,
+    patterns: usize,
+    context: &str,
+) -> (String, String) {
+    let mut csv = Vec::new();
+    let mut csv_sink = CsvSink::new(&mut csv, seq.registry());
+    mine_exact_parallel_with_sink(seq, cfg, threads, &mut csv_sink);
+    assert_eq!(csv_sink.written() as usize, patterns, "{context}: csv rows");
+    csv_sink.finish().expect("vec write");
+    drop(csv_sink);
+
+    let mut jsonl = Vec::new();
+    let mut jsonl_sink = JsonlSink::new(&mut jsonl, seq.registry());
+    mine_exact_parallel_with_sink(seq, cfg, threads, &mut jsonl_sink);
+    assert_eq!(jsonl_sink.written() as usize, patterns, "{context}: jsonl lines");
+    jsonl_sink.finish().expect("vec write");
+    drop(jsonl_sink);
+    (
+        String::from_utf8(csv).expect("utf8"),
+        String::from_utf8(jsonl).expect("utf8"),
+    )
+}
+
+fn sorted_lines(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    lines
+}
+
+/// The JSONL rows of one HPG node (one `events` value) must be
+/// contiguous: workers interleave whole nodes, never rows.
+fn assert_nodes_contiguous(jsonl: &str, context: &str) {
+    let mut finished = std::collections::HashSet::new();
+    let mut current: Option<&str> = None;
+    for line in jsonl.lines() {
+        let events = line
+            .split("\"events\":[")
+            .nth(1)
+            .and_then(|rest| rest.split(']').next())
+            .unwrap_or_else(|| panic!("{context}: no events in {line:?}"));
+        if current != Some(events) {
+            if let Some(previous) = current {
+                finished.insert(previous);
+            }
+            assert!(
+                !finished.contains(events),
+                "{context}: the rows of node [{events}] are split"
+            );
+            current = Some(events);
+        }
+    }
+}
+
 /// Runs every output path on one database/config and cross-checks them.
 fn check_all_paths(seq: &ftpm_events::SequenceDatabase, cfg: &MinerConfig, context: &str) {
     let exact = mine_exact(seq, cfg);
@@ -66,31 +125,26 @@ fn check_all_paths(seq: &ftpm_events::SequenceDatabase, cfg: &MinerConfig, conte
     );
     assert_eq!(counting.nodes(), exact.graph.n_nodes(), "{context}: nodes");
 
-    // Writer sinks: one row/line per pattern.
-    let mut csv = Vec::new();
-    let mut csv_sink = CsvSink::new(&mut csv, seq.registry());
-    mine_exact_with_sink(seq, cfg, &mut csv_sink);
-    assert_eq!(csv_sink.written() as usize, exact.len(), "{context}: csv rows");
-    csv_sink.finish().expect("vec write");
-    drop(csv_sink);
-    assert_eq!(
-        String::from_utf8(csv).expect("utf8").lines().count(),
-        exact.len() + 1, // header
-        "{context}: csv lines"
-    );
-
-    let mut jsonl = Vec::new();
-    let mut jsonl_sink = JsonlSink::new(&mut jsonl, seq.registry());
-    mine_exact_with_sink(seq, cfg, &mut jsonl_sink);
-    jsonl_sink.finish().expect("vec write");
-    drop(jsonl_sink);
-    let text = String::from_utf8(jsonl).expect("utf8");
-    assert_eq!(text.lines().count(), exact.len(), "{context}: jsonl lines");
-    for line in text.lines().take(50) {
+    // Writer sinks: one row/line per pattern, header first in CSV. The
+    // threaded engine streams the same rows at every thread count, and
+    // a node's rows stay together.
+    let (csv, jsonl) = stream_writers(seq, cfg, 1, exact.len(), context);
+    assert_eq!(csv.lines().count(), exact.len() + 1, "{context}: csv lines");
+    assert_eq!(jsonl.lines().count(), exact.len(), "{context}: jsonl lines");
+    for line in jsonl.lines().take(50) {
         assert!(
             line.starts_with('{') && line.ends_with('}') && line.contains("\"support\":"),
             "{context}: malformed jsonl line {line:?}"
         );
+    }
+    assert_nodes_contiguous(&jsonl, &format!("{context} threads=1"));
+    let (csv_rows, jsonl_rows) = (sorted_lines(&csv), sorted_lines(&jsonl));
+    for threads in [2usize, 4] {
+        let context = format!("{context} threads={threads}");
+        let (csv, jsonl) = stream_writers(seq, cfg, threads, exact.len(), &context);
+        assert_eq!(sorted_lines(&csv), csv_rows, "{context}: csv rows");
+        assert_eq!(sorted_lines(&jsonl), jsonl_rows, "{context}: jsonl rows");
+        assert_nodes_contiguous(&jsonl, &context);
     }
 
     // Parallel, collected and streamed, at several thread counts.
@@ -117,19 +171,24 @@ fn check_all_paths(seq: &ftpm_events::SequenceDatabase, cfg: &MinerConfig, conte
     }
 }
 
+/// FNV-1a 64 of `bytes`, continuing from the state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over a result in emission order: per pattern, the bytes of its
 /// rendered label, then its support as a little-endian `u64`.
 fn order_digest(result: &MiningResult, registry: &ftpm_events::EventRegistry) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for fp in &result.patterns {
+    result.patterns.iter().fold(FNV_OFFSET, |h, fp| {
         let label = fp.pattern.display(registry).to_string();
-        let support = (fp.support as u64).to_le_bytes();
-        for &b in label.as_bytes().iter().chain(&support) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+        fnv1a(fnv1a(h, label.as_bytes()), &(fp.support as u64).to_le_bytes())
+    })
 }
 
 /// The one-thread output is pinned to numbers recorded on the retired
@@ -170,6 +229,12 @@ fn one_thread_output_matches_the_retired_sequential_engine() {
     let par = mine_exact_parallel(&data.seq, &cfg, 2);
     assert_eq!(par.stats, exact.stats, "2 threads: stats");
     assert_same_patterns(&exact, &par, "2 threads");
+
+    // The complete one-thread CSV and JSONL bytes: row order, label
+    // escaping and number formatting.
+    let (csv, jsonl) = stream_writers(&data.seq, &cfg, 1, 1632, "writers");
+    assert_eq!(fnv1a(FNV_OFFSET, csv.as_bytes()), 0x495c_0eb9_b512_9fc5, "CSV bytes");
+    assert_eq!(fnv1a(FNV_OFFSET, jsonl.as_bytes()), 0x859f_52c0_d040_0587, "JSONL bytes");
 
     // On the input above no parent pattern has two surviving extension
     // groups whose order could differ, so the digest does not pin the

@@ -720,6 +720,7 @@ fn try_mine(args: &[String]) -> Result<(), String> {
         .with_max_events(opt.max_events)
         .with_relation(relation);
     let threads = opt.threads;
+    let thread_s = if threads == 1 { "" } else { "s" };
     // One correlation graph per run, built once on the full symbolic
     // database: --mu sets the NMI threshold directly, --approx-density
     // derives it from a target edge density (Def 5.6). Every execution
@@ -805,7 +806,7 @@ fn try_mine(args: &[String]) -> Result<(), String> {
                 out,
                 "{label}: {} sequences, {} distinct events ({} boundary-clipped \
                  instances, boundary={}), {written} patterns streamed to {} \
-                 in {elapsed:.1?} ({threads} threads)",
+                 in {elapsed:.1?} ({threads} thread{thread_s})",
                 seq.len(),
                 seq.registry().len(),
                 stats.clipped_instances,
@@ -887,7 +888,7 @@ fn try_mine(args: &[String]) -> Result<(), String> {
         writeln!(
             out,
             "{label}: {} sequences, {} distinct events, {} patterns{shown} in {elapsed:.1?} \
-             ({threads} threads)",
+             ({threads} thread{thread_s})",
             seq.len(),
             seq.registry().len(),
             result.len(),

@@ -56,8 +56,8 @@ pub use ftpm_core::{
     CorrelationFilter, CountingSink, CsvSink, DatabaseIndex, ExploreStats, Explorer,
     DeltaKey, EventsRev, FrequentPattern, HierarchicalPatternGraph, JsonlSink, Level,
     MinerConfig, MiningResult, MiningStats, Node, Pattern, PatternId, PatternPool,
-    PatternSink, PatternSort, PruningConfig, Schedule, Shard, ShardPlan, ShardPlanner,
-    ShardReport, ShardedMining, MAX_EVENTS_HARD_CAP,
+    PatternSink, PatternSort, PruningConfig, RowEncoder, Schedule, Shard, ShardPlan,
+    ShardPlanner, ShardReport, ShardedMining, MAX_EVENTS_HARD_CAP,
 };
 pub use ftpm_datagen::{
     dataport_like, generate_city, generate_energy, nist_like, random_sequence_database,

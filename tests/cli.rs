@@ -254,3 +254,93 @@ fn sharded_threaded_approx_stream_equals_the_sequential_stream() {
     assert!(sequential.len() > 1, "the run must stream patterns");
     assert_eq!(rows("4", "4"), sequential);
 }
+
+/// `ftpm mine --stream` into a pipe nobody reads is an I/O error with
+/// exit status 1, not a panic, on one worker and on two.
+#[test]
+fn mine_stream_to_a_closed_pipe_exits_1_without_a_panic() {
+    for threads in ["1", "2"] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_ftpm"))
+            .args([
+                "mine", "--demo", "nist", "--scale", "0.005", "--sigma", "0.3", "--delta",
+                "0.3", "--max-events", "3", "--stream", "--threads", threads,
+            ])
+            .stdout(writer)
+            .output()
+            .expect("the ftpm binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "threads {threads}: {stderr}");
+        assert!(!stderr.contains("panicked"), "threads {threads}: {stderr}");
+        assert!(stderr.contains("error: stdout:"), "threads {threads}: {stderr}");
+    }
+}
+
+/// Column names reach the event labels verbatim (`parse_csv` splits the
+/// header on `,` and trims), so a quote, a backslash, an inner tab and
+/// non-ASCII text must survive both writers' escaping. One worker and
+/// two stream the same rows.
+#[test]
+fn labels_that_need_escaping_stream_the_same_rows_on_any_thread_count() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let csv = dir.join("escaped_labels.csv");
+    let mut text = String::from("time,a\"q,b\\s,in\tner,é日本\n");
+    for t in 0..400 {
+        let on = |period: u32, phase: u32| u8::from((t / period + phase).is_multiple_of(2));
+        text.push_str(&format!("{t},{},{},{},{}\n", on(7, 0), on(11, 1), on(5, 0), on(13, 1)));
+    }
+    std::fs::write(&csv, text).expect("the temp dir is writable");
+    let csv = csv.display().to_string();
+    let rows = |threads: &str| -> (Vec<String>, Vec<String>) {
+        let mine = |extra: &[&str]| {
+            let mut args = vec![
+                "mine", "--input", &csv, "--window", "40", "--sigma", "0.3", "--delta", "0.3",
+                "--max-events", "3", "--stream", "--threads", threads,
+            ];
+            args.extend_from_slice(extra);
+            let out = ftpm(&args);
+            assert!(out.status.success(), "{out:?}");
+            out
+        };
+        let sorted = |text: &str| {
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            lines.sort_unstable();
+            lines
+        };
+        let csv_rows = sorted(&String::from_utf8_lossy(&mine(&[]).stdout));
+        let jsonl = dir.join(format!("escaped_labels_t{threads}.jsonl"));
+        let jsonl = jsonl.display().to_string();
+        mine(&["--output", &jsonl]);
+        let jsonl_rows = sorted(&std::fs::read_to_string(&jsonl).expect("the JSONL file"));
+        (csv_rows, jsonl_rows)
+    };
+    let (csv_rows, jsonl_rows) = rows("1");
+    assert!(csv_rows.len() > 10, "the input must yield patterns: {csv_rows:?}");
+    assert_eq!(csv_rows.len(), jsonl_rows.len() + 1, "CSV adds a header");
+    let (csv_text, jsonl_text) = (csv_rows.concat(), jsonl_rows.concat());
+    for needle in ["a\"\"q=On", "b\\s=On", "in\tner=On", "é日本=On"] {
+        assert!(csv_text.contains(needle), "{needle:?} in the CSV rows");
+    }
+    for needle in ["a\\\"q=On", "b\\\\s=On", "in\\tner=On", "é日本=On"] {
+        assert!(jsonl_text.contains(needle), "{needle:?} in the JSONL rows");
+    }
+    assert_eq!(rows("2"), (csv_rows, jsonl_rows));
+}
+
+/// The human summaries, streamed (on stderr) and collected, count the
+/// threads in the right number.
+#[test]
+fn summaries_count_one_thread_in_the_singular() {
+    for (threads, expected) in [("1", "(1 thread)"), ("2", "(2 threads)")] {
+        let collected = mine(&["--max-events", "3", "--threads", threads]);
+        let streamed = mine(&["--max-events", "3", "--threads", threads, "--stream"]);
+        for (summary, what) in [
+            (String::from_utf8_lossy(&collected.stdout), "collected"),
+            (String::from_utf8_lossy(&streamed.stderr), "streamed"),
+        ] {
+            let first = summary.lines().next().unwrap_or_default();
+            assert!(first.ends_with(expected), "{what}, threads {threads}: {first}");
+        }
+    }
+}
