@@ -42,6 +42,10 @@ pub(crate) fn event_supports<K: BoundaryKernel>(
 
 /// Confidence denominator: the largest support among the pattern's events
 /// (Def 3.16).
+#[expect(
+    clippy::expect_used,
+    reason = "structural invariant: patterns always hold at least one event"
+)]
 pub(crate) fn max_event_support(
     pattern: &Pattern,
     supports: &HashMap<EventId, usize>,
@@ -51,7 +55,6 @@ pub(crate) fn max_event_support(
         .iter()
         .map(|e| supports.get(e).copied().unwrap_or(0))
         .max()
-        // lint: allow(panic, structural invariant: patterns always hold at least one event)
         .expect("patterns have events")
 }
 
@@ -108,19 +111,25 @@ fn backtrack_from<K: BoundaryKernel>(
             }
         }
         // Bound instances passed the policy when they were pushed.
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: binding members passed the boundary policy on entry"
+        )]
         let bound_iv = |b: usize| {
             K::interval(&insts[b])
-                // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
                 .expect("bound instances pass the boundary policy")
         };
         // Duration constraint: the whole occurrence fits in t_max.
         if !binding.is_empty() {
             let first_start = bound_iv(binding[0]).start;
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: the binding is non-empty on this path"
+            )]
             let max_end = binding
                 .iter()
                 .map(|&b| bound_iv(b).end)
                 .max()
-                // lint: allow(panic, structural invariant: the binding is non-empty on this path)
                 .expect("non-empty")
                 .max(x_iv.end);
             if !rel.within_t_max(first_start, max_end) {
@@ -211,13 +220,19 @@ pub(crate) fn relation_column<K: BoundaryKernel>(
     cfg: &MinerConfig,
 ) -> Option<Vec<TemporalRelation>> {
     let rel = &cfg.relation;
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: candidates passed the boundary policy on entry"
+    )]
     let x_iv = K::interval(&insts[x])
-        // lint: allow(panic, structural invariant: candidates passed the boundary policy on entry)
         .expect("candidate instances pass the boundary policy");
     let mut rels = Vec::with_capacity(binding.len());
     for &b in binding {
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: binding members passed the boundary policy on entry"
+        )]
         let b_iv = K::interval(&insts[b as usize])
-            // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
             .expect("bound instances pass the boundary policy");
         rels.push(rel.relate(&b_iv, &x_iv)?);
     }

@@ -150,9 +150,15 @@ fn merge_pair<K: BoundaryKernel>(
                     for &y in ib {
                         let (fx, fy) = (&insts[x as usize], &insts[y as usize]);
                         // ID-list members passed the boundary policy.
-                        // lint: allow(panic, structural invariant: id-list members passed the boundary policy)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "structural invariant: id-list members passed the boundary policy"
+                        )]
                         let fx_iv = K::interval(fx).expect("in id-list");
-                        // lint: allow(panic, structural invariant: id-list members passed the boundary policy)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "structural invariant: id-list members passed the boundary policy"
+                        )]
                         let fy_iv = K::interval(fy).expect("in id-list");
                         if K::key(fx) >= K::key(fy) {
                             continue; // the opposite order is the pair (b, a)
@@ -205,23 +211,35 @@ fn merge_extend<K: BoundaryKernel>(
         let insts = db.sequences()[*si as usize].instances();
         let rel = &cfg.relation;
         // Bound and candidate instances all passed the boundary policy.
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: binding members passed the boundary policy on entry"
+        )]
         let bound_iv = |b: u32| {
             K::interval(&insts[b as usize])
-                // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
                 .expect("bound instances pass the boundary policy")
         };
-        // lint: allow(panic, structural invariant: the binding is non-empty on this path)
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the binding is non-empty on this path"
+        )]
         let last_key = K::key(&insts[*binding.last().expect("non-empty") as usize]);
         let first_start = bound_iv(binding[0]).start;
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the binding is non-empty on this path"
+        )]
         let max_end = binding
             .iter()
             .map(|&b| bound_iv(b).end)
             .max()
-            // lint: allow(panic, structural invariant: the binding is non-empty on this path)
             .expect("non-empty");
         for &xi in *candidates {
             let x = &insts[xi as usize];
-            // lint: allow(panic, structural invariant: id-list members passed the boundary policy)
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: id-list members passed the boundary policy"
+            )]
             let x_iv = K::interval(x).expect("in id-list");
             if K::key(x) <= last_key {
                 continue;

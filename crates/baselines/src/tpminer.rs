@@ -141,24 +141,36 @@ fn grow<K: BoundaryKernel>(
             let rel = &cfg.relation;
             // Projected and candidate instances passed the boundary
             // policy when they entered the endpoint view.
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: binding members passed the boundary policy on entry"
+            )]
             let bound_iv = |b: u32| {
                 K::interval(&insts[b as usize])
-                    // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
                     .expect("bound instances pass the boundary policy")
             };
-            // lint: allow(panic, structural invariant: the binding is non-empty on this path)
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: the binding is non-empty on this path"
+            )]
             let last_key = K::key(&insts[*binding.last().expect("non-empty") as usize]);
             let first_start = bound_iv(binding[0]).start;
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: the binding is non-empty on this path"
+            )]
             let max_end = binding
                 .iter()
                 .map(|&b| bound_iv(b).end)
                 .max()
-                // lint: allow(panic, structural invariant: the binding is non-empty on this path)
                 .expect("non-empty");
             for &xi in endpoints.instances_of(*si, ek) {
                 let xi = xi as usize;
                 let x = &insts[xi];
-                // lint: allow(panic, structural invariant: endpoint-view members passed the boundary policy)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "structural invariant: endpoint-view members passed the boundary policy"
+                )]
                 let x_iv = K::interval(x).expect("in endpoint view");
                 if K::key(x) <= last_key {
                     continue;

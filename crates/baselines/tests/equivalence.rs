@@ -17,6 +17,7 @@ fn as_map(result: &MiningResult) -> HashMap<Pattern, (usize, f64)> {
         .collect()
 }
 
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn assert_equivalent(exact: &MiningResult, other: &MiningResult, who: &str) {
     let me = as_map(exact);
     let mo = as_map(other);

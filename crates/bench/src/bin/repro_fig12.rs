@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Reproduces the paper's Fig 12 (scalability in %attributes, NIST). Args: `[scale] [max_events]`.
 fn main() {
     let opts = ftpm_bench::Opts::from_args(0.015, 3);

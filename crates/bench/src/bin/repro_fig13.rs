@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Reproduces the paper's Fig 13 (scalability in %attributes, Smart City). Args: `[scale] [max_events]`.
 fn main() {
     let opts = ftpm_bench::Opts::from_args(0.015, 3);

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Reproduces the paper's fig8. Args: `[scale] [max_events]`.
 fn main() {
     let opts = ftpm_bench::Opts::from_args(0.02, 3);

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Peak-memory comparison of the pattern output paths (collect vs count
 //! vs stream) — the sink-architecture extension of the paper's Table
 //! VIII. Args: `[scale] [max_events]`.

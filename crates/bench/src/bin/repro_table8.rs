@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Reproduces the paper's Table VIII (peak memory). Args: `[scale] [max_events]`.
 #[global_allocator]
 static ALLOC: ftpm_bench::TrackingAllocator = ftpm_bench::TrackingAllocator;

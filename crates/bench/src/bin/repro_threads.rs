@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Threads-scaling run of parallel E-HTPGM (the CLI's `--threads` path).
 //! Args: `[scale] [max_events]`.
 fn main() {

@@ -354,6 +354,11 @@ pub fn fig1213(opts: &Opts, city: bool) {
 /// `host_cores` column says how many cores the run had: with fewer cores
 /// than threads, the speedup column shows scheduling overhead, not
 /// parallelism.
+///
+/// # Panics
+///
+/// Panics if a thread count finds a different number of patterns than
+/// one thread.
 pub fn threads_scaling(opts: &Opts) {
     println!("Threads scaling: parallel E-HTPGM (scale {})\n", opts.scale);
     let datasets = [nist_like(opts.scale), ukdale_like(opts.scale)];
@@ -392,6 +397,11 @@ pub fn threads_scaling(opts: &Opts) {
 /// Output-path memory (extends Table VIII): peak heap of one E-HTPGM run
 /// when the patterns are collected into a `MiningResult`, only counted,
 /// or streamed to a JSONL writer — the sink architecture's memory story.
+///
+/// # Panics
+///
+/// Panics if the JSONL sink reports a write error, which `io::sink()`
+/// never does.
 pub fn sink_memory(opts: &Opts) {
     println!(
         "Sink memory: collect vs count vs stream output paths (scale {})\n",
@@ -423,6 +433,7 @@ pub fn sink_memory(opts: &Opts) {
         let (n, peak) = measure_peak(|| {
             let mut sink = JsonlSink::new(std::io::sink(), data.seq.registry());
             mine_exact_parallel_with_sink(&data.seq, &cfg, threads, &mut sink);
+            #[expect(clippy::expect_used, reason = "io::sink never fails")]
             sink.finish().expect("io::sink never fails");
             sink.written()
         });

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation (Section VI), plus threads scaling and output-path peak
 //! memory.
@@ -8,10 +7,17 @@
 //! suites (`cargo test`), and the speed of `ftpm mine` is measured by
 //! `perfbench/`; this crate only reproduces the paper's numbers.
 
-// The allocation-tracking harness implements `GlobalAlloc`, which is
-// inherently unsafe; it is the single unsafe-permitted module in the
-// workspace (rule R4 of ftpm-analyzer).
-#[allow(unsafe_code)]
+// The workspace denies `unsafe` (every other crate root forbids it), and
+// `clippy.toml` confines atomics to the miner's worker pools. The
+// allocation-tracking harness is the one exception to both.
+#[expect(
+    unsafe_code,
+    reason = "the allocation-tracking harness implements `GlobalAlloc`, which is inherently unsafe"
+)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the counting allocator runs on every thread that allocates, so it counts with atomics"
+)]
 mod alloc_track;
 pub mod experiments;
 mod util;

@@ -1,6 +1,7 @@
 //! Shared harness plumbing: timing, miner dispatch, grid/row printing and
 //! CSV output.
 
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ftpm_core::{MinerConfig, MiningResult, MAX_EVENTS_HARD_CAP};
@@ -147,7 +148,9 @@ impl Report {
         self.rows.push(cells);
     }
 
-    /// Prints the table and writes `results/<name>.csv`.
+    /// Prints the table and writes `results/<name>.csv`. If the CSV
+    /// cannot be written, the error is named on stderr and the process
+    /// exits with status 1: a run without its results file failed.
     pub fn finish(self) {
         let widths: Vec<usize> = self
             .header
@@ -175,17 +178,29 @@ impl Report {
         for r in &self.rows {
             println!("{}", fmt_row(r));
         }
-        let _ = std::fs::create_dir_all("results");
-        let csv_path = format!("results/{}.csv", self.name);
+        match self.save(Path::new("results")) {
+            Ok(path) => println!("\nwrote {}", path.display()),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1)
+            }
+        }
+    }
+
+    /// Writes the table to `<dir>/<name>.csv`, creating `dir` first, and
+    /// returns the file's path.
+    fn save(&self, dir: &Path) -> Result<PathBuf, String> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("could not create {}: {e}", dir.display()))?;
+        let path = dir.join(format!("{}.csv", self.name));
         let mut csv = self.header.join(",") + "\n";
         for r in &self.rows {
             csv.push_str(&r.join(","));
             csv.push('\n');
         }
-        match std::fs::write(&csv_path, csv) {
-            Ok(()) => println!("\nwrote {csv_path}"),
-            Err(e) => eprintln!("could not write {csv_path}: {e}"),
-        }
+        std::fs::write(&path, csv)
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        Ok(path)
     }
 }
 
@@ -196,7 +211,26 @@ pub fn secs(d: Duration) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::Opts;
+    use super::{Opts, Report};
+
+    #[test]
+    fn saving_into_a_file_instead_of_a_directory_is_an_error() {
+        let scratch = std::env::temp_dir().join(format!("ftpm_bench_save_{}", std::process::id()));
+        std::fs::create_dir_all(&scratch).unwrap();
+        let mut report = Report::new("t", &["a", "b"]);
+        report.row(vec!["1".into(), "2".into()]);
+
+        let dir = scratch.join("results");
+        let path = report.save(&dir).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+
+        let file = scratch.join("not_a_dir");
+        std::fs::write(&file, "").unwrap();
+        let err = report.save(&file).expect_err("a file cannot hold the CSV");
+        assert!(err.starts_with("could not create"), "{err}");
+        assert!(err.contains("not_a_dir"), "{err}");
+        std::fs::remove_dir_all(&scratch).unwrap();
+    }
 
     #[test]
     fn bad_or_extra_arguments_are_usage_errors_that_name_them() {

@@ -70,7 +70,6 @@ impl Bitmap {
     ///
     /// Panics if `i >= len`.
     pub fn set(&mut self, i: usize) {
-        // lint: allow(panic, documented # Panics contract: bit index within universe)
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         self.words[i / 64] |= 1u64 << (i % 64);
     }
@@ -81,7 +80,6 @@ impl Bitmap {
     ///
     /// Panics if `i >= len`.
     pub fn clear(&mut self, i: usize) {
-        // lint: allow(panic, documented # Panics contract: bit index within universe)
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
@@ -92,7 +90,6 @@ impl Bitmap {
     ///
     /// Panics if `i >= len`.
     pub fn get(&self, i: usize) -> bool {
-        // lint: allow(panic, documented # Panics contract: bit index within universe)
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
@@ -114,7 +111,6 @@ impl Bitmap {
     ///
     /// Panics if the universes differ.
     pub fn and(&self, other: &Bitmap) -> Bitmap {
-        // lint: allow(panic, documented # Panics contract: universes must match)
         assert_eq!(self.len, other.len, "bitmap universe mismatch");
         // Exactly sized: mining keeps these bitmaps in its nodes, and a
         // growing `Vec` would round a one-word bitmap up to four.
@@ -189,7 +185,6 @@ impl Bitmap {
     ///
     /// Panics if the universes differ.
     pub fn and_assign(&mut self, other: &Bitmap) {
-        // lint: allow(panic, documented # Panics contract: universes must match)
         assert_eq!(self.len, other.len, "bitmap universe mismatch");
         kernel::and_assign_words(&mut self.words, &other.words);
     }
@@ -200,7 +195,6 @@ impl Bitmap {
     ///
     /// Panics if the universes differ.
     pub fn or(&self, other: &Bitmap) -> Bitmap {
-        // lint: allow(panic, documented # Panics contract: universes must match)
         assert_eq!(self.len, other.len, "bitmap universe mismatch");
         let mut words = Vec::new();
         kernel::or_words(&self.words, &other.words, &mut words);
@@ -213,7 +207,6 @@ impl Bitmap {
     ///
     /// Panics if the universes differ.
     pub fn or_assign(&mut self, other: &Bitmap) {
-        // lint: allow(panic, documented # Panics contract: universes must match)
         assert_eq!(self.len, other.len, "bitmap universe mismatch");
         kernel::or_assign_words(&mut self.words, &other.words);
     }

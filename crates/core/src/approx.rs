@@ -13,18 +13,17 @@
 //!
 //! Since the one-plan refactor, A-HTPGM is not a separate code path but
 //! a [`CorrelationFilter`] handed to the shared miners: this module is
-//! the *only* place filters are constructed (lint rule R6), and every
+//! the *only* place filters can be constructed, and every
 //! execution axis — any thread count via
 //! [`mine_approximate_graph_with_sink`], sharded candidate exchange via
 //! [`crate::ShardPlan::mine_approximate_exchange_into`] — consumes the
 //! identical gates, so every composition yields the same pattern set as
 //! plain [`mine_approximate`].
 
-use ftpm_events::{EventRegistry, SequenceDatabase};
+use ftpm_events::{EventId, EventRegistry, SequenceDatabase};
 use ftpm_mi::CorrelationGraph;
 use ftpm_timeseries::{SymbolicDatabase, VariableId};
 
-use crate::candidates::CorrelationFilter;
 use crate::config::MinerConfig;
 use crate::parallel::mine_parallel_internal;
 use crate::result::{MiningResult, MiningStats};
@@ -56,11 +55,56 @@ fn outcome(result: MiningResult, graph: CorrelationGraph) -> ApproxOutcome {
     }
 }
 
+/// The A-HTPGM seam (Alg. 2 lines 7–11): restricts candidate generation
+/// to correlated series, identically in every execution path.
+///
+/// The filter acts at exactly two points of the level-wise walk — L1
+/// keeps only events whose series is in the correlated set `X_C`
+/// ([`CorrelationFilter::allows_event`]), and L2 keeps only pairs whose
+/// series share a correlation-graph edge
+/// ([`CorrelationFilter::allows_pair`]). Levels ≥ 3 need no check of
+/// their own: they grow from surviving L2 nodes over the filtered L1
+/// event list, so the restriction propagates structurally. Every miner
+/// (sequential, parallel, reference, exchange) consumes the same filter
+/// through these two methods, which is what makes "merged approximate
+/// sharded output equals unsharded `mine_approximate`" an identity
+/// rather than an approximation.
+///
+/// Its fields and constructor are private to this module, so no other
+/// module can build one: there is exactly one place that decides what
+/// "correlated" means, and the exchange coordinator borrows a filter
+/// built here.
+pub struct CorrelationFilter<'a> {
+    /// `allowed[event]` — the event's series is in the correlated set X_C.
+    allowed: Vec<bool>,
+    /// Edge test between the series of two events.
+    edge: Box<dyn Fn(EventId, EventId) -> bool + Sync + 'a>,
+}
+
+impl<'a> CorrelationFilter<'a> {
+    /// Assembles a filter from its two gates.
+    fn new(allowed: Vec<bool>, edge: Box<dyn Fn(EventId, EventId) -> bool + Sync + 'a>) -> Self {
+        CorrelationFilter { allowed, edge }
+    }
+
+    /// L1 gate: is `e`'s series in the correlated set X_C?
+    #[inline]
+    pub(crate) fn allows_event(&self, e: EventId) -> bool {
+        self.allowed[e.0 as usize]
+    }
+
+    /// L2 gate: do the series of `ei` and `ej` share a G_C edge?
+    #[inline]
+    pub(crate) fn allows_pair(&self, ei: EventId, ej: EventId) -> bool {
+        (self.edge)(ei, ej)
+    }
+}
+
 /// Builds the variable-level A-HTPGM filter: L1 admits events whose
 /// series is in `X_C`, L2 admits pairs whose series share a `G_C` edge.
 ///
 /// The single construction site for every variable-level approximate
-/// path (R6): the sequential/parallel miners get it from the entry
+/// path: the sequential/parallel miners get it from the entry
 /// points below, the exchange coordinator borrows one built here so
 /// shards never invent their own edge gate, and external callers (the
 /// reference oracle via [`crate::mine_reference_filtered`], tests) call

@@ -24,55 +24,6 @@ use crate::result::MiningStats;
 /// accept patterns whose confidence is exactly 0.7 up to floating noise.
 pub(crate) const CONF_EPS: f64 = 1e-9;
 
-/// The A-HTPGM seam (Alg. 2 lines 7–11): restricts candidate generation
-/// to correlated series, identically in every execution path.
-///
-/// The filter acts at exactly two points of the level-wise walk — L1
-/// keeps only events whose series is in the correlated set `X_C`
-/// ([`CorrelationFilter::allows_event`]), and L2 keeps only pairs whose
-/// series share a correlation-graph edge
-/// ([`CorrelationFilter::allows_pair`]). Levels ≥ 3 need no check of
-/// their own: they grow from surviving L2 nodes over the filtered L1
-/// event list, so the restriction propagates structurally. Every miner
-/// (sequential, parallel, reference, exchange) consumes the same filter
-/// through these two methods, which is what makes "merged approximate
-/// sharded output equals unsharded `mine_approximate`" an identity
-/// rather than an approximation.
-///
-/// Construction is deliberately confined to [`crate::approx`] (and the
-/// exchange coordinator, which borrows the filter built there) — lint
-/// rule R6 — so there is exactly one place that decides what "correlated"
-/// means.
-pub struct CorrelationFilter<'a> {
-    /// `allowed[event]` — the event's series is in the correlated set X_C.
-    allowed: Vec<bool>,
-    /// Edge test between the series of two events.
-    edge: Box<dyn Fn(EventId, EventId) -> bool + Sync + 'a>,
-}
-
-impl<'a> CorrelationFilter<'a> {
-    /// Assembles a filter from its two gates. `pub(crate)` on purpose:
-    /// the only constructors live in [`crate::approx`].
-    pub(crate) fn new(
-        allowed: Vec<bool>,
-        edge: Box<dyn Fn(EventId, EventId) -> bool + Sync + 'a>,
-    ) -> Self {
-        CorrelationFilter { allowed, edge }
-    }
-
-    /// L1 gate: is `e`'s series in the correlated set X_C?
-    #[inline]
-    pub(crate) fn allows_event(&self, e: EventId) -> bool {
-        self.allowed[e.0 as usize]
-    }
-
-    /// L2 gate: do the series of `ei` and `ej` share a G_C edge?
-    #[inline]
-    pub(crate) fn allows_pair(&self, ei: EventId, ej: EventId) -> bool {
-        (self.edge)(ei, ej)
-    }
-}
-
 /// Final σ/δ check on a verified candidate: returns the confidence iff
 /// `support ≥ sigma_abs` and `support / max_supp ≥ delta − CONF_EPS`.
 #[inline]

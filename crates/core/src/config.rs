@@ -81,9 +81,7 @@ impl MinerConfig {
     ///
     /// Panics unless `σ, δ ∈ (0, 1]`.
     pub fn new(sigma: f64, delta: f64) -> Self {
-        // lint: allow(panic, documented # Panics contract: Def 3.15/3.16 threshold domains)
         assert!(sigma > 0.0 && sigma <= 1.0, "sigma must be in (0, 1]");
-        // lint: allow(panic, documented # Panics contract: Def 3.15/3.16 threshold domains)
         assert!(delta > 0.0 && delta <= 1.0, "delta must be in (0, 1]");
         MinerConfig {
             sigma,
@@ -106,7 +104,6 @@ impl MinerConfig {
     ///
     /// Panics unless `max_events >= 2` (patterns have at least two events).
     pub fn with_max_events(mut self, max_events: usize) -> Self {
-        // lint: allow(panic, documented # Panics contract: pattern length floor)
         assert!(max_events >= 2, "patterns have at least two events");
         self.max_events = max_events;
         self

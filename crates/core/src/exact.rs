@@ -223,12 +223,15 @@ impl ExtensionGroups {
 
 /// The confidence denominator of extending `node` by `ek`: the largest
 /// single-event support among the child's events.
+#[expect(
+    clippy::expect_used,
+    reason = "structural invariant: HPG nodes always hold at least one event"
+)]
 pub(crate) fn max_support(index: &DatabaseIndex, node: &WorkNode, ek: EventId) -> usize {
     node.events
         .iter()
         .map(|&e| index.support(e))
         .max()
-        // lint: allow(panic, structural invariant: HPG nodes always hold at least one event)
         .expect("nodes have events")
         .max(index.support(ek))
 }
@@ -289,20 +292,29 @@ fn group_extensions<K: BoundaryKernel>(
         let seq = &db.sequences()[seq_id as usize];
         // Bound instances passed the boundary policy when the parent
         // occurrence was built, so their effective interval exists.
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: binding members passed the boundary policy on entry"
+        )]
         let bound_iv = |ti: u32| {
             K::interval(&seq.instances()[ti as usize])
-                // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
                 .expect("bound instances pass the boundary policy")
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the binding is non-empty on this path"
+        )]
         let last_key =
-            // lint: allow(panic, structural invariant: the binding is non-empty on this path)
             K::key(&seq.instances()[*tuple.last().expect("non-empty") as usize]);
         let first_start = bound_iv(tuple[0]).start;
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the binding is non-empty on this path"
+        )]
         let tuple_max_end = tuple
             .iter()
             .map(|&ti| bound_iv(ti).end)
             .max()
-            // lint: allow(panic, structural invariant: the binding is non-empty on this path)
             .expect("non-empty");
         for &xi in index.instances_in(seq_id as usize, ek) {
             let x = &seq.instances()[xi as usize];

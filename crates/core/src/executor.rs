@@ -71,7 +71,8 @@ use std::time::{Duration, Instant};
 
 use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId, TemporalRelation};
 
-use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode, WorkPattern, CONF_EPS};
+use crate::approx::CorrelationFilter;
+use crate::candidates::{L2Engine, PairRelations, WorkNode, WorkPattern, CONF_EPS};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::exact::{count_candidates, extend_node, max_support, ExtensionGroups};
 use crate::index::DatabaseIndex;
@@ -235,8 +236,11 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
     }
 
     /// The masked index.
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: the executor always runs l1 before later rounds"
+    )]
     fn index(&self) -> &DatabaseIndex {
-        // lint: allow(panic, structural invariant: the executor always runs l1 before later rounds)
         self.index.as_ref().expect("l1 ran first")
     }
 
@@ -587,12 +591,15 @@ fn gate_round<K: BoundaryKernel>(
         if support < sigma_abs {
             continue;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: patterns always hold at least one event"
+        )]
         let max_supp = merge
             .pool()
             .events_rev(key.parent)
             .map(|e| event_supports[e.0 as usize])
             .max()
-            // lint: allow(panic, structural invariant: patterns always hold at least one event)
             .expect("patterns have events")
             .max(event_supports[key.last.0 as usize]);
         if (support as f64 / max_supp as f64) + CONF_EPS < delta {

@@ -77,9 +77,8 @@ mod sink;
 pub use approx::{
     correlation_filter, event_indicator_database, mine_approximate, mine_approximate_event_level,
     mine_approximate_graph_with_sink, mine_approximate_parallel, mine_approximate_with_density,
-    ApproxOutcome,
+    ApproxOutcome, CorrelationFilter,
 };
-pub use candidates::CorrelationFilter;
 pub use config::{MinerConfig, PruningConfig, MAX_EVENTS_HARD_CAP};
 pub use exact::{mine_exact, mine_exact_with_sink};
 pub use parallel::{mine_exact_parallel, mine_exact_parallel_with_sink};

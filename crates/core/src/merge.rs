@@ -204,11 +204,14 @@ impl ShardMerge {
                 if entry.support < sigma_abs {
                     return None;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "structural invariant: patterns always hold at least one event"
+                )]
                 let max_supp = pool
                     .events_rev(id)
                     .map(|e| event_supports[e.0 as usize])
                     .max()
-                    // lint: allow(panic, structural invariant: patterns always hold at least one event)
                     .expect("patterns have events");
                 if max_supp == 0 {
                     return None;

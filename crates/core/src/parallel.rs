@@ -23,6 +23,11 @@
 //! and lock acquisitions recover from poisoning — the panic is already
 //! being propagated at the join; cascading a second one out of a
 //! poisoned `Mutex` would only mask it.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the worker pools own the miner's threads, locks and atomics"
+)]
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,7 +36,8 @@ use std::thread::ScopedJoinHandle;
 
 use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId, SequenceDatabase};
 
-use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode};
+use crate::approx::CorrelationFilter;
+use crate::candidates::{L2Engine, PairRelations, WorkNode};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::exact::GrowContext;
 use crate::index::DatabaseIndex;
@@ -145,6 +151,10 @@ where
 /// filter, see [`crate::approx`]) — and, with `sched` set, the engine
 /// under [`crate::Schedule::mine_parallel`], where every task claim goes
 /// through the seeded sequencer instead of racing on the atomic alone.
+///
+/// # Panics
+///
+/// Panics if `n_threads == 0`.
 pub(crate) fn mine_parallel_internal(
     db: &SequenceDatabase,
     cfg: &MinerConfig,
@@ -153,7 +163,6 @@ pub(crate) fn mine_parallel_internal(
     sink: &mut (dyn PatternSink + Send),
     sched: Option<&SimCtl>,
 ) -> MiningStats {
-    // lint: allow(panic, documented # Panics contract: thread count floor)
     assert!(n_threads > 0, "need at least one thread");
     // Monomorphization seam: fix the boundary kernel once per run, so
     // every instance-level decision below compiles branch-free.
@@ -397,6 +406,10 @@ where
 /// parallelism of the exchange executor's count and re-derive stages
 /// (chunks of L2 pairs or level-k nodes), composing with the shard-level
 /// concurrency the way `--threads` composes with `--shards`.
+#[expect(
+    clippy::expect_used,
+    reason = "structural invariant: par_for_each visits every slot exactly once"
+)]
 pub(crate) fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -409,13 +422,15 @@ where
     let mut slots: Vec<(Option<T>, Option<R>)> =
         items.into_iter().map(|t| (Some(t), None)).collect();
     par_for_each(&mut slots, threads, None, |_, slot| {
-        // lint: allow(panic, structural invariant: the atomic counter hands each slot index out once)
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the atomic counter hands each slot index out once"
+        )]
         let item = slot.0.take().expect("each item mapped once");
         slot.1 = Some(f(item));
     });
     slots
         .into_iter()
-        // lint: allow(panic, structural invariant: par_for_each visits every slot exactly once)
         .map(|(_, r)| r.expect("every slot filled"))
         .collect()
 }
@@ -571,7 +586,7 @@ mod tests {
     #[test]
     fn par_for_each_with_empty_work_list() {
         let mut items: Vec<u32> = Vec::new();
-        par_for_each(&mut items, 8, None, |_, _| unreachable!("no items"));
+        par_for_each(&mut items, 8, None, |_, _| panic!("no items"));
         assert!(items.is_empty());
     }
 

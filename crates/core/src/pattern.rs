@@ -33,9 +33,7 @@ impl Pattern {
     /// Panics unless `events.len() >= 2` and
     /// `relations.len() == k·(k−1)/2`.
     pub fn new(events: Vec<EventId>, relations: Vec<TemporalRelation>) -> Self {
-        // lint: allow(panic, documented # Panics contract: pattern shape)
         assert!(events.len() >= 2, "a temporal pattern has >= 2 events");
-        // lint: allow(panic, documented # Panics contract: pattern shape)
         assert_eq!(
             relations.len(),
             events.len() * (events.len() - 1) / 2,
@@ -78,7 +76,6 @@ impl Pattern {
     ///
     /// Panics unless `i < j < len`.
     pub fn relation_between(&self, i: usize, j: usize) -> TemporalRelation {
-        // lint: allow(panic, documented # Panics contract: triangular index domain)
         assert!(i < j && j < self.events.len(), "need i < j < len");
         // Pairs with later event j start at offset j*(j-1)/2.
         self.relations[j * (j - 1) / 2 + i]
@@ -98,7 +95,6 @@ impl Pattern {
     ///
     /// Panics unless `new_relations.len() == self.len()`.
     pub fn extend(&self, event: EventId, new_relations: &[TemporalRelation]) -> Pattern {
-        // lint: allow(panic, documented # Panics contract: one relation per existing event)
         assert_eq!(new_relations.len(), self.events.len());
         let mut events = Vec::with_capacity(self.events.len() + 1);
         events.extend_from_slice(&self.events);

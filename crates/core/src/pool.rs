@@ -214,7 +214,6 @@ impl PatternPool {
     /// Panics if `event` was not covered by [`PatternPool::with_roots`].
     #[inline]
     pub fn root(&self, event: EventId) -> PatternId {
-        // lint: allow(panic, documented # Panics contract: event outside the root range)
         assert!(event.0 < self.n_roots, "event {} has no root in this pool", event.0);
         PatternId(event.0)
     }

@@ -14,7 +14,7 @@ use ftpm_events::{
     BoundaryKernel, BoundaryVisit, SequenceDatabase, TemporalRelation,
 };
 
-use crate::candidates::CorrelationFilter;
+use crate::approx::CorrelationFilter;
 use crate::config::MinerConfig;
 use crate::hpg::HierarchicalPatternGraph;
 use crate::index::DatabaseIndex;
@@ -112,12 +112,15 @@ fn mine_reference_k<K: BoundaryKernel>(
             if supp < sigma_abs {
                 return None;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: patterns always hold at least one event"
+            )]
             let max_evt_supp = pattern
                 .events()
                 .iter()
                 .map(|&e| index.support(e))
                 .max()
-                // lint: allow(panic, structural invariant: patterns always hold at least one event)
                 .expect("patterns have events");
             let confidence = supp as f64 / max_evt_supp as f64;
             if confidence + 1e-9 < cfg.delta {
@@ -196,19 +199,28 @@ fn dfs<K: BoundaryKernel>(
         return;
     }
     // Tuple members passed the boundary policy when they were pushed.
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: binding members passed the boundary policy on entry"
+    )]
     let bound_iv = |i: usize| {
         K::interval(&insts[i])
-            // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
             .expect("bound instances pass the boundary policy")
     };
     let first_start = bound_iv(tuple[0]).start;
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: the binding is non-empty on this path"
+    )]
     let tuple_max_end = tuple
         .iter()
         .map(|&i| bound_iv(i).end)
         .max()
-        // lint: allow(panic, structural invariant: the binding is non-empty on this path)
         .expect("non-empty");
-    // lint: allow(panic, structural invariant: the binding is non-empty on this path)
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: the binding is non-empty on this path"
+    )]
     let last_key = K::key(&insts[*tuple.last().expect("non-empty")]);
 
     for (next, x) in insts.iter().enumerate().take(n_insts) {

@@ -121,7 +121,10 @@ impl MiningResult {
         use std::fmt::Write as _;
         let mut out = String::new();
         for fp in &self.patterns {
-            // lint: allow(write_discard, fmt::Write to String is infallible)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "fmt::Write to String is infallible"
+            )]
             let _ = writeln!(
                 out,
                 "{}  [supp={} ({:.0}%), conf={:.0}%]",

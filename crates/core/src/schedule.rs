@@ -50,6 +50,10 @@
 //! so prefix replay is sound). Trace hashes deduplicate the visited
 //! interleavings, and a watchdog converts any would-be deadlock into a
 //! failed run instead of a hung CI job.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the schedule sequencer parks and grants the pools' worker threads"
+)]
 
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -303,11 +307,14 @@ impl SimCtl {
                 .wait_timeout(st, WATCHDOG)
                 .unwrap_or_else(PoisonError::into_inner);
             st = guard;
+            // No grant and no retirement for the whole window: a worker
+            // is wedged outside the sequencer. Fail the run loudly
+            // instead of hanging the harness.
+            #[expect(
+                clippy::panic,
+                reason = "deadlock watchdog — a wedged schedule must fail the test run, not hang it"
+            )]
             if timeout.timed_out() && st.events == events_before {
-                // No grant and no retirement for the whole window: a
-                // worker is wedged outside the sequencer. Fail the run
-                // loudly instead of hanging the harness.
-                // lint: allow(panic, deadlock watchdog — a wedged schedule must fail the test run, not hang it)
                 panic!(
                     "schedule sequencer watchdog: no progress in {WATCHDOG:?} \
                      (worker {worker} parked, {} live, trace length {})",
@@ -589,6 +596,10 @@ fn hash_trace(trace: &[usize]) -> u64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests drive the sequencer from worker threads of their own"
+)]
 mod tests {
     use super::*;
 

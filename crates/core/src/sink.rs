@@ -407,7 +407,10 @@ fn push_usize(out: &mut Vec<u8>, mut v: usize) {
 
 /// Appends `x` in `f64`'s `Display` form.
 fn push_f64(out: &mut Vec<u8>, x: f64) {
-    // lint: allow(write_discard, io::Write to Vec<u8> is infallible)
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "io::Write to Vec<u8> is infallible"
+    )]
     let _ = write!(out, "{x}");
 }
 

@@ -32,6 +32,7 @@ use ftpm_timeseries::{SymbolicDatabase, VariableId};
 /// single-threaded unsharded approximate run is the baseline, and the
 /// parallel and sharded candidate-exchange compositions must both
 /// reproduce it exactly.
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn check_compositions(
     syb: &SymbolicDatabase,
     split: SplitConfig,

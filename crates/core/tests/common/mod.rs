@@ -69,6 +69,7 @@ pub fn labelled(result: &MiningResult, reg: &EventRegistry) -> Labelled {
 
 /// Asserts that `other` holds exactly the patterns of `base`, with equal
 /// supports, confidences and clipped-occurrence counts.
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 pub fn assert_equivalent(base: &Labelled, other: &Labelled, context: &str) {
     for (label, (supp, conf, clipped)) in base {
         match other.get(label) {

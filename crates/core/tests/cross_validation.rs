@@ -21,6 +21,7 @@ fn as_map(result: &MiningResult) -> HashMap<Pattern, (usize, f64)> {
         .collect()
 }
 
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn assert_same_patterns(a: &MiningResult, b: &MiningResult, context: &str) {
     let ma = as_map(a);
     let mb = as_map(b);

@@ -16,6 +16,7 @@ use ftpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};
 /// One full check: the exchange against the unsharded baseline —
 /// patterns, L1 and boundary observability — plus the shard reports'
 /// bookkeeping.
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn check_exchange(
     syb: &SymbolicDatabase,
     split: SplitConfig,

@@ -16,6 +16,7 @@ use ftpm_core::{mine_exact, mine_sharded_exchange, MinerConfig, ShardPlanner};
 use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
 use ftpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};
 
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn check(
     syb: &SymbolicDatabase,
     split: SplitConfig,

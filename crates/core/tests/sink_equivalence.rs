@@ -22,6 +22,7 @@ fn as_map(result: &MiningResult) -> HashMap<Pattern, (usize, f64)> {
         .collect()
 }
 
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn assert_same_patterns(a: &MiningResult, b: &MiningResult, context: &str) {
     let ma = as_map(a);
     let mb = as_map(b);
@@ -45,6 +46,10 @@ fn assert_same_patterns(a: &MiningResult, b: &MiningResult, context: &str) {
 /// Streams one run into a `CsvSink` and into a `JsonlSink`, with
 /// `threads` workers, and returns both outputs; each sink must report
 /// `patterns` rows written.
+#[expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 fn stream_writers(
     seq: &ftpm_events::SequenceDatabase,
     cfg: &MinerConfig,
@@ -79,6 +84,7 @@ fn sorted_lines(text: &str) -> Vec<&str> {
 
 /// The JSONL rows of one HPG node (one `events` value) must be
 /// contiguous: workers interleave whole nodes, never rows.
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn assert_nodes_contiguous(jsonl: &str, context: &str) {
     let mut finished = std::collections::HashSet::new();
     let mut current: Option<&str> = None;

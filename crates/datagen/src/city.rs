@@ -45,6 +45,10 @@ impl Default for CityConfig {
 /// collision). Weather values are continuous; collision values are small
 /// non-negative counts. Symbolize weather with 5 quantile states and
 /// collisions with 4, as the paper does (Section VI-A2).
+///
+/// # Panics
+///
+/// Panics if `n_weather`, `n_collision`, `days` or `n_factors` is zero.
 pub fn generate_city(cfg: &CityConfig) -> Vec<TimeSeries> {
     assert!(cfg.n_weather > 0 && cfg.n_collision > 0 && cfg.days > 0 && cfg.n_factors > 0);
     let mut rng = StdRng::seed_from_u64(cfg.seed);

@@ -120,6 +120,10 @@ pub fn dataport_like(scale: f64) -> Dataset {
 /// Smart-city-like dataset: 59 variables (weather with 5 states,
 /// collisions with 4 — 266 distinct events), 2 sequences per day, ~1216
 /// sequences at `scale = 1.0`.
+///
+/// # Panics
+///
+/// Panics unless `0 < scale ≤ 1`.
 pub fn smartcity_like(scale: f64) -> Dataset {
     assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
     let full_days = 608usize;
@@ -138,8 +142,11 @@ pub fn smartcity_like(scale: f64) -> Dataset {
     let collision_labels = ["None", "Low", "Medium", "High"];
     for ts in &series {
         if ts.name().starts_with("weather") {
-            // Generated weather readings are finite and continuously
-            // distributed, so their five quantiles never collide.
+            #[expect(
+                clippy::expect_used,
+                reason = "generated weather readings are finite and continuously distributed, \
+                          so their five quantiles never collide"
+            )]
             let q = QuantileSymbolizer::from_data(weather_labels, ts.values())
                 .expect("generated weather readings have distinct quantiles");
             syb.push(SymbolicSeries::from_time_series(ts, &q));

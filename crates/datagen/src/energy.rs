@@ -53,6 +53,10 @@ impl Default for EnergyConfig {
 /// of structure the paper's example patterns (P1–P11) describe. Off
 /// periods draw a few milliwatts of standby noise, below the paper's
 /// 0.05 W symbolization threshold.
+///
+/// # Panics
+///
+/// Panics if `n_appliances`, `days` or `group_size` is zero.
 pub fn generate_energy(cfg: &EnergyConfig) -> Vec<TimeSeries> {
     assert!(cfg.n_appliances > 0 && cfg.days > 0 && cfg.group_size > 0);
     let mut rng = StdRng::seed_from_u64(cfg.seed);

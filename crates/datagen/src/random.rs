@@ -16,6 +16,10 @@ use rand::{Rng, SeedableRng};
 /// pipeline-produced databases (where same-variable instances abut).
 /// Duplicate `(event, interval)` pairs are removed so instance identity
 /// stays unambiguous.
+///
+/// # Panics
+///
+/// Panics if `horizon < 4`.
 pub fn random_sequence_database(
     seed: u64,
     n_seqs: usize,
@@ -39,6 +43,7 @@ pub fn random_sequence_database(
             let mut instances = Vec::new();
             for v in 0..n_vars as u32 {
                 for s in 0..2u16 {
+                    #[expect(clippy::expect_used, reason = "every event is interned up front")]
                     let event = registry.get(VariableId(v), SymbolId(s)).expect("interned");
                     for _ in 0..rng.gen_range(0..=max_instances) {
                         let start = rng.gen_range(0..horizon - 1);

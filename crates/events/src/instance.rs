@@ -46,7 +46,6 @@ impl Interval {
     ///
     /// Panics if `end <= start`.
     pub fn new(start: i64, end: i64) -> Self {
-        // lint: allow(panic, documented # Panics contract; try_new is the fallible path)
         assert!(end > start, "interval must have positive duration: [{start}, {end})");
         Interval { start, end }
     }
@@ -137,7 +136,6 @@ impl EventInstance {
     ///
     /// Panics unless `extent` contains `interval`.
     pub fn with_extent(event: EventId, interval: Interval, extent: Interval) -> Self {
-        // lint: allow(panic, documented # Panics contract: the window splitter always passes extent ⊇ interval)
         assert!(
             extent.contains(&interval),
             "extent {extent} must contain the clipped interval {interval}"

@@ -255,8 +255,11 @@ impl RelationConfig {
     /// # Panics
     ///
     /// Panics unless `0 ≤ ε ≤ d_o` and `t_max > 0`.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; try_new is the fallible path"
+    )]
     pub fn new(epsilon: i64, min_overlap: i64, t_max: i64) -> Self {
-        // lint: allow(panic, documented # Panics contract; try_new is the fallible path)
         RelationConfig::try_new(epsilon, min_overlap, t_max).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -26,8 +26,11 @@ impl SplitConfig {
     /// # Panics
     ///
     /// Panics unless `window > 0` and `0 ≤ overlap < window`.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; try_new is the fallible path"
+    )]
     pub fn new(window: i64, overlap: i64) -> Self {
-        // lint: allow(panic, documented # Panics contract; try_new is the fallible path)
         SplitConfig::try_new(window, overlap).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -68,7 +71,6 @@ impl SplitConfig {
     ///
     /// Panics unless `step > 0`.
     pub fn effective(&self, step: i64) -> SplitConfig {
-        // lint: allow(panic, documented # Panics contract: step is validated at dataset load)
         assert!(step > 0, "step must be positive, got {step}");
         let win_steps = (self.window / step).max(1);
         let ov_steps = (self.overlap / step).min(win_steps - 1);

@@ -41,7 +41,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("mine") => exit_status(try_mine(&args[1..])),
         Some("graph") => exit_status(try_graph(&args[1..])),
-        Some("lint") => run_lint(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_help();
             ExitCode::SUCCESS
@@ -68,7 +67,6 @@ USAGE:
              [--sort support|confidence] [--top N] [--json]
   ftpm graph [--input FILE.csv | --demo ...] [--mu F | --approx-density F]
              [--scale F]
-  ftpm lint  [--root DIR] [--json FILE] [--strict-allows]
 
 OPTIONS:
   --input FILE       CSV with a time column followed by numeric variables
@@ -111,107 +109,8 @@ OPTIONS:
   --sort KEY         order printed/exported patterns: support|confidence
   --top N            keep only the N best patterns (sorts by support
                      unless --sort says otherwise)
-  --json             machine-readable summary output
-
-LINT:
-  ftpm lint runs the ftpm-analyzer workspace invariant linter: per-file
-  rules R1-R6 (fused and_count usage, panic-free library crates,
-  exhaustive BoundaryPolicy matches, unsafe confinement, checked sink
-  writes, correlation-filter confinement) plus whole-program rules
-  R7-R10 over the workspace item graph (hot-path purity, facade
-  coverage, sink-seam discipline, concurrency confinement). Stale
-  `// lint: allow(..)` markers are warnings (--strict-allows makes them
-  errors). --root overrides workspace discovery; --json writes a
-  machine-readable report. Exit codes: 0 clean, 2 violations found,
-  1 analyzer internal error."
+  --json             machine-readable summary output"
     );
-}
-
-/// `ftpm lint` — the workspace invariant linter, also available as
-/// `cargo run -p ftpm-analyzer`. Exit codes: 0 clean, 2 violations
-/// found, 1 analyzer internal error (unreadable files, bad flags) — so
-/// CI can tell "the code is wrong" from "the linter is wrong".
-fn run_lint(args: &[String]) -> ExitCode {
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut json: Option<std::path::PathBuf> = None;
-    let mut opts = ftpm_analyzer::AnalyzeOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(v) => root = Some(v.into()),
-                None => {
-                    eprintln!("--root needs a directory");
-                    return ExitCode::from(1);
-                }
-            },
-            "--json" => match it.next() {
-                Some(v) => json = Some(v.into()),
-                None => {
-                    eprintln!("--json needs a file path");
-                    return ExitCode::from(1);
-                }
-            },
-            "--strict-allows" => opts.strict_allows = true,
-            other => {
-                eprintln!("unknown flag {other:?}; try `ftpm --help`");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    let root = match root {
-        Some(r) => r,
-        None => {
-            let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
-            match ftpm_analyzer::find_workspace_root(&cwd) {
-                Some(r) => r,
-                None => {
-                    eprintln!("no workspace root found above {}; pass --root", cwd.display());
-                    return ExitCode::from(1);
-                }
-            }
-        }
-    };
-    let report = ftpm_analyzer::analyze_workspace_with(&root, &opts);
-    for v in &report.violations {
-        eprintln!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
-    }
-    for w in &report.warnings {
-        eprintln!("{}:{}: warning [{}] {}", w.file, w.line, w.rule, w.message);
-    }
-    for e in &report.internal_errors {
-        eprintln!("internal error: {e}");
-    }
-    eprintln!(
-        "ftpm-analyzer: {} files scanned, {} violations, {} warnings, \
-         {} internal errors, {} allow markers",
-        report.files_scanned,
-        report.violations.len(),
-        report.warnings.len(),
-        report.internal_errors.len(),
-        report.allows.len()
-    );
-    if let Some(path) = json {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("cannot create {}: {e}", parent.display());
-                    return ExitCode::from(1);
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::from(1);
-        }
-    }
-    if !report.internal_errors.is_empty() {
-        ExitCode::from(1)
-    } else if !report.violations.is_empty() {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 struct Options {
@@ -486,6 +385,10 @@ fn load(opt: &Options) -> Result<(SymbolicDatabase, SequenceDatabase, SplitConfi
         };
         return Ok((d.syb, d.seq, d.split));
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "parse requires --input when --demo is absent"
+    )]
     let path = opt.input.as_ref().expect("checked in parse");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let series = parse_csv(&text)?;
@@ -538,7 +441,7 @@ fn write_patterns(
         finished.map_err(|e| format!("stdout: {e}"))?;
         return Ok(written);
     };
-    let format = output_format(path).expect("validated in parse");
+    let format = output_format(path)?;
     let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
     let out = BufWriter::new(file);
     let (written, finished) = match format {

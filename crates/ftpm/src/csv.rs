@@ -13,12 +13,15 @@ use ftpm_timeseries::TimeSeries;
 /// 5,130.0,900.0
 /// ```
 ///
-/// The time column must increase by a constant positive step.
+/// The time column must increase by a constant positive step, and the
+/// series must end inside the `i64` tick range: the last sample holds
+/// until `start + rows × step`.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on any structural problem (ragged
-/// rows, non-numeric cells, irregular timestamps).
+/// rows, non-numeric cells, irregular timestamps, a time axis that
+/// overflows `i64`).
 pub fn parse_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or("empty csv")?;
@@ -52,14 +55,27 @@ pub fn parse_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
     if times.len() < 2 {
         return Err("need at least two data rows".into());
     }
-    let step = times[1] - times[0];
-    if step <= 0 || !times.windows(2).all(|w| w[1] - w[0] == step) {
+    let start = times[0];
+    let step = times[1].checked_sub(start).ok_or_else(|| {
+        format!("time column overflows: the step from {start} to {} exceeds i64", times[1])
+    })?;
+    if step <= 0 || !times.windows(2).all(|w| w[1].checked_sub(w[0]) == Some(step)) {
         return Err("time column must increase at a constant step".into());
+    }
+    let rows = times.len();
+    let end = i64::try_from(rows)
+        .ok()
+        .and_then(|rows| rows.checked_mul(step))
+        .and_then(|span| start.checked_add(span));
+    if end.is_none() {
+        return Err(format!(
+            "time column overflows: {rows} rows of step {step} from {start} end past i64::MAX"
+        ));
     }
     Ok(names
         .iter()
         .zip(columns)
-        .map(|(name, column)| TimeSeries::new(*name, times[0], step, column))
+        .map(|(name, column)| TimeSeries::new(*name, start, step, column))
         .collect())
 }
 
@@ -88,6 +104,26 @@ mod tests {
         assert!(err.contains("missing value"), "{err}");
         let err = parse_csv("time,a\n0,1,9\n5,2,9\n").unwrap_err();
         assert!(err.contains("too many fields"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_time_axis_that_overflows_i64() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        // The step itself does not fit.
+        let err = parse_csv(&format!("time,a\n{min},1\n{max},0\n")).unwrap_err();
+        assert!(err.contains("time column overflows"), "{err}");
+        // The step fits, but the series ends one step after i64::MAX.
+        let err = parse_csv(&format!("time,a\n{},1\n{max},0\n", max - 1)).unwrap_err();
+        assert!(err.contains("time column overflows"), "{err}");
+        // A later difference that does not fit is irregular too.
+        let err = parse_csv(&format!("time,a\n{min},1\n{},0\n{max},1\n", min + 1)).unwrap_err();
+        assert!(err.contains("constant step"), "{err}");
+        // Axes at either end of the range that fit: the first starts at
+        // i64::MIN, the second ends exactly at i64::MAX.
+        let series = parse_csv(&format!("time,a\n{min},1\n{},0\n", min + 1)).unwrap();
+        assert_eq!((series[0].start(), series[0].step()), (min, 1));
+        let series = parse_csv(&format!("time,a\n{},1\n{},0\n", max - 2, max - 1)).unwrap();
+        assert_eq!((series[0].start(), series[0].step()), (max - 2, 1));
     }
 
     #[test]

@@ -46,19 +46,7 @@ mod csv;
 pub use csv::parse_csv;
 pub use ftpm_baselines::{mine_hdfs, mine_ieminer, mine_tpminer};
 pub use ftpm_bitmap::Bitmap;
-pub use ftpm_core::{
-    closed_patterns, correlation_filter, event_indicator_database, maximal_patterns,
-    pattern_lift, rank_patterns, top_k_by_lift, mine_approximate,
-    mine_approximate_event_level, mine_approximate_graph_with_sink, mine_approximate_parallel,
-    mine_approximate_sharded_exchange, mine_approximate_with_density, mine_exact,
-    mine_exact_parallel, mine_exact_parallel_with_sink, mine_exact_with_sink, mine_reference,
-    mine_reference_filtered, mine_sharded_exchange, ApproxOutcome, CollectSink,
-    CorrelationFilter, CountingSink, CsvSink, DatabaseIndex, ExploreStats, Explorer,
-    DeltaKey, EventsRev, FrequentPattern, HierarchicalPatternGraph, JsonlSink, Level,
-    MinerConfig, MiningResult, MiningStats, Node, Pattern, PatternId, PatternPool,
-    PatternSink, PatternSort, PruningConfig, RowEncoder, Schedule, Shard, ShardPlan,
-    ShardPlanner, ShardReport, ShardedMining, MAX_EVENTS_HARD_CAP,
-};
+pub use ftpm_core::*;
 pub use ftpm_datagen::{
     dataport_like, generate_city, generate_energy, nist_like, random_sequence_database,
     smartcity_like, ukdale_like, CityConfig, Dataset, EnergyConfig,
@@ -73,6 +61,6 @@ pub use ftpm_mi::{
     mutual_information, normalized_mutual_information, CorrelationGraph,
 };
 pub use ftpm_timeseries::{
-    Alphabet, QuantileError, QuantileSymbolizer, SaxSymbolizer, SymbolId, SymbolicDatabase,
-    SymbolicSeries, Symbolizer, ThresholdSymbolizer, TimeSeries, TrendSymbolizer, VariableId,
+    Alphabet, QuantileError, QuantileSymbolizer, SymbolId, SymbolicDatabase, SymbolicSeries,
+    Symbolizer, ThresholdSymbolizer, TimeSeries, VariableId,
 };

@@ -30,16 +30,12 @@
 /// assert!(confidence_lower_bound(0.3, 0.5, 2, 0.9) > lb);
 /// ```
 pub fn confidence_lower_bound(sigma: f64, sigma_m: f64, n_x: usize, mu: f64) -> f64 {
-    // lint: allow(panic, documented # Panics contract: parameter domains of Eq. 21)
     assert!(sigma > 0.0 && sigma <= 1.0, "sigma must be in (0, 1]");
-    // lint: allow(panic, documented # Panics contract: parameter domains of Eq. 21)
     assert!(
         sigma_m >= sigma && sigma_m <= 1.0,
         "sigma_m must be in [sigma, 1]"
     );
-    // lint: allow(panic, documented # Panics contract: parameter domains of Eq. 21)
     assert!(mu > 0.0 && mu <= 1.0, "mu must be in (0, 1]");
-    // lint: allow(panic, documented # Panics contract: parameter domains of Eq. 21)
     assert!(n_x >= 2, "alphabet must have at least two symbols");
 
     // Base of the exponentiation: σ^σ_m · (1 − σ_m/(n_x−1))^(1−σ).

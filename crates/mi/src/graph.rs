@@ -41,7 +41,6 @@ impl CorrelationGraph {
     ///
     /// Panics unless `0 < μ ≤ 1` (Def 5.4).
     pub fn build(db: &SymbolicDatabase, mu: f64) -> Self {
-        // lint: allow(panic, documented # Panics contract: Def 5.4 domain of mu)
         assert!(mu > 0.0 && mu <= 1.0, "mu must be in (0, 1]");
         Self::from_nmi_matrix(nmi_matrix(db), mu)
     }
@@ -55,7 +54,6 @@ impl CorrelationGraph {
     ///
     /// Panics unless `0 < density ≤ 1` (Def 5.6).
     pub fn build_with_density(db: &SymbolicDatabase, density: f64) -> Self {
-        // lint: allow(panic, documented # Panics contract: Def 5.6 domain of density)
         assert!(
             density > 0.0 && density <= 1.0,
             "density must be in (0, 1]"
@@ -144,9 +142,7 @@ impl CorrelationGraph {
 ///
 /// Panics unless `0 < density ≤ 1` and the database has ≥ 2 variables.
 pub fn mu_for_density(db: &SymbolicDatabase, density: f64) -> f64 {
-    // lint: allow(panic, documented # Panics contract: Def 5.6 domain of density)
     assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
-    // lint: allow(panic, documented # Panics contract: pairwise NMI needs two variables)
     assert!(db.n_variables() >= 2, "need at least two variables");
     mu_from_matrix(&nmi_matrix(db), density)
 }

@@ -42,9 +42,7 @@ pub fn joint_distribution(x: &SymbolicSeries, y: &SymbolicSeries) -> Vec<Vec<f64
 ///
 /// Panics if the series have different lengths or are empty.
 pub(crate) fn joint_counts(x: &SymbolicSeries, y: &SymbolicSeries) -> Vec<usize> {
-    // lint: allow(panic, documented # Panics contract: aligned series)
     assert_eq!(x.len(), y.len(), "series must be aligned");
-    // lint: allow(panic, documented # Panics contract: non-empty series)
     assert!(!x.is_empty(), "series must be non-empty");
     let cols = y.alphabet().len();
     let mut counts = vec![0; x.alphabet().len() * cols];

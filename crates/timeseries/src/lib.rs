@@ -19,7 +19,4 @@ mod symbolizer;
 pub use alphabet::{Alphabet, SymbolId};
 pub use series::TimeSeries;
 pub use symbolic::{SymbolicDatabase, SymbolicSeries, VariableId};
-pub use symbolizer::{
-    QuantileError, QuantileSymbolizer, SaxSymbolizer, Symbolizer, ThresholdSymbolizer,
-    TrendSymbolizer,
-};
+pub use symbolizer::{QuantileError, QuantileSymbolizer, Symbolizer, ThresholdSymbolizer};

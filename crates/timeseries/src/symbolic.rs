@@ -54,6 +54,10 @@ impl SymbolicSeries {
         alphabet: Alphabet,
         labels: impl IntoIterator<Item = impl AsRef<str>>,
     ) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented # Panics contract: labels of the alphabet"
+        )]
         let symbols = labels
             .into_iter()
             .map(|l| {

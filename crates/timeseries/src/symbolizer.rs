@@ -340,215 +340,3 @@ mod tests {
         }
     }
 }
-
-/// SAX-style symbolizer: z-normalizes against the training data's mean
-/// and standard deviation, then bins by the standard-normal breakpoints
-/// that make each symbol equiprobable under a Gaussian assumption
-/// (Lin et al.'s Symbolic Aggregate approXimation, the de-facto standard
-/// symbolic representation in time series mining — a natural drop-in for
-/// the paper's mapping function `f : X → Σ_X`).
-///
-/// Supports alphabet sizes 2–10.
-///
-/// # Examples
-///
-/// ```
-/// use ftpm_timeseries::{SaxSymbolizer, Symbolizer};
-///
-/// let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).sin()).collect();
-/// let sax = SaxSymbolizer::from_data(4, &data);
-/// assert_eq!(sax.alphabet().len(), 4);
-/// // Very negative values map to the first symbol, very positive to the last.
-/// assert_eq!(sax.symbolize(-10.0).0, 0);
-/// assert_eq!(sax.symbolize(10.0).0, 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SaxSymbolizer {
-    mean: f64,
-    std: f64,
-    breaks: Vec<f64>,
-    alphabet: Alphabet,
-}
-
-impl SaxSymbolizer {
-    /// Standard-normal breakpoints for alphabet sizes 2..=10 (values from
-    /// the SAX paper's lookup table).
-    fn gaussian_breaks(size: usize) -> Vec<f64> {
-        match size {
-            2 => vec![0.0],
-            3 => vec![-0.43, 0.43],
-            4 => vec![-0.67, 0.0, 0.67],
-            5 => vec![-0.84, -0.25, 0.25, 0.84],
-            6 => vec![-0.97, -0.43, 0.0, 0.43, 0.97],
-            7 => vec![-1.07, -0.57, -0.18, 0.18, 0.57, 1.07],
-            8 => vec![-1.15, -0.67, -0.32, 0.0, 0.32, 0.67, 1.15],
-            9 => vec![-1.22, -0.76, -0.43, -0.14, 0.14, 0.43, 0.76, 1.22],
-            10 => vec![-1.28, -0.84, -0.52, -0.25, 0.0, 0.25, 0.52, 0.84, 1.28],
-            other => panic!("SAX alphabet size {other} unsupported (2..=10)"),
-        }
-    }
-
-    /// Fits mean and standard deviation on `data` and builds an
-    /// `alphabet_size`-symbol SAX symbolizer with labels `a, b, c, …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty, constant, or `alphabet_size ∉ 2..=10`.
-    pub fn from_data(alphabet_size: usize, data: &[f64]) -> Self {
-        assert!(!data.is_empty(), "cannot fit SAX on empty data");
-        let n = data.len() as f64;
-        let mean = data.iter().sum::<f64>() / n;
-        let var = data.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-        let std = var.sqrt();
-        assert!(std > 0.0, "cannot fit SAX on constant data");
-        let labels: Vec<String> = (0..alphabet_size)
-            .map(|i| ((b'a' + i as u8) as char).to_string())
-            .collect();
-        SaxSymbolizer {
-            mean,
-            std,
-            breaks: Self::gaussian_breaks(alphabet_size),
-            alphabet: Alphabet::new(labels),
-        }
-    }
-}
-
-impl Symbolizer for SaxSymbolizer {
-    fn alphabet(&self) -> &Alphabet {
-        &self.alphabet
-    }
-
-    fn symbolize(&self, value: f64) -> SymbolId {
-        let z = (value - self.mean) / self.std;
-        SymbolId(self.breaks.partition_point(|&b| b <= z) as u16)
-    }
-}
-
-/// Trend symbolizer: encodes the *change* between consecutive samples as
-/// `Down` / `Steady` / `Up`, with `Steady` covering changes within
-/// `±tolerance`. Useful for weather-style variables where the paper's
-/// patterns talk about rising/falling conditions.
-///
-/// Because a trend needs a predecessor, use
-/// [`TrendSymbolizer::symbolize_series`]; the pointwise
-/// [`Symbolizer::symbolize`] interprets its input as an already-computed
-/// delta.
-#[derive(Debug, Clone)]
-pub struct TrendSymbolizer {
-    tolerance: f64,
-    alphabet: Alphabet,
-}
-
-impl TrendSymbolizer {
-    /// Creates a trend symbolizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` is negative.
-    pub fn new(tolerance: f64) -> Self {
-        assert!(tolerance >= 0.0, "tolerance must be non-negative");
-        TrendSymbolizer {
-            tolerance,
-            alphabet: Alphabet::new(["Down", "Steady", "Up"]),
-        }
-    }
-
-    /// Symbolizes a value series into trends; the first sample has no
-    /// predecessor and is encoded `Steady`.
-    pub fn symbolize_series(&self, values: &[f64]) -> Vec<SymbolId> {
-        let mut out = Vec::with_capacity(values.len());
-        for (i, &v) in values.iter().enumerate() {
-            let delta = if i == 0 { 0.0 } else { v - values[i - 1] };
-            out.push(self.symbolize(delta));
-        }
-        out
-    }
-}
-
-impl Symbolizer for TrendSymbolizer {
-    fn alphabet(&self) -> &Alphabet {
-        &self.alphabet
-    }
-
-    /// Interprets `value` as a delta between consecutive samples.
-    fn symbolize(&self, value: f64) -> SymbolId {
-        if value < -self.tolerance {
-            SymbolId(0) // Down
-        } else if value > self.tolerance {
-            SymbolId(2) // Up
-        } else {
-            SymbolId(1) // Steady
-        }
-    }
-}
-
-#[cfg(test)]
-mod extra_symbolizer_tests {
-    use super::*;
-
-    #[test]
-    fn sax_bins_are_roughly_equiprobable_on_gaussian_data() {
-        // Deterministic pseudo-gaussian via sum of uniforms.
-        let mut state = 0x12345u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let data: Vec<f64> = (0..4000)
-            .map(|_| (0..12).map(|_| next()).sum::<f64>() - 6.0)
-            .collect();
-        let sax = SaxSymbolizer::from_data(4, &data);
-        let mut counts = [0usize; 4];
-        for &v in &data {
-            counts[sax.symbolize(v).0 as usize] += 1;
-        }
-        for c in counts {
-            assert!(
-                (700..=1300).contains(&c),
-                "expected roughly equiprobable bins, got {counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sax_monotone_in_value() {
-        let data: Vec<f64> = (0..100).map(f64::from).collect();
-        let sax = SaxSymbolizer::from_data(6, &data);
-        let mut prev = sax.symbolize(-1e3);
-        for v in [-50.0, 0.0, 25.0, 50.0, 75.0, 99.0, 1e3] {
-            let cur = sax.symbolize(v);
-            assert!(cur >= prev);
-            prev = cur;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "constant data")]
-    fn sax_rejects_constant_data() {
-        let _ = SaxSymbolizer::from_data(4, &[3.0; 10]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported")]
-    fn sax_rejects_huge_alphabet() {
-        let _ = SaxSymbolizer::from_data(11, &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn trend_series_encoding() {
-        let t = TrendSymbolizer::new(0.5);
-        let syms = t.symbolize_series(&[10.0, 10.2, 12.0, 11.0, 11.1]);
-        let labels: Vec<&str> = syms.iter().map(|&s| t.alphabet().label(s)).collect();
-        assert_eq!(labels, vec!["Steady", "Steady", "Up", "Down", "Steady"]);
-    }
-
-    #[test]
-    fn trend_tolerance_boundary() {
-        let t = TrendSymbolizer::new(1.0);
-        assert_eq!(t.alphabet().label(t.symbolize(1.0)), "Steady");
-        assert_eq!(t.alphabet().label(t.symbolize(1.0001)), "Up");
-        assert_eq!(t.alphabet().label(t.symbolize(-1.0001)), "Down");
-    }
-}

@@ -5,12 +5,17 @@
 //! `--input`) or a second source is rejected, and retired flags are
 //! unknown. Every rejection exits with status 1 and names the offending
 //! flag, before any data is loaded; `--states` data that has no quantile
-//! breakpoints is an error naming the column. Composition: a sharded, threaded
+//! breakpoints is an error naming the column; a CSV time axis that
+//! overflows `i64` is an error too. Composition: a sharded, threaded
 //! A-HTPGM run streams the rows of the sequential one. `ftpm graph`
 //! honours `--approx-density` and exits 1 on a closed stdout.
 
 use std::process::{Command, Output};
 
+#[expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 fn ftpm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ftpm"))
         .args(args)
@@ -175,6 +180,34 @@ fn quantile_states_reject_bad_counts_and_unusable_columns() {
     // Column b alone has three distinct quantiles.
     let out = run(&write("states_ok.csv", ["1", "2", "0", "2", "1"]), "3");
     assert!(out.status.success(), "{out:?}");
+}
+
+/// A time axis whose series would end past `i64::MAX` (the step, or
+/// `start + rows × step`, does not fit) is an error naming the problem,
+/// in `mine` and in `graph`, not a panic.
+#[test]
+fn a_time_axis_that_overflows_i64_is_rejected() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, text) in [
+        (
+            "overflow_span.csv",
+            "time,a,b\n0,1,0\n4611686018427387904,0,1\n",
+        ),
+        (
+            "overflow_end.csv",
+            "time,a\n9223372036854775800,1\n9223372036854775805,0\n",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("the temp dir is writable");
+        let path = path.display().to_string();
+        for command in ["mine", "graph"] {
+            let out = ftpm(&[command, "--input", &path]);
+            assert_usage_error(&out, "time column overflows");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!stderr.contains("panicked"), "{command} {name}: {stderr}");
+        }
+    }
 }
 
 #[test]

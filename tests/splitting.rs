@@ -31,6 +31,10 @@ fn fig3_database() -> SymbolicDatabase {
     syb
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 fn mine_keys(seq_db: &SequenceDatabase, events: &[&str]) -> Vec<Pattern> {
     // Sigma small enough that a single supporting sequence suffices.
     let cfg = MinerConfig::new(0.01, 0.01)
