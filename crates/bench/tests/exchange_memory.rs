@@ -1,9 +1,10 @@
 //! The candidate exchange's heap budget. A shard proposes candidates by
 //! counting them and re-derives only the gate's survivors, so a sharded
-//! run must not allocate per proposal. On the long perfbench workload's
-//! flags over a smaller input, the 4-shard exchange must stay within 4×
-//! the unsharded run's allocations and 16 MiB of peak heap, and find the
-//! same patterns.
+//! run must not allocate per proposal; the gate merges the shards'
+//! sorted proposal runs without building a map of them. On the long
+//! perfbench workload's flags over a smaller input, the 4-shard exchange
+//! must stay within 4× the unsharded run's allocations and within
+//! [`PEAK_HEAP_BUDGET`], and find the same patterns.
 //!
 //! One test per binary: the counting allocator is process-wide, so a
 //! second test running alongside would count into this one.
@@ -15,6 +16,13 @@ use ftpm_mi::CorrelationGraph;
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
+
+/// 8.5 MiB. The run is single-threaded, so its peak is deterministic:
+/// 7,930,039 bytes with sorted proposal runs that the gate merges and
+/// each shard frees before it re-derives, and 10,440,796 bytes when each
+/// shard held its proposals in a hash map until its next count and the
+/// gate summed them into another.
+const PEAK_HEAP_BUDGET: usize = 17 << 19;
 
 #[test]
 fn exchange_allocations_and_peak_heap_stay_bounded() {
@@ -52,7 +60,7 @@ fn exchange_allocations_and_peak_heap_stay_bounded() {
          run's {unsharded_allocs}"
     );
     assert!(
-        exchange_peak <= 16 << 20,
-        "the exchange's peak heap is {exchange_peak} bytes, above 16 MiB"
+        exchange_peak <= PEAK_HEAP_BUDGET,
+        "the exchange's peak heap is {exchange_peak} bytes, above {PEAK_HEAP_BUDGET}"
     );
 }

@@ -60,10 +60,14 @@
 //! relation column)` — never by a cloned [`crate::Pattern`]. The
 //! coordinator's [`crate::merge::ShardMerge`] owns the hash-consed
 //! [`crate::PatternPool`]; parents are prior-round survivors whose pool
-//! ids the coordinator broadcast back in its verdict, so proposing,
-//! summing and gating are all 16-byte-key map operations. A shard builds
-//! a pattern only for a survivor it re-derives, and the merge resolves
-//! each output pattern once, in its final sorted emission.
+//! ids the coordinator broadcast back in its verdict. Each shard hands
+//! the gate its proposals as one *sorted run* — a vector of unique keys
+//! in ascending order, trimmed to its length — and the coordinator
+//! merges the K runs in one pass with K cursors, summing each key's
+//! owned statistics as it passes and gating it on the spot. No map of
+//! proposals is built anywhere: not per shard, and not for the union. A
+//! shard builds a pattern only for a survivor it re-derives, and the
+//! merge resolves each output pattern once, in its final sorted emission.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -162,12 +166,14 @@ pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
     /// per shard): L2 proposals skip MI-pruned pairs outright, so a
     /// pruned pair costs no verification in any shard.
     corr: Option<&'a CorrelationFilter<'a>>,
-    /// The last propose round's candidates with owned statistics, keyed
-    /// by [`DeltaKey`] — parents carry the master pool ids the
-    /// coordinator assigned last round (shard databases speak the master
-    /// registry, so level-2 parents are master root ids), which makes the
-    /// key canonical across shards without any pattern cloning.
-    proposals: FnvHashMap<DeltaKey, OwnedStats>,
+    /// The last propose round's candidates with owned statistics, as a
+    /// sorted run: unique [`DeltaKey`]s in ascending order, held from the
+    /// count until the shard has listed the survivors it re-derives.
+    /// Parents carry the master pool ids the coordinator assigned last
+    /// round (shard databases speak the master registry, so level-2
+    /// parents are master root ids), which makes the key canonical across
+    /// shards without any pattern cloning.
+    proposals: Vec<(DeltaKey, OwnedStats)>,
     stats: MiningStats,
     proposed_total: usize,
     pruned_total: usize,
@@ -198,7 +204,7 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
             l1_supports: Vec::new(),
             l1_boundary: (0, 0),
             level: Vec::new(),
-            proposals: FnvHashMap::default(),
+            proposals: Vec::new(),
             stats: MiningStats::default(),
             proposed_total: 0,
             pruned_total: 0,
@@ -365,16 +371,23 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
     }
 
     /// Answers "how often do you see these?" for an arbitrary candidate
-    /// set at the last proposed level: owned `(support, clipped)` per
-    /// candidate, `(0, 0)` for candidates this shard has no owned
-    /// occurrence of. Local propose rounds are support-complete, so a
-    /// candidate absent from the proposals genuinely has owned support 0
-    /// — this is the recount half of the exchange wire protocol.
+    /// set at the last proposed level, between the count and the
+    /// re-derivation: owned `(support, clipped)` per candidate, `(0, 0)`
+    /// for candidates this shard has no owned occurrence of. Local
+    /// propose rounds are support-complete, so a candidate absent from
+    /// the proposals genuinely has owned support 0 — this is the recount
+    /// half of the exchange wire protocol.
     pub(crate) fn recount(&self, candidates: &[DeltaKey]) -> Vec<OwnedStats> {
         candidates
             .iter()
-            .map(|key| self.proposals.get(key).copied().unwrap_or((0, 0)))
+            .map(|key| self.proposed(key).map_or((0, 0), |at| self.proposals[at].1))
             .collect()
+    }
+
+    /// Position of `key` in the sorted proposal run, if this shard
+    /// proposed it.
+    fn proposed(&self, key: &DeltaKey) -> Option<usize> {
+        self.proposals.binary_search_by(|(k, _)| k.cmp(key)).ok()
     }
 
     /// The verdict's survivors among this shard's proposals.
@@ -382,9 +395,7 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         &'v self,
         verdict: &'v Verdict,
     ) -> impl Iterator<Item = &'v DeltaKey> + 'v {
-        verdict
-            .keys()
-            .filter(|key| self.proposals.contains_key(key))
+        verdict.keys().filter(|key| self.proposed(key).is_some())
     }
 
     /// Counts this round's proposals that the coordinator's gate killed.
@@ -404,6 +415,9 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
             .collect();
         pairs.sort_unstable();
         pairs.dedup();
+        // The run has answered every question of this round: free it
+        // before the survivors' bindings are built.
+        self.proposals = Vec::new();
         let engine = self.l2_engine();
         let starts: Vec<usize> = (0..pairs.len()).step_by(CHUNK).collect();
         let outputs = par_map(starts, self.threads, |start| {
@@ -438,6 +452,9 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
             .collect();
         work.sort_unstable();
         work.dedup();
+        // The run has answered every question of this round: free it
+        // before the survivors' bindings are built.
+        self.proposals = Vec::new();
         let (db, index, cfg) = (&self.shard.db, self.index(), &self.local_cfg);
         let per_node: Vec<&[(usize, EventId)]> = work.chunk_by(|a, b| a.0 == b.0).collect();
         let outputs = par_map(per_node, self.threads, |run| {
@@ -475,48 +492,52 @@ type Propose<'p> = dyn FnMut(DeltaKey, OwnedStats) + 'p;
 /// Runs `count` over the work items `0..n` of a level-`k` propose round,
 /// on up to `threads` workers, and collects the rows it proposes into
 /// `proposals` (cleared first) and its counters into `stats`. A single
-/// worker counts every item at once, writing its rows straight into the
-/// map; several take chunks of [`CHUNK`] items and buffer each chunk's
-/// rows, merged in item order.
+/// worker counts every item at once, pushing its rows straight into the
+/// run; several take chunks of [`CHUNK`] items and buffer each chunk's
+/// rows, appended in item order. The run is then sorted by key and
+/// trimmed to its length, the form the gate merges.
 fn count_proposals(
     n: usize,
     k: usize,
     threads: usize,
     count: impl Fn(Range<usize>, &mut MiningStats, &mut Propose<'_>) + Sync,
-    proposals: &mut FnvHashMap<DeltaKey, OwnedStats>,
+    proposals: &mut Vec<(DeltaKey, OwnedStats)>,
     stats: &mut MiningStats,
 ) {
     proposals.clear();
-    if n == 0 {
-        return;
-    }
     let fresh = || {
         let mut stats = MiningStats::default();
         stats.ensure_levels(k - 1);
         stats
     };
-    if threads <= 1 {
+    if n > 0 && threads <= 1 {
         let mut local = fresh();
         count(0..n, &mut local, &mut |key, owned| {
-            proposals.insert(key, owned);
+            proposals.push((key, owned))
         });
         merge_stats(stats, local);
-        return;
-    }
-    let starts: Vec<usize> = (0..n).step_by(CHUNK).collect();
-    let outputs = par_map(starts, threads, |start| {
-        let mut local = fresh();
-        let mut rows = Vec::new();
-        let end = (start + CHUNK).min(n);
-        count(start..end, &mut local, &mut |key, owned| {
-            rows.push((key, owned))
+    } else if n > 0 {
+        let starts: Vec<usize> = (0..n).step_by(CHUNK).collect();
+        let outputs = par_map(starts, threads, |start| {
+            let mut local = fresh();
+            let mut rows = Vec::new();
+            let end = (start + CHUNK).min(n);
+            count(start..end, &mut local, &mut |key, owned| {
+                rows.push((key, owned))
+            });
+            (rows, local)
         });
-        (rows, local)
-    });
-    for (rows, local) in outputs {
-        merge_stats(stats, local);
-        proposals.extend(rows);
+        for (rows, local) in outputs {
+            merge_stats(stats, local);
+            proposals.extend(rows);
+        }
     }
+    proposals.sort_unstable_by_key(|&(key, _)| key);
+    debug_assert!(
+        proposals.windows(2).all(|w| w[0].0 < w[1].0),
+        "a shard proposes each candidate key once"
+    );
+    proposals.shrink_to_fit();
 }
 
 /// Keeps the patterns of a re-derived `node` that the verdict let
@@ -563,11 +584,12 @@ fn run_round<'a, K: BoundaryKernel, F>(
     });
 }
 
-/// Sums the workers' proposals, applies the global σ/δ gate, interns the
-/// survivors into the merge's pattern pool and folds their statistics
-/// into the id-indexed accumulator, then returns the verdict to
-/// broadcast. Every map in the round is keyed by the 16-byte
-/// [`DeltaKey`]; the only per-survivor pool work is one delta
+/// Merges the workers' sorted proposal runs, summing each key's owned
+/// statistics as it passes, applies the global σ/δ gate, interns the
+/// survivors into the merge's pattern pool — in key order — and folds
+/// their statistics into the id-indexed accumulator, then returns the
+/// verdict to broadcast. The merge keeps one cursor per run and holds no
+/// union of the proposals; the only per-survivor pool work is one delta
 /// interning (parents are already pooled prior-round survivors), and the
 /// confidence numerator walks the pooled parent chain instead of an
 /// events slice — no pattern is cloned or hashed vector-wide anywhere.
@@ -578,16 +600,29 @@ fn gate_round<K: BoundaryKernel>(
     delta: f64,
     merge: &mut ShardMerge,
 ) -> Verdict {
-    let mut sums: FnvHashMap<DeltaKey, OwnedStats> = FnvHashMap::default();
-    for worker in workers {
-        for (key, (support, clipped)) in &worker.proposals {
-            let entry = sums.entry(*key).or_insert((0, 0));
-            entry.0 += support;
-            entry.1 += clipped;
-        }
-    }
+    let runs: Vec<&[(DeltaKey, OwnedStats)]> =
+        workers.iter().map(|w| w.proposals.as_slice()).collect();
+    let mut cursors = vec![0usize; runs.len()];
     let mut verdict = Verdict::default();
-    for (key, (support, clipped)) in sums {
+    // Each pass takes the smallest key under any cursor and advances
+    // every cursor that holds it: runs are sorted and unique, so a key's
+    // owned statistics are complete once it has passed.
+    while let Some(key) = runs
+        .iter()
+        .zip(&cursors)
+        .filter_map(|(run, &at)| run.get(at).map(|&(key, _)| key))
+        .min()
+    {
+        let (mut support, mut clipped) = (0, 0);
+        for (run, at) in runs.iter().zip(&mut cursors) {
+            if let Some(&(k, (s, c))) = run.get(*at) {
+                if k == key {
+                    support += s;
+                    clipped += c;
+                    *at += 1;
+                }
+            }
+        }
         if support < sigma_abs {
             continue;
         }

@@ -64,9 +64,11 @@ impl PatternId {
 /// the parent's pool id, the appended event, and the delta relation
 /// column packed two bits per entry (see [`pack_relation`]). Sixteen
 /// bytes, `Copy`, and injective for patterns grown from interned parents
-/// — the exchange executor keys its cross-shard proposal maps on this
-/// instead of cloning whole patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// — the exchange executor keys its cross-shard proposals on this
+/// instead of cloning whole patterns. The order (parent, then appended
+/// event, then relation column) sorts each shard's proposal run, which
+/// the exchange gate merges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeltaKey {
     /// Pool id of the (k−1)-event parent pattern.
     pub parent: PatternId,

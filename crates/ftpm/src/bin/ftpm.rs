@@ -31,7 +31,7 @@
 //! compose freely, and every composition yields the same pattern set as
 //! its single-threaded, unsharded counterpart.
 
-use std::io::{BufWriter, Write as _};
+use std::io::{BufReader, BufWriter, Write as _};
 use std::process::ExitCode;
 
 use ftpm::*;
@@ -390,19 +390,23 @@ fn load(opt: &Options) -> Result<(SymbolicDatabase, SequenceDatabase, SplitConfi
         reason = "parse requires --input when --demo is absent"
     )]
     let path = opt.input.as_ref().expect("checked in parse");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let series = parse_csv(&text)?;
-    let mut syb = SymbolicDatabase::new(series[0].start(), series[0].step(), series[0].len());
-    for ts in &series {
+    // The file streams into `f64` columns, so its text is never held
+    // whole; each column is dropped as soon as it has been symbolized.
+    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let series = read_csv(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+    let first = &series[0];
+    let mut syb = SymbolicDatabase::try_new(first.start(), first.step(), first.len())
+        .map_err(|e| format!("{path}: {e}"))?;
+    for ts in series {
         match opt.states {
             None => {
-                syb.add_time_series(ts, &ThresholdSymbolizer::new(opt.threshold));
+                syb.add_time_series(&ts, &ThresholdSymbolizer::new(opt.threshold));
             }
             Some(n) => {
                 let labels: Vec<String> = (0..n).map(|i| format!("S{i}")).collect();
                 let q = QuantileSymbolizer::from_data(labels, ts.values())
                     .map_err(|e| format!("column {:?}: {e}", ts.name()))?;
-                syb.add_time_series(ts, &q);
+                syb.add_time_series(&ts, &q);
             }
         }
     }

@@ -43,7 +43,7 @@
 
 mod csv;
 
-pub use csv::parse_csv;
+pub use csv::{parse_csv, read_csv};
 pub use ftpm_baselines::{mine_hdfs, mine_ieminer, mine_tpminer};
 pub use ftpm_bitmap::Bitmap;
 pub use ftpm_core::*;
@@ -61,6 +61,6 @@ pub use ftpm_mi::{
     mutual_information, normalized_mutual_information, CorrelationGraph,
 };
 pub use ftpm_timeseries::{
-    Alphabet, QuantileError, QuantileSymbolizer, SymbolId, SymbolicDatabase, SymbolicSeries,
-    Symbolizer, ThresholdSymbolizer, TimeSeries, VariableId,
+    Alphabet, ClockError, QuantileError, QuantileSymbolizer, SymbolId, SymbolicDatabase,
+    SymbolicSeries, Symbolizer, ThresholdSymbolizer, TimeSeries, VariableId,
 };

@@ -18,5 +18,5 @@ mod symbolizer;
 
 pub use alphabet::{Alphabet, SymbolId};
 pub use series::TimeSeries;
-pub use symbolic::{SymbolicDatabase, SymbolicSeries, VariableId};
+pub use symbolic::{ClockError, SymbolicDatabase, SymbolicSeries, VariableId};
 pub use symbolizer::{QuantileError, QuantileSymbolizer, Symbolizer, ThresholdSymbolizer};

@@ -113,12 +113,54 @@ impl SymbolicSeries {
     }
 }
 
+/// Why [`SymbolicDatabase::try_new`] rejected a clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClockError {
+    /// The step is zero or negative.
+    NonPositiveStep {
+        /// The offending step.
+        step: i64,
+    },
+    /// The clock's span `n_steps × step`, or its end `start + span`,
+    /// does not fit in `i64`.
+    EndOverflows {
+        /// Timestamp of step 0.
+        start: i64,
+        /// Step duration in ticks.
+        step: i64,
+        /// Number of steps.
+        n_steps: usize,
+    },
+}
+
+impl std::fmt::Display for ClockError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ClockError::NonPositiveStep { step } => {
+                write!(f, "step must be positive, got {step}")
+            }
+            ClockError::EndOverflows {
+                start,
+                step,
+                n_steps,
+            } => write!(
+                f,
+                "clock overflows i64: {n_steps} steps of {step} from {start}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ClockError {}
+
 /// The symbolic database `D_SYB` (Def 3.3, Table I): a set of symbolic
 /// series aligned on a common clock.
 ///
 /// All series share the same number of steps, start time and step duration,
 /// so step `i` of every series describes the same wall-clock interval
-/// `[start + i·step, start + (i+1)·step)`.
+/// `[start + i·step, start + (i+1)·step)`. The whole clock, up to its end
+/// `start + n_steps·step`, lies in the `i64` tick range, so every step
+/// boundary and every duration between two of them is representable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SymbolicDatabase {
     series: Vec<SymbolicSeries>,
@@ -132,15 +174,46 @@ impl SymbolicDatabase {
     ///
     /// # Panics
     ///
-    /// Panics if `step <= 0`.
+    /// Panics if `step <= 0`, or if the clock's end `start + n_steps·step`
+    /// does not fit in `i64`; [`SymbolicDatabase::try_new`] is the
+    /// fallible path.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; try_new is the fallible path"
+    )]
     pub fn new(start: i64, step: i64, n_steps: usize) -> Self {
-        assert!(step > 0, "step must be positive");
-        SymbolicDatabase {
+        SymbolicDatabase::try_new(start, step, n_steps).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible counterpart of [`SymbolicDatabase::new`] for clocks that
+    /// come from user input.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ClockError`] if `step <= 0`, or if the span
+    /// `n_steps·step` or the end `start + n_steps·step` does not fit in
+    /// `i64` (a clock may end exactly at `i64::MAX`).
+    pub fn try_new(start: i64, step: i64, n_steps: usize) -> Result<Self, ClockError> {
+        if step <= 0 {
+            return Err(ClockError::NonPositiveStep { step });
+        }
+        let end = i64::try_from(n_steps)
+            .ok()
+            .and_then(|n| n.checked_mul(step))
+            .and_then(|span| start.checked_add(span));
+        if end.is_none() {
+            return Err(ClockError::EndOverflows {
+                start,
+                step,
+                n_steps,
+            });
+        }
+        Ok(SymbolicDatabase {
             series: Vec::new(),
             start,
             step,
             n_steps,
-        }
+        })
     }
 
     /// Symbolizes and adds a raw time series.
@@ -366,6 +439,44 @@ mod tests {
     fn slice_steps_rejects_reversed_range() {
         let db = db_with(&["K"], &["1100"]);
         let _ = db.slice_steps(3, 3);
+    }
+
+    #[test]
+    fn try_new_rejects_a_clock_that_ends_past_i64() {
+        let max = i64::MAX;
+        assert_eq!(
+            SymbolicDatabase::try_new(max - 5, 5, 2),
+            Err(ClockError::EndOverflows {
+                start: max - 5,
+                step: 5,
+                n_steps: 2
+            })
+        );
+        // The span alone overflows, although the end would fit.
+        assert!(SymbolicDatabase::try_new(i64::MIN, 1 << 62, 3).is_err());
+        assert!(SymbolicDatabase::try_new(0, 1, usize::MAX).is_err());
+        assert_eq!(
+            SymbolicDatabase::try_new(0, 0, 4),
+            Err(ClockError::NonPositiveStep { step: 0 })
+        );
+        assert!(SymbolicDatabase::try_new(0, -5, 4).is_err());
+        // Clocks at either end of the range that fit.
+        let db = SymbolicDatabase::try_new(max - 10, 5, 2).expect("ends exactly at i64::MAX");
+        assert_eq!(db.time_at(2), max);
+        let db = SymbolicDatabase::try_new(i64::MIN, 1 << 62, 1).expect("starts at i64::MIN");
+        assert_eq!(db.time_at(1), i64::MIN + (1 << 62));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock overflows")]
+    fn new_panics_on_a_clock_that_ends_past_i64() {
+        let _ = SymbolicDatabase::new(i64::MAX - 5, 5, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "step must be positive")]
+    fn new_panics_on_a_non_positive_step() {
+        let _ = SymbolicDatabase::new(0, 0, 2);
     }
 
     #[test]

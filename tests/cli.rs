@@ -8,7 +8,10 @@
 //! breakpoints is an error naming the column; a CSV time axis that
 //! overflows `i64` is an error too. Composition: a sharded, threaded
 //! A-HTPGM run streams the rows of the sequential one. `ftpm graph`
-//! honours `--approx-density` and exits 1 on a closed stdout.
+//! honours `--approx-density` and exits 1 on a closed stdout. `--input`
+//! streams its file line by line: CRLF endings, blank lines and a
+//! missing final newline read as the plain LF form, and a byte that is
+//! not UTF-8, or a missing file, is an error naming the file.
 
 use std::process::{Command, Output};
 
@@ -374,6 +377,72 @@ fn summaries_count_one_thread_in_the_singular() {
         ] {
             let first = summary.lines().next().unwrap_or_default();
             assert!(first.ends_with(expected), "{what}, threads {threads}: {first}");
+        }
+    }
+}
+
+/// `--input` streams the file line by line: CRLF endings, blank and
+/// whitespace-only lines and a missing final newline read the same rows
+/// as the plain LF form, in `mine` and in `graph`.
+#[test]
+fn crlf_blank_lines_and_no_final_newline_stream_the_same_rows() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let mut rows = vec![String::from("time,a,b,c")];
+    for t in 0..200u32 {
+        let on = |period: u32, phase: u32| u8::from((t / period + phase).is_multiple_of(2));
+        rows.push(format!("{t},{},{},{}", on(7, 0), on(7, 1), on(5, 0)));
+    }
+    let lf = rows.join("\n") + "\n";
+    let mut crlf = String::from("\r\n");
+    for (i, row) in rows.iter().enumerate() {
+        crlf.push_str(row);
+        if i + 1 < rows.len() {
+            crlf.push_str(if i % 50 == 3 { "\r\n \t\r\n\r\n" } else { "\r\n" });
+        }
+    }
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("the temp dir is writable");
+        path.display().to_string()
+    };
+    let (lf, crlf) = (write("rows_lf.csv", &lf), write("rows_crlf.csv", &crlf));
+    for command in [
+        &[
+            "mine", "--window", "20", "--sigma", "0.3", "--delta", "0.3", "--threads", "1",
+            "--stream",
+        ][..],
+        &["graph", "--mu", "0.01"][..],
+    ] {
+        let stdout = |csv: &str| {
+            let out = ftpm(&[command, &["--input", csv]].concat());
+            assert!(out.status.success(), "{out:?}");
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let expected = stdout(&lf);
+        assert!(expected.lines().count() > 1, "the input must yield rows: {expected}");
+        assert_eq!(stdout(&crlf), expected, "{}", command[0]);
+    }
+}
+
+/// A byte that is not UTF-8 is an error naming the file and the line,
+/// and a missing `--input` file is an error naming the file; neither is
+/// a panic.
+#[test]
+fn unreadable_input_exits_1_naming_the_file() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let bad = dir.join("not_utf8.csv");
+    std::fs::write(&bad, b"time,a\n0,1\n5,\xff\n10,0\n").expect("the temp dir is writable");
+    let bad = bad.display().to_string();
+    let missing = dir.join("no_such_input.csv").display().to_string();
+    for (path, needle) in [
+        (&bad, format!("error: {bad}: line 3: invalid utf-8")),
+        (&missing, format!("error: {missing}: ")),
+    ] {
+        for command in ["mine", "graph"] {
+            let out = ftpm(&[command, "--input", path]);
+            assert_usage_error(&out, &needle);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!stderr.contains("panicked"), "{command} {path}: {stderr}");
         }
     }
 }

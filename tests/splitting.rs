@@ -60,6 +60,24 @@ fn mine_keys(seq_db: &SequenceDatabase, events: &[&str]) -> Vec<Pattern> {
         .collect()
 }
 
+/// A clock must end inside the `i64` tick range (`try_new` rejects one
+/// that ends past it); one that ends exactly at `i64::MAX` splits and
+/// mines without overflowing.
+#[test]
+fn a_clock_that_ends_at_i64_max_splits_and_mines() {
+    let max = i64::MAX;
+    let mut syb = SymbolicDatabase::try_new(max - 20, 5, 4).expect("ends at i64::MAX");
+    let sym = ThresholdSymbolizer::new(0.5);
+    syb.add_time_series(&TimeSeries::new("a", max - 20, 5, vec![1.0, 0.0, 1.0, 0.0]), &sym);
+    syb.add_time_series(&TimeSeries::new("b", max - 20, 5, vec![1.0, 1.0, 0.0, 0.0]), &sym);
+    let seq_db = to_sequence_database(&syb, SplitConfig::new(10, 5));
+    assert_eq!(seq_db.len(), 3);
+    let last = seq_db.sequences()[2].instances();
+    assert!(last.iter().all(|i| i.interval.end <= max), "{last:?}");
+    let result = mine_exact(&seq_db, &MinerConfig::new(0.3, 0.3));
+    assert!(!result.patterns.is_empty());
+}
+
 #[test]
 fn non_overlapping_split_loses_the_cascade() {
     let syb = fig3_database();
