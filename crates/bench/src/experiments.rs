@@ -7,9 +7,8 @@
 //! full size.
 
 use ftpm_core::{
-    mine_approximate_with_density, mine_exact, mine_exact_parallel_with_sink,
-    mine_exact_with_sink, CollectSink, CountingSink, JsonlSink, MinerConfig, PatternSink,
-    PruningConfig,
+    mine_approximate_with_density, mine_exact, CollectSink, CountingSink, JsonlSink, MinePlan,
+    MinerConfig, PatternSink, PruningConfig,
 };
 use ftpm_datagen::{dataport_like, nist_like, smartcity_like, ukdale_like, Dataset};
 
@@ -414,17 +413,18 @@ pub fn sink_memory(opts: &Opts) {
         &["dataset", "path", "threads", "peak_mb", "patterns"],
     );
     let mb = |bytes: usize| format!("{:.2}", bytes as f64 / (1024.0 * 1024.0));
+    let plan = MinePlan::new(&data.seq, &cfg);
     // Collect: the classic MiningResult vector.
     let (n, peak) = measure_peak(|| {
         let mut sink = CollectSink::new();
-        let stats = mine_exact_with_sink(&data.seq, &cfg, &mut sink);
+        let (stats, _) = plan.run(&mut sink);
         sink.into_result(stats).len()
     });
     report.row(vec![data.name.clone(), "collect".into(), "1".into(), mb(peak), n.to_string()]);
     // Count: stats only, nothing retained.
     let (n, peak) = measure_peak(|| {
         let mut sink = CountingSink::default();
-        mine_exact_with_sink(&data.seq, &cfg, &mut sink);
+        plan.run(&mut sink);
         sink.patterns()
     });
     report.row(vec![data.name.clone(), "count".into(), "1".into(), mb(peak), n.to_string()]);
@@ -432,7 +432,7 @@ pub fn sink_memory(opts: &Opts) {
     for threads in [1usize, 2] {
         let (n, peak) = measure_peak(|| {
             let mut sink = JsonlSink::new(std::io::sink(), data.seq.registry());
-            mine_exact_parallel_with_sink(&data.seq, &cfg, threads, &mut sink);
+            plan.with_threads(threads).run(&mut sink);
             #[expect(clippy::expect_used, reason = "io::sink never fails")]
             sink.finish().expect("io::sink never fails");
             sink.written()

@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ftpm_core::{MinerConfig, MiningResult, MAX_EVENTS_HARD_CAP};
+use ftpm_core::{MinePlan, MinerConfig, MiningResult, MAX_EVENTS_HARD_CAP};
 use ftpm_datagen::Dataset;
 
 /// Times a closure.
@@ -65,7 +65,8 @@ impl Method {
             Method::TPMiner => ftpm_baselines::mine_tpminer(&data.seq, cfg),
             Method::EHtpgm => ftpm_core::mine_exact(&data.seq, cfg),
             Method::EHtpgmPar(threads) => {
-                ftpm_core::mine_exact_parallel(&data.seq, cfg, *threads)
+                let plan = MinePlan::new(&data.seq, cfg).with_threads(*threads);
+                plan.collect().0
             }
             Method::AHtpgm(density) => {
                 ftpm_core::mine_approximate_with_density(&data.syb, &data.seq, *density, cfg)

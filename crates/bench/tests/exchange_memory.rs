@@ -10,7 +10,7 @@
 //! second test running alongside would count into this one.
 
 use ftpm_bench::TrackingAllocator;
-use ftpm_core::{mine_approximate_graph_with_sink, CountingSink, MinerConfig, ShardPlanner};
+use ftpm_core::{Correlation, CountingSink, MinePlan, MinerConfig, ShardPlanner};
 use ftpm_events::{BoundaryPolicy, RelationConfig};
 use ftpm_mi::CorrelationGraph;
 
@@ -38,13 +38,18 @@ fn exchange_allocations_and_peak_heap_stay_bounded() {
         .plan(&data.syb, data.split, t_max)
         .expect("plan");
 
+    let approx = Correlation::Series(&graph);
     let mut unsharded = CountingSink::default();
     let (_, unsharded_allocs, _) = TrackingAllocator::measure(|| {
-        mine_approximate_graph_with_sink(&data.seq, &graph, &cfg, 1, &mut unsharded)
+        MinePlan::new(&data.seq, &cfg)
+            .with_correlation(approx)
+            .run(&mut unsharded)
     });
     let mut exchange = CountingSink::default();
     let (_, exchange_allocs, exchange_peak) = TrackingAllocator::measure(|| {
-        plan.mine_approximate_exchange_into(&graph, &cfg, 1, &mut exchange)
+        MinePlan::new(&plan, &cfg)
+            .with_correlation(approx)
+            .run(&mut exchange)
     });
 
     eprintln!(

@@ -17,10 +17,7 @@ use std::hint::black_box;
 
 use ftpm_bench::TrackingAllocator;
 use ftpm_bitmap::Bitmap;
-use ftpm_core::{
-    mine_exact_parallel_with_sink, CountingSink, DatabaseIndex, MinerConfig, MiningStats,
-    PruningConfig,
-};
+use ftpm_core::{CountingSink, DatabaseIndex, MinePlan, MinerConfig, MiningStats, PruningConfig};
 use ftpm_events::{EventId, SequenceDatabase};
 
 #[global_allocator]
@@ -52,8 +49,8 @@ fn allocations_of(mut f: impl FnMut() -> usize) -> usize {
 /// Allocations and statistics of one counted run.
 fn run(db: &SequenceDatabase, cfg: &MinerConfig, threads: usize) -> (usize, MiningStats) {
     let mut sink = CountingSink::default();
-    let (stats, allocs, _) =
-        TrackingAllocator::measure(|| mine_exact_parallel_with_sink(db, cfg, threads, &mut sink));
+    let plan = MinePlan::new(db, cfg).with_threads(threads);
+    let ((stats, _), allocs, _) = TrackingAllocator::measure(|| plan.run(&mut sink));
     (allocs, stats)
 }
 

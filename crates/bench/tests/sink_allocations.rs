@@ -8,9 +8,7 @@
 //! second test running alongside would count into this one.
 
 use ftpm_bench::TrackingAllocator;
-use ftpm_core::{
-    mine_exact_parallel_with_sink, CountingSink, CsvSink, JsonlSink, MinerConfig, PatternSink,
-};
+use ftpm_core::{CountingSink, CsvSink, JsonlSink, MinePlan, MinerConfig, PatternSink};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -21,9 +19,10 @@ fn writer_sinks_allocate_nothing_per_row() {
     let cfg = MinerConfig::new(0.4, 0.4).with_max_events(3);
     let registry = data.seq.registry();
     for threads in [1usize, 2] {
+        let plan = MinePlan::new(&data.seq, &cfg).with_threads(threads);
         let allocations = |sink: &mut (dyn PatternSink + Send)| {
             let (_, allocs, _) = TrackingAllocator::measure(|| {
-                mine_exact_parallel_with_sink(&data.seq, &cfg, threads, sink);
+                plan.run(sink);
                 sink.finish().expect("io::sink never fails");
             });
             allocs

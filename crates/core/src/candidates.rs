@@ -1,8 +1,9 @@
 //! Shared candidate engine: the Apriori support/confidence gates
 //! (Lemmas 2–3) and the L2 pair-verification step, in one place.
 //!
-//! Both [`crate::mine_exact`] and [`crate::mine_exact_parallel`] drive
-//! this engine for candidate generation, and level-`k` growth reuses the
+//! The threaded engine (every unsharded [`crate::MinePlan`], at any
+//! thread count) and the exchange executor drive this engine for
+//! candidate generation, and level-`k` growth reuses the
 //! same gates, so the thresholds — including the confidence tolerance
 //! [`CONF_EPS`] — are applied identically everywhere. (Historically the
 //! parallel miner carried its own hard-coded epsilon at the L2 gate,

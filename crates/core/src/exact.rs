@@ -14,17 +14,17 @@
 //! occurrence extension dies as soon as one of its new triples is not a
 //! frequent, high-confidence 2-event pattern (Lemmas 6–7).
 //!
-//! The L1/L2 loop lives in the one mining engine, [`crate::parallel`],
-//! which runs [`mine_exact`] at `threads = 1` on the calling thread. This
-//! module holds the paper-named entry points and the level-`k` growth
-//! step that engine and the exchange executor share: the executor's
-//! count-only [`count_candidates`] runs the same gates and grouping loop
-//! as [`grow_candidates`] and builds no child. Candidate gating
-//! (the Apriori support/confidence bounds and the L2 verification step)
-//! lives in [`crate::candidates`]; output flows through a
-//! [`PatternSink`] (see [`crate::sink`]) so finished nodes can be
-//! collected, counted or streamed without materializing a global pattern
-//! `Vec`.
+//! The L1/L2 loop lives in the one unsharded mining engine,
+//! [`crate::parallel`], which runs [`mine_exact`] at `threads = 1` on
+//! the calling thread. This module holds the paper-named entry points
+//! and the level-`k` growth step that engine and the exchange executor
+//! share: the executor's count-only [`count_candidates`] runs the same
+//! gates and grouping loop as [`grow_candidates`] and builds no child.
+//! Candidate gating (the Apriori support/confidence bounds and the L2
+//! verification step) lives in [`crate::candidates`]; output flows
+//! through a [`PatternSink`] (see [`crate::sink`]) so finished nodes can
+//! be collected, counted or streamed without materializing a global
+//! pattern `Vec`.
 //!
 //! Performance notes: frequent 2-event relations are kept as a dense
 //! `events × events` bitmask table (no hashing on the hot path), and the
@@ -60,10 +60,10 @@ use crate::candidates::{apriori_gate, passes_thresholds, PairRelations, WorkNode
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::index::DatabaseIndex;
 use crate::occ::{OccArena, OccRange};
-use crate::parallel::mine_parallel_internal;
+use crate::plan::MinePlan;
 use crate::pool::{decode_column, pack_relation, DeltaKey, FnvHashMap, PatternId};
 use crate::result::{FrequentPattern, MiningResult, MiningStats};
-use crate::sink::{CollectSink, PatternSink};
+use crate::sink::PatternSink;
 
 /// Mines all frequent temporal patterns of `db` — `E-HTPGM`.
 ///
@@ -74,29 +74,18 @@ use crate::sink::{CollectSink, PatternSink};
 ///
 /// See the crate-level example.
 pub fn mine_exact(db: &SequenceDatabase, cfg: &MinerConfig) -> MiningResult {
-    let mut sink = CollectSink::new();
-    let stats = mine_exact_with_sink(db, cfg, &mut sink);
-    sink.into_result(stats)
+    MinePlan::new(db, cfg).collect().0
 }
 
-/// Mines like [`mine_exact`], but emits each finished Hierarchical
-/// Pattern Graph node into `sink` instead of materializing a
-/// [`MiningResult`] — the full pattern result is never built up in
-/// memory. (Mining working state is still held while needed: all L2
-/// nodes exist at once during candidate generation, and a node's
-/// occurrence bindings live until its subtree is grown.) Nodes arrive in
-/// a fixed order: L2 nodes by event, each followed by its subtree
-/// depth-first. Returns the run statistics.
-///
-/// # Examples
-///
-/// See the [`crate::sink`] module docs.
+/// Mines like [`mine_exact`] into `sink`: [`MinePlan::run`] on one
+/// thread. Kept so the benchmark harness builds; ROADMAP item 3 step 3
+/// deletes it once the harness mines through the plan.
 pub fn mine_exact_with_sink(
     db: &SequenceDatabase,
     cfg: &MinerConfig,
     sink: &mut (dyn PatternSink + Send),
 ) -> MiningStats {
-    mine_parallel_internal(db, cfg, 1, None, sink, None)
+    MinePlan::new(db, cfg).run(sink).0
 }
 
 /// Scratch of one extension group: the candidate extensions of one parent

@@ -14,20 +14,21 @@
 //!   uncorrelated time series via the mutual-information correlation
 //!   graph before running HTPGM. The graph is a [`CorrelationFilter`]
 //!   handed to the shared miners, so A-HTPGM composes with every
-//!   execution axis: parallel ([`mine_approximate_parallel`]), streaming
-//!   ([`mine_approximate_graph_with_sink`]) and sharded
-//!   ([`mine_approximate_sharded_exchange`],
-//!   [`ShardPlan::mine_approximate_exchange_into`]) — each yielding the
-//!   identical pattern set;
+//!   execution axis, each yielding the identical pattern set;
+//! * [`MinePlan`] — one value per run: the data (a sequence database or
+//!   a [`ShardPlan`]), the [`Correlation`] gate (none, series-level, or
+//!   the event-level filter of Section VII), the config and the thread
+//!   count. [`MinePlan::run`] streams into any [`PatternSink`] and is the
+//!   only place an engine is picked; [`MinePlan::collect`] gathers a
+//!   [`MiningResult`];
 //! * [`mine_reference`] — a brute-force miner used as a correctness
 //!   oracle in tests and to study the patterns A-HTPGM prunes (Fig 8);
 //! * [`PatternSink`] and friends ([`CollectSink`], [`CountingSink`],
-//!   [`CsvSink`], [`JsonlSink`]) — streaming output: [`mine_exact_with_sink`]
-//!   and [`mine_exact_parallel_with_sink`] emit each finished pattern-graph
-//!   node into a sink instead of materializing a result `Vec`. One engine
-//!   runs both: [`mine_exact`] is [`mine_exact_parallel`] at one thread;
-//! * [`ShardPlanner`] / [`mine_sharded_exchange`] /
-//!   [`ShardPlan::mine_exchange_into`] — shard-by-time-range mining: K
+//!   [`CsvSink`], [`JsonlSink`]) — streaming output: a plan emits each
+//!   finished pattern-graph node into a sink instead of materializing a
+//!   result `Vec`. One engine runs every unsharded plan: [`mine_exact`]
+//!   is that engine at one thread;
+//! * [`ShardPlanner`] / [`ShardPlan`] — shard-by-time-range mining: K
 //!   overlapping time-range slices (`t_ov = t_max`, the Fig 3 lemma one
 //!   level up) mined concurrently by the two-phase candidate-exchange
 //!   executor. Shards propose level-`k` candidates with owned supports, a
@@ -66,6 +67,7 @@ mod merge;
 mod occ;
 mod parallel;
 mod pattern;
+mod plan;
 mod pool;
 mod postprocess;
 mod reference;
@@ -75,13 +77,14 @@ mod shard;
 mod sink;
 
 pub use approx::{
-    correlation_filter, event_indicator_database, mine_approximate, mine_approximate_event_level,
-    mine_approximate_graph_with_sink, mine_approximate_parallel, mine_approximate_with_density,
-    ApproxOutcome, CorrelationFilter,
+    correlation_filter, event_indicator_database, mine_approximate,
+    mine_approximate_graph_with_sink, mine_approximate_with_density, ApproxOutcome,
+    CorrelationFilter,
 };
 pub use config::{MinerConfig, PruningConfig, MAX_EVENTS_HARD_CAP};
 pub use exact::{mine_exact, mine_exact_with_sink};
-pub use parallel::{mine_exact_parallel, mine_exact_parallel_with_sink};
+pub use parallel::mine_exact_parallel_with_sink;
+pub use plan::{Correlation, MineData, MinePlan};
 pub use postprocess::{
     closed_patterns, maximal_patterns, pattern_lift, rank_patterns, top_k_by_lift, PatternSort,
 };
@@ -93,8 +96,5 @@ pub use reference::{mine_reference, mine_reference_filtered};
 pub use result::{FrequentPattern, MiningResult, MiningStats};
 pub use schedule::{ExploreStats, Explorer, Schedule};
 pub use executor::ShardReport;
-pub use shard::{
-    mine_approximate_sharded_exchange, mine_sharded_exchange, Shard, ShardPlan, ShardPlanner,
-    ShardedMining,
-};
+pub use shard::{Shard, ShardPlan, ShardPlanner};
 pub use sink::{CollectSink, CountingSink, CsvSink, JsonlSink, PatternSink, RowEncoder};

@@ -42,36 +42,15 @@ use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::exact::GrowContext;
 use crate::index::DatabaseIndex;
 use crate::merge::merge_stats;
-use crate::result::{FrequentPattern, MiningResult, MiningStats};
+use crate::plan::MinePlan;
+use crate::result::{FrequentPattern, MiningStats};
 use crate::schedule::{Retire, SimCtl};
-use crate::sink::{CollectSink, PatternSink, RowEncoder};
+use crate::sink::{PatternSink, RowEncoder};
 
-/// Mines exactly like [`crate::mine_exact`], distributing the work over
-/// `n_threads` OS threads. The pattern set, supports and confidences are
-/// identical to the single-threaded run; only the order differs.
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-pub fn mine_exact_parallel(
-    db: &SequenceDatabase,
-    cfg: &MinerConfig,
-    n_threads: usize,
-) -> MiningResult {
-    let mut sink = CollectSink::new();
-    let stats = mine_exact_parallel_with_sink(db, cfg, n_threads, &mut sink);
-    sink.into_result(stats)
-}
-
-/// Multi-threaded counterpart of [`crate::mine_exact_with_sink`]: mines
-/// with `n_threads` workers that emit finished Hierarchical Pattern Graph
-/// nodes into the shared `sink` as they complete (each emission is
-/// atomic, but emissions interleave across workers). The streaming path
-/// never materializes the full pattern result; emitted-pattern memory is
-/// bounded per worker by the emission batch plus one node (for a writer
-/// sink, about 64 KiB of rows rendered on the worker), though L2
-/// working state (all L2 nodes with their occurrence bindings) is still
-/// held during candidate generation.
+/// Mines like [`crate::mine_exact`] into `sink` with `n_threads`
+/// workers: [`MinePlan::run`] with [`MinePlan::with_threads`]. Kept so
+/// the benchmark harness builds; ROADMAP item 3 step 3 deletes it once
+/// the harness mines through the plan.
 ///
 /// # Panics
 ///
@@ -82,7 +61,7 @@ pub fn mine_exact_parallel_with_sink(
     n_threads: usize,
     sink: &mut (dyn PatternSink + Send),
 ) -> MiningStats {
-    mine_parallel_internal(db, cfg, n_threads, None, sink, None)
+    MinePlan::new(db, cfg).with_threads(n_threads).run(sink).0
 }
 
 /// Joins every handle, then re-raises the first panic payload if any
@@ -146,11 +125,11 @@ where
     })
 }
 
-/// The engine behind [`crate::mine_exact`], [`mine_exact_parallel_with_sink`]
-/// and the unsharded A-HTPGM entry points (`corr` is their correlation
-/// filter, see [`crate::approx`]) — and, with `sched` set, the engine
-/// under [`crate::Schedule::mine_parallel`], where every task claim goes
-/// through the seeded sequencer instead of racing on the atomic alone.
+/// The engine behind every unsharded [`MinePlan`] (`corr` is its
+/// correlation filter, see [`crate::approx`]) — and, with `sched` set,
+/// the engine under [`crate::Schedule::collect`], where every task claim
+/// goes through the seeded sequencer instead of racing on the atomic
+/// alone.
 ///
 /// # Panics
 ///

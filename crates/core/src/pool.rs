@@ -62,7 +62,7 @@ impl PatternId {
 
 /// Canonical identity of a *candidate* pattern before it is interned:
 /// the parent's pool id, the appended event, and the delta relation
-/// column packed two bits per entry (see [`pack_relation`]). Sixteen
+/// column packed two bits per entry (see `pack_relation`). Sixteen
 /// bytes, `Copy`, and injective for patterns grown from interned parents
 /// — the exchange executor keys its cross-shard proposals on this
 /// instead of cloning whole patterns. The order (parent, then appended
@@ -74,7 +74,7 @@ pub struct DeltaKey {
     pub parent: PatternId,
     /// The appended k-th event.
     pub last: EventId,
-    /// The k−1 new relations, packed via [`pack_relation`].
+    /// The k−1 new relations, packed via `pack_relation`.
     pub code: u64,
 }
 
@@ -274,7 +274,7 @@ impl PatternPool {
     }
 
     /// [`PatternPool::intern_child`] with the delta column packed two
-    /// bits per relation (see [`pack_relation`]) — the form candidates
+    /// bits per relation (see `pack_relation`) — the form candidates
     /// already carry as their grouping key, so the exchange gate interns
     /// survivors without touching a relation slice.
     pub fn intern_packed(&mut self, key: DeltaKey) -> PatternId {

@@ -7,10 +7,10 @@
 //! This module turns the claim into a checked property: a [`Schedule`]
 //! replaces the pools' free-running claim loops with a seeded
 //! sequencer, so each seed drives one reproducible interleaving of the
-//! task-claim order — L2 pair chunks and L3 subtrees for
-//! [`Schedule::mine_parallel`], count → gate → re-derive shard rounds for
-//! [`Schedule::mine_exchange`] — and a test sweeps seeds asserting the
-//! merged output never changes.
+//! task-claim order — L2 pair chunks and L3 subtrees of an unsharded
+//! plan, count → gate → re-derive shard rounds of a sharded one (see
+//! [`Schedule::collect`]) — and a test sweeps seeds asserting the merged
+//! output never changes.
 //!
 //! # How the sequencer works
 //!
@@ -59,13 +59,9 @@ use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use ftpm_events::SequenceDatabase;
-
-use crate::config::MinerConfig;
-use crate::executor::{mine_exchange_internal, ShardReport};
+use crate::executor::ShardReport;
+use crate::plan::MinePlan;
 use crate::result::MiningResult;
-use crate::shard::ShardPlan;
-use crate::sink::CollectSink;
 
 /// SplitMix64 — scrambles user seeds so that sequential seeds (0, 1, 2,
 /// …) still produce uncorrelated xorshift streams, and seed 0 is not a
@@ -371,14 +367,14 @@ impl Drop for Retire<'_> {
 /// One seeded worker interleaving for the parallel miners.
 ///
 /// ```no_run
-/// use ftpm_core::{mine_exact, MinerConfig, Schedule};
+/// use ftpm_core::{mine_exact, MinePlan, MinerConfig, Schedule};
 ///
 /// let seq = ftpm_datagen::smartcity_like(0.05).seq;
 /// let cfg = MinerConfig::new(0.5, 0.7);
 /// let baseline = mine_exact(&seq, &cfg);
 /// for seed in 0..4 {
 ///     let sched = Schedule::new(seed, 4);
-///     let run = sched.mine_parallel(&seq, &cfg);
+///     let (run, _) = sched.collect(&MinePlan::new(&seq, &cfg));
 ///     assert_eq!(run.patterns.len(), baseline.patterns.len());
 ///     println!("seed {seed}: interleaving {:?}", sched.trace());
 /// }
@@ -411,36 +407,14 @@ impl Schedule {
         self.ctl.trace()
     }
 
-    /// [`crate::mine_exact_parallel`] under this schedule: same output
-    /// contract, but the L2/L3 claim order is the seeded interleaving
-    /// instead of whatever the OS produces.
-    pub fn mine_parallel(&self, db: &SequenceDatabase, cfg: &MinerConfig) -> MiningResult {
-        let mut sink = CollectSink::new();
-        let stats = crate::parallel::mine_parallel_internal(
-            db,
-            cfg,
-            self.workers,
-            None,
-            &mut sink,
-            Some(&self.ctl),
-        );
-        sink.into_result(stats)
-    }
-
-    /// [`ShardPlan::mine_exchange`] under this schedule: the shard
-    /// workers' count → gate → re-derive rounds run in the seeded
-    /// interleaving. Intra-shard parallelism is forced to 1 so the
+    /// [`MinePlan::collect`] under this schedule: the schedule's workers
+    /// replace the plan's threads, and every task claim follows the
+    /// seeded interleaving instead of whatever the OS produces. On a
+    /// sharded plan, parallelism inside a shard is forced to 1 so the
     /// schedule fully determines the execution (the exchange protocol's
     /// concurrency story *is* the shard-level round loop).
-    pub fn mine_exchange(
-        &self,
-        plan: &ShardPlan,
-        cfg: &MinerConfig,
-    ) -> (MiningResult, Vec<ShardReport>) {
-        let mut sink = CollectSink::new();
-        let (stats, reports) =
-            mine_exchange_internal(plan, cfg, self.workers, None, &mut sink, Some(&self.ctl));
-        (sink.into_result(stats), reports)
+    pub fn collect(&self, plan: &MinePlan<'_>) -> (MiningResult, Vec<ShardReport>) {
+        plan.collect_under(self.workers, Some(&self.ctl))
     }
 
     /// A schedule replaying `script` branch choices (see [`Explorer`]).
@@ -488,14 +462,14 @@ pub struct ExploreStats {
 /// bugs live.
 ///
 /// ```no_run
-/// use ftpm_core::{mine_exact, Explorer, MinerConfig};
+/// use ftpm_core::{mine_exact, Explorer, MinePlan, MinerConfig};
 ///
 /// let seq = ftpm_datagen::smartcity_like(0.05).seq;
 /// let cfg = MinerConfig::new(0.5, 0.7);
 /// let baseline = mine_exact(&seq, &cfg);
 /// let stats = Explorer::new(2)
 ///     .explore(|sched| {
-///         let run = sched.mine_parallel(&seq, &cfg);
+///         let (run, _) = sched.collect(&MinePlan::new(&seq, &cfg));
 ///         if run.patterns.len() == baseline.patterns.len() {
 ///             Ok(())
 ///         } else {

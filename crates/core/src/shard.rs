@@ -29,9 +29,9 @@
 //!
 //! A pattern's global support is the sum of its owned supports across
 //! shards, so a shard cannot apply the global σ/δ locally — a pattern
-//! frequent overall may sit below threshold in every single shard. The
-//! plan therefore mines through the two-phase candidate-exchange executor
-//! ([`ShardPlan::mine_exchange_into`], see [`crate::executor`]): shards
+//! frequent overall may sit below threshold in every single shard. A
+//! [`crate::MinePlan`] over a shard plan therefore mines through the
+//! two-phase candidate-exchange executor ([`crate::executor`]): shards
 //! propose level-`k` candidates with owned supports, a coordinator
 //! applies the global σ/δ gate to the sums, and only the survivors are
 //! grown to level `k + 1` — exact output with per-shard pruning, and the
@@ -47,16 +47,17 @@ use ftpm_mi::CorrelationGraph;
 use ftpm_timeseries::SymbolicDatabase;
 
 use crate::config::MinerConfig;
-use crate::executor::{mine_exchange_internal, ShardReport};
-use crate::result::{MiningResult, MiningStats};
-use crate::sink::{CollectSink, PatternSink};
+use crate::executor::ShardReport;
+use crate::plan::{Correlation, MinePlan};
+use crate::result::MiningStats;
+use crate::sink::PatternSink;
 
 /// Plans shard-by-time-range mining runs.
 ///
 /// # Examples
 ///
 /// ```
-/// use ftpm_core::{MinerConfig, ShardPlanner};
+/// use ftpm_core::{MinePlan, MinerConfig, ShardPlanner};
 /// use ftpm_events::{BoundaryPolicy, RelationConfig, SplitConfig};
 /// use ftpm_datagen::nist_like;
 ///
@@ -69,8 +70,9 @@ use crate::sink::{CollectSink, PatternSink};
 /// let plan = ShardPlanner::new(4)
 ///     .plan(&data.syb, data.split, cfg.relation.t_max)
 ///     .expect("valid geometry");
-/// let (result, _reports) = plan.mine_exchange(&cfg, 1);
+/// let (result, reports) = MinePlan::new(&plan, &cfg).collect();
 /// assert!(!result.is_empty());
+/// assert_eq!(reports.len(), plan.shards().len());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPlanner {
@@ -180,7 +182,6 @@ impl ShardPlanner {
             shards,
             registry,
             n_windows,
-            t_ov,
         })
     }
 }
@@ -210,7 +211,6 @@ pub struct ShardPlan {
     registry: Arc<EventRegistry>,
     /// Global window count — the merged `|D_SEQ|`.
     n_windows: usize,
-    t_ov: i64,
 }
 
 impl ShardPlan {
@@ -237,144 +237,40 @@ impl ShardPlan {
         self.n_windows
     }
 
-    /// The shard-slice overlap in ticks.
-    pub fn t_ov(&self) -> i64 {
-        self.t_ov
-    }
-
-    /// Mines the plan through the two-phase candidate-exchange executor
-    /// (see [`crate::executor`]): shards run *concurrently*, propose
-    /// level-`k` candidates with owned supports, and only candidates
-    /// passing the global σ/δ gate are grown to level `k + 1`. The
-    /// merged output is identical to the unsharded [`crate::mine_exact`];
-    /// per-shard candidate and timing observability comes back as
-    /// [`ShardReport`]s.
+    /// The candidate exchange into `sink`: a [`MinePlan`] over this
+    /// shard plan. Kept so the benchmark harness builds; ROADMAP item 3
+    /// step 3 deletes it once the harness mines through the plan.
     ///
-    /// `threads` is the total worker budget, split between concurrent
-    /// shards and intra-shard parallelism.
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
     pub fn mine_exchange_into(
         &self,
         cfg: &MinerConfig,
         threads: usize,
-        sink: &mut dyn PatternSink,
+        sink: &mut (dyn PatternSink + Send),
     ) -> (MiningStats, Vec<ShardReport>) {
-        mine_exchange_internal(self, cfg, threads, None, sink, None)
+        MinePlan::new(self, cfg).with_threads(threads).run(sink)
     }
 
-    /// Like [`ShardPlan::mine_exchange_into`], collecting into a
-    /// [`MiningResult`] (expressed in [`ShardPlan::registry`]).
-    pub fn mine_exchange(
-        &self,
-        cfg: &MinerConfig,
-        threads: usize,
-    ) -> (MiningResult, Vec<ShardReport>) {
-        let mut sink = CollectSink::new();
-        let (stats, reports) = self.mine_exchange_into(cfg, threads, &mut sink);
-        (sink.into_result(stats), reports)
-    }
-
-    /// A-HTPGM over the candidate-exchange executor: the coordinator
-    /// holds the one globally-built filter and the `G_C` edge gate is
-    /// applied *at propose time*, so shards never verify (or ship) an
-    /// MI-pruned pair — the multiplicative composition of the two
-    /// pruning families. The merged output equals the unsharded
-    /// [`crate::mine_approximate`] run with the same graph exactly.
+    /// A-HTPGM over the candidate exchange into `sink`: a [`MinePlan`]
+    /// over this shard plan with [`Correlation::Series`]. Kept so the
+    /// benchmark harness builds; ROADMAP item 3 step 3 deletes it once
+    /// the harness mines through the plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
     pub fn mine_approximate_exchange_into(
         &self,
         graph: &CorrelationGraph,
         cfg: &MinerConfig,
         threads: usize,
-        sink: &mut dyn PatternSink,
+        sink: &mut (dyn PatternSink + Send),
     ) -> (MiningStats, Vec<ShardReport>) {
-        let filter = crate::approx::correlation_filter(graph, &self.registry);
-        mine_exchange_internal(self, cfg, threads, Some(&filter), sink, None)
+        MinePlan::new(self, cfg)
+            .with_correlation(Correlation::Series(graph))
+            .with_threads(threads)
+            .run(sink)
     }
-
-    /// Like [`ShardPlan::mine_approximate_exchange_into`], collecting
-    /// into a [`MiningResult`] (expressed in [`ShardPlan::registry`]).
-    pub fn mine_approximate_exchange(
-        &self,
-        graph: &CorrelationGraph,
-        cfg: &MinerConfig,
-        threads: usize,
-    ) -> (MiningResult, Vec<ShardReport>) {
-        let mut sink = CollectSink::new();
-        let (stats, reports) = self.mine_approximate_exchange_into(graph, cfg, threads, &mut sink);
-        (sink.into_result(stats), reports)
-    }
-}
-
-/// The result of [`mine_sharded_exchange`] and
-/// [`mine_approximate_sharded_exchange`]: the merged mining result plus
-/// the master registry its event ids refer to (shard slices intern events
-/// in their own orders, so the caller's registry does not apply).
-#[derive(Debug)]
-pub struct ShardedMining {
-    /// The merged, globally-thresholded result.
-    pub result: MiningResult,
-    /// The registry [`ShardedMining::result`] is expressed in (shared
-    /// with the plan's shard databases, not a deep clone).
-    pub registry: Arc<EventRegistry>,
-    /// Number of shards actually mined (≤ the requested count).
-    pub shards: usize,
-    /// Shard-slice overlap in ticks (`t_max` of the miner config).
-    pub t_ov: i64,
-}
-
-/// One-call sharded mining: plans `shards` time-range shards over
-/// `syb`/`split` with `t_ov = cfg.relation.t_max` and mines them through
-/// the two-phase candidate-exchange executor (concurrent shards, global
-/// apriori gate between levels — see [`crate::executor`]) with `threads`
-/// workers. Equals the unsharded [`crate::mine_exact`] run on the same
-/// split — by label, support, confidence and clipped-occurrence count —
-/// for every [`ftpm_events::BoundaryPolicy`] (for `TrueExtent` this needs
-/// the `t_ov = t_max` pad, which is why the overlap is taken from the
-/// config's `t_max`). The [`ShardReport`]s expose how many candidates
-/// each shard proposed and how many the gate pruned.
-pub fn mine_sharded_exchange(
-    syb: &SymbolicDatabase,
-    split: SplitConfig,
-    cfg: &MinerConfig,
-    shards: usize,
-    threads: usize,
-) -> Result<(ShardedMining, Vec<ShardReport>), String> {
-    let plan = ShardPlanner::new(shards).plan(syb, split, cfg.relation.t_max)?;
-    let (result, reports) = plan.mine_exchange(cfg, threads);
-    let n_shards = plan.shards.len();
-    Ok((
-        ShardedMining {
-            result,
-            registry: plan.registry,
-            shards: n_shards,
-            t_ov: plan.t_ov,
-        },
-        reports,
-    ))
-}
-
-/// One-call approximate sharded mining through the candidate-exchange
-/// executor: builds the plan, mines every shard under the caller's
-/// globally-built correlation `graph` (the MI edge gate applies at
-/// propose time), and merges. Output equals the unsharded
-/// [`crate::mine_approximate`] run with the same graph exactly.
-pub fn mine_approximate_sharded_exchange(
-    syb: &SymbolicDatabase,
-    split: SplitConfig,
-    graph: &CorrelationGraph,
-    cfg: &MinerConfig,
-    shards: usize,
-    threads: usize,
-) -> Result<(ShardedMining, Vec<ShardReport>), String> {
-    let plan = ShardPlanner::new(shards).plan(syb, split, cfg.relation.t_max)?;
-    let (result, reports) = plan.mine_approximate_exchange(graph, cfg, threads);
-    let n_shards = plan.shards.len();
-    Ok((
-        ShardedMining {
-            result,
-            registry: plan.registry,
-            shards: n_shards,
-            t_ov: plan.t_ov,
-        },
-        reports,
-    ))
 }

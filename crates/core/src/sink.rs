@@ -36,12 +36,13 @@
 //! # Example
 //!
 //! ```
-//! use ftpm_core::{mine_exact_with_sink, CountingSink, MinerConfig};
+//! use ftpm_core::{CountingSink, MinePlan, MinerConfig};
 //! use ftpm_datagen::random_sequence_database;
 //!
 //! let db = random_sequence_database(7, 6, 3, 2, 40);
+//! let cfg = MinerConfig::new(0.3, 0.3);
 //! let mut sink = CountingSink::default();
-//! let stats = mine_exact_with_sink(&db, &MinerConfig::new(0.3, 0.3), &mut sink);
+//! let (stats, _) = MinePlan::new(&db, &cfg).run(&mut sink);
 //! assert_eq!(sink.patterns(), stats.patterns_found.iter().sum::<usize>());
 //! ```
 
@@ -480,8 +481,8 @@ impl<W: Write> RowWriter<W> {
 /// triple notation rendered through the event registry;
 /// `clipped_occurrences` counts the pattern's bound occurrences that
 /// touch a window-boundary-clipped instance (see
-/// [`FrequentPattern::clipped_occurrences`]). Rows are rendered by
-/// [`RowEncoder::csv`], which the sink offers to the threaded engine's
+/// [`FrequentPattern::clipped_occurrences`]). Rows are rendered by the
+/// sink's CSV [`RowEncoder`], which it offers to the threaded engine's
 /// workers.
 pub struct CsvSink<'r, W: Write> {
     rows: RowWriter<W>,
@@ -538,7 +539,7 @@ impl<W: Write> PatternSink for CsvSink<'_, W> {
 /// `length`, `support`, `rel_support`, `confidence`, and
 /// `clipped_occurrences` (occurrences touching a window-boundary-clipped
 /// instance, see [`FrequentPattern::clipped_occurrences`]). Lines are
-/// rendered by [`RowEncoder::jsonl`], which the sink offers to the
+/// rendered by the sink's JSONL [`RowEncoder`], which it offers to the
 /// threaded engine's workers.
 pub struct JsonlSink<'r, W: Write> {
     rows: RowWriter<W>,

@@ -6,23 +6,22 @@
 //! pattern set (labels, supports, confidences, clipped counts) as plain
 //! single-threaded `mine_approximate`. This suite pins that identity
 //! across shard counts, boundary policies and both graph
-//! parameterizations (μ and edge density), checks the brute-force
-//! reference oracle under the same filter, and asserts the exchange
-//! coordinator's MI-at-propose gate generates strictly fewer candidates
-//! than mining exactly and filtering post hoc. The graph itself is
-//! pinned too: its NMI matrix equals the scalar Def 5.3 bit for bit on
-//! the energy demo.
+//! parameterizations (μ and edge density), and for the event-level arm
+//! of Section VII; checks the brute-force reference oracle under the
+//! same filter; and asserts the exchange coordinator's MI-at-propose
+//! gate generates strictly fewer candidates than mining exactly and
+//! filtering post hoc. The graph itself is pinned too: its NMI matrix
+//! equals the scalar Def 5.3 bit for bit on the energy demo.
 //!
 //! Event ids differ across conversions (intern order), so everything
 //! compares by label.
 
 mod common;
 
-use common::{assert_equivalent, labelled, policy_cfg, random_syb, Labelled};
+use common::{assert_equivalent, labelled, policy_cfg, random_syb, runs, Labelled, Layout};
 use ftpm_core::{
-    correlation_filter, mine_approximate, mine_approximate_parallel,
-    mine_approximate_sharded_exchange, mine_approximate_with_density, mine_reference_filtered,
-    MinerConfig, ShardPlanner,
+    correlation_filter, event_indicator_database, mine_approximate, mine_approximate_with_density,
+    mine_reference_filtered, Correlation, MinePlan, MinerConfig, ShardPlanner,
 };
 use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
 use ftpm_mi::{mu_for_density, normalized_mutual_information, CorrelationGraph};
@@ -30,9 +29,8 @@ use ftpm_timeseries::{SymbolicDatabase, VariableId};
 
 /// The full composition check for one (data, split, cfg, μ, K): the
 /// single-threaded unsharded approximate run is the baseline, and the
-/// parallel and sharded candidate-exchange compositions must both
-/// reproduce it exactly.
-#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
+/// plan over the unsharded data and over K shards, at `threads`
+/// workers, must both reproduce it exactly.
 fn check_compositions(
     syb: &SymbolicDatabase,
     split: SplitConfig,
@@ -45,43 +43,22 @@ fn check_compositions(
     let seq = to_sequence_database(syb, split);
     let base = mine_approximate(syb, &seq, mu, cfg);
     let base_l = labelled(&base.result, seq.registry());
-
-    let par = mine_approximate_parallel(syb, &seq, mu, cfg, threads);
-    assert_equivalent(
-        &base_l,
-        &labelled(&par.result, seq.registry()),
-        &format!("{context} [parallel]"),
-    );
-    assert_eq!(
-        base.result.frequent_events.len(),
-        par.result.frequent_events.len(),
-        "{context}: parallel L1 count"
-    );
-
     let graph = CorrelationGraph::build(syb, mu);
-    let plan = ShardPlanner::new(shards)
-        .plan(syb, split, cfg.relation.t_max)
-        .unwrap_or_else(|e| panic!("{context}: shard plan failed: {e}"));
-
-    let (exchanged, reports) =
-        mine_approximate_sharded_exchange(syb, split, &graph, cfg, shards, threads)
-            .unwrap_or_else(|e| panic!("{context}: exchange plan failed: {e}"));
-    assert_equivalent(
-        &base_l,
-        &labelled(&exchanged.result, &exchanged.registry),
-        &format!("{context} [sharded exchange]"),
-    );
-    assert_eq!(
-        base.result.frequent_events.len(),
-        exchanged.result.frequent_events.len(),
-        "{context}: exchange L1 count"
-    );
-    assert_eq!(reports.len(), plan.shards().len());
-    for r in &reports {
-        assert!(
-            r.candidates_pruned <= r.candidates_proposed,
-            "{context}: shard {} pruned more than it proposed",
-            r.shard
+    let layouts = [Layout::Unsharded, Layout::Shards(shards)];
+    for run in runs(
+        syb,
+        split,
+        cfg,
+        &[threads],
+        &layouts,
+        &[Correlation::Series(&graph)],
+    ) {
+        let context = format!("{context} [{}]", run.context);
+        assert_equivalent(&base_l, &run.labelled, &context);
+        assert_eq!(
+            base.result.frequent_events.len(),
+            run.result.frequent_events.len(),
+            "{context}: L1 count"
         );
     }
 }
@@ -187,19 +164,24 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
         graph.mu(),
         base.mu
     );
+    let approx = Correlation::Series(&graph);
 
-    let par = mine_approximate_parallel(&data.syb, &data.seq, graph.mu(), &cfg, 4);
+    let (par, _) = MinePlan::new(&data.seq, &cfg)
+        .with_correlation(approx)
+        .with_threads(4)
+        .collect();
     assert_equivalent(
         &base_l,
-        &labelled(&par.result, data.seq.registry()),
+        &labelled(&par, data.seq.registry()),
         "energy demo [parallel, 4 threads]",
     );
 
     let plan = ShardPlanner::new(4)
         .plan(&data.syb, data.split, t_max)
         .expect("plan");
-    let (exact_result, exact_reports) = plan.mine_exchange(&cfg, 4);
-    let (approx_result, approx_reports) = plan.mine_approximate_exchange(&graph, &cfg, 4);
+    let exchange = MinePlan::new(&plan, &cfg).with_threads(4);
+    let (exact_result, exact_reports) = exchange.collect();
+    let (approx_result, approx_reports) = exchange.with_correlation(approx).collect();
     let registry = plan.registry();
     assert_equivalent(
         &base_l,
@@ -262,6 +244,35 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
 /// on the energy demo — all 5,112 ordered pairs of its 72 On/Off
 /// series — and the density route resolves to the μ and the edges of
 /// `build(mu_for_density(..))`.
+/// Event-level A-HTPGM (Section VII) is one more correlation arm of the
+/// plan: at threads {1, 2} × {unsharded, K = 2, K = 4} it equals the
+/// one-thread unsharded run, whose pattern counts are pinned, by label,
+/// support, confidence and clipped count. The graph's vertices are the
+/// unsharded conversion's event ids, which every shard plan's master
+/// registry shares.
+#[test]
+fn event_level_plan_agrees_across_threads_and_shards() {
+    let data = ftpm_datagen::dataport_like(0.02);
+    let cfg = MinerConfig::new(0.3, 0.3).with_max_events(3);
+    let indicators = event_indicator_database(&data.syb, data.seq.registry());
+    let layouts = [Layout::Unsharded, Layout::Shards(2), Layout::Shards(4)];
+    for (mu, count) in [(0.1, 991), (0.4, 107), (0.7, 84)] {
+        let graph = CorrelationGraph::build(&indicators, mu);
+        let events = [Correlation::Events(&graph)];
+        let runs = runs(&data.syb, data.split, &cfg, &[1, 2], &layouts, &events);
+        let (base, others) = runs.split_first().expect("six runs");
+        assert_eq!(base.result.len(), count, "mu={mu}: pattern count");
+        assert_eq!(others.len(), 5);
+        for run in others {
+            assert_equivalent(
+                &base.labelled,
+                &run.labelled,
+                &format!("mu={mu} [{}]", run.context),
+            );
+        }
+    }
+}
+
 #[test]
 fn nmi_matrix_equals_the_scalar_definition_on_the_energy_demo() {
     const DENSITY: f64 = 0.8;
@@ -298,9 +309,10 @@ mod prop {
 
     proptest! {
         /// Random series, random σ/δ, random density, K in {1, 2, 4},
-        /// every boundary policy, both parameterizations: approximate
-        /// sharded-exchange == approximate parallel == approximate
-        /// sequential (labels, supports, confidences, clipped counts).
+        /// every boundary policy, both parameterizations: the approximate
+        /// plan at 1 and 2 threads, unsharded and over K shards, equals
+        /// approximate sequential (labels, supports, confidences,
+        /// clipped counts).
         #[test]
         fn approx_sharded_exchange_equals_parallel_equals_sequential(
             seed in 0u64..24,
@@ -332,27 +344,21 @@ mod prop {
                 &mine_approximate_with_density(&syb, &seq, density, &cfg).result,
                 seq.registry(),
             );
-            let par = labelled(
-                &mine_approximate_parallel(&syb, &seq, mu, &cfg, 2).result,
-                seq.registry(),
-            );
             let graph = CorrelationGraph::build(&syb, mu);
-            let (exchanged, _) =
-                mine_approximate_sharded_exchange(&syb, split, &graph, &cfg, shards, 1)
-                    .expect("plan");
-            let em = labelled(&exchanged.result, &exchanged.registry);
-            for (label, (supp, conf, clipped)) in &base {
-                for (name, m) in [("parallel", &par), ("exchange", &em)] {
-                    let (s, c, cl) = m.get(label).unwrap_or_else(|| {
-                        panic!("{name} lost {label} (K={shards}, {policy})")
+            let layouts = [Layout::Unsharded, Layout::Shards(shards)];
+            let series = [Correlation::Series(&graph)];
+            for run in runs(&syb, split, &cfg, &[1, 2], &layouts, &series) {
+                let context = &run.context;
+                for (label, (supp, conf, clipped)) in &base {
+                    let (s, c, cl) = run.labelled.get(label).unwrap_or_else(|| {
+                        panic!("{context} lost {label} ({policy})")
                     });
-                    prop_assert_eq!(supp, s, "{} support of {}", name, label);
-                    prop_assert!((conf - c).abs() < 1e-9, "{} confidence of {}", name, label);
-                    prop_assert_eq!(clipped, cl, "{} clipped of {}", name, label);
+                    prop_assert_eq!(supp, s, "{} support of {}", context, label);
+                    prop_assert!((conf - c).abs() < 1e-9, "{} confidence of {}", context, label);
+                    prop_assert_eq!(clipped, cl, "{} clipped of {}", context, label);
                 }
+                prop_assert_eq!(base.len(), run.labelled.len(), "{} pattern count", context);
             }
-            prop_assert_eq!(base.len(), par.len(), "parallel pattern count");
-            prop_assert_eq!(base.len(), em.len(), "exchange pattern count");
         }
     }
 }

@@ -1,15 +1,19 @@
 //! Helpers shared by the equivalence suites: a deterministic random
-//! symbolic database and label-keyed comparison of mining results. Event
-//! ids differ across conversions (each slice interns events in its own
-//! order), so results are compared by rendered label.
+//! symbolic database, the plan-axis matrix every suite builds its runs
+//! through ([`runs`]), and label-keyed comparison of mining results.
+//! Event ids differ across conversions (each slice interns events in its
+//! own order), so results are compared by rendered label.
 
 // Each suite uses its own subset of these helpers.
 #![allow(dead_code)]
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use ftpm_core::{MinerConfig, MiningResult};
-use ftpm_events::{BoundaryPolicy, EventRegistry, RelationConfig};
+use ftpm_core::{Correlation, MinePlan, MinerConfig, MiningResult, ShardPlanner, ShardReport};
+use ftpm_events::{
+    to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
+};
 use ftpm_timeseries::{Alphabet, SymbolId, SymbolicDatabase, SymbolicSeries};
 
 /// Deterministic pseudo-random on/off symbolic database (xorshift64*)
@@ -93,4 +97,98 @@ pub fn policy_cfg(sigma: f64, delta: f64, t_max: i64, policy: BoundaryPolicy) ->
     MinerConfig::new(sigma, delta)
         .with_max_events(3)
         .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(policy))
+}
+
+/// Where a run's windows come from: the unsharded conversion, or a plan
+/// of `K` time-range shards cut with `t_ov = t_max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    Unsharded,
+    Shards(usize),
+}
+
+/// One composition of the plan axes and what it mined.
+pub struct Run {
+    /// The composition, for assertion messages.
+    pub context: String,
+    pub threads: usize,
+    pub result: MiningResult,
+    pub reports: Vec<ShardReport>,
+    /// The registry `result` is expressed in.
+    pub registry: Arc<EventRegistry>,
+    /// `result` keyed by rendered label.
+    pub labelled: Labelled,
+}
+
+/// Mines `cfg` over `syb` split by `split` under every composition of
+/// `threads` × `layouts` × `correlations`, one [`MinePlan`] each, in that
+/// nesting order (the first run is the first of each axis). The
+/// unsharded conversion is made once and each shard count is planned
+/// once. Every sharded run is checked for one report per planned shard,
+/// owned windows that tile the global window space, and no shard pruning
+/// more candidates than it proposed.
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
+pub fn runs(
+    syb: &SymbolicDatabase,
+    split: SplitConfig,
+    cfg: &MinerConfig,
+    threads: &[usize],
+    layouts: &[Layout],
+    correlations: &[Correlation<'_>],
+) -> Vec<Run> {
+    let seq = to_sequence_database(syb, split);
+    let plans: Vec<_> = layouts
+        .iter()
+        .map(|layout| match *layout {
+            Layout::Unsharded => None,
+            Layout::Shards(k) => Some(
+                ShardPlanner::new(k)
+                    .plan(syb, split, cfg.relation.t_max)
+                    .unwrap_or_else(|e| panic!("K={k}: shard plan failed: {e}")),
+            ),
+        })
+        .collect();
+    let mut out = Vec::new();
+    for &n in threads {
+        for (&layout, shard_plan) in layouts.iter().zip(&plans) {
+            for (c, &correlation) in correlations.iter().enumerate() {
+                let plan = match shard_plan {
+                    Some(p) => MinePlan::new(p, cfg),
+                    None => MinePlan::new(&seq, cfg),
+                };
+                let plan = plan.with_threads(n).with_correlation(correlation);
+                let context = format!("{n} threads, {layout:?}, correlation {c}");
+                let (result, reports) = plan.collect();
+                if let Some(p) = shard_plan {
+                    assert_eq!(reports.len(), p.shards().len(), "{context}: reports");
+                    assert_eq!(
+                        reports.iter().map(|r| r.windows_owned).sum::<usize>(),
+                        seq.len(),
+                        "{context}: owned windows must tile the global window space"
+                    );
+                    for r in &reports {
+                        assert!(
+                            r.candidates_pruned <= r.candidates_proposed,
+                            "{context}: shard {} pruned more than it proposed",
+                            r.shard
+                        );
+                    }
+                }
+                let registry = match shard_plan {
+                    Some(p) => p.shared_registry(),
+                    None => seq.shared_registry(),
+                };
+                let labelled = labelled(&result, &registry);
+                out.push(Run {
+                    context,
+                    threads: n,
+                    result,
+                    reports,
+                    registry,
+                    labelled,
+                });
+            }
+        }
+    }
+    out
 }

@@ -80,7 +80,7 @@ fn exact_matches_reference_with_nontrivial_relation_config() {
 
 #[test]
 fn exact_matches_reference_under_every_boundary_policy() {
-    use ftpm_core::mine_exact_parallel;
+    use ftpm_core::MinePlan;
     use ftpm_events::{to_sequence_database, BoundaryPolicy, SplitConfig};
 
     // An overlapped split of real-shaped data, so plenty of instances
@@ -105,7 +105,7 @@ fn exact_matches_reference_under_every_boundary_policy() {
         let exact = mine_exact(&seq, &cfg);
         let reference = mine_reference(&seq, &cfg);
         assert_same_patterns(&exact, &reference, &format!("policy={policy}"));
-        let parallel = mine_exact_parallel(&seq, &cfg, 3);
+        let (parallel, _) = MinePlan::new(&seq, &cfg).with_threads(3).collect();
         assert_same_patterns(&exact, &parallel, &format!("policy={policy} parallel"));
         // Both miners enumerate every occurrence exactly once, so the
         // per-pattern boundary-artifact counts must agree too.
@@ -269,14 +269,21 @@ fn lemma6_prefix_confidence_at_least_pattern_confidence() {
 
 #[test]
 fn event_level_approximate_is_subset_of_exact() {
-    use ftpm_core::mine_approximate_event_level;
+    use ftpm_core::{event_indicator_database, Correlation, MinePlan};
+    use ftpm_mi::CorrelationGraph;
     let data = ftpm_datagen::dataport_like(0.02);
     let cfg = MinerConfig::new(0.3, 0.3).with_max_events(3);
     let exact = mine_exact(&data.seq, &cfg);
+    assert_eq!(exact.len(), 3345, "exact pattern count");
     let exact_keys = exact.pattern_keys();
-    for mu in [0.1, 0.4, 0.7] {
-        let approx = mine_approximate_event_level(&data.syb, &data.seq, mu, &cfg);
-        for p in &approx.result.patterns {
+    let indicators = event_indicator_database(&data.syb, data.seq.registry());
+    for (mu, count) in [(0.1, 991), (0.4, 107), (0.7, 84)] {
+        let graph = CorrelationGraph::build(&indicators, mu);
+        let (approx, _) = MinePlan::new(&data.seq, &cfg)
+            .with_correlation(Correlation::Events(&graph))
+            .collect();
+        assert_eq!(approx.len(), count, "mu={mu}: pattern count");
+        for p in &approx.patterns {
             assert!(
                 exact_keys.contains(&p.pattern),
                 "mu={mu}: event-level approx invented a pattern"
@@ -289,7 +296,7 @@ fn event_level_approximate_is_subset_of_exact() {
 fn event_indicator_database_matches_symbols() {
     use ftpm_core::event_indicator_database;
     let data = ftpm_datagen::dataport_like(0.01);
-    let ind = event_indicator_database(&data.syb, &data.seq);
+    let ind = event_indicator_database(&data.syb, data.seq.registry());
     assert_eq!(ind.n_variables(), data.seq.registry().len());
     assert_eq!(ind.n_steps(), data.syb.n_steps());
     // Spot check: the indicator of event e is On exactly where the
@@ -307,13 +314,13 @@ fn event_indicator_database_matches_symbols() {
 
 #[test]
 fn parallel_matches_sequential() {
-    use ftpm_core::mine_exact_parallel;
+    use ftpm_core::MinePlan;
     for seed in 600..606u64 {
         let db = random_sequence_database(seed, 8, 4, 2, 50);
         let cfg = MinerConfig::new(0.25, 0.3).with_max_events(4);
         let sequential = mine_exact(&db, &cfg);
         for threads in [1, 2, 4] {
-            let parallel = mine_exact_parallel(&db, &cfg, threads);
+            let (parallel, _) = MinePlan::new(&db, &cfg).with_threads(threads).collect();
             assert_same_patterns(
                 &sequential,
                 &parallel,
@@ -328,6 +335,6 @@ fn parallel_matches_sequential() {
     let data = ftpm_datagen::dataport_like(0.01);
     let cfg = MinerConfig::new(0.3, 0.3).with_max_events(3);
     let sequential = mine_exact(&data.seq, &cfg);
-    let parallel = mine_exact_parallel(&data.seq, &cfg, 4);
+    let (parallel, _) = MinePlan::new(&data.seq, &cfg).with_threads(4).collect();
     assert_same_patterns(&sequential, &parallel, "structured parallel");
 }

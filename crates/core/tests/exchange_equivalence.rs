@@ -8,15 +8,14 @@
 
 mod common;
 
-use common::{assert_equivalent, labelled, policy_cfg, random_syb};
-use ftpm_core::{mine_exact, mine_sharded_exchange, MinerConfig, ShardPlanner};
+use common::{assert_equivalent, labelled, policy_cfg, random_syb, runs, Layout};
+use ftpm_core::{mine_exact, Correlation, MinePlan, MinerConfig, ShardPlanner};
 use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
 use ftpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};
 
 /// One full check: the exchange against the unsharded baseline —
 /// patterns, L1 and boundary observability — plus the shard reports'
-/// bookkeeping.
-#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
+/// bookkeeping (checked by [`runs`]).
 fn check_exchange(
     syb: &SymbolicDatabase,
     split: SplitConfig,
@@ -27,50 +26,38 @@ fn check_exchange(
 ) {
     let seq = to_sequence_database(syb, split);
     let base = mine_exact(&seq, cfg);
-    let (exchange, reports) = mine_sharded_exchange(syb, split, cfg, shards, threads)
-        .unwrap_or_else(|e| panic!("{context}: exchange plan failed: {e}"));
+    let (layouts, exact) = ([Layout::Shards(shards)], [Correlation::None]);
+    let run = runs(syb, split, cfg, &[threads], &layouts, &exact);
+    let exchange = &run[0].result;
     assert_equivalent(
         &labelled(&base, seq.registry()),
-        &labelled(&exchange.result, &exchange.registry),
+        &run[0].labelled,
         &format!("{context} [exchange]"),
     );
     // L1 and boundary observability agree too.
     assert_eq!(
         base.frequent_events.len(),
-        exchange.result.frequent_events.len(),
+        exchange.frequent_events.len(),
         "{context}: L1 count"
     );
     assert_eq!(
-        base.stats.clipped_instances, exchange.result.stats.clipped_instances,
+        base.stats.clipped_instances, exchange.stats.clipped_instances,
         "{context}: clipped_instances"
     );
     assert_eq!(
-        base.stats.discarded_instances, exchange.result.stats.discarded_instances,
+        base.stats.discarded_instances, exchange.stats.discarded_instances,
         "{context}: discarded_instances"
     );
     // The merged output describes the same HPG: one node per event list,
     // one slot per level.
     assert_eq!(
-        base.stats.nodes_kept, exchange.result.stats.nodes_kept,
+        base.stats.nodes_kept, exchange.stats.nodes_kept,
         "{context}: nodes_kept"
     );
     assert_eq!(
-        base.stats.patterns_found, exchange.result.stats.patterns_found,
+        base.stats.patterns_found, exchange.stats.patterns_found,
         "{context}: patterns_found"
     );
-    // Ownership partitions the window space.
-    assert_eq!(
-        reports.iter().map(|r| r.windows_owned).sum::<usize>(),
-        seq.len(),
-        "{context}: owned windows must tile the global window space"
-    );
-    for r in &reports {
-        assert!(
-            r.candidates_pruned <= r.candidates_proposed,
-            "{context}: shard {} pruned more than it proposed",
-            r.shard
-        );
-    }
 }
 
 #[test]
@@ -94,16 +81,10 @@ fn concurrent_shards_match_sequential_exchange() {
     let syb = random_syb(11, 3, 96, 5, 7);
     let split = SplitConfig::new(40, 20);
     let cfg = policy_cfg(0.2, 0.2, 20, BoundaryPolicy::TrueExtent);
-    let plan = ShardPlanner::new(4).plan(&syb, split, cfg.relation.t_max).expect("plan");
-    let (sequential, _) = plan.mine_exchange(&cfg, 1);
-    for threads in [2usize, 4, 8] {
-        let (concurrent, reports) = plan.mine_exchange(&cfg, threads);
-        assert_equivalent(
-            &labelled(&sequential, plan.registry()),
-            &labelled(&concurrent, plan.registry()),
-            &format!("{threads} threads"),
-        );
-        assert_eq!(reports.len(), plan.shards().len());
+    let (layouts, exact) = ([Layout::Shards(4)], [Correlation::None]);
+    let runs = runs(&syb, split, &cfg, &[1, 2, 4, 8], &layouts, &exact);
+    for run in &runs[1..] {
+        assert_equivalent(&runs[0].labelled, &run.labelled, &run.context);
     }
 }
 
@@ -142,14 +123,11 @@ fn exchange_gate_prunes_candidates_and_matches_unsharded() {
         ),
     ];
     for (shards, want) in pinned {
-        let plan = ShardPlanner::new(shards)
-            .plan(&data.syb, data.split, t_max)
-            .expect("plan");
-        for threads in [1usize, 2] {
-            let (exchange_result, reports) = plan.mine_exchange(&cfg, threads);
-            let stats = &exchange_result.stats;
+        let (layouts, exact) = ([Layout::Shards(shards)], [Correlation::None]);
+        for run in runs(&data.syb, data.split, &cfg, &[1, 2], &layouts, &exact) {
+            let stats = &run.result.stats;
             let got: ExchangeWork = (
-                reports
+                run.reports
                     .iter()
                     .map(|r| (r.candidates_proposed, r.candidates_pruned))
                     .collect(),
@@ -158,12 +136,9 @@ fn exchange_gate_prunes_candidates_and_matches_unsharded() {
                 stats.apriori_pruned,
                 stats.transitivity_pruned,
             );
-            assert_eq!(got, want, "energy demo K={shards}, {threads} threads");
-            assert_equivalent(
-                &base,
-                &labelled(&exchange_result, plan.registry()),
-                &format!("energy demo K={shards}, {threads} threads"),
-            );
+            let context = format!("energy demo [{}]", run.context);
+            assert_eq!(got, want, "{context}");
+            assert_equivalent(&base, &run.labelled, &context);
         }
     }
 }
@@ -181,7 +156,7 @@ fn empty_shards_propose_nothing() {
         .plan(&syb, split, cfg.relation.t_max)
         .expect("plan clamps K to the window count");
     assert!(plan.shards().len() <= 10);
-    let (result, reports) = plan.mine_exchange(&cfg, 2);
+    let (result, reports) = MinePlan::new(&plan, &cfg).with_threads(2).collect();
     assert!(result.is_empty(), "no instances, no patterns");
     assert!(result.frequent_events.is_empty());
     for r in &reports {
@@ -261,9 +236,9 @@ mod prop {
             let base_result = mine_exact(&seq, &cfg);
             let base_stats = &base_result.stats;
             let base = labelled(&base_result, seq.registry());
-            let (exchange, _) =
-                mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
-            let em = labelled(&exchange.result, &exchange.registry);
+            let (layouts, exact) = ([Layout::Shards(shards)], [Correlation::None]);
+            let run = runs(&syb, split, &cfg, &[1], &layouts, &exact);
+            let (exchange, em) = (&run[0].result, &run[0].labelled);
             for (label, (supp, conf, clipped)) in &base {
                 let (s, c, cl) = em.get(label).unwrap_or_else(|| {
                     panic!("exchange lost {label} (K={shards}, {policy})")
@@ -275,12 +250,12 @@ mod prop {
             prop_assert_eq!(base.len(), em.len(), "exchange pattern count");
             prop_assert_eq!(
                 &base_stats.nodes_kept,
-                &exchange.result.stats.nodes_kept,
+                &exchange.stats.nodes_kept,
                 "nodes_kept"
             );
             prop_assert_eq!(
                 &base_stats.patterns_found,
-                &exchange.result.stats.patterns_found,
+                &exchange.stats.patterns_found,
                 "patterns_found"
             );
         }

@@ -4,16 +4,17 @@
 //! harness instead *drives* the interleaving — each seed serializes the
 //! pools at task-claim granularity under a seeded sequencer — so this
 //! test sweeps ≥ 50 distinct interleavings at 2 and 4 simulated workers
-//! and asserts the merged output of both `mine_exact_parallel` and the
-//! candidate-exchange executor equals the single-threaded baseline on
-//! every one of them. Any failure names the seed that reproduces it.
+//! and asserts the merged output of both an unsharded `MinePlan` and a
+//! sharded one (the candidate-exchange executor) equals the
+//! single-threaded baseline on every one of them. Any failure names the
+//! seed that reproduces it.
 
 mod common;
 
 use std::collections::HashSet;
 
 use common::{assert_equivalent, labelled, random_syb};
-use ftpm_core::{mine_exact, Explorer, MinerConfig, Schedule, ShardPlanner};
+use ftpm_core::{mine_exact, Explorer, MinePlan, MinerConfig, Schedule, ShardPlanner};
 use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
 
 fn cfg() -> MinerConfig {
@@ -40,7 +41,7 @@ fn parallel_miner_output_is_schedule_invariant() {
     for workers in WIDTHS {
         for seed in 0..SEEDS_PER_WIDTH {
             let sched = Schedule::new(seed, workers);
-            let run = sched.mine_parallel(&seq, &cfg);
+            let (run, _) = sched.collect(&MinePlan::new(&seq, &cfg));
             assert_equivalent(
                 &base,
                 &labelled(&run, seq.registry()),
@@ -80,7 +81,7 @@ fn exchange_executor_output_is_schedule_invariant() {
     for workers in WIDTHS {
         for seed in 0..SEEDS_PER_WIDTH {
             let sched = Schedule::new(seed, workers);
-            let (run, reports) = sched.mine_exchange(&plan, &cfg);
+            let (run, reports) = sched.collect(&MinePlan::new(&plan, &cfg));
             assert_equivalent(
                 &base,
                 &labelled(&run, plan.registry()),
@@ -120,7 +121,7 @@ fn explorer_exhausts_two_worker_parallel_interleavings() {
     let stats = Explorer::new(2)
         .with_max_schedules(20_000)
         .explore(|sched| {
-            let run = sched.mine_parallel(&seq, &cfg);
+            let (run, _) = sched.collect(&MinePlan::new(&seq, &cfg));
             assert_equivalent(
                 &base,
                 &labelled(&run, seq.registry()),
@@ -155,7 +156,7 @@ fn explorer_exhausts_two_worker_exchange_interleavings() {
     let stats = Explorer::new(2)
         .with_max_schedules(20_000)
         .explore(|sched| {
-            let (run, _) = sched.mine_exchange(&plan, &cfg);
+            let (run, _) = sched.collect(&MinePlan::new(&plan, &cfg));
             assert_equivalent(
                 &base,
                 &labelled(&run, plan.registry()),
@@ -182,7 +183,7 @@ fn explorer_covers_the_one_worker_engine() {
 
     let stats = Explorer::new(1)
         .explore(|sched| {
-            let run = sched.mine_parallel(&seq, &cfg);
+            let (run, _) = sched.collect(&MinePlan::new(&seq, &cfg));
             assert_eq!(run.patterns, base.patterns, "one worker keeps the emission order");
             assert!(!sched.trace().is_empty(), "claims must go through the sequencer");
             Ok::<(), String>(())
@@ -206,7 +207,7 @@ fn explorer_bounded_preemption_covers_four_workers() {
         .with_preemption_bound(1)
         .with_max_schedules(20_000)
         .explore(|sched| {
-            let run = sched.mine_parallel(&seq, &cfg);
+            let (run, _) = sched.collect(&MinePlan::new(&seq, &cfg));
             assert_equivalent(
                 &base,
                 &labelled(&run, seq.registry()),
@@ -227,8 +228,9 @@ fn same_seed_replays_the_same_interleaving() {
     let cfg = cfg();
     let a = Schedule::new(3, 4);
     let b = Schedule::new(3, 4);
-    let ra = a.mine_parallel(&seq, &cfg);
-    let rb = b.mine_parallel(&seq, &cfg);
+    let plan = MinePlan::new(&seq, &cfg);
+    let (ra, _) = a.collect(&plan);
+    let (rb, _) = b.collect(&plan);
     assert_eq!(a.trace(), b.trace(), "same seed must replay the schedule");
     assert_eq!(ra.patterns.len(), rb.patterns.len());
 }

@@ -11,12 +11,12 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::{assert_equivalent, labelled, random_syb};
-use ftpm_core::{mine_exact, mine_sharded_exchange, MinerConfig, ShardPlanner};
+use common::{assert_equivalent, labelled, random_syb, runs, Layout};
+use ftpm_core::{mine_exact, Correlation, MinePlan, MinerConfig, ShardPlanner};
 use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
 use ftpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};
 
-#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
+/// The `shards`-shard plan at one thread against `mine_exact`.
 fn check(
     syb: &SymbolicDatabase,
     split: SplitConfig,
@@ -26,33 +26,29 @@ fn check(
 ) {
     let seq = to_sequence_database(syb, split);
     let base = mine_exact(&seq, cfg);
-    let (sharded, _) = mine_sharded_exchange(syb, split, cfg, shards, 1)
-        .unwrap_or_else(|e| panic!("{context}: plan failed: {e}"));
-    assert_equivalent(
-        &labelled(&base, seq.registry()),
-        &labelled(&sharded.result, &sharded.registry),
-        context,
-    );
+    let (layouts, exact) = ([Layout::Shards(shards)], [Correlation::None]);
+    let run = &runs(syb, split, cfg, &[1], &layouts, &exact)[0];
+    assert_equivalent(&labelled(&base, seq.registry()), &run.labelled, context);
     // Frequent single events agree too (by label).
-    let base_l1: HashMap<&str, usize> = base
-        .frequent_events
-        .iter()
-        .map(|&(e, s)| (seq.registry().label(e), s))
-        .collect();
-    let sharded_l1: HashMap<&str, usize> = sharded
-        .result
-        .frequent_events
-        .iter()
-        .map(|&(e, s)| (sharded.registry.label(e), s))
-        .collect();
-    assert_eq!(base_l1, sharded_l1, "{context}: L1 events");
+    let l1 = |result: &ftpm_core::MiningResult, registry: &ftpm_events::EventRegistry| {
+        result
+            .frequent_events
+            .iter()
+            .map(|&(e, s)| (registry.label(e).to_owned(), s))
+            .collect::<HashMap<String, usize>>()
+    };
+    assert_eq!(
+        l1(&base, seq.registry()),
+        l1(&run.result, &run.registry),
+        "{context}: L1 events"
+    );
     // Boundary observability survives the merge.
     assert_eq!(
-        base.stats.clipped_instances, sharded.result.stats.clipped_instances,
+        base.stats.clipped_instances, run.result.stats.clipped_instances,
         "{context}: clipped_instances"
     );
     assert_eq!(
-        base.stats.discarded_instances, sharded.result.stats.discarded_instances,
+        base.stats.discarded_instances, run.result.stats.discarded_instances,
         "{context}: discarded_instances"
     );
 }
@@ -70,16 +66,13 @@ fn k1_degenerate_case_matches_mine_exact_bit_for_bit() {
     let cfg = true_extent_cfg(20);
     let seq = to_sequence_database(&syb, split);
     let base = mine_exact(&seq, &cfg);
-    let (sharded, _) = mine_sharded_exchange(&syb, split, &cfg, 1, 1).expect("plan");
-    assert_eq!(sharded.shards, 1);
+    let (layouts, exact) = ([Layout::Shards(1)], [Correlation::None]);
+    let sharded = &runs(&syb, split, &cfg, &[1], &layouts, &exact)[0];
+    assert_eq!(sharded.reports.len(), 1);
     // One shard covering everything: identical content (the merge emits
     // in sorted order, so compare as maps plus exact counts).
     assert_eq!(base.len(), sharded.result.len(), "pattern count");
-    assert_equivalent(
-        &labelled(&base, seq.registry()),
-        &labelled(&sharded.result, &sharded.registry),
-        "K=1",
-    );
+    assert_equivalent(&labelled(&base, seq.registry()), &sharded.labelled, "K=1");
     assert_eq!(
         base.frequent_events.len(),
         sharded.result.frequent_events.len()
@@ -144,13 +137,10 @@ fn tied_instances_bind_in_the_global_intern_order() {
         base.contains_key(tied),
         "baseline must bind the tie as {tied}: {base:?}"
     );
-    for shards in [2usize, 4] {
-        let (sharded, _) = mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
-        assert_equivalent(
-            &base,
-            &labelled(&sharded.result, &sharded.registry),
-            &format!("tied instances K={shards}"),
-        );
+    let (layouts, exact) = ([Layout::Shards(2), Layout::Shards(4)], [Correlation::None]);
+    for run in runs(&syb, split, &cfg, &[1], &layouts, &exact) {
+        let context = format!("tied instances [{}]", run.context);
+        assert_equivalent(&base, &run.labelled, &context);
     }
 }
 
@@ -183,7 +173,7 @@ fn overlap_dedup_never_under_counts_and_naive_merge_over_counts() {
 
     let plan = ShardPlanner::new(3).plan(&syb, split, cfg.relation.t_max).expect("plan");
     // The deduplicating merge reproduces the baseline exactly.
-    let (merged, _) = plan.mine_exchange(&cfg, 1);
+    let (merged, _) = MinePlan::new(&plan, &cfg).collect();
     let merged_map = labelled(&merged, plan.registry());
     assert_equivalent(&base_map, &merged_map, "dedup merge");
 
@@ -258,12 +248,9 @@ mod prop {
                 );
             let seq = to_sequence_database(&syb, split);
             let base = mine_exact(&seq, &cfg);
-            let (sharded, _) =
-                mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
-            let (bm, sm) = (
-                labelled(&base, seq.registry()),
-                labelled(&sharded.result, &sharded.registry),
-            );
+            let (layouts, exact) = ([Layout::Shards(shards)], [Correlation::None]);
+            let run = runs(&syb, split, &cfg, &[1], &layouts, &exact);
+            let (bm, sm) = (labelled(&base, seq.registry()), &run[0].labelled);
             for (label, (supp, conf, clipped)) in &bm {
                 let (s, c, cl) = sm
                     .get(label)

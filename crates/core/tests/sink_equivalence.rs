@@ -1,16 +1,18 @@
 //! Equivalence of the three ways a mining run can leave the miner —
-//! collected (`mine_exact`), parallel-collected (`mine_exact_parallel`),
-//! and streamed through a `PatternSink` — across demo datasets, thread
+//! collected (`mine_exact`), collected from a threaded `MinePlan`, and
+//! streamed through a `PatternSink` — across demo datasets, thread
 //! counts, and (via proptest) the σ/δ grid. Same pattern set, same
 //! supports, same confidences, same counts; streaming only changes where
 //! the patterns go, never what they are.
 
+mod common;
+
 use std::collections::HashMap;
 
+use common::{runs, Layout};
 use ftpm_core::{
-    mine_exact, mine_exact_parallel, mine_exact_parallel_with_sink, mine_exact_with_sink,
-    CollectSink, CountingSink, CsvSink, JsonlSink, MinerConfig, MiningResult, Pattern,
-    PatternSink,
+    mine_exact, CollectSink, Correlation, CountingSink, CsvSink, JsonlSink, MinePlan, MinerConfig,
+    MiningResult, Pattern, PatternSink,
 };
 use ftpm_datagen::{dataport_like, nist_like, random_sequence_database, ukdale_like, Dataset};
 
@@ -57,16 +59,17 @@ fn stream_writers(
     patterns: usize,
     context: &str,
 ) -> (String, String) {
+    let plan = MinePlan::new(seq, cfg).with_threads(threads);
     let mut csv = Vec::new();
     let mut csv_sink = CsvSink::new(&mut csv, seq.registry());
-    mine_exact_parallel_with_sink(seq, cfg, threads, &mut csv_sink);
+    plan.run(&mut csv_sink);
     assert_eq!(csv_sink.written() as usize, patterns, "{context}: csv rows");
     csv_sink.finish().expect("vec write");
     drop(csv_sink);
 
     let mut jsonl = Vec::new();
     let mut jsonl_sink = JsonlSink::new(&mut jsonl, seq.registry());
-    mine_exact_parallel_with_sink(seq, cfg, threads, &mut jsonl_sink);
+    plan.run(&mut jsonl_sink);
     assert_eq!(jsonl_sink.written() as usize, patterns, "{context}: jsonl lines");
     jsonl_sink.finish().expect("vec write");
     drop(jsonl_sink);
@@ -107,14 +110,16 @@ fn assert_nodes_contiguous(jsonl: &str, context: &str) {
     }
 }
 
-/// Runs every output path on one database/config and cross-checks them.
-fn check_all_paths(seq: &ftpm_events::SequenceDatabase, cfg: &MinerConfig, context: &str) {
+/// Runs every output path on one dataset/config and cross-checks them.
+fn check_all_paths(data: &Dataset, cfg: &MinerConfig) {
+    let (seq, context) = (&data.seq, data.name.as_str());
     let exact = mine_exact(seq, cfg);
+    let one_thread = MinePlan::new(seq, cfg);
 
     // Explicit CollectSink: the exact miner is itself sink-driven, so
     // this must be the identical result, order included.
     let mut collect = CollectSink::new();
-    let stats = mine_exact_with_sink(seq, cfg, &mut collect);
+    let (stats, _) = one_thread.run(&mut collect);
     let collected = collect.into_result(stats);
     assert_eq!(exact.patterns, collected.patterns, "{context}: collect order");
     assert_eq!(exact.graph, collected.graph, "{context}: collect graph");
@@ -122,7 +127,7 @@ fn check_all_paths(seq: &ftpm_events::SequenceDatabase, cfg: &MinerConfig, conte
 
     // Counting sink: same totals without materializing anything.
     let mut counting = CountingSink::default();
-    mine_exact_with_sink(seq, cfg, &mut counting);
+    one_thread.run(&mut counting);
     assert_eq!(counting.patterns(), exact.len(), "{context}: count");
     assert_eq!(
         counting.frequent_events(),
@@ -154,16 +159,19 @@ fn check_all_paths(seq: &ftpm_events::SequenceDatabase, cfg: &MinerConfig, conte
     }
 
     // Parallel, collected and streamed, at several thread counts.
-    for threads in [1usize, 2, 4] {
-        let par = mine_exact_parallel(seq, cfg, threads);
-        assert_same_patterns(&exact, &par, &format!("{context} threads={threads}"));
+    let (layouts, gate) = ([Layout::Unsharded], [Correlation::None]);
+    for run in runs(&data.syb, data.split, cfg, &[1, 2, 4], &layouts, &gate) {
+        let (threads, par) = (run.threads, &run.result);
+        assert_same_patterns(&exact, par, &format!("{context} threads={threads}"));
         assert_eq!(
             par.stats.instance_checks, exact.stats.instance_checks,
             "{context} threads={threads}: same work"
         );
 
         let mut streamed = CountingSink::default();
-        let stats = mine_exact_parallel_with_sink(seq, cfg, threads, &mut streamed);
+        let (stats, _) = MinePlan::new(seq, cfg)
+            .with_threads(threads)
+            .run(&mut streamed);
         assert_eq!(
             streamed.patterns(),
             exact.len(),
@@ -229,10 +237,10 @@ fn one_thread_output_matches_the_retired_sequential_engine() {
     let exact = mine_exact(&data.seq, &cfg);
     pinned(&exact, "mine_exact");
     let mut sink = CollectSink::new();
-    let stats = mine_exact_with_sink(&data.seq, &cfg, &mut sink);
-    pinned(&sink.into_result(stats), "mine_exact_with_sink");
+    let (stats, _) = MinePlan::new(&data.seq, &cfg).run(&mut sink);
+    pinned(&sink.into_result(stats), "MinePlan::run");
 
-    let par = mine_exact_parallel(&data.seq, &cfg, 2);
+    let (par, _) = MinePlan::new(&data.seq, &cfg).with_threads(2).collect();
     assert_eq!(par.stats, exact.stats, "2 threads: stats");
     assert_same_patterns(&exact, &par, "2 threads");
 
@@ -260,8 +268,8 @@ fn one_thread_output_matches_the_retired_sequential_engine() {
     };
     pinned(&mine_exact(&data.seq, &cfg), "mine_exact, groups");
     let mut sink = CollectSink::new();
-    let stats = mine_exact_with_sink(&data.seq, &cfg, &mut sink);
-    pinned(&sink.into_result(stats), "mine_exact_with_sink, groups");
+    let (stats, _) = MinePlan::new(&data.seq, &cfg).run(&mut sink);
+    pinned(&sink.into_result(stats), "MinePlan::run, groups");
 }
 
 #[test]
@@ -269,7 +277,7 @@ fn all_output_paths_agree_on_demo_datasets() {
     let datasets: [Dataset; 3] = [nist_like(0.008), ukdale_like(0.008), dataport_like(0.01)];
     for data in &datasets {
         let cfg = MinerConfig::new(0.4, 0.4).with_max_events(3);
-        check_all_paths(&data.seq, &cfg, &data.name);
+        check_all_paths(data, &cfg);
     }
 }
 
@@ -282,12 +290,9 @@ fn top_n_selection_is_stable_across_thread_counts() {
     let data = nist_like(0.01);
     let cfg = MinerConfig::new(0.4, 0.4).with_max_events(3);
     let mut selections: Vec<Vec<(ftpm_core::Pattern, usize, f64)>> = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let result = if threads == 1 {
-            mine_exact(&data.seq, &cfg)
-        } else {
-            mine_exact_parallel(&data.seq, &cfg, threads)
-        };
+    let (layouts, gate) = ([Layout::Unsharded], [Correlation::None]);
+    for run in runs(&data.syb, data.split, &cfg, &[1, 2, 4], &layouts, &gate) {
+        let result = run.result;
         for sort in [PatternSort::Support, PatternSort::Confidence] {
             let top = rank_patterns(&result, Some(sort), Some(25));
             // The cut must fall inside a tie group for this test to mean
@@ -319,7 +324,7 @@ fn parallel_collect_sink_merges_graph_consistently() {
     // right patterns even though nodes interleave across workers.
     let data = nist_like(0.01);
     let cfg = MinerConfig::new(0.4, 0.4).with_max_events(3);
-    let par = mine_exact_parallel(&data.seq, &cfg, 4);
+    let (par, _) = MinePlan::new(&data.seq, &cfg).with_threads(4).collect();
     let mut seen = 0usize;
     for (li, level) in par.graph.levels.iter().enumerate() {
         for node in &level.nodes {
@@ -377,7 +382,8 @@ mod prop {
             let cfg = MinerConfig::new(sigma, delta).with_max_events(4);
             let exact = mine_exact(&db, &cfg);
             for threads in [2usize, 4] {
-                let par = mine_exact_parallel(&db, &cfg, threads);
+                let plan = MinePlan::new(&db, &cfg).with_threads(threads);
+                let (par, _) = plan.collect();
                 prop_assert_eq!(par.len(), exact.len());
                 let (ma, mb) = (as_map(&exact), as_map(&par));
                 for (pat, (supp, conf)) in &ma {
@@ -386,7 +392,7 @@ mod prop {
                     prop_assert!((conf - c2).abs() < 1e-9);
                 }
                 let mut counting = CountingSink::default();
-                mine_exact_parallel_with_sink(&db, &cfg, threads, &mut counting);
+                plan.run(&mut counting);
                 prop_assert_eq!(counting.patterns(), exact.len());
             }
         }

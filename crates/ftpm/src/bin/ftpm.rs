@@ -368,11 +368,14 @@ fn output_format(path: &str) -> Result<OutputFormat, String> {
     }
 }
 
-/// Loads the symbolic + sequence databases from the chosen source, plus
-/// the split geometry that produced the sequences (the demos carry their
-/// own; CSV input uses `--window`/`--overlap`) — sharded runs re-split
-/// per shard with exactly this geometry.
-fn load(opt: &Options) -> Result<(SymbolicDatabase, SequenceDatabase, SplitConfig), String> {
+/// Loads the symbolic database from the chosen source, plus the split
+/// geometry its sequences come from (the demos carry their own; CSV input
+/// uses `--window`/`--overlap`) and, for a demo, the sequence database it
+/// arrives converted into. A CSV file is converted only by `ftpm mine`,
+/// and only for an unsharded run: a shard plan converts its own slices.
+fn load(
+    opt: &Options,
+) -> Result<(SymbolicDatabase, SplitConfig, Option<SequenceDatabase>), String> {
     if let Some(demo) = &opt.demo {
         let d = match demo.as_str() {
             // "energy" is the paper's NIST smart-home energy dataset —
@@ -383,7 +386,7 @@ fn load(opt: &Options) -> Result<(SymbolicDatabase, SequenceDatabase, SplitConfi
             "city" => smartcity_like(opt.scale),
             other => return Err(format!("unknown demo dataset {other:?}")),
         };
-        return Ok((d.syb, d.seq, d.split));
+        return Ok((d.syb, d.split, Some(d.seq)));
     }
     #[expect(
         clippy::expect_used,
@@ -410,21 +413,11 @@ fn load(opt: &Options) -> Result<(SymbolicDatabase, SequenceDatabase, SplitConfi
             }
         }
     }
-    let split = opt.split;
-    let effective = split.effective(syb.step());
-    if effective != split {
-        eprintln!(
-            "note: split rounded to sampling steps of {}: requested {split}, effective {effective}",
-            syb.step(),
-        );
-    }
-    let seq = to_sequence_database(&syb, split);
-    Ok((syb, seq, split))
+    Ok((syb, opt.split, None))
 }
 
 /// Opens `path`, builds the sink matching its extension (labels rendered
-/// through `registry` — for sharded runs that is the plan's master
-/// registry, not the unsharded database's), hands it to `feed`, then
+/// through `registry`, the mining plan's), hands it to `feed`, then
 /// finishes the sink. Without a path the patterns go to stdout as CSV —
 /// the `--stream`-without-`--output` pipe mode. Returns the number of
 /// pattern rows/lines written. The single place the CSV/JSONL dispatch
@@ -462,53 +455,6 @@ fn write_patterns(
     };
     finished.map_err(|e| format!("{path}: {e}"))?;
     Ok(written)
-}
-
-/// The one mining plan: every `ftpm mine` run — exact or approximate,
-/// on any number of threads, unsharded or sharded through the candidate
-/// exchange, collecting or streaming — is this single dispatch over
-/// (shard plan, correlation graph, threads) feeding one sink. A-HTPGM is
-/// not a separate code path: `graph` gates the same miners the exact
-/// rows use, so every composition yields the identical pattern set.
-fn run_plan(
-    seq: &SequenceDatabase,
-    cfg: &MinerConfig,
-    threads: usize,
-    shard_plan: Option<&ShardPlan>,
-    graph: Option<&CorrelationGraph>,
-    sink: &mut (dyn PatternSink + Send),
-) -> (MiningStats, Vec<ShardReport>) {
-    match (shard_plan, graph) {
-        (Some(plan), Some(g)) => plan.mine_approximate_exchange_into(g, cfg, threads, sink),
-        (Some(plan), None) => plan.mine_exchange_into(cfg, threads, sink),
-        (None, Some(g)) => (
-            mine_approximate_graph_with_sink(seq, g, cfg, threads, sink),
-            Vec::new(),
-        ),
-        (None, None) => (mine_exact_parallel_with_sink(seq, cfg, threads, sink), Vec::new()),
-    }
-}
-
-/// Streams the mining run straight into `--output` (stdout CSV without
-/// one); returns the number of patterns written, the run statistics and
-/// (for sharded runs) the per-shard reports. With a shard plan, the
-/// exchange coordinator's merge streams into the same writer sink — the
-/// full pattern set is still never materialized.
-fn mine_streaming(
-    seq: &SequenceDatabase,
-    cfg: &MinerConfig,
-    threads: usize,
-    shard_plan: Option<&ShardPlan>,
-    graph: Option<&CorrelationGraph>,
-    path: Option<&str>,
-) -> Result<(u64, MiningStats, Vec<ShardReport>), String> {
-    let mut stats = MiningStats::default();
-    let mut reports = Vec::new();
-    let registry = shard_plan.map_or(seq.registry(), |p| p.registry());
-    let written = write_patterns(path, registry, &mut |sink| {
-        (stats, reports) = run_plan(seq, cfg, threads, shard_plan, graph, sink);
-    })?;
-    Ok((written, stats, reports))
 }
 
 /// Renders the per-shard observability rows for `--json`: owned window
@@ -618,7 +564,14 @@ fn print_json(payload: &serde_json::Value, to_stderr: bool) -> Result<(), String
 
 fn try_mine(args: &[String]) -> Result<(), String> {
     let opt = parse(args)?;
-    let (syb, seq, split) = load(&opt)?;
+    let (syb, split, demo_seq) = load(&opt)?;
+    let effective = split.effective(syb.step());
+    if opt.input.is_some() && effective != split {
+        eprintln!(
+            "note: split rounded to sampling steps of {}: requested {split}, effective {effective}",
+            syb.step(),
+        );
+    }
     let mut relation = RelationConfig::default().with_boundary(opt.boundary);
     if let Some(t_max) = opt.t_max {
         relation = relation.with_t_max(t_max);
@@ -631,68 +584,79 @@ fn try_mine(args: &[String]) -> Result<(), String> {
     // One correlation graph per run, built once on the full symbolic
     // database: --mu sets the NMI threshold directly, --approx-density
     // derives it from a target edge density (Def 5.6). Every execution
-    // path below — unsharded, sharded, exchange, streaming — borrows
-    // this one graph, so shards can never disagree about the gate.
+    // path — unsharded, sharded, streaming — borrows this one graph, so
+    // shards can never disagree about the gate.
     let graph = match (opt.mu, opt.density) {
         (Some(mu), _) => Some(CorrelationGraph::build(&syb, mu)),
         (None, Some(d)) => Some(CorrelationGraph::build_with_density(&syb, d)),
         (None, None) => None,
     };
     // Shard-by-time-range plan: slices overlap by t_max so the merged
-    // output equals the unsharded run (lossless under every policy).
-    let shard_plan = if opt.shards > 1 {
-        Some(
-            ShardPlanner::new(opt.shards)
-                .plan(&syb, split, cfg.relation.t_max)
-                .map_err(|e| format!("--shards: {e}"))?,
-        )
+    // output equals the unsharded run (lossless under every policy). Only
+    // an unsharded run mines the whole database's conversion.
+    let (shard_plan, seq);
+    let (data, shards) = if opt.shards > 1 {
+        drop(demo_seq);
+        shard_plan = ShardPlanner::new(opt.shards)
+            .plan(&syb, split, cfg.relation.t_max)
+            .map_err(|e| format!("--shards: {e}"))?;
+        (MineData::Sharded(&shard_plan), shard_plan.shards().len())
     } else {
-        None
+        seq = demo_seq.unwrap_or_else(|| to_sequence_database(&syb, split));
+        (MineData::Unsharded(&seq), 1)
     };
-    let shards = shard_plan.as_ref().map_or(1, |p| p.shards().len());
+    let plan = MinePlan::new(data, &cfg).with_threads(threads);
+    let plan = match &graph {
+        Some(g) => plan.with_correlation(Correlation::Series(g)),
+        None => plan,
+    };
     let label = {
         let core = match (&graph, opt.mu, opt.density) {
             (Some(_), Some(mu), _) => format!("A-HTPGM(mu={mu})"),
             (Some(g), None, Some(d)) => format!("A-HTPGM(density={d}, mu={:.3})", g.mu()),
             _ => "E-HTPGM".to_owned(),
         };
-        match &shard_plan {
-            Some(plan) => format!("{core}[{} shards]", plan.shards().len()),
-            None => core,
+        if opt.shards > 1 {
+            format!("{core}[{shards} shards]")
+        } else {
+            core
         }
+    };
+    // Sharded output is expressed in the plan's master registry, which
+    // follows the unsharded conversion's intern order: its size and the
+    // window count are the unsharded run's.
+    let registry = plan.registry();
+    let summary = |stats: &MiningStats, elapsed: std::time::Duration, patterns: u64| {
+        serde_json::json!({
+            "miner": label.as_str(),
+            "sequences": plan.n_windows(),
+            "distinct_events": registry.len(),
+            "threads": threads,
+            "shards": shards,
+            "boundary": opt.boundary.as_str(),
+            "clipped_instances": stats.clipped_instances,
+            "discarded_instances": stats.discarded_instances,
+            "elapsed_ms": elapsed.as_millis() as u64,
+            "pattern_count": patterns,
+        })
     };
 
     let started = std::time::Instant::now();
     if opt.stream {
         let path = opt.output.as_deref();
-        let (written, stats, reports) = mine_streaming(
-            &seq,
-            &cfg,
-            threads,
-            shard_plan.as_ref(),
-            graph.as_ref(),
-            path,
-        )?;
+        let (mut stats, mut reports) = (MiningStats::default(), Vec::new());
+        let written = write_patterns(path, registry, &mut |sink| {
+            (stats, reports) = plan.run(sink);
+        })?;
         let elapsed = started.elapsed();
         // Streaming to stdout hands the pattern CSV the stream; the
         // run summary moves to stderr so the output stays parseable.
         let to_stderr = path.is_none();
         if opt.json {
-            let mut payload = serde_json::json!({
-                "miner": label,
-                "sequences": seq.len(),
-                "distinct_events": seq.registry().len(),
-                "threads": threads,
-                "shards": shards,
-                "boundary": opt.boundary.as_str(),
-                "clipped_instances": stats.clipped_instances,
-                "discarded_instances": stats.discarded_instances,
-                "elapsed_ms": elapsed.as_millis() as u64,
-                "pattern_count": written,
-                "output": path.unwrap_or("-"),
-                "streamed": true,
-            });
+            let mut payload = summary(&stats, elapsed, written);
             if let serde_json::Value::Object(entries) = &mut payload {
+                entries.push(("output".to_string(), path.unwrap_or("-").into()));
+                entries.push(("streamed".to_string(), true.into()));
                 if let Some(g) = &graph {
                     entries.push(("mu".to_string(), serde_json::Value::from(g.mu())));
                 }
@@ -714,8 +678,8 @@ fn try_mine(args: &[String]) -> Result<(), String> {
                 "{label}: {} sequences, {} distinct events ({} boundary-clipped \
                  instances, boundary={}), {written} patterns streamed to {} \
                  in {elapsed:.1?} ({threads} thread{thread_s})",
-                seq.len(),
-                seq.registry().len(),
+                plan.n_windows(),
+                registry.len(),
                 stats.clipped_instances,
                 opt.boundary,
                 path.unwrap_or("stdout"),
@@ -726,49 +690,26 @@ fn try_mine(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let (result, shard_reports) = {
-        let mut sink = CollectSink::new();
-        let (stats, reports) = run_plan(
-            &seq,
-            &cfg,
-            threads,
-            shard_plan.as_ref(),
-            graph.as_ref(),
-            &mut sink,
-        );
-        (sink.into_result(stats), reports)
-    };
+    let (result, shard_reports) = plan.collect();
     let elapsed = started.elapsed();
-    // Sharded results are expressed in the plan's master registry; shard
-    // slices intern events in their own orders, so the unsharded
-    // database's ids do not apply.
-    let registry = shard_plan.as_ref().map_or(seq.registry(), |p| p.registry());
     let selection = rank_patterns(&result, opt.sort, opt.top);
     // The export runs *after* the summary so the straight-replay case can
     // consume the result and move every pattern into the writer sink.
     let full_export = opt.sort.is_none() && selection.len() == result.len();
 
     if opt.json {
-        let mut payload = serde_json::json!({
-            "miner": label,
-            "sequences": seq.len(),
-            "distinct_events": seq.registry().len(),
-            "threads": threads,
-            "shards": shards,
-            "boundary": opt.boundary.as_str(),
-            "clipped_instances": result.stats.clipped_instances,
-            "discarded_instances": result.stats.discarded_instances,
-            "elapsed_ms": elapsed.as_millis() as u64,
-            "pattern_count": result.len(),
-            "patterns": selection.iter().map(|p| serde_json::json!({
-                "pattern": p.pattern.display(registry).to_string(),
-                "support": p.support,
-                "rel_support": p.rel_support,
-                "confidence": p.confidence,
-                "clipped_occurrences": p.clipped_occurrences,
-            })).collect::<Vec<_>>(),
-        });
+        let mut payload = summary(&result.stats, elapsed, result.len() as u64);
         if let serde_json::Value::Object(entries) = &mut payload {
+            let patterns = selection.iter().map(|p| {
+                serde_json::json!({
+                    "pattern": p.pattern.display(registry).to_string(),
+                    "support": p.support,
+                    "rel_support": p.rel_support,
+                    "confidence": p.confidence,
+                    "clipped_occurrences": p.clipped_occurrences,
+                })
+            });
+            entries.push(("patterns".to_string(), patterns.collect::<Vec<_>>().into()));
             if let Some(g) = &graph {
                 entries.push(("mu".to_string(), serde_json::Value::from(g.mu())));
             }
@@ -796,8 +737,8 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             out,
             "{label}: {} sequences, {} distinct events, {} patterns{shown} in {elapsed:.1?} \
              ({threads} thread{thread_s})",
-            seq.len(),
-            seq.registry().len(),
+            plan.n_windows(),
+            registry.len(),
             result.len(),
         )
         .map_err(io_err)?;

@@ -30,8 +30,9 @@ use ftpm_timeseries::TimeSeries;
 ///
 /// Returns a human-readable message on any structural problem (ragged
 /// rows, non-numeric cells, irregular timestamps, a time axis that
-/// overflows `i64`). A message about one row says `line N`, counting
-/// non-blank lines from the header as line 1.
+/// overflows `i64`). A message about one row says `line N`, the row's
+/// line in the text: every line counts, blank ones included, and the
+/// first line is line 1.
 pub fn parse_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
     let mut columns = Columns::default();
     for line in text.lines() {
@@ -74,8 +75,9 @@ pub fn read_csv<R: BufRead>(mut reader: R) -> Result<Vec<TimeSeries>, String> {
 /// checks the time axis once every row is in.
 #[derive(Default)]
 struct Columns {
-    /// Non-blank lines seen, the header included: a row's `line N`.
+    /// Lines seen, blank ones included: the current line's `line N`.
     lines: usize,
+    /// The header's variable names; empty until the header is read.
     names: Vec<String>,
     times: Vec<i64>,
     columns: Vec<Vec<f64>>,
@@ -83,11 +85,11 @@ struct Columns {
 
 impl Columns {
     fn push_line(&mut self, line: &str) -> Result<(), String> {
+        self.lines += 1;
         if line.trim().is_empty() {
             return Ok(());
         }
-        self.lines += 1;
-        if self.lines == 1 {
+        if self.names.is_empty() {
             self.header(line)
         } else {
             self.row(line)
@@ -132,12 +134,12 @@ impl Columns {
 
     fn finish(self) -> Result<Vec<TimeSeries>, String> {
         let Columns {
-            lines,
             names,
             times,
             columns,
+            ..
         } = self;
-        if lines == 0 {
+        if names.is_empty() {
             return Err("empty csv".into());
         }
         if times.len() < 2 {
@@ -235,11 +237,20 @@ mod tests {
     }
 
     #[test]
+    fn errors_name_the_line_of_the_text_counting_blank_lines() {
+        let err = parse_csv("\n time,a\n0,1\n\r\n \n5,x\n").unwrap_err();
+        assert!(err.starts_with("line 6: bad value"), "{err}");
+        let err = parse_csv("\ntime\n0\n").unwrap_err();
+        assert!(err.starts_with("csv needs a time column"), "{err}");
+        assert_eq!(parse_csv("\n \n\n").unwrap_err(), "empty csv");
+    }
+
+    #[test]
     fn read_csv_rejects_a_line_that_is_not_utf8_naming_it() {
-        // The blank line is not counted: the bad row is line 3.
+        // The blank line counts: the bad row is the fourth line.
         let bytes = b"time,a\n0,1\n\n5,\xff\n10,2\n";
         let err = read_csv(&bytes[..]).unwrap_err();
-        assert!(err.starts_with("line 3: invalid utf-8"), "{err}");
+        assert!(err.starts_with("line 4: invalid utf-8"), "{err}");
         let err = read_csv(&b"time,\xc3\n0,1\n5,2\n"[..]).unwrap_err();
         assert!(err.starts_with("line 1: "), "{err}");
     }

@@ -9,9 +9,10 @@
 //! |-------|-------|--------------|
 //! | raw time series → symbols | `ftpm-timeseries` | [`TimeSeries`], [`ThresholdSymbolizer`], [`QuantileSymbolizer`], [`SymbolicDatabase`] |
 //! | symbols → event sequences | `ftpm-events` | [`to_sequence_database`], [`SplitConfig`], [`SequenceDatabase`] |
-//! | exact mining | `ftpm-core` | [`mine_exact`], [`mine_exact_parallel`], [`MinerConfig`] |
-//! | streaming output | `ftpm-core` | [`PatternSink`], [`mine_exact_with_sink`], [`CsvSink`], [`JsonlSink`] |
-//! | MI-approximate mining | `ftpm-core` + `ftpm-mi` | [`mine_approximate`], [`mine_approximate_parallel`], [`mine_approximate_sharded_exchange`], [`CorrelationGraph`], [`confidence_lower_bound`] |
+//! | exact mining | `ftpm-core` | [`mine_exact`], [`MinerConfig`] |
+//! | one plan per run: threads, shards, correlation gate | `ftpm-core` | [`MinePlan`], [`MineData`], [`Correlation`], [`ShardPlanner`] |
+//! | streaming output | `ftpm-core` | [`PatternSink`], [`MinePlan::run`], [`CsvSink`], [`JsonlSink`] |
+//! | MI-approximate mining | `ftpm-core` + `ftpm-mi` | [`mine_approximate`], [`mine_approximate_with_density`], [`CorrelationGraph`], [`confidence_lower_bound`] |
 //! | baselines | `ftpm-baselines` | [`mine_tpminer`], [`mine_ieminer`], [`mine_hdfs`] |
 //! | synthetic data | `ftpm-datagen` | [`nist_like`], [`smartcity_like`], … |
 //!

@@ -11,7 +11,10 @@
 //! honours `--approx-density` and exits 1 on a closed stdout. `--input`
 //! streams its file line by line: CRLF endings, blank lines and a
 //! missing final newline read as the plain LF form, and a byte that is
-//! not UTF-8, or a missing file, is an error naming the file.
+//! not UTF-8, or a missing file, is an error naming the file and the
+//! line of the file, blank lines counted. Only `mine` converts the data,
+//! so only `mine` notes a rounded split, and a sharded summary counts
+//! the windows and events of the unsharded run.
 
 use std::process::{Command, Output};
 
@@ -443,6 +446,89 @@ fn unreadable_input_exits_1_naming_the_file() {
             assert_usage_error(&out, &needle);
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(!stderr.contains("panicked"), "{command} {path}: {stderr}");
+        }
+    }
+}
+
+/// Writes `text` to a file named `name` in the test's temp dir.
+#[expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
+fn temp_csv(name: &str, text: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("the temp dir is writable");
+    path.display().to_string()
+}
+
+/// A CSV error names the line of the file: blank lines above the bad
+/// row count.
+#[test]
+fn a_csv_error_names_the_line_of_the_file_counting_blank_lines() {
+    let path = temp_csv("blank_above_bad_value.csv", "time,a\n0,1\n\n \n5,x\n10,0\n");
+    for command in ["mine", "graph"] {
+        let out = ftpm(&[command, "--input", &path]);
+        assert_usage_error(&out, &format!("error: {path}: line 5: bad value \"x\""));
+    }
+}
+
+/// `--window 22` over a 5-tick step rounds to 20: `mine`, which splits
+/// the data, says so, and `graph`, which never splits it, does not.
+#[test]
+fn only_mine_notes_a_rounded_split() {
+    let rows: Vec<String> = (0..48u32)
+        .map(|t| format!("{},{},{}", 5 * t, t / 3 % 2, t / 2 % 2))
+        .collect();
+    let text = format!("time,a,b\n{}\n", rows.join("\n"));
+    let path = temp_csv("rounded_split.csv", &text);
+    let note = "note: split rounded to sampling steps of 5: requested window 22 overlap 0, \
+                effective window 20 overlap 0";
+    for (command, noted) in [("mine", true), ("graph", false)] {
+        let out = ftpm(&[command, "--input", &path, "--window", "22", "--mu", "0.01"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command}: {stderr}");
+        assert_eq!(stderr.contains(note), noted, "{command}: {stderr}");
+        assert_eq!(stderr.contains("note:"), noted, "{command}: {stderr}");
+    }
+}
+
+/// A sharded run converts only its slices, and its `--json` summary
+/// takes `sequences` and `distinct_events` from the shard plan: the
+/// unsharded run's numbers, on demo and on CSV input.
+#[test]
+fn sharded_summary_counts_the_unsharded_windows_and_events() {
+    let rows: Vec<String> = (0..400u32)
+        .map(|t| format!("{t},{},{},{}", t / 7 % 2, (t / 7 + 1) % 2, t / 11 % 3))
+        .collect();
+    let text = format!("time,a,b,c\n{}\n", rows.join("\n"));
+    let path = temp_csv("sharded_summary.csv", &text);
+    let field = |stdout: &str, key: &str| -> String {
+        let needle = format!("\"{key}\": ");
+        stdout
+            .lines()
+            .find_map(|line| line.trim().strip_prefix(&needle))
+            .map(|v| v.trim_end_matches(',').to_owned())
+            .unwrap_or_else(|| panic!("no {key} in {stdout}"))
+    };
+    for source in [
+        &["--demo", "nist", "--scale", "0.005"][..],
+        &["--input", &path, "--window", "40", "--states", "3"][..],
+    ] {
+        let summary = |shards: &str| {
+            let mine = ["mine", "--json", "--sigma", "0.5", "--t-max", "30"];
+            let flags = ["--threads", "1", "--shards", shards];
+            let out = ftpm(&[&mine[..], source, &flags].concat());
+            assert!(out.status.success(), "{out:?}");
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let unsharded = summary("1");
+        for shards in ["2", "3"] {
+            let sharded = summary(shards);
+            assert_eq!(field(&sharded, "shards"), shards, "{sharded}");
+            for key in ["sequences", "distinct_events", "pattern_count"] {
+                let (got, want) = (field(&sharded, key), field(&unsharded, key));
+                assert_eq!(got, want, "{key}: {source:?}");
+            }
         }
     }
 }
