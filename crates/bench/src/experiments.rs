@@ -7,13 +7,13 @@
 //! full size.
 
 use ftpm_core::{
-    mine_approximate_with_density, mine_exact, CollectSink, CountingSink, JsonlSink, MinePlan,
-    MinerConfig, PatternSink, PruningConfig,
+    mine_exact, CollectSink, CountingSink, JsonlSink, MinePlan, MinerConfig, PatternSink,
+    PruningConfig,
 };
 use ftpm_datagen::{dataport_like, nist_like, smartcity_like, ukdale_like, Dataset};
 
 use crate::alloc_track::measure_peak;
-use crate::util::{secs, time, Method, Opts, Report};
+use crate::util::{approximate, secs, time, Method, Opts, Report};
 
 fn config(sigma: f64, delta: f64, opts: &Opts) -> MinerConfig {
     MinerConfig::new(sigma, delta).with_max_events(opts.max_events)
@@ -145,8 +145,7 @@ pub fn table9(opts: &Opts) {
                 ];
                 for (&delta, exact) in sigma_grid.iter().zip(&exacts) {
                     let cfg = config(sigma, delta, opts);
-                    let approx =
-                        mine_approximate_with_density(&data.syb, &data.seq, density, &cfg);
+                    let approx = approximate(data, density, &cfg);
                     let acc = approx.result.accuracy_against(exact);
                     cells.push(format!("{:.0}", acc * 100.0));
                 }
@@ -250,7 +249,7 @@ pub fn fig8(opts: &Opts) {
             let cfg = MinerConfig::new(sigma_pct as f64 / 100.0, 1e-9)
                 .with_max_events(opts.max_events);
             let exact = mine_exact(&data.seq, &cfg);
-            let approx = mine_approximate_with_density(&data.syb, &data.seq, 0.2, &cfg);
+            let approx = approximate(data, 0.2, &cfg);
             let kept = approx.result.pattern_keys();
             let pruned: Vec<f64> = exact
                 .patterns
@@ -297,8 +296,7 @@ pub fn fig9(opts: &Opts) {
         let cfg = config(0.3, 0.3, opts);
         let (exact, exact_time) = time(|| mine_exact(&data.seq, &cfg));
         for density in [0.2, 0.4, 0.6, 0.8] {
-            let (approx, t) =
-                time(|| mine_approximate_with_density(&data.syb, &data.seq, density, &cfg));
+            let (approx, t) = time(|| approximate(data, density, &cfg));
             let accuracy = approx.result.accuracy_against(&exact);
             let gain = 1.0 - t.as_secs_f64() / exact_time.as_secs_f64();
             report.row(vec![

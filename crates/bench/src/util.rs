@@ -4,7 +4,10 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ftpm_core::{MinePlan, MinerConfig, MiningResult, MAX_EVENTS_HARD_CAP};
+use ftpm_core::{
+    mine_approximate_with_density, ApproxOutcome, MinePlan, MinerConfig, MiningResult,
+    MAX_EVENTS_HARD_CAP,
+};
 use ftpm_datagen::Dataset;
 
 /// Times a closure.
@@ -68,12 +71,20 @@ impl Method {
                 let plan = MinePlan::new(&data.seq, cfg).with_threads(*threads);
                 plan.collect().0
             }
-            Method::AHtpgm(density) => {
-                ftpm_core::mine_approximate_with_density(&data.syb, &data.seq, *density, cfg)
-                    .result
-            }
+            Method::AHtpgm(density) => approximate(data, *density, cfg).result,
         }
     }
+}
+
+/// A-HTPGM on `data`, keeping `density` of the correlation graph's
+/// edges. The graph is built on `data.syb`, which `data.seq` was
+/// converted from, so it fits; a mismatch is named on stderr and exits
+/// with status 1, like a usage error.
+pub fn approximate(data: &Dataset, density: f64, cfg: &MinerConfig) -> ApproxOutcome {
+    mine_approximate_with_density(&data.syb, &data.seq, density, cfg).unwrap_or_else(|e| {
+        eprintln!("error: {}: {e}", data.name);
+        std::process::exit(1)
+    })
 }
 
 /// Harness options shared by every experiment binary: positional args

@@ -43,12 +43,14 @@ fn exchange_allocations_and_peak_heap_stay_bounded() {
     let (_, unsharded_allocs, _) = TrackingAllocator::measure(|| {
         MinePlan::new(&data.seq, &cfg)
             .with_correlation(approx)
+            .expect("the graph is built on the same data")
             .run(&mut unsharded)
     });
     let mut exchange = CountingSink::default();
     let (_, exchange_allocs, exchange_peak) = TrackingAllocator::measure(|| {
         MinePlan::new(&plan, &cfg)
             .with_correlation(approx)
+            .expect("the graph is built on the same data")
             .run(&mut exchange)
     });
 

@@ -43,15 +43,102 @@ pub struct ApproxOutcome {
 
 /// Mines `seq_db` on one thread under `graph` and wraps the result with
 /// the correlation structures it was gated by.
-fn outcome(seq_db: &SequenceDatabase, graph: CorrelationGraph, cfg: &MinerConfig) -> ApproxOutcome {
+fn outcome(
+    seq_db: &SequenceDatabase,
+    graph: CorrelationGraph,
+    cfg: &MinerConfig,
+) -> Result<ApproxOutcome, GraphMismatch> {
     let (result, _) = MinePlan::new(seq_db, cfg)
-        .with_correlation(Correlation::Series(&graph))
+        .with_correlation(Correlation::Series(&graph))?
         .collect();
-    ApproxOutcome {
+    Ok(ApproxOutcome {
         result,
         mu: graph.mu(),
         correlated: graph.correlated_variables(),
         graph,
+    })
+}
+
+/// A correlation graph that does not fit the registry a run is
+/// expressed in, because it was built on other data. Returned by
+/// [`MinePlan::with_correlation`], [`correlation_filter`],
+/// [`mine_approximate`] and [`mine_approximate_with_density`] instead of
+/// indexing the graph out of bounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphMismatch {
+    /// A series-level graph ([`Correlation::Series`]) lacks a vertex for
+    /// some variable of the registry's events.
+    Series {
+        /// Vertices of the graph.
+        vertices: usize,
+        /// One more than the largest variable id of the registry's
+        /// events: the vertices the gate needs.
+        variables: usize,
+    },
+    /// An event-level graph ([`Correlation::Events`]) does not have one
+    /// vertex per event of the registry.
+    Events {
+        /// Vertices of the graph.
+        vertices: usize,
+        /// Events of the registry.
+        events: usize,
+    },
+}
+
+impl std::fmt::Display for GraphMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphMismatch::Series {
+                vertices,
+                variables,
+            } => write!(
+                f,
+                "the correlation graph has {vertices} vertices, but the events span \
+                 {variables} variables"
+            ),
+            GraphMismatch::Events { vertices, events } => write!(
+                f,
+                "the event-level correlation graph has {vertices} vertices, but there are \
+                 {events} events"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GraphMismatch {}
+
+/// Checks that `correlation`'s graph fits `registry`: a series-level
+/// graph needs a vertex for every variable of the registry's events, an
+/// event-level graph exactly one vertex per event. Every filter this
+/// module builds indexes the graph only within those bounds.
+pub(crate) fn check_graph(
+    correlation: Correlation<'_>,
+    registry: &EventRegistry,
+) -> Result<(), GraphMismatch> {
+    match correlation {
+        Correlation::None => Ok(()),
+        Correlation::Series(graph) => {
+            let vertices = graph.n_vertices();
+            let variables = registry
+                .ids()
+                .map(|e| registry.variable(e).0 as usize + 1)
+                .max()
+                .unwrap_or(0);
+            if variables > vertices {
+                return Err(GraphMismatch::Series {
+                    vertices,
+                    variables,
+                });
+            }
+            Ok(())
+        }
+        Correlation::Events(graph) => {
+            let (vertices, events) = (graph.n_vertices(), registry.len());
+            if vertices != events {
+                return Err(GraphMismatch::Events { vertices, events });
+            }
+            Ok(())
+        }
     }
 }
 
@@ -109,9 +196,23 @@ impl<'a> CorrelationFilter<'a> {
 /// [`crate::mine_reference_filtered`], tests) call this rather than
 /// assembling gates of their own. `registry` must come from the
 /// conversion of the database `graph` was built on (the shard planner's
-/// master registry qualifies — shard databases are remapped onto it
-/// before mining).
+/// master registry qualifies: shard databases are converted against it).
+///
+/// # Errors
+///
+/// Returns [`GraphMismatch::Series`] when `graph` has no vertex for a
+/// variable of `registry`'s events.
 pub fn correlation_filter<'a>(
+    graph: &'a CorrelationGraph,
+    registry: &'a EventRegistry,
+) -> Result<CorrelationFilter<'a>, GraphMismatch> {
+    check_graph(Correlation::Series(graph), registry)?;
+    Ok(series_filter(graph, registry))
+}
+
+/// The series-level filter of a graph that [`check_graph`] accepted for
+/// `registry`.
+fn series_filter<'a>(
     graph: &'a CorrelationGraph,
     registry: &'a EventRegistry,
 ) -> CorrelationFilter<'a> {
@@ -130,14 +231,15 @@ pub fn correlation_filter<'a>(
 }
 
 /// The filter a [`MinePlan`]'s correlation arm mines under, for output
-/// expressed in `registry`; `None` mines exactly.
+/// expressed in `registry`; `None` mines exactly. The plan checked the
+/// graph against `registry` when the arm was set.
 pub(crate) fn plan_filter<'a>(
     correlation: Correlation<'a>,
     registry: &'a EventRegistry,
 ) -> Option<CorrelationFilter<'a>> {
     match correlation {
         Correlation::None => None,
-        Correlation::Series(graph) => Some(correlation_filter(graph, registry)),
+        Correlation::Series(graph) => Some(series_filter(graph, registry)),
         Correlation::Events(graph) => {
             // The indicator database has one vertex per event, so the
             // mapping is the identity instead of the registry's variable
@@ -162,12 +264,17 @@ pub(crate) fn plan_filter<'a>(
 /// accuracy/runtime trade-off is controlled by `μ` (Table IX, Fig 9).
 /// For more threads, shards or a sink, build the graph once and mine a
 /// [`MinePlan`] with [`Correlation::Series`].
+///
+/// # Errors
+///
+/// Returns [`GraphMismatch::Series`] when `seq_db`'s events name a
+/// variable that `syb` does not have.
 pub fn mine_approximate(
     syb: &SymbolicDatabase,
     seq_db: &SequenceDatabase,
     mu: f64,
     cfg: &MinerConfig,
-) -> ApproxOutcome {
+) -> Result<ApproxOutcome, GraphMismatch> {
     outcome(seq_db, CorrelationGraph::build(syb, mu), cfg)
 }
 
@@ -175,24 +282,29 @@ pub fn mine_approximate(
 /// given fraction of the complete graph's edges (Def 5.6) — how the paper
 /// parameterizes A-HTPGM in the evaluation ("A-HTPGM (80%)" keeps 80% of
 /// edges).
+///
+/// # Errors
+///
+/// As [`mine_approximate`].
 pub fn mine_approximate_with_density(
     syb: &SymbolicDatabase,
     seq_db: &SequenceDatabase,
     density: f64,
     cfg: &MinerConfig,
-) -> ApproxOutcome {
+) -> Result<ApproxOutcome, GraphMismatch> {
     let graph = CorrelationGraph::build_with_density(syb, density);
     outcome(seq_db, graph, cfg)
 }
 
 /// Unsharded A-HTPGM into `sink` with `threads` workers: a
 /// [`MinePlan`] with [`Correlation::Series`]. Kept so the benchmark
-/// harness builds; ROADMAP item 3 step 3 deletes it once the harness
+/// harness builds; ROADMAP item 1 step 3 deletes it once the harness
 /// mines through the plan.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`.
+/// Panics if `threads == 0`, or if `graph` does not fit `seq_db`'s
+/// registry (see [`GraphMismatch`]).
 pub fn mine_approximate_graph_with_sink(
     seq_db: &SequenceDatabase,
     graph: &CorrelationGraph,
@@ -200,11 +312,14 @@ pub fn mine_approximate_graph_with_sink(
     threads: usize,
     sink: &mut (dyn PatternSink + Send),
 ) -> MiningStats {
-    MinePlan::new(seq_db, cfg)
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract of a wrapper kept with its signature"
+    )]
+    let plan = MinePlan::new(seq_db, cfg)
         .with_correlation(Correlation::Series(graph))
-        .with_threads(threads)
-        .run(sink)
-        .0
+        .expect("the correlation graph fits the database");
+    plan.with_threads(threads).run(sink).0
 }
 
 /// Builds a symbolic database of per-event indicator series: one binary

@@ -1,5 +1,4 @@
 use ftpm_events::RelationConfig;
-use serde::{Deserialize, Serialize};
 
 /// The longest pattern, in events, any miner grows. A level-`k`
 /// candidate packs its `k − 1` new relations two bits each into one
@@ -10,7 +9,7 @@ pub const MAX_EVENTS_HARD_CAP: usize = 32;
 
 /// Which pruning techniques of E-HTPGM are active — the knobs behind the
 /// paper's Fig 6/7 ablation ((NoPrune)/(Apriori)/(Trans)/(All)-E-HTPGM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PruningConfig {
     /// Apriori-based pruning (Lemmas 2–3): discard candidate event
     /// combinations whose joint-bitmap support or confidence upper bound
@@ -57,7 +56,7 @@ impl Default for PruningConfig {
 
 /// Mining parameters: the FTPMfTS problem is to find every pattern `P`
 /// with `supp(P) ≥ σ ∧ conf(P) ≥ δ` (Section III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinerConfig {
     /// Relative support threshold `σ ∈ (0, 1]`.
     pub sigma: f64,

@@ -78,7 +78,7 @@ pub fn mine_exact(db: &SequenceDatabase, cfg: &MinerConfig) -> MiningResult {
 }
 
 /// Mines like [`mine_exact`] into `sink`: [`MinePlan::run`] on one
-/// thread. Kept so the benchmark harness builds; ROADMAP item 3 step 3
+/// thread. Kept so the benchmark harness builds; ROADMAP item 1 step 3
 /// deletes it once the harness mines through the plan.
 pub fn mine_exact_with_sink(
     db: &SequenceDatabase,

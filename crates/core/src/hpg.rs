@@ -1,5 +1,4 @@
 use ftpm_events::EventId;
-use serde::{Deserialize, Serialize};
 
 /// One node of the Hierarchical Pattern Graph: a frequent event
 /// combination and the frequent patterns mined from it (Section IV-C,
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// instance bindings) lives inside the miner and is released level by
 /// level, exactly like the paper's description of constructing HPG
 /// gradually.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The event combination, in chronological role order.
     pub events: Vec<EventId>,
@@ -23,7 +22,7 @@ pub struct Node {
 }
 
 /// One level `L_k` of the Hierarchical Pattern Graph (`k ≥ 2`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Level {
     /// The surviving (pattern-bearing) nodes of this level.
     pub nodes: Vec<Node>,
@@ -32,7 +31,7 @@ pub struct Level {
 /// Summary of the Hierarchical Pattern Graph built by a mining run.
 /// `levels[0]` is `L_2` (2-event combinations); `L_1` is reported as
 /// [`crate::MiningResult::frequent_events`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HierarchicalPatternGraph {
     /// Levels `L_2, L_3, …` in order.
     pub levels: Vec<Level>,

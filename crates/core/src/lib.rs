@@ -79,7 +79,7 @@ mod sink;
 pub use approx::{
     correlation_filter, event_indicator_database, mine_approximate,
     mine_approximate_graph_with_sink, mine_approximate_with_density, ApproxOutcome,
-    CorrelationFilter,
+    CorrelationFilter, GraphMismatch,
 };
 pub use config::{MinerConfig, PruningConfig, MAX_EVENTS_HARD_CAP};
 pub use exact::{mine_exact, mine_exact_with_sink};

@@ -49,7 +49,7 @@ use crate::sink::{PatternSink, RowEncoder};
 
 /// Mines like [`crate::mine_exact`] into `sink` with `n_threads`
 /// workers: [`MinePlan::run`] with [`MinePlan::with_threads`]. Kept so
-/// the benchmark harness builds; ROADMAP item 3 step 3 deletes it once
+/// the benchmark harness builds; ROADMAP item 1 step 3 deletes it once
 /// the harness mines through the plan.
 ///
 /// # Panics

@@ -1,5 +1,4 @@
 use ftpm_events::{EventId, EventRegistry, TemporalRelation};
-use serde::{Deserialize, Serialize};
 
 /// A temporal pattern (Def 3.11): `k` events in the chronological order of
 /// their bound instances, plus one relation per event pair.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// total order used wherever mined output must be deterministic despite
 /// nondeterministic parallel discovery order: the shard merge's emission
 /// order and the tie-breaks of [`crate::rank_patterns`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pattern {
     events: Vec<EventId>,
     relations: Vec<TemporalRelation>,

@@ -21,12 +21,14 @@
 //! let graph = CorrelationGraph::build_with_density(&data.syb, 0.8);
 //! let (unsharded, _) = MinePlan::new(&data.seq, &cfg)
 //!     .with_correlation(Correlation::Series(&graph))
+//!     .expect("the graph is built on the same data")
 //!     .collect();
 //! let shards = ShardPlanner::new(2)
 //!     .plan(&data.syb, data.split, cfg.relation.t_max)
 //!     .expect("valid geometry");
 //! let (sharded, reports) = MinePlan::new(&shards, &cfg)
 //!     .with_correlation(Correlation::Series(&graph))
+//!     .expect("the graph is built on the same data")
 //!     .with_threads(2)
 //!     .collect();
 //! assert_eq!(unsharded.len(), sharded.len());
@@ -36,7 +38,7 @@
 use ftpm_events::{EventRegistry, SequenceDatabase};
 use ftpm_mi::CorrelationGraph;
 
-use crate::approx::plan_filter;
+use crate::approx::{check_graph, plan_filter, GraphMismatch};
 use crate::config::MinerConfig;
 use crate::executor::{mine_exchange_internal, ShardReport};
 use crate::parallel::mine_parallel_internal;
@@ -83,10 +85,11 @@ pub enum Correlation<'a> {
     /// variable pair correlated through one symbol pair can still lose
     /// its other symbol pairs.
     ///
-    /// Vertex `i` must be `EventId(i)` of [`MinePlan::registry`]. Build
-    /// the indicators over the registry of the global conversion,
-    /// `to_sequence_database(syb, split)`: a shard plan's master registry
-    /// follows that conversion's intern order, so one graph serves the
+    /// Vertex `i` must be `EventId(i)` of [`MinePlan::registry`]
+    /// ([`MinePlan::with_correlation`] checks the vertex count). Build
+    /// the indicators over `ftpm_events::event_registry(syb, split)`:
+    /// `to_sequence_database(syb, split)` and every shard plan over the
+    /// same split name their events by it, so one graph serves the
     /// unsharded and every sharded layout.
     Events(&'a CorrelationGraph),
 }
@@ -115,11 +118,19 @@ impl<'a> MinePlan<'a> {
     }
 
     /// Mines under `correlation` instead of exactly.
-    pub fn with_correlation(self, correlation: Correlation<'a>) -> Self {
-        MinePlan {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphMismatch`] when the graph does not fit
+    /// [`MinePlan::registry`]: a series-level graph needs a vertex for
+    /// every variable of the registry's events, an event-level graph
+    /// exactly one vertex per event.
+    pub fn with_correlation(self, correlation: Correlation<'a>) -> Result<Self, GraphMismatch> {
+        check_graph(correlation, self.registry())?;
+        Ok(MinePlan {
             correlation,
             ..self
-        }
+        })
     }
 
     /// Mines with `threads` workers. Unsharded, one worker runs on the

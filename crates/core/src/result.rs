@@ -1,13 +1,12 @@
 use std::collections::HashSet;
 
 use ftpm_events::{EventId, EventRegistry};
-use serde::{Deserialize, Serialize};
 
 use crate::hpg::HierarchicalPatternGraph;
 use crate::pattern::Pattern;
 
 /// A mined frequent temporal pattern together with its measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrequentPattern {
     /// The pattern itself.
     pub pattern: Pattern,
@@ -30,7 +29,7 @@ pub struct FrequentPattern {
 
 /// Counters describing one mining run — used by the ablation experiments
 /// (Figs 6–7) to show *why* a pruning configuration is faster.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MiningStats {
     /// Nodes whose instances were actually verified, per level (index 0 is
     /// level 2).
@@ -68,7 +67,7 @@ impl MiningStats {
 }
 
 /// The output of a mining run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MiningResult {
     /// All frequent temporal patterns (`|P| ≥ 2` events), in discovery
     /// order (level by level).

@@ -40,8 +40,7 @@
 use std::sync::Arc;
 
 use ftpm_events::{
-    to_sequence_database, EventId, EventInstance, EventRegistry, SequenceDatabase, ShardSpan,
-    SplitConfig, TemporalSequence,
+    event_registry, to_sequences, EventRegistry, SequenceDatabase, ShardSpan, SplitConfig,
 };
 use ftpm_mi::CorrelationGraph;
 use ftpm_timeseries::SymbolicDatabase;
@@ -102,63 +101,31 @@ impl ShardPlanner {
     ) -> Result<ShardPlan, String> {
         let spans = split.shard_spans(syb.step(), syb.n_steps(), self.shards, t_ov)?;
         let n_windows = split.n_windows(syb.step(), syb.n_steps());
-        // The master registry uses the *global* conversion's intern
-        // order, and every shard database is remapped onto it before
-        // mining. This is load-bearing for exactness, not cosmetic: the
-        // chronological tie-break for instances with identical
-        // (start, end) is the EventId, so a shard mining under its
-        // slice's own intern order could bind a tied pair in the
-        // opposite orientation from the unsharded baseline and emit the
-        // mirrored pattern. (A distributed deployment would ship this
-        // shared event dictionary to the shards the same way.)
-        let mut registry = to_sequence_database(syb, split).registry().clone();
-        // Pass 1: convert every slice and build its remap onto the master
-        // registry — the only stage that may (on a geometry bug) still
-        // extend the registry, so it runs before the registry is frozen.
-        let mut converted = Vec::with_capacity(spans.len());
-        for span in spans {
-            let slice = syb.slice_steps(span.slice_steps.0, span.slice_steps.1);
-            let slice_db = to_sequence_database(&slice, split);
-            // Shard windows are global windows, so every slice event
-            // exists in the master registry; intern is a lookup (it
-            // would only extend the registry on a geometry bug).
-            let remap: Vec<EventId> = slice_db
-                .registry()
-                .ids()
-                .map(|e| {
-                    registry.intern(
-                        slice_db.registry().variable(e),
-                        slice_db.registry().symbol(e),
-                        || slice_db.registry().label(e).to_owned(),
-                    )
-                })
-                .collect();
-            converted.push((span, slice_db, remap));
-        }
-        // Pass 2: the registry is final — freeze it into an `Arc` and
-        // hand every shard database the same allocation (K shards, one
-        // label table; the per-shard deep clone used to dominate plan
-        // memory).
+        // Every slice converts against one master registry, the one the
+        // unsharded conversion names its events by. This is load-bearing
+        // for exactness, not cosmetic: the chronological tie-break for
+        // instances with identical (start, end) is the EventId, so a
+        // shard mining under its slice's own intern order could bind a
+        // tied pair in the opposite orientation from the unsharded
+        // baseline and emit the mirrored pattern. (A distributed
+        // deployment would ship this shared event dictionary to the
+        // shards the same way.) Shard windows are global windows, so the
+        // conversion only looks ids up; it would extend the registry
+        // only on a geometry bug, which is why the registry is frozen
+        // after every slice is converted.
+        let mut registry = event_registry(syb, split);
+        let converted: Vec<_> = spans
+            .into_iter()
+            .map(|span| {
+                let slice = syb.slice_steps(span.slice_steps.0, span.slice_steps.1);
+                (span, to_sequences(&slice, split, &mut registry))
+            })
+            .collect();
+        // The registry is final: freeze it into an `Arc` and hand every
+        // shard database the same allocation (K shards, one label table).
         let registry = Arc::new(registry);
         let mut shards = Vec::with_capacity(converted.len());
-        for (index, (span, slice_db, remap)) in converted.into_iter().enumerate() {
-            let sequences = slice_db
-                .sequences()
-                .iter()
-                .map(|seq| {
-                    // TemporalSequence::new re-sorts, so tied instances
-                    // land in the baseline's order under the master ids.
-                    TemporalSequence::new(
-                        seq.instances()
-                            .iter()
-                            .map(|inst| EventInstance {
-                                event: remap[inst.event.0 as usize],
-                                ..*inst
-                            })
-                            .collect(),
-                    )
-                })
-                .collect();
+        for (index, (span, sequences)) in converted.into_iter().enumerate() {
             let db = SequenceDatabase::new(Arc::clone(&registry), sequences);
             let owned: Vec<bool> = (0..db.len())
                 .map(|j| {
@@ -238,7 +205,7 @@ impl ShardPlan {
     }
 
     /// The candidate exchange into `sink`: a [`MinePlan`] over this
-    /// shard plan. Kept so the benchmark harness builds; ROADMAP item 3
+    /// shard plan. Kept so the benchmark harness builds; ROADMAP item 1
     /// step 3 deletes it once the harness mines through the plan.
     ///
     /// # Panics
@@ -255,12 +222,13 @@ impl ShardPlan {
 
     /// A-HTPGM over the candidate exchange into `sink`: a [`MinePlan`]
     /// over this shard plan with [`Correlation::Series`]. Kept so the
-    /// benchmark harness builds; ROADMAP item 3 step 3 deletes it once
+    /// benchmark harness builds; ROADMAP item 1 step 3 deletes it once
     /// the harness mines through the plan.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`.
+    /// Panics if `threads == 0`, or if `graph` does not fit the master
+    /// registry (see [`crate::GraphMismatch`]).
     pub fn mine_approximate_exchange_into(
         &self,
         graph: &CorrelationGraph,
@@ -268,9 +236,13 @@ impl ShardPlan {
         threads: usize,
         sink: &mut (dyn PatternSink + Send),
     ) -> (MiningStats, Vec<ShardReport>) {
-        MinePlan::new(self, cfg)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract of a wrapper kept with its signature"
+        )]
+        let plan = MinePlan::new(self, cfg)
             .with_correlation(Correlation::Series(graph))
-            .with_threads(threads)
-            .run(sink)
+            .expect("the correlation graph fits the master registry");
+        plan.with_threads(threads).run(sink)
     }
 }

@@ -21,7 +21,7 @@ mod common;
 use common::{assert_equivalent, labelled, policy_cfg, random_syb, runs, Labelled, Layout};
 use ftpm_core::{
     correlation_filter, event_indicator_database, mine_approximate, mine_approximate_with_density,
-    mine_reference_filtered, Correlation, MinePlan, MinerConfig, ShardPlanner,
+    mine_reference_filtered, Correlation, GraphMismatch, MinePlan, MinerConfig, ShardPlanner,
 };
 use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
 use ftpm_mi::{mu_for_density, normalized_mutual_information, CorrelationGraph};
@@ -31,6 +31,7 @@ use ftpm_timeseries::{SymbolicDatabase, VariableId};
 /// single-threaded unsharded approximate run is the baseline, and the
 /// plan over the unsharded data and over K shards, at `threads`
 /// workers, must both reproduce it exactly.
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn check_compositions(
     syb: &SymbolicDatabase,
     split: SplitConfig,
@@ -41,7 +42,7 @@ fn check_compositions(
     context: &str,
 ) {
     let seq = to_sequence_database(syb, split);
-    let base = mine_approximate(syb, &seq, mu, cfg);
+    let base = mine_approximate(syb, &seq, mu, cfg).unwrap_or_else(|e| panic!("{context}: {e}"));
     let base_l = labelled(&base.result, seq.registry());
     let graph = CorrelationGraph::build(syb, mu);
     let layouts = [Layout::Unsharded, Layout::Shards(shards)];
@@ -98,8 +99,10 @@ fn density_parameterization_matches_explicit_mu() {
     let cfg = policy_cfg(0.2, 0.2, 20, BoundaryPolicy::TrueExtent);
     for density in [0.3, 0.6, 0.9] {
         let mu = mu_for_density(&syb, density);
-        let by_density = mine_approximate_with_density(&syb, &seq, density, &cfg);
-        let by_mu = mine_approximate(&syb, &seq, mu, &cfg);
+        let by_density = mine_approximate_with_density(&syb, &seq, density, &cfg)
+            .expect("the graph is built on the same data");
+        let by_mu =
+            mine_approximate(&syb, &seq, mu, &cfg).expect("the graph is built on the same data");
         assert!(
             (by_density.mu - mu).abs() < 1e-12,
             "density {density} resolved to mu {} not {mu}",
@@ -124,9 +127,11 @@ fn reference_oracle_agrees_under_the_same_filter() {
     let cfg = policy_cfg(0.2, 0.2, 20, BoundaryPolicy::TrueExtent);
     let mu = mu_for_density(&syb, 0.5);
     let graph = CorrelationGraph::build(&syb, mu);
-    let filter = correlation_filter(&graph, seq.registry());
+    let filter =
+        correlation_filter(&graph, seq.registry()).expect("the graph is built on the same data");
     let oracle = mine_reference_filtered(&seq, &cfg, Some(&filter));
-    let approx = mine_approximate(&syb, &seq, mu, &cfg);
+    let approx =
+        mine_approximate(&syb, &seq, mu, &cfg).expect("the graph is built on the same data");
     assert_equivalent(
         &labelled(&approx.result, seq.registry()),
         &labelled(&oracle, seq.registry()),
@@ -155,7 +160,8 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
     let cfg = MinerConfig::new(0.25, 0.25)
         .with_max_events(3)
         .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(BoundaryPolicy::TrueExtent));
-    let base = mine_approximate_with_density(&data.syb, &data.seq, DENSITY, &cfg);
+    let base = mine_approximate_with_density(&data.syb, &data.seq, DENSITY, &cfg)
+        .expect("the graph is built on the same data");
     let base_l = labelled(&base.result, data.seq.registry());
     let graph = CorrelationGraph::build_with_density(&data.syb, DENSITY);
     assert!(
@@ -168,6 +174,7 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
 
     let (par, _) = MinePlan::new(&data.seq, &cfg)
         .with_correlation(approx)
+        .expect("the graph is built on the same data")
         .with_threads(4)
         .collect();
     assert_equivalent(
@@ -181,7 +188,10 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
         .expect("plan");
     let exchange = MinePlan::new(&plan, &cfg).with_threads(4);
     let (exact_result, exact_reports) = exchange.collect();
-    let (approx_result, approx_reports) = exchange.with_correlation(approx).collect();
+    let (approx_result, approx_reports) = exchange
+        .with_correlation(approx)
+        .expect("the graph is built on the same data")
+        .collect();
     let registry = plan.registry();
     assert_equivalent(
         &base_l,
@@ -273,6 +283,96 @@ fn event_level_plan_agrees_across_threads_and_shards() {
     }
 }
 
+/// A series-level graph built on other data, with fewer vertices than
+/// the mined events have variables, is rejected when the gate is
+/// attached: through the plan (unsharded and sharded), through
+/// `correlation_filter` and through `mine_approximate`. Mining used to
+/// index the graph out of bounds inside the run.
+#[test]
+fn a_series_graph_of_other_data_is_a_typed_error() {
+    let data = ftpm_datagen::nist_like(0.005).project_variables(3);
+    let other = ftpm_datagen::nist_like(0.005).project_variables(2);
+    let graph = CorrelationGraph::build(&other.syb, 0.4);
+    assert_eq!(graph.n_vertices(), 2);
+    let cfg = MinerConfig::new(0.4, 0.4).with_max_events(3);
+    let mismatch = GraphMismatch::Series {
+        vertices: 2,
+        variables: 3,
+    };
+    let series = Correlation::Series(&graph);
+    let err = MinePlan::new(&data.seq, &cfg)
+        .with_correlation(series)
+        .expect_err("2 vertices for 3 variables");
+    assert_eq!(err, mismatch);
+    assert_eq!(
+        err.to_string(),
+        "the correlation graph has 2 vertices, but the events span 3 variables"
+    );
+    let shards = ShardPlanner::new(2)
+        .plan(&data.syb, data.split, 0)
+        .expect("valid geometry");
+    let err = MinePlan::new(&shards, &cfg)
+        .with_correlation(series)
+        .expect_err("the master registry spans 3 variables");
+    assert_eq!(err, mismatch);
+    assert_eq!(
+        correlation_filter(&graph, data.seq.registry()).err(),
+        Some(mismatch)
+    );
+    assert_eq!(
+        mine_approximate(&other.syb, &data.seq, 0.4, &cfg).err(),
+        Some(mismatch)
+    );
+    // The graph of the mined data itself still attaches.
+    let own = CorrelationGraph::build(&data.syb, 0.4);
+    assert!(MinePlan::new(&data.seq, &cfg)
+        .with_correlation(Correlation::Series(&own))
+        .is_ok());
+}
+
+/// An event-level graph must have one vertex per event of the plan's
+/// registry: one with more vertices (42, the indicators of another
+/// dataset) or fewer is a typed error, not an out-of-bounds panic.
+#[test]
+fn an_event_graph_of_other_data_is_a_typed_error() {
+    let data = ftpm_datagen::nist_like(0.005).project_variables(3);
+    assert_eq!(data.seq.registry().len(), 6);
+    let cfg = MinerConfig::new(0.4, 0.4).with_max_events(3);
+    let dataport = ftpm_datagen::dataport_like(0.02);
+    let indicators = event_indicator_database(&dataport.syb, dataport.seq.registry());
+    let more = CorrelationGraph::build(&indicators, 0.4);
+    let fewer_data = ftpm_datagen::nist_like(0.005).project_variables(1);
+    let fewer = CorrelationGraph::build(
+        &event_indicator_database(&fewer_data.syb, fewer_data.seq.registry()),
+        0.4,
+    );
+    for (graph, vertices) in [(&more, 42), (&fewer, 2)] {
+        let mismatch = GraphMismatch::Events {
+            vertices,
+            events: 6,
+        };
+        let err = MinePlan::new(&data.seq, &cfg)
+            .with_correlation(Correlation::Events(graph))
+            .expect_err("vertex count differs from the event count");
+        assert_eq!(err, mismatch);
+        let shards = ShardPlanner::new(2)
+            .plan(&data.syb, data.split, 0)
+            .expect("valid geometry");
+        let err = MinePlan::new(&shards, &cfg)
+            .with_correlation(Correlation::Events(graph))
+            .expect_err("vertex count differs from the event count");
+        assert_eq!(err, mismatch);
+    }
+    assert_eq!(
+        GraphMismatch::Events {
+            vertices: 42,
+            events: 6
+        }
+        .to_string(),
+        "the event-level correlation graph has 42 vertices, but there are 6 events"
+    );
+}
+
 #[test]
 fn nmi_matrix_equals_the_scalar_definition_on_the_energy_demo() {
     const DENSITY: f64 = 0.8;
@@ -341,7 +441,9 @@ mod prop {
             let mu = mu_for_density(&syb, density);
             let seq = to_sequence_database(&syb, split);
             let base = labelled(
-                &mine_approximate_with_density(&syb, &seq, density, &cfg).result,
+                &mine_approximate_with_density(&syb, &seq, density, &cfg)
+                    .expect("the graph is built on the same data")
+                    .result,
                 seq.registry(),
             );
             let graph = CorrelationGraph::build(&syb, mu);

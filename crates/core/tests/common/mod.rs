@@ -156,8 +156,11 @@ pub fn runs(
                     Some(p) => MinePlan::new(p, cfg),
                     None => MinePlan::new(&seq, cfg),
                 };
-                let plan = plan.with_threads(n).with_correlation(correlation);
                 let context = format!("{n} threads, {layout:?}, correlation {c}");
+                let plan = plan
+                    .with_threads(n)
+                    .with_correlation(correlation)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
                 let (result, reports) = plan.collect();
                 if let Some(p) = shard_plan {
                     assert_eq!(reports.len(), p.shards().len(), "{context}: reports");

@@ -175,7 +175,8 @@ fn approximate_is_subset_of_exact() {
     let cfg = MinerConfig::new(0.3, 0.3).with_max_events(3);
     let exact = mine_exact(&data.seq, &cfg);
     for mu in [0.2, 0.5, 0.8] {
-        let approx = mine_approximate(&data.syb, &data.seq, mu, &cfg);
+        let approx = mine_approximate(&data.syb, &data.seq, mu, &cfg)
+            .expect("the graph is built on the same data");
         let exact_keys = exact.pattern_keys();
         for p in &approx.result.patterns {
             assert!(
@@ -197,7 +198,8 @@ fn approximate_accuracy_monotone_in_mu() {
     // are graph-density targets, i.e. the opposite axis direction.)
     let mut prev = -1.0f64;
     for mu in [0.8, 0.5, 0.2, 0.01] {
-        let approx = mine_approximate(&data.syb, &data.seq, mu, &cfg);
+        let approx = mine_approximate(&data.syb, &data.seq, mu, &cfg)
+            .expect("the graph is built on the same data");
         let acc = approx.result.accuracy_against(&exact);
         assert!(
             acc >= prev - 1e-12,
@@ -206,7 +208,8 @@ fn approximate_accuracy_monotone_in_mu() {
         prev = acc;
     }
     // With a negligible mu every variable pair is correlated: exact match.
-    let approx = mine_approximate(&data.syb, &data.seq, 1e-12_f64.max(f64::MIN_POSITIVE), &cfg);
+    let approx = mine_approximate(&data.syb, &data.seq, 1e-12_f64.max(f64::MIN_POSITIVE), &cfg)
+        .expect("the graph is built on the same data");
     assert_eq!(approx.result.len(), exact.len());
 }
 
@@ -281,6 +284,7 @@ fn event_level_approximate_is_subset_of_exact() {
         let graph = CorrelationGraph::build(&indicators, mu);
         let (approx, _) = MinePlan::new(&data.seq, &cfg)
             .with_correlation(Correlation::Events(&graph))
+            .expect("the graph is built on the same data")
             .collect();
         assert_eq!(approx.len(), count, "mu={mu}: pattern count");
         for p in &approx.patterns {

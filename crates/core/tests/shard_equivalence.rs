@@ -99,8 +99,8 @@ fn sharded_equals_unsharded_across_policies_and_shard_counts() {
 
 /// Regression: two instances tying on (start, end) break chronological
 /// order by EventId, and a shard slice interns events in a different
-/// order than the global conversion — so before shard databases were
-/// remapped onto the global registry, the shard could bind the tied
+/// order than the global conversion — so before shard slices were
+/// converted against the global registry, the shard could bind the tied
 /// pair in the opposite orientation and emit the mirrored pattern.
 #[test]
 fn tied_instances_bind_in_the_global_intern_order() {

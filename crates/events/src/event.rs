@@ -1,11 +1,10 @@
 use std::collections::HashMap;
 
 use ftpm_timeseries::{SymbolId, VariableId};
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of a temporal event — a `(variable, symbol)` pair such
 /// as "Kitchen = On" (`K_On` in the paper's notation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub u32);
 
 /// Interns `(variable, symbol)` pairs into dense [`EventId`]s and keeps
@@ -13,12 +12,11 @@ pub struct EventId(pub u32);
 ///
 /// Every distinct event of the database gets one id; ids are dense so that
 /// miners can use them as vector indices.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventRegistry {
     labels: Vec<String>,
     variables: Vec<VariableId>,
     symbols: Vec<SymbolId>,
-    #[serde(skip)]
     index: HashMap<(VariableId, SymbolId), EventId>,
 }
 
@@ -103,17 +101,6 @@ impl EventRegistry {
     pub fn ids(&self) -> impl Iterator<Item = EventId> {
         (0..self.labels.len() as u32).map(EventId)
     }
-
-    /// Rebuilds the lookup index after deserialization (serde skips it).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .variables
-            .iter()
-            .zip(&self.symbols)
-            .enumerate()
-            .map(|(i, (&v, &s))| ((v, s), EventId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -149,16 +136,5 @@ mod tests {
         let id = reg.intern(VariableId(2), SymbolId(1), || "M=On".into());
         assert_eq!(reg.lookup_label("M=On"), Some(id));
         assert_eq!(reg.lookup_label("M=Off"), None);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut reg = EventRegistry::new();
-        reg.intern(VariableId(0), SymbolId(1), || "K=On".into());
-        let json = serde_json::to_string(&reg).unwrap();
-        let mut back: EventRegistry = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.get(VariableId(0), SymbolId(1)), None);
-        back.rebuild_index();
-        assert_eq!(back.get(VariableId(0), SymbolId(1)), Some(EventId(0)));
     }
 }

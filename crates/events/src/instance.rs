@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::event::EventId;
 
 /// Error returned by [`Interval::try_new`] when `end <= start`.
@@ -31,7 +29,7 @@ impl std::error::Error for InvalidInterval {}
 /// a vacuously-false [`intersects`](Interval::intersects), silently
 /// corrupting every relation decision downstream. Use
 /// [`Interval::try_new`] where the endpoints come from untrusted input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Interval {
     /// Inclusive start time `t_s`.
     pub start: i64,
@@ -99,7 +97,7 @@ impl std::fmt::Display for Interval {
 /// (the common case) the two are identical. The clipped flags record
 /// which side(s) the window cut; [`crate::BoundaryPolicy`] decides which
 /// interval the miner reasons about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventInstance {
     /// The event this is an instance of.
     pub event: EventId,

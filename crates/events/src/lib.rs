@@ -13,7 +13,9 @@
 //!   database `D_SEQ` (Defs 3.9–3.10, Table III);
 //! * [`SplitConfig`] / [`to_sequence_database`] — the overlapping splitting
 //!   strategy that converts `D_SYB` into `D_SEQ` without losing patterns
-//!   (Section IV-B2, Fig 3);
+//!   (Section IV-B2, Fig 3); [`event_registry`] names the events of every
+//!   conversion of one database, and [`to_sequences`] converts a shard
+//!   slice against it;
 //! * [`BoundaryPolicy`] — how miners treat instances whose runs the split
 //!   clipped at a window boundary: keep the clipped view (`Clip`, the
 //!   default), reason about the true run extent (`TrueExtent`), or drop
@@ -43,4 +45,4 @@ pub use relation::{
     TemporalRelation, TrueExtentKernel,
 };
 pub use sequence::{SequenceDatabase, TemporalSequence};
-pub use split::{to_sequence_database, ShardSpan, SplitConfig};
+pub use split::{event_registry, to_sequence_database, to_sequences, ShardSpan, SplitConfig};

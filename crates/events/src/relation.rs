@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use crate::event::EventId;
 use crate::instance::{EventInstance, Interval};
 
 /// The three temporal relations of the paper's simplified Allen model
 /// (Defs 3.6–3.8, Table II). `ℜ = {Follow, Contain, Overlap}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TemporalRelation {
     /// `E1 → E2`: e2 starts after e1 ends (within the buffer `ε`).
     Follow,
@@ -63,7 +61,7 @@ impl std::fmt::Display for TemporalRelation {
 /// non-comparable across window placements. The policy decides which
 /// interval of an [`EventInstance`] the relation model and the duration
 /// constraint reason about.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BoundaryPolicy {
     /// Use the window-clipped interval — the historical behaviour and
     /// the default. Boundary artifacts are counted as real instances.
@@ -215,7 +213,7 @@ impl std::str::FromStr for BoundaryPolicy {
 }
 
 /// Parameters of the relation model and the pattern-duration constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelationConfig {
     /// Buffer `ε ≥ 0` added to interval endpoints as tolerated jitter
     /// (Defs 3.6–3.8). An overlap of at most `ε` still counts as Follow.

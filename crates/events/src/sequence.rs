@@ -1,13 +1,11 @@
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{EventId, EventRegistry};
 use crate::instance::EventInstance;
 
 /// A temporal sequence (Def 3.9): event instances in chronological order
 /// by start time (ties broken by end time, then event id).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TemporalSequence {
     instances: Vec<EventInstance>,
 }
@@ -65,7 +63,7 @@ impl TemporalSequence {
 /// The registry is held behind an [`Arc`]: sharded mining hands every
 /// shard database the same master registry, so K shards share one
 /// allocation instead of K deep clones of the label table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SequenceDatabase {
     registry: Arc<EventRegistry>,
     sequences: Vec<TemporalSequence>,

@@ -1,5 +1,4 @@
-use ftpm_timeseries::SymbolicDatabase;
-use serde::{Deserialize, Serialize};
+use ftpm_timeseries::{SymbolId, SymbolicDatabase, SymbolicSeries};
 
 use crate::event::EventRegistry;
 use crate::instance::{EventInstance, Interval};
@@ -12,7 +11,7 @@ use crate::sequence::{SequenceDatabase, TemporalSequence};
 /// equal-length split (no redundancy, possible pattern loss at the cut
 /// points); `overlap = t_max` guarantees that every pattern of duration at
 /// most `t_max` survives in some window (Fig 3b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitConfig {
     /// Window length `t` in ticks.
     pub window: i64,
@@ -222,7 +221,8 @@ impl SplitConfig {
 /// Windows are aligned to whole sampling steps: `window` and `overlap`
 /// are rounded down to step boundaries as reported by
 /// [`SplitConfig::effective`]. Only full windows are emitted, matching
-/// the paper's equal-length sequences.
+/// the paper's equal-length sequences. Events are named by
+/// [`event_registry`].
 ///
 /// # Examples
 ///
@@ -240,6 +240,70 @@ impl SplitConfig {
 /// assert_eq!(seq_db.sequences()[0].len(), 2); // K=On [0,10), K=Off [10,20)
 /// ```
 pub fn to_sequence_database(db: &SymbolicDatabase, split: SplitConfig) -> SequenceDatabase {
+    let mut registry = event_registry(db, split);
+    let sequences = to_sequences(db, split, &mut registry);
+    SequenceDatabase::new(registry, sequences)
+}
+
+/// The registry of every event that occurs in a full window of `db`
+/// under `split`, in the order the windows first show them: by the first
+/// window holding the event's first run, then by column, then by that
+/// run's start. An event whose first run starts after the last full
+/// window occurs in no window and is absent.
+///
+/// [`to_sequence_database`] names its events by this registry, and a
+/// shard slice of `db` converted with [`to_sequences`] against it gets
+/// the same ids, so every conversion of `db` under `split` agrees on
+/// them.
+pub fn event_registry(db: &SymbolicDatabase, split: SplitConfig) -> EventRegistry {
+    let step = db.step();
+    let eff = split.effective(step);
+    let win = (eff.window / step) as usize;
+    let stride = (eff.stride() / step) as usize;
+    // The steps the full windows cover.
+    let covered = match split.n_windows(step, db.n_steps()) {
+        0 => 0,
+        n => (n - 1) * stride + win,
+    };
+    // The first window holding step `s` is the first that ends after it.
+    let first_window = |s: usize| if s < win { 0 } else { (s - win) / stride + 1 };
+    let mut firsts = Vec::new();
+    for (var, series) in db.iter() {
+        // A symbol's first step is the start of its first run.
+        let mut seen = vec![false; series.alphabet().len()];
+        let mut unseen = seen.len();
+        for (s, &sym) in series.symbols().iter().take(covered).enumerate() {
+            if !seen[sym.0 as usize] {
+                seen[sym.0 as usize] = true;
+                firsts.push((first_window(s), var, s, sym));
+                unseen -= 1;
+                if unseen == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    firsts.sort_unstable();
+    let mut registry = EventRegistry::new();
+    for (_, var, _, sym) in firsts {
+        registry.intern(var, sym, || event_label(db.series(var), sym));
+    }
+    registry
+}
+
+/// Converts `db` into the temporal sequences of its full windows under
+/// `split` (see [`to_sequence_database`]), naming events by `registry`.
+///
+/// With [`event_registry`]`(db, split)`, or with the registry of a
+/// database that `db` is a window-aligned step slice of (a shard slice,
+/// [`SplitConfig::shard_spans`]), every event is already interned, so
+/// the conversion only looks ids up. An event the registry lacks is
+/// appended to it.
+pub fn to_sequences(
+    db: &SymbolicDatabase,
+    split: SplitConfig,
+    registry: &mut EventRegistry,
+) -> Vec<TemporalSequence> {
     let step = db.step();
     let eff = split.effective(step);
     let win_steps = (eff.window / step) as usize;
@@ -264,13 +328,12 @@ pub fn to_sequence_database(db: &SymbolicDatabase, split: SplitConfig) -> Sequen
         })
         .collect();
 
-    let mut registry = EventRegistry::new();
-    let mut sequences = Vec::new();
-
+    let mut sequences = Vec::with_capacity(split.n_windows(step, n_steps));
+    // One buffer for every window; each sequence gets an exact-size copy.
+    let mut instances = Vec::new();
     let mut first = 0usize;
     while first + win_steps <= n_steps {
         let window_end = first + win_steps;
-        let mut instances = Vec::new();
         for ((var, series), starts) in db.iter().zip(&run_starts) {
             let symbols = series.symbols();
             // Index of the run containing step `first`.
@@ -279,9 +342,7 @@ pub fn to_sequence_database(db: &SymbolicDatabase, split: SplitConfig) -> Sequen
                 let run_start = starts[ri];
                 let run_end = starts.get(ri + 1).copied().unwrap_or(n_steps);
                 let sym = symbols[run_start];
-                let event = registry.intern(var, sym, || {
-                    format!("{}={}", series.name(), series.alphabet().label(sym))
-                });
+                let event = registry.intern(var, sym, || event_label(series, sym));
                 instances.push(EventInstance::with_extent(
                     event,
                     Interval::new(
@@ -293,17 +354,24 @@ pub fn to_sequence_database(db: &SymbolicDatabase, split: SplitConfig) -> Sequen
                 ri += 1;
             }
         }
-        sequences.push(TemporalSequence::new(instances));
+        sequences.push(TemporalSequence::new(instances.to_vec()));
+        instances.clear();
         first += stride_steps;
     }
+    sequences
+}
 
-    SequenceDatabase::new(registry, sequences)
+/// The display label of `sym` in `series`, e.g. `"K=On"`.
+fn event_label(series: &SymbolicSeries, sym: SymbolId) -> String {
+    format!("{}={}", series.name(), series.alphabet().label(sym))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftpm_timeseries::{Alphabet, SymbolicSeries};
+    use crate::event::EventId;
+    use ftpm_timeseries::{Alphabet, VariableId};
+    use proptest::prelude::*;
 
     fn onoff_db(rows: &[(&str, &str)], step: i64) -> SymbolicDatabase {
         let n = rows[0].1.len();
@@ -439,6 +507,127 @@ mod tests {
         assert_eq!(seq.len(), 5);
         let starts: Vec<i64> = seq.instances().iter().map(|i| i.interval.start).collect();
         assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    fn labels(registry: &EventRegistry) -> Vec<&str> {
+        registry.ids().map(|e| registry.label(e)).collect()
+    }
+
+    #[test]
+    fn the_registry_orders_events_by_first_window_then_column_then_start() {
+        // Windows of 4 steps with overlap 1: [0, 4), [3, 7), [6, 10); the
+        // eleventh step is in no full window.
+        let mut db = SymbolicDatabase::new(0, 1, 11);
+        db.push(SymbolicSeries::from_labels(
+            "K",
+            Alphabet::new(["a", "b", "c"]),
+            ["a", "a", "a", "a", "b", "b", "b", "b", "b", "b", "c"],
+        ));
+        db.push(SymbolicSeries::from_labels(
+            "T",
+            Alphabet::on_off(),
+            [
+                "Off", "Off", "Off", "On", "On", "On", "On", "On", "On", "On", "On",
+            ],
+        ));
+        let split = SplitConfig::new(4, 1);
+        let registry = event_registry(&db, split);
+        // T=On first runs at step 3, in the overlap of the first two
+        // windows: the first window holds it, so it precedes K=b, whose
+        // first run starts in the second window, although K is the
+        // earlier column. K=c first runs at step 10, after the last full
+        // window, and is absent.
+        assert_eq!(labels(&registry), ["K=a", "T=Off", "T=On", "K=b"]);
+        let seq_db = to_sequence_database(&db, split);
+        assert_eq!(seq_db.len(), 3);
+        assert_eq!(seq_db.registry(), &registry);
+    }
+
+    #[test]
+    fn a_slice_converted_against_the_registry_equals_the_whole_conversion() {
+        // A's first On run starts after B's, so the late slice's own
+        // registry would number A=On before B=On (and lack B=Off).
+        let db = onoff_db(&[("A", "0000000011000000"), ("B", "0000001111111111")], 1);
+        let split = SplitConfig::new(4, 2);
+        let whole = to_sequence_database(&db, split);
+        assert_eq!(labels(whole.registry()), ["A=Off", "B=Off", "B=On", "A=On"]);
+        let mut registry = event_registry(&db, split);
+        let spans = split.shard_spans(1, 16, 3, 1).expect("valid geometry");
+        let last = spans.last().expect("three shards");
+        let late = db.slice_steps(last.slice_steps.0, last.slice_steps.1);
+        assert_eq!(
+            labels(&event_registry(&late, split)),
+            ["A=Off", "A=On", "B=On"]
+        );
+        let view = |seq: &TemporalSequence| -> Vec<(EventId, Interval)> {
+            seq.instances()
+                .iter()
+                .map(|i| (i.event, i.interval))
+                .collect()
+        };
+        for span in &spans {
+            let slice = db.slice_steps(span.slice_steps.0, span.slice_steps.1);
+            let sequences = to_sequences(&slice, split, &mut registry);
+            assert!(!sequences.is_empty());
+            for (j, seq) in sequences.iter().enumerate() {
+                let global = &whole.sequences()[span.first_window + j];
+                assert_eq!(view(seq), view(global), "{span:?} window {j}");
+            }
+        }
+        assert_eq!(&registry, whole.registry(), "no slice adds an event");
+    }
+
+    /// The rule's oracle: events in the order a walk over the windows,
+    /// column by column and step by step, first meets them.
+    fn first_appearances(db: &SymbolicDatabase, split: SplitConfig) -> Vec<(VariableId, SymbolId)> {
+        let eff = split.effective(db.step());
+        let win = (eff.window / db.step()) as usize;
+        let stride = (eff.stride() / db.step()) as usize;
+        let mut order = Vec::new();
+        let mut first = 0;
+        while first + win <= db.n_steps() {
+            for (var, series) in db.iter() {
+                for &sym in &series.symbols()[first..first + win] {
+                    if !order.contains(&(var, sym)) {
+                        order.push((var, sym));
+                    }
+                }
+            }
+            first += stride;
+        }
+        order
+    }
+
+    proptest! {
+        /// The sort-key rule equals the order of first appearance, and
+        /// the conversion interns nothing beyond it.
+        #[test]
+        fn prop_registry_is_the_order_of_first_appearance(
+            cells in collection::vec(0u16..3, 3..90),
+            vars in 1usize..4,
+            step in 1i64..3,
+            window in 1i64..12,
+            overlap in 0i64..12,
+        ) {
+            prop_assume!(overlap < window && cells.len() >= vars);
+            let n_steps = cells.len() / vars;
+            let mut db = SymbolicDatabase::new(0, step, n_steps);
+            for (v, chunk) in cells.chunks_exact(n_steps).take(vars).enumerate() {
+                db.push(SymbolicSeries::new(
+                    format!("v{v}"),
+                    Alphabet::new(["x", "y", "z"]),
+                    chunk.iter().map(|&c| SymbolId(c)).collect(),
+                ));
+            }
+            let split = SplitConfig::new(window, overlap);
+            let registry = event_registry(&db, split);
+            let ids: Vec<(VariableId, SymbolId)> = registry
+                .ids()
+                .map(|e| (registry.variable(e), registry.symbol(e)))
+                .collect();
+            prop_assert_eq!(ids, first_appearances(&db, split));
+            prop_assert_eq!(to_sequence_database(&db, split).registry(), &registry);
+        }
     }
 
     #[test]

@@ -607,7 +607,9 @@ fn try_mine(args: &[String]) -> Result<(), String> {
     };
     let plan = MinePlan::new(data, &cfg).with_threads(threads);
     let plan = match &graph {
-        Some(g) => plan.with_correlation(Correlation::Series(g)),
+        Some(g) => plan
+            .with_correlation(Correlation::Series(g))
+            .map_err(|e| e.to_string())?,
         None => plan,
     };
     let label = {
@@ -622,9 +624,9 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             core
         }
     };
-    // Sharded output is expressed in the plan's master registry, which
-    // follows the unsharded conversion's intern order: its size and the
-    // window count are the unsharded run's.
+    // Sharded output is expressed in the plan's master registry, the
+    // unsharded conversion's registry: its size and the window count are
+    // the unsharded run's.
     let registry = plan.registry();
     let summary = |stats: &MiningStats, elapsed: std::time::Duration, patterns: u64| {
         serde_json::json!({

@@ -7,6 +7,7 @@
 //! only the growing `f64` columns. Both accept the same inputs and
 //! report the same errors.
 
+use std::collections::HashSet;
 use std::io::BufRead;
 
 use ftpm_timeseries::TimeSeries;
@@ -28,11 +29,11 @@ use ftpm_timeseries::TimeSeries;
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on any structural problem (ragged
-/// rows, non-numeric cells, irregular timestamps, a time axis that
-/// overflows `i64`). A message about one row says `line N`, the row's
-/// line in the text: every line counts, blank ones included, and the
-/// first line is line 1.
+/// Returns a human-readable message on any structural problem (a
+/// header that repeats a variable name, ragged rows, non-numeric cells,
+/// irregular timestamps, a time axis that overflows `i64`). A message
+/// about one row says `line N`, the row's line in the text: every line
+/// counts, blank ones included, and the first line is line 1.
 pub fn parse_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
     let mut columns = Columns::default();
     for line in text.lines() {
@@ -104,6 +105,15 @@ impl Columns {
             .collect();
         if self.names.is_empty() {
             return Err("csv needs a time column plus at least one variable".into());
+        }
+        // Events are labelled `name=symbol`, so a repeated name would
+        // mine two columns under one label.
+        let mut seen = HashSet::new();
+        if let Some(name) = self.names.iter().find(|name| !seen.insert(name.as_str())) {
+            return Err(format!(
+                "line {}: column {name:?} appears twice",
+                self.lines
+            ));
         }
         self.columns = vec![Vec::new(); self.names.len()];
         Ok(())
@@ -187,6 +197,14 @@ mod tests {
     fn rejects_irregular_timestamps() {
         let err = parse_csv("time,a\n0,1\n5,2\n12,3\n").unwrap_err();
         assert!(err.contains("constant step"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_header_that_repeats_a_name() {
+        let err = parse_csv("time,a,a\n0,1,2\n5,3,4\n").unwrap_err();
+        assert_eq!(err, "line 1: column \"a\" appears twice");
+        let err = read_csv("\ntime, b ,a,b\n0,1,2,3\n5,1,2,3\n".as_bytes()).unwrap_err();
+        assert_eq!(err, "line 2: column \"b\" appears twice");
     }
 
     #[test]

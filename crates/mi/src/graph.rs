@@ -1,6 +1,5 @@
 use ftpm_bitmap::Bitmap;
 use ftpm_timeseries::{SymbolicDatabase, SymbolicSeries, VariableId};
-use serde::{Deserialize, Serialize};
 
 use crate::info::{entropy, joint_counts, mi_sum, mi_terms, normalized};
 
@@ -23,7 +22,7 @@ use crate::info::{entropy, joint_counts, mi_sum, mi_terms, normalized};
 /// let g = CorrelationGraph::build(&db, 0.9);
 /// assert!(g.has_edge(VariableId(0), VariableId(1)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationGraph {
     n: usize,
     mu: f64,

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Index of a symbol within an [`Alphabet`] (`ω ∈ Σ_X` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SymbolId(pub u16);
 
 /// A finite, ordered set of symbol labels — the symbol alphabet `Σ_X` of a
@@ -16,7 +14,7 @@ pub struct SymbolId(pub u16);
 /// assert_eq!(onoff.len(), 2);
 /// assert_eq!(onoff.label(onoff.lookup("On").unwrap()), "On");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alphabet {
     labels: Vec<String>,
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A univariate time series `X = x_1, …, x_n` (Def 3.1): chronologically
 /// ordered numeric samples at a regular interval.
 ///
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ts.len(), 4);
 /// assert_eq!(ts.time_at(2), 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
     start: i64,

@@ -1,16 +1,14 @@
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::{Alphabet, SymbolId};
 use crate::series::TimeSeries;
 use crate::symbolizer::Symbolizer;
 
 /// Index of a variable (one symbolic series) within a [`SymbolicDatabase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VariableId(pub u32);
 
 /// The symbolic representation `X_S` of one time series (Def 3.2): one
 /// symbol per sampling step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicSeries {
     name: String,
     alphabet: Alphabet,
@@ -161,7 +159,7 @@ impl std::error::Error for ClockError {}
 /// `[start + i·step, start + (i+1)·step)`. The whole clock, up to its end
 /// `start + n_steps·step`, lies in the `i64` tick range, so every step
 /// boundary and every duration between two of them is representable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicDatabase {
     series: Vec<SymbolicSeries>,
     start: i64,

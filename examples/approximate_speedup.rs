@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use ftpm::*;
 
-fn main() {
+fn main() -> Result<(), GraphMismatch> {
     let data = nist_like(0.02);
     let cfg = MinerConfig::new(0.3, 0.3).with_max_events(3);
 
@@ -25,7 +25,7 @@ fn main() {
     println!("\n density    mu    patterns  accuracy  runtime   gain");
     for density in [0.8, 0.6, 0.4, 0.2] {
         let started = Instant::now();
-        let approx = mine_approximate_with_density(&data.syb, &data.seq, density, &cfg);
+        let approx = mine_approximate_with_density(&data.syb, &data.seq, density, &cfg)?;
         let t = started.elapsed();
         let accuracy = approx.result.accuracy_against(&exact);
         let gain = 1.0 - t.as_secs_f64() / exact_time.as_secs_f64();
@@ -51,7 +51,7 @@ fn main() {
     let graph = CorrelationGraph::build_with_density(&data.syb, 0.6);
     let started = Instant::now();
     let (parallel, _) = MinePlan::new(&data.seq, &cfg)
-        .with_correlation(Correlation::Series(&graph))
+        .with_correlation(Correlation::Series(&graph))?
         .with_threads(4)
         .collect();
     println!(
@@ -59,4 +59,5 @@ fn main() {
         parallel.len(),
         started.elapsed()
     );
+    Ok(())
 }

@@ -6,7 +6,7 @@
 
 use ftpm::*;
 
-fn main() {
+fn main() -> Result<(), GraphMismatch> {
     // --- 1. Raw time series -------------------------------------------
     // Six appliances sampled every 5 minutes over 3 hours (36 samples),
     // mimicking Table I: Kitchen, Toaster, Microwave, Coffee machine,
@@ -62,7 +62,7 @@ fn main() {
     print!("{}", result.render(seq_db.registry()));
 
     // --- 4. The same, approximately ------------------------------------
-    let approx = mine_approximate_with_density(&syb, &seq_db, 0.4, &cfg);
+    let approx = mine_approximate_with_density(&syb, &seq_db, 0.4, &cfg)?;
     println!(
         "\nA-HTPGM at 40% graph density (mu = {:.2}): {} patterns, accuracy {:.0}%",
         approx.mu,
@@ -74,4 +74,5 @@ fn main() {
         approx.graph.n_edges(),
         syb.n_variables() * (syb.n_variables() - 1) / 2
     );
+    Ok(())
 }

@@ -472,6 +472,24 @@ fn a_csv_error_names_the_line_of_the_file_counting_blank_lines() {
     }
 }
 
+/// A header that repeats a variable name would mine two columns under
+/// one label (`a=On Contain a=Off`); both commands reject it and name
+/// the column.
+#[test]
+fn a_header_that_repeats_a_name_is_rejected() {
+    let path = temp_csv(
+        "repeated_name.csv",
+        "time,a,a\n0,1,0\n5,1,0\n10,0,1\n15,0,1\n",
+    );
+    for command in ["mine", "graph"] {
+        let out = ftpm(&[command, "--input", &path]);
+        assert_usage_error(
+            &out,
+            &format!("error: {path}: line 1: column \"a\" appears twice"),
+        );
+    }
+}
+
 /// `--window 22` over a 5-tick step rounds to 20: `mine`, which splits
 /// the data, says so, and `graph`, which never splits it, does not.
 #[test]

@@ -158,10 +158,12 @@ fn approximate_on_paper_example_matches_exact_at_full_density()
     let exact = mine_exact(&seq_db, &cfg);
     // Keep every positively-correlated edge: accuracy should be perfect
     // on this tiny example because all of K,T,M,C correlate.
-    let approx = mine_approximate(&syb, &seq_db, 1e-6, &cfg);
+    let approx =
+        mine_approximate(&syb, &seq_db, 1e-6, &cfg).expect("the graph is built on the same data");
     assert_eq!(approx.result.len(), exact.len());
     // And a high threshold prunes patterns but never invents them.
-    let strict = mine_approximate(&syb, &seq_db, 0.42, &cfg);
+    let strict =
+        mine_approximate(&syb, &seq_db, 0.42, &cfg).expect("the graph is built on the same data");
     assert!(strict.result.len() <= exact.len());
     let exact_keys = exact.pattern_keys();
     for p in &strict.result.patterns {

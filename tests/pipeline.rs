@@ -54,16 +54,6 @@ fn city_pipeline_end_to_end() {
 }
 
 #[test]
-fn mining_result_serializes_to_json() {
-    let data = dataport_like(0.01);
-    let result = mine_exact(&data.seq, &MinerConfig::new(0.5, 0.5).with_max_events(2));
-    let json = serde_json::to_string(&result).expect("serialize");
-    let back: MiningResult = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back.len(), result.len());
-    assert_eq!(back.patterns, result.patterns);
-}
-
-#[test]
 fn render_lists_every_pattern() {
     let data = dataport_like(0.01);
     let result = mine_exact(&data.seq, &MinerConfig::new(0.4, 0.4).with_max_events(2));

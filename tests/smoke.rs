@@ -62,7 +62,8 @@ fn quickstart_pipeline_end_to_end() {
 
     // Mine approximately; A-HTPGM searches a subgraph, so it can only
     // return a subset of E-HTPGM's patterns.
-    let approx = mine_approximate_with_density(&syb, &seq_db, 0.4, &cfg);
+    let approx = mine_approximate_with_density(&syb, &seq_db, 0.4, &cfg)
+        .expect("the graph is built on the same data");
     assert!(approx.result.len() <= exact.len());
     let accuracy = approx.result.accuracy_against(&exact);
     assert!((0.0..=1.0).contains(&accuracy));
