@@ -41,9 +41,11 @@
 //! counters go to a scratch [`MiningStats`], since the count already
 //! recorded that work.
 //!
-//! The surviving candidates accumulate into a [`crate::merge::ShardMerge`],
-//! which keeps the final confidence/stats pass and the deterministic
-//! sorted emission — the merged output is bit-identical to the unsharded
+//! The gate decides each candidate once. It interns every survivor into
+//! the master [`crate::PatternPool`] and pushes the survivor's summed
+//! statistics onto one column, so the pool's entries past the roots are
+//! the survivor list. After the last round the survivors are emitted
+//! sorted by pattern — the output is bit-identical to the unsharded
 //! [`crate::mine_exact`].
 //!
 //! Shards run their stages concurrently on the scoped worker machinery
@@ -58,33 +60,33 @@
 //! The exchange wire is *id-keyed*: a candidate is identified by its
 //! [`DeltaKey`] — `(parent pattern id, appended event, packed delta
 //! relation column)` — never by a cloned [`crate::Pattern`]. The
-//! coordinator's [`crate::merge::ShardMerge`] owns the hash-consed
-//! [`crate::PatternPool`]; parents are prior-round survivors whose pool
-//! ids the coordinator broadcast back in its verdict. Each shard hands
-//! the gate its proposals as one *sorted run* — a vector of unique keys
-//! in ascending order, trimmed to its length — and the coordinator
-//! merges the K runs in one pass with K cursors, summing each key's
-//! owned statistics as it passes and gating it on the spot. No map of
-//! proposals is built anywhere: not per shard, and not for the union. A
-//! shard builds a pattern only for a survivor it re-derives, and the
-//! merge resolves each output pattern once, in its final sorted emission.
+//! coordinator owns the hash-consed pool; parents are prior-round
+//! survivors whose pool ids the coordinator broadcast back in its
+//! verdict. Each shard hands the gate its proposals as one *sorted run*
+//! — a vector of unique keys in ascending order, trimmed to its length —
+//! and the coordinator merges the K runs in one pass with K cursors,
+//! summing each key's owned statistics as it passes and gating it on the
+//! spot. No map of proposals is built anywhere: not per shard, and not
+//! for the union. A shard builds a pattern only for a survivor it
+//! re-derives, and the coordinator resolves each output pattern once, in
+//! its final sorted emission.
 
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId, TemporalRelation};
+use ftpm_events::{BoundaryKernel, BoundaryPolicy, EventId, TemporalRelation};
 
 use crate::approx::CorrelationFilter;
-use crate::candidates::{L2Engine, PairRelations, WorkNode, WorkPattern, CONF_EPS};
+use crate::candidates::{passes_thresholds, L2Engine, PairRelations, WorkNode, WorkPattern};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::exact::{count_candidates, extend_node, max_support, ExtensionGroups};
 use crate::index::DatabaseIndex;
-use crate::merge::{merge_stats, ShardMerge};
 use crate::occ::OccRange;
 use crate::parallel::{par_for_each, par_map};
-use crate::pool::{decode_column, pack_relation, DeltaKey, FnvHashMap, PatternId};
-use crate::result::MiningStats;
+use crate::pattern::Pattern;
+use crate::pool::{decode_column, pack_relation, DeltaKey, FnvHashMap, PatternId, PatternPool};
+use crate::result::{merge_stats, FrequentPattern, MiningStats};
 use crate::shard::{Shard, ShardPlan};
 use crate::sink::PatternSink;
 
@@ -107,6 +109,11 @@ pub struct ShardReport {
 
 /// Owned statistics of one proposed candidate: `(support, clipped)`.
 type OwnedStats = (usize, usize);
+
+/// One gate survivor's statistics, summed over the shards:
+/// `(support, clipped, confidence)`. The gate pushes one per survivor as
+/// it interns the survivor, so survivor `i` is pool entry `n_roots + i`.
+type Survivor = (usize, usize, f64);
 
 /// The survivor verdict the coordinator broadcasts after each gate:
 /// every surviving candidate key mapped to its master pool id (the
@@ -215,7 +222,7 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
 
     /// Builds the masked index and records the shard's owned single-event
     /// supports plus owned boundary counts — the L1 half of the exchange,
-    /// and the merge's confidence denominators.
+    /// and the gate's confidence denominators.
     fn l1(&mut self) {
         let index =
             DatabaseIndex::build_masked(&self.shard.db, self.boundary, Some(&self.shard.owned));
@@ -584,24 +591,24 @@ fn run_round<'a, K: BoundaryKernel, F>(
     });
 }
 
-/// Merges the workers' sorted proposal runs, summing each key's owned
-/// statistics as it passes, applies the global σ/δ gate, interns the
-/// survivors into the merge's pattern pool — in key order — and folds
-/// their statistics into the id-indexed accumulator, then returns the
-/// verdict to broadcast. The merge keeps one cursor per run and holds no
-/// union of the proposals; the only per-survivor pool work is one delta
-/// interning (parents are already pooled prior-round survivors), and the
-/// confidence numerator walks the pooled parent chain instead of an
-/// events slice — no pattern is cloned or hashed vector-wide anywhere.
-fn gate_round<K: BoundaryKernel>(
-    workers: &[ShardWorker<'_, K>],
+/// The coordinator's gate over one round's sorted proposal runs, one per
+/// shard: merges them, summing each key's owned statistics as it passes,
+/// decides σ/δ with [`passes_thresholds`], interns each survivor into
+/// the master `pool` — in key order — and pushes its statistics onto
+/// `survivors`, then returns the verdict to broadcast. The merge keeps
+/// one cursor per run and holds no union of the proposals; the only
+/// per-survivor pool work is one delta interning (parents are already
+/// pooled prior-round survivors), and the confidence denominator walks
+/// the pooled parent chain instead of an events slice — no pattern is
+/// cloned or hashed vector-wide anywhere.
+fn gate_round(
+    runs: &[&[(DeltaKey, OwnedStats)]],
     event_supports: &[usize],
     sigma_abs: usize,
     delta: f64,
-    merge: &mut ShardMerge,
+    pool: &mut PatternPool,
+    survivors: &mut Vec<Survivor>,
 ) -> Verdict {
-    let runs: Vec<&[(DeltaKey, OwnedStats)]> =
-        workers.iter().map(|w| w.proposals.as_slice()).collect();
     let mut cursors = vec![0usize; runs.len()];
     let mut verdict = Verdict::default();
     // Each pass takes the smallest key under any cursor and advances
@@ -623,37 +630,83 @@ fn gate_round<K: BoundaryKernel>(
                 }
             }
         }
-        if support < sigma_abs {
-            continue;
-        }
         #[expect(
             clippy::expect_used,
             reason = "structural invariant: patterns always hold at least one event"
         )]
-        let max_supp = merge
-            .pool()
+        let max_supp = pool
             .events_rev(key.parent)
             .map(|e| event_supports[e.0 as usize])
             .max()
             .expect("patterns have events")
             .max(event_supports[key.last.0 as usize]);
-        if (support as f64 / max_supp as f64) + CONF_EPS < delta {
+        let Some(confidence) = passes_thresholds(support, max_supp, sigma_abs, delta) else {
             continue;
-        }
-        let id = merge.pool_mut().intern_packed(key);
-        merge.add_by_id(id, support, clipped);
-        verdict.insert(key, id);
+        };
+        verdict.insert(key, pool.intern_packed(key));
+        survivors.push((support, clipped, confidence));
     }
     verdict
+}
+
+/// Emits the gate's survivors into `sink` after the last round, sorted
+/// by pattern (events, then relations) so the output is deterministic
+/// whatever the shards' interleaving, after announcing the frequent
+/// events. Survivor `i` is `pool` entry `n_roots + i`; only survivors
+/// are resolved back to full patterns, so allocation is
+/// output-proportional. The per-level `patterns_found` and `nodes_kept`
+/// of `stats` are recounted over the output: one slot per level of
+/// `nodes_verified`, `nodes_kept` counting distinct event lists.
+fn emit_survivors(
+    pool: &PatternPool,
+    survivors: Vec<Survivor>,
+    frequent_events: &[(EventId, usize)],
+    n_windows: usize,
+    stats: &mut MiningStats,
+    sink: &mut dyn PatternSink,
+) {
+    sink.begin(frequent_events);
+    let first = pool.n_roots();
+    let mut rows: Vec<(Pattern, Survivor)> = survivors
+        .into_iter()
+        .enumerate()
+        .map(|(i, survivor)| (pool.resolve(PatternId((first + i) as u32)), survivor))
+        .collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+
+    // A node is an event list, and rows sort by events first, so a
+    // node's patterns are adjacent.
+    stats.nodes_kept = vec![0; stats.nodes_verified.len()];
+    stats.patterns_found = vec![0; stats.nodes_verified.len()];
+    for (i, (pattern, _)) in rows.iter().enumerate() {
+        let k = pattern.len();
+        while stats.patterns_found.len() < k - 1 {
+            stats.patterns_found.push(0);
+            stats.nodes_kept.push(0);
+        }
+        stats.patterns_found[k - 2] += 1;
+        if i == 0 || rows[i - 1].0.events() != pattern.events() {
+            stats.nodes_kept[k - 2] += 1;
+        }
+    }
+    for (pattern, (support, clipped_occurrences, confidence)) in rows {
+        let k = pattern.len();
+        let events = pattern.events().to_vec();
+        let fp = FrequentPattern {
+            pattern,
+            support,
+            rel_support: support as f64 / n_windows.max(1) as f64,
+            confidence,
+            clipped_occurrences,
+        };
+        sink.node(events, support, k, vec![fp]);
+    }
 }
 
 /// Debug cross-check of the exchange protocol: recounting each survivor
 /// against every shard must find its owned support somewhere — i.e. the
 /// propose and recount answers agree as independent calls.
-fn debug_assert_recount<K: BoundaryKernel>(
-    workers: &[ShardWorker<'_, K>],
-    verdict: &Verdict,
-) {
+fn debug_assert_recount<K: BoundaryKernel>(workers: &[ShardWorker<'_, K>], verdict: &Verdict) {
     if cfg!(debug_assertions) {
         for candidate in verdict.keys() {
             let total: usize = workers
@@ -665,10 +718,11 @@ fn debug_assert_recount<K: BoundaryKernel>(
     }
 }
 
-/// Drives the two-phase exchange over a [`ShardPlan`]: concurrent shard
-/// workers, a level-lockstep count → gate → re-derive loop, and the final
-/// [`ShardMerge`] confidence/emission pass into `sink`. Returns the
-/// merged run statistics and one [`ShardReport`] per shard.
+/// Drives the two-phase exchange over a [`ShardPlan`], monomorphized
+/// over the boundary kernel `K` that [`crate::MinePlan::run`] picked:
+/// concurrent shard workers, a level-lockstep count → gate → re-derive
+/// loop, and the sorted emission of the survivors into `sink`. Returns
+/// the merged run statistics and one [`ShardReport`] per shard.
 ///
 /// `corr` is the A-HTPGM composition seam: the coordinator holds the one
 /// globally-built [`CorrelationFilter`] (see [`crate::approx`]) and
@@ -676,49 +730,7 @@ fn debug_assert_recount<K: BoundaryKernel>(
 /// global frequent-event list keeps only `X_C` events, and every
 /// worker's L2 propose skips MI-pruned pairs — so the merged output
 /// equals unsharded [`crate::mine_approximate`] identically.
-pub(crate) fn mine_exchange_internal(
-    plan: &ShardPlan,
-    cfg: &MinerConfig,
-    threads: usize,
-    corr: Option<&CorrelationFilter<'_>>,
-    sink: &mut dyn PatternSink,
-    sched: Option<&crate::schedule::SimCtl>,
-) -> (MiningStats, Vec<ShardReport>) {
-    // Monomorphization seam: fix the boundary kernel once per run (the
-    // same dispatch point discipline as `parallel::mine_parallel_internal`).
-    struct Run<'a, 'b, 'c> {
-        plan: &'a ShardPlan,
-        cfg: &'a MinerConfig,
-        threads: usize,
-        corr: Option<&'a CorrelationFilter<'c>>,
-        sink: &'a mut dyn PatternSink,
-        sched: Option<&'b crate::schedule::SimCtl>,
-    }
-    impl BoundaryVisit for Run<'_, '_, '_> {
-        type Out = (MiningStats, Vec<ShardReport>);
-        fn visit<K: BoundaryKernel>(self) -> Self::Out {
-            mine_exchange_internal_k::<K>(
-                self.plan,
-                self.cfg,
-                self.threads,
-                self.corr,
-                self.sink,
-                self.sched,
-            )
-        }
-    }
-    cfg.relation.boundary.dispatch(Run {
-        plan,
-        cfg,
-        threads,
-        corr,
-        sink,
-        sched,
-    })
-}
-
-/// [`mine_exchange_internal`], monomorphized over the boundary kernel.
-fn mine_exchange_internal_k<K: BoundaryKernel>(
+pub(crate) fn mine_exchange<K: BoundaryKernel>(
     plan: &ShardPlan,
     cfg: &MinerConfig,
     threads: usize,
@@ -745,40 +757,44 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
         .iter()
         .map(|shard| ShardWorker::new(shard, cfg, inner, corr))
         .collect();
-    let mut merge = ShardMerge::new(plan.shared_registry(), plan.n_windows());
     let sigma_abs = cfg.absolute_support(plan.n_windows());
     let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
 
     // ---- Round 1: owned L1 supports and boundary counts ----
     run_round(&mut workers, outer, sched, |w| w.l1());
     let mut event_supports = vec![0usize; plan.registry().len()];
-    let (mut clipped_total, mut discarded_total) = (0u64, 0u64);
+    // Boundary counts describe the database: the shards' owned counts,
+    // which leave out the duplicated overlap windows.
+    let mut stats = MiningStats::default();
     for worker in &workers {
         for (e, &s) in worker.l1_supports.iter().enumerate() {
             event_supports[e] += s;
         }
-        clipped_total += worker.l1_boundary.0;
-        discarded_total += worker.l1_boundary.1;
+        stats.clipped_instances += worker.l1_boundary.0;
+        stats.discarded_instances += worker.l1_boundary.1;
     }
-    // Events outside X_C are invisible to the whole run — the merge's
-    // frequent-event list and confidence denominators must match the
-    // unsharded approximate miner's filtered L1, and filtered patterns
-    // only ever reference allowed events.
-    for (e, &s) in event_supports.iter().enumerate() {
-        if corr.is_none_or(|c| c.allows_event(EventId(e as u32))) {
-            merge.add_event_support(EventId(e as u32), s);
-        }
-    }
-    merge.set_boundary_counts(clipped_total, discarded_total);
+    // Events outside X_C are invisible to the whole run, as in the
+    // unsharded approximate miner's filtered L1; filtered patterns only
+    // ever reference allowed events.
     let freq: Vec<EventId> = (0..event_supports.len())
         .filter(|&e| corr.is_none_or(|c| c.allows_event(EventId(e as u32))))
         .filter(|&e| event_supports[e] >= sigma_abs)
         .map(|e| EventId(e as u32))
         .collect();
 
+    // The master pool: roots cover the master registry, so raw event ids
+    // double as root pattern ids, and every later entry is a survivor.
+    let mut pool = PatternPool::with_roots(plan.registry().len());
+    let mut survivors: Vec<Survivor> = Vec::new();
+    let mut gate = |workers: &[ShardWorker<'_, K>]| {
+        let runs: Vec<_> = workers.iter().map(|w| w.proposals.as_slice()).collect();
+        let (supports, delta) = (&event_supports, cfg.delta);
+        gate_round(&runs, supports, sigma_abs, delta, &mut pool, &mut survivors)
+    };
+
     // ---- Round 2: L2 count → global gate → re-derive ----
     run_round(&mut workers, outer, sched, |w| w.propose_l2(&freq));
-    let mut verdict = gate_round(&workers, &event_supports, sigma_abs, cfg.delta, &mut merge);
+    let mut verdict = gate(&workers);
     debug_assert_recount(&workers, &verdict);
     run_round(&mut workers, outer, sched, |w| {
         w.count_pruned(&verdict);
@@ -809,7 +825,7 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
         run_round(&mut workers, outer, sched, |w| {
             w.propose_next(&freq, &pair_relations, k);
         });
-        verdict = gate_round(&workers, &event_supports, sigma_abs, cfg.delta, &mut merge);
+        verdict = gate(&workers);
         debug_assert_recount(&workers, &verdict);
         // Nothing is re-derived after the last round.
         run_round(&mut workers, outer, sched, |w| {
@@ -820,11 +836,10 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
         });
     }
 
-    // ---- Final pass: merged stats, thresholds (idempotent here — the
-    // gate already applied them), deterministic sorted emission ----
+    // ---- Summed work counters, then the sorted emission ----
     let mut reports = Vec::with_capacity(workers.len());
     for worker in workers {
-        merge.add_stats(worker.stats);
+        merge_stats(&mut stats, worker.stats);
         reports.push(ShardReport {
             shard: worker.shard.index,
             windows_owned: worker.shard.owned.iter().filter(|&&o| o).count(),
@@ -833,5 +848,124 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
             wall: worker.wall,
         });
     }
-    (merge.finish_into(cfg, sink), reports)
+    let l1: Vec<(EventId, usize)> = freq
+        .iter()
+        .map(|&e| (e, event_supports[e.0 as usize]))
+        .collect();
+    emit_survivors(&pool, survivors, &l1, plan.n_windows(), &mut stats, sink);
+    (stats, reports)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sink::CollectSink;
+
+    /// The level-2 key of `e1 r e2`: a root parent, one packed relation.
+    fn key(e1: u32, r: TemporalRelation, e2: u32) -> DeltaKey {
+        DeltaKey {
+            parent: PatternId(e1),
+            last: EventId(e2),
+            code: pack_relation(0, r),
+        }
+    }
+
+    /// Gates `runs` over two events, A = 0 and B = 1, into a fresh pool.
+    fn gate(
+        runs: &[&[(DeltaKey, OwnedStats)]],
+        event_supports: [usize; 2],
+        sigma_abs: usize,
+        delta: f64,
+    ) -> (Verdict, PatternPool, Vec<Survivor>) {
+        let mut pool = PatternPool::with_roots(2);
+        let mut survivors = Vec::new();
+        let verdict = gate_round(
+            runs,
+            &event_supports,
+            sigma_abs,
+            delta,
+            &mut pool,
+            &mut survivors,
+        );
+        (verdict, pool, survivors)
+    }
+
+    #[test]
+    fn the_gate_sums_owned_statistics_across_runs() {
+        let ab = key(0, TemporalRelation::Follow, 1);
+        let ba = key(1, TemporalRelation::Follow, 0);
+        // Two shards report A -> B with owned (3, 1) and (2, 0); the
+        // second also reports B -> A, below the global sigma of 4.
+        let (verdict, pool, survivors) = gate(
+            &[&[(ab, (3, 1))], &[(ab, (2, 0)), (ba, (1, 0))]],
+            [8, 6],
+            4,
+            0.5,
+        );
+        assert_eq!(pool.len(), 3, "one new pool entry");
+        assert_eq!(verdict.len(), 1, "B -> A is dropped");
+        assert_eq!(verdict[&ab], PatternId(2));
+        assert_eq!(survivors, vec![(5, 1, 5.0 / 8.0)], "3 + 2 owned windows");
+    }
+
+    #[test]
+    fn the_same_key_from_two_runs_interns_once() {
+        let ab = key(0, TemporalRelation::Follow, 1);
+        let (verdict, pool, survivors) = gate(&[&[(ab, (1, 0))], &[(ab, (2, 0))]], [4, 4], 1, 0.1);
+        assert_eq!(pool.len(), 3, "the second proposal is a pool hit");
+        assert_eq!(verdict.len(), 1);
+        assert_eq!(verdict[&ab], PatternId(2));
+        assert_eq!(survivors.len(), 1, "one column entry for the key");
+    }
+
+    #[test]
+    fn the_gate_applies_confidence_with_tolerance() {
+        let ab = key(0, TemporalRelation::Follow, 1);
+        // conf = 7/10 must pass delta = 0.7 despite float noise.
+        let (verdict, _, survivors) = gate(&[&[(ab, (7, 0))]], [10, 7], 1, 0.7);
+        assert_eq!(verdict.len(), 1);
+        assert_eq!(survivors, vec![(7, 0, 0.7)]);
+        let (verdict, _, _) = gate(&[&[(ab, (6, 0))]], [10, 7], 1, 0.7);
+        assert!(verdict.is_empty(), "6/10 stays below 0.7");
+    }
+
+    #[test]
+    fn survivors_are_interned_in_key_order() {
+        let ab = key(0, TemporalRelation::Contain, 1);
+        let ba = key(1, TemporalRelation::Follow, 0);
+        // The larger key heads the first run; the smaller comes second.
+        let (verdict, pool, survivors) = gate(&[&[(ba, (4, 0))], &[(ab, (2, 0))]], [4, 4], 1, 0.1);
+        assert_eq!(verdict[&ab], PatternId(2));
+        assert_eq!(verdict[&ba], PatternId(3));
+        assert_eq!(survivors, vec![(2, 0, 0.5), (4, 0, 1.0)]);
+        let ab_pattern = Pattern::pair(EventId(0), TemporalRelation::Contain, EventId(1));
+        assert_eq!(pool.resolve(PatternId(2)), ab_pattern);
+    }
+
+    #[test]
+    fn the_emission_recounts_patterns_and_nodes_per_level() {
+        let run = [
+            (key(0, TemporalRelation::Follow, 1), (4, 0)),
+            (key(0, TemporalRelation::Contain, 1), (4, 0)),
+            (key(1, TemporalRelation::Follow, 0), (4, 0)),
+        ];
+        let (_, pool, survivors) = gate(&[&run], [4, 4], 2, 0.5);
+        let mut stats = MiningStats {
+            nodes_verified: vec![2],
+            ..MiningStats::default()
+        };
+        let l1 = [(EventId(0), 4), (EventId(1), 4)];
+        let mut sink = CollectSink::new();
+        emit_survivors(&pool, survivors, &l1, 8, &mut stats, &mut sink);
+        assert_eq!(stats.patterns_found, vec![3]);
+        assert_eq!(stats.nodes_kept, vec![2], "(A, B) holds two patterns");
+        let result = sink.into_result(stats);
+        assert_eq!(result.frequent_events, l1.to_vec());
+        let patterns: Vec<&Pattern> = result.patterns.iter().map(|p| &p.pattern).collect();
+        assert!(
+            patterns.windows(2).all(|w| w[0] < w[1]),
+            "sorted by pattern"
+        );
+        assert_eq!(result.patterns[0].rel_support, 0.5);
+    }
 }

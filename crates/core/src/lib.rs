@@ -63,7 +63,6 @@ mod exact;
 mod executor;
 mod hpg;
 mod index;
-mod merge;
 mod occ;
 mod parallel;
 mod pattern;

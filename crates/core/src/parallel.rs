@@ -34,16 +34,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::ScopedJoinHandle;
 
-use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId, SequenceDatabase};
+use ftpm_events::{BoundaryKernel, BoundaryPolicy, EventId, SequenceDatabase};
 
 use crate::approx::CorrelationFilter;
 use crate::candidates::{L2Engine, PairRelations, WorkNode};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::exact::GrowContext;
 use crate::index::DatabaseIndex;
-use crate::merge::merge_stats;
 use crate::plan::MinePlan;
-use crate::result::{FrequentPattern, MiningStats};
+use crate::result::{merge_stats, FrequentPattern, MiningStats};
 use crate::schedule::{Retire, SimCtl};
 use crate::sink::{PatternSink, RowEncoder};
 
@@ -125,57 +124,6 @@ where
     })
 }
 
-/// The engine behind every unsharded [`MinePlan`] (`corr` is its
-/// correlation filter, see [`crate::approx`]) — and, with `sched` set,
-/// the engine under [`crate::Schedule::collect`], where every task claim
-/// goes through the seeded sequencer instead of racing on the atomic
-/// alone.
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-pub(crate) fn mine_parallel_internal(
-    db: &SequenceDatabase,
-    cfg: &MinerConfig,
-    n_threads: usize,
-    corr: Option<&CorrelationFilter<'_>>,
-    sink: &mut (dyn PatternSink + Send),
-    sched: Option<&SimCtl>,
-) -> MiningStats {
-    assert!(n_threads > 0, "need at least one thread");
-    // Monomorphization seam: fix the boundary kernel once per run, so
-    // every instance-level decision below compiles branch-free.
-    struct Run<'a, 'b, 'c> {
-        db: &'a SequenceDatabase,
-        cfg: &'a MinerConfig,
-        n_threads: usize,
-        corr: Option<&'a CorrelationFilter<'c>>,
-        sink: &'a mut (dyn PatternSink + Send),
-        sched: Option<&'b SimCtl>,
-    }
-    impl BoundaryVisit for Run<'_, '_, '_> {
-        type Out = MiningStats;
-        fn visit<K: BoundaryKernel>(self) -> MiningStats {
-            mine_parallel_internal_k::<K>(
-                self.db,
-                self.cfg,
-                self.n_threads,
-                self.corr,
-                self.sink,
-                self.sched,
-            )
-        }
-    }
-    cfg.relation.boundary.dispatch(Run {
-        db,
-        cfg,
-        n_threads,
-        corr,
-        sink,
-        sched,
-    })
-}
-
 /// Records how many instances of `db` carry a window-boundary clip, and
 /// how many of those the active [`BoundaryPolicy`] drops outright — the
 /// run-level observability half of the boundary-artifact story (the
@@ -199,8 +147,17 @@ fn record_boundary_stats(db: &SequenceDatabase, cfg: &MinerConfig, stats: &mut M
 /// cost.
 const PAIR_BATCH: usize = 16;
 
-/// [`mine_parallel_internal`], monomorphized over the boundary kernel.
-fn mine_parallel_internal_k<K: BoundaryKernel>(
+/// The engine behind every unsharded [`MinePlan`], monomorphized over
+/// the boundary kernel `K` that [`MinePlan::run`] picked (`corr` is the
+/// plan's correlation filter, see [`crate::approx`]) — and, with `sched`
+/// set, the engine under [`crate::Schedule::collect`], where every task
+/// claim goes through the seeded sequencer instead of racing on the
+/// atomic alone.
+///
+/// # Panics
+///
+/// Panics if `n_threads == 0`.
+pub(crate) fn mine_parallel<K: BoundaryKernel>(
     db: &SequenceDatabase,
     cfg: &MinerConfig,
     n_threads: usize,
@@ -208,6 +165,7 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
     sink: &mut (dyn PatternSink + Send),
     sched: Option<&SimCtl>,
 ) -> MiningStats {
+    assert!(n_threads > 0, "need at least one thread");
     let sigma_abs = cfg.absolute_support(db.len());
     let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
     let index = DatabaseIndex::build_with_policy(db, cfg.relation.boundary);

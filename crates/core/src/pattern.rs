@@ -16,8 +16,8 @@ use ftpm_events::{EventId, EventRegistry, TemporalRelation};
 ///
 /// The derived `Ord` (events lexicographically, then relations) is a
 /// total order used wherever mined output must be deterministic despite
-/// nondeterministic parallel discovery order: the shard merge's emission
-/// order and the tie-breaks of [`crate::rank_patterns`].
+/// nondeterministic parallel discovery order: the sharded exchange's
+/// emission order and the tie-breaks of [`crate::rank_patterns`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pattern {
     events: Vec<EventId>,

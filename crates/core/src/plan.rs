@@ -35,13 +35,13 @@
 //! assert_eq!(reports.len(), shards.shards().len());
 //! ```
 
-use ftpm_events::{EventRegistry, SequenceDatabase};
+use ftpm_events::{BoundaryKernel, BoundaryVisit, EventRegistry, SequenceDatabase};
 use ftpm_mi::CorrelationGraph;
 
 use crate::approx::{check_graph, plan_filter, GraphMismatch};
 use crate::config::MinerConfig;
-use crate::executor::{mine_exchange_internal, ShardReport};
-use crate::parallel::mine_parallel_internal;
+use crate::executor::{mine_exchange, ShardReport};
+use crate::parallel::mine_parallel;
 use crate::result::{MiningResult, MiningStats};
 use crate::schedule::SimCtl;
 use crate::shard::ShardPlan;
@@ -167,7 +167,7 @@ impl<'a> MinePlan<'a> {
     /// [`ShardReport`] per shard of a sharded plan (none unsharded).
     /// Unsharded, one thread emits nodes in a fixed order (L2 nodes by
     /// event, each subtree depth-first); more threads interleave whole
-    /// nodes. Sharded, the merge emits rows sorted by pattern.
+    /// nodes. Sharded, the gate's survivors are emitted sorted by pattern.
     pub fn run(&self, sink: &mut (dyn PatternSink + Send)) -> (MiningStats, Vec<ShardReport>) {
         self.run_under(self.threads, sink, None)
     }
@@ -190,21 +190,48 @@ impl<'a> MinePlan<'a> {
         (sink.into_result(stats), reports)
     }
 
+    /// Fixes the boundary kernel once per run, the monomorphization
+    /// seam of both engines: every instance-level decision below it
+    /// compiles branch-free.
     fn run_under(
         &self,
         threads: usize,
         sink: &mut (dyn PatternSink + Send),
         sched: Option<&SimCtl>,
     ) -> (MiningStats, Vec<ShardReport>) {
-        let filter = plan_filter(self.correlation, self.registry());
-        match self.data {
-            MineData::Unsharded(db) => (
-                mine_parallel_internal(db, self.cfg, threads, filter.as_ref(), sink, sched),
-                Vec::new(),
-            ),
-            MineData::Sharded(plan) => {
-                mine_exchange_internal(plan, self.cfg, threads, filter.as_ref(), sink, sched)
+        struct Run<'p, 'a, 's> {
+            plan: &'p MinePlan<'a>,
+            threads: usize,
+            sink: &'s mut (dyn PatternSink + Send),
+            sched: Option<&'s SimCtl>,
+        }
+        impl BoundaryVisit for Run<'_, '_, '_> {
+            type Out = (MiningStats, Vec<ShardReport>);
+            fn visit<K: BoundaryKernel>(self) -> Self::Out {
+                let Run {
+                    plan,
+                    threads,
+                    sink,
+                    sched,
+                } = self;
+                let filter = plan_filter(plan.correlation, plan.registry());
+                let (cfg, corr) = (plan.cfg, filter.as_ref());
+                match plan.data {
+                    MineData::Unsharded(db) => (
+                        mine_parallel::<K>(db, cfg, threads, corr, sink, sched),
+                        Vec::new(),
+                    ),
+                    MineData::Sharded(shards) => {
+                        mine_exchange::<K>(shards, cfg, threads, corr, sink, sched)
+                    }
+                }
             }
         }
+        self.cfg.relation.boundary.dispatch(Run {
+            plan: self,
+            threads,
+            sink,
+            sched,
+        })
     }
 }

@@ -48,7 +48,7 @@ pub fn mine_reference_filtered(
     corr: Option<&CorrelationFilter<'_>>,
 ) -> MiningResult {
     // Monomorphization seam: fix the boundary kernel once per run (the
-    // same dispatch point discipline as `parallel::mine_parallel_internal`).
+    // same dispatch point discipline as `MinePlan::run`).
     struct Run<'a, 'c> {
         db: &'a SequenceDatabase,
         cfg: &'a MinerConfig,

@@ -66,6 +66,39 @@ impl MiningStats {
     }
 }
 
+/// Sums per-worker / per-shard run counters into `into` — the single
+/// stats-merge path shared by the parallel miner's worker shards and the
+/// time-range shard merge.
+pub(crate) fn merge_stats(into: &mut MiningStats, from: MiningStats) {
+    for (i, v) in from.nodes_verified.into_iter().enumerate() {
+        if into.nodes_verified.len() <= i {
+            into.nodes_verified.push(0);
+            into.nodes_kept.push(0);
+            into.patterns_found.push(0);
+        }
+        into.nodes_verified[i] += v;
+    }
+    for (i, v) in from.nodes_kept.into_iter().enumerate() {
+        if into.nodes_kept.len() <= i {
+            into.nodes_kept.push(0);
+        }
+        into.nodes_kept[i] += v;
+    }
+    for (i, v) in from.patterns_found.into_iter().enumerate() {
+        if into.patterns_found.len() <= i {
+            into.patterns_found.push(0);
+        }
+        into.patterns_found[i] += v;
+    }
+    into.instance_checks += from.instance_checks;
+    into.apriori_pruned += from.apriori_pruned;
+    into.transitivity_pruned += from.transitivity_pruned;
+    // Boundary counts describe the database, not per-shard work: they
+    // are recorded once up front, and shard stats carry zeros.
+    into.clipped_instances += from.clipped_instances;
+    into.discarded_instances += from.discarded_instances;
+}
+
 /// The output of a mining run.
 #[derive(Debug, Clone)]
 pub struct MiningResult {

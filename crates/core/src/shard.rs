@@ -1,7 +1,7 @@
 //! Shard-by-time-range mining: cut the symbolic database into K
 //! overlapping time-range shards, mine them concurrently through the
-//! candidate-exchange executor, and merge the per-shard statistics
-//! losslessly (see [`crate::executor`] and [`crate::merge`]).
+//! candidate-exchange executor, and sum the per-shard statistics
+//! losslessly at its gate (see [`crate::executor`]).
 //!
 //! # Geometry and the `t_ov = t_max` lemma
 //!
@@ -188,8 +188,7 @@ impl ShardPlan {
     }
 
     /// The master registry as a shareable handle (no deep clone) — the
-    /// merge accumulator and the shard databases all hold this same
-    /// allocation.
+    /// shard databases all hold this same allocation.
     pub fn shared_registry(&self) -> Arc<EventRegistry> {
         Arc::clone(&self.registry)
     }

@@ -14,10 +14,10 @@
 //! being grown) occupies memory.
 //!
 //! Shard-by-time-range mining ends in the same seam: the exchange
-//! coordinator accumulates owned pattern statistics by pattern id and
-//! streams the merged output into whatever downstream sink the caller
-//! chose — so `ftpm mine --shards K --stream` composes sharding with the
-//! writer sinks without ever materializing a pattern `Vec`.
+//! coordinator's gate interns each survivor with its summed statistics,
+//! and the survivors stream, sorted by pattern, into whatever downstream
+//! sink the caller chose — so `ftpm mine --shards K --stream` composes
+//! sharding with the writer sinks.
 //!
 //! The writer sinks render rows with a [`RowEncoder`], built once per
 //! registry: every event label is escaped once, and a row is assembled

@@ -153,7 +153,12 @@ pub fn smartcity_like(scale: f64) -> Dataset {
         } else {
             // Collision counts are heavily zero-inflated; quantiles would
             // collide, so use fixed count breakpoints.
-            let q = QuantileSymbolizer::with_breaks(collision_labels, vec![1.0, 3.0, 6.0]);
+            #[expect(
+                clippy::expect_used,
+                reason = "three finite ascending breakpoints for four labels are valid"
+            )]
+            let q = QuantileSymbolizer::with_breaks(collision_labels, vec![1.0, 3.0, 6.0])
+                .expect("fixed collision breakpoints are valid");
             syb.push(SymbolicSeries::from_time_series(ts, &q));
         }
     }

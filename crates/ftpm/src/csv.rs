@@ -30,10 +30,11 @@ use ftpm_timeseries::TimeSeries;
 /// # Errors
 ///
 /// Returns a human-readable message on any structural problem (a
-/// header that repeats a variable name, ragged rows, non-numeric cells,
-/// irregular timestamps, a time axis that overflows `i64`). A message
-/// about one row says `line N`, the row's line in the text: every line
-/// counts, blank ones included, and the first line is line 1.
+/// header with an empty or repeated variable name, ragged rows,
+/// non-numeric cells, irregular timestamps, a time axis that overflows
+/// `i64`). A message about one row says `line N`, the row's line in the
+/// text: every line counts, blank ones included, and the first line is
+/// line 1.
 pub fn parse_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
     let mut columns = Columns::default();
     for line in text.lines() {
@@ -106,8 +107,16 @@ impl Columns {
         if self.names.is_empty() {
             return Err("csv needs a time column plus at least one variable".into());
         }
-        // Events are labelled `name=symbol`, so a repeated name would
-        // mine two columns under one label.
+        // Events are labelled `name=symbol`, so an empty name would mine
+        // events with no name, and a repeated one two columns under one
+        // label. The time column is column 1.
+        if let Some(at) = self.names.iter().position(String::is_empty) {
+            return Err(format!(
+                "line {}: column {} has no name",
+                self.lines,
+                at + 2
+            ));
+        }
         let mut seen = HashSet::new();
         if let Some(name) = self.names.iter().find(|name| !seen.insert(name.as_str())) {
             return Err(format!(
@@ -205,6 +214,15 @@ mod tests {
         assert_eq!(err, "line 1: column \"a\" appears twice");
         let err = read_csv("\ntime, b ,a,b\n0,1,2,3\n5,1,2,3\n".as_bytes()).unwrap_err();
         assert_eq!(err, "line 2: column \"b\" appears twice");
+    }
+
+    #[test]
+    fn rejects_a_header_with_an_empty_name() {
+        let err = parse_csv("time,,b\n0,1,0\n5,1,0\n").unwrap_err();
+        assert_eq!(err, "line 1: column 2 has no name");
+        // Checked before repeats: two empty names are not "appears twice".
+        let err = read_csv("\ntime,a, ,\n0,1,2,3\n5,1,2,3\n".as_bytes()).unwrap_err();
+        assert_eq!(err, "line 2: column 3 has no name");
     }
 
     #[test]

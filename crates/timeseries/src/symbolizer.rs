@@ -96,25 +96,37 @@ impl QuantileSymbolizer {
     /// Creates a symbolizer from explicit ascending breakpoints. For `k`
     /// labels there must be exactly `k - 1` breakpoints.
     ///
+    /// # Errors
+    ///
+    /// Returns a [`QuantileError`] if the breakpoint count does not match
+    /// the label count, a breakpoint is NaN or infinite, or the
+    /// breakpoints are not strictly ascending.
+    ///
     /// # Panics
     ///
-    /// Panics if the breakpoint count does not match the label count, or
-    /// the breakpoints are not strictly ascending.
+    /// Panics if `labels` is not a valid [`Alphabet`] (empty, duplicated
+    /// or more than `u16::MAX` labels).
     pub fn with_breaks<S: Into<String>>(
         labels: impl IntoIterator<Item = S>,
         breaks: Vec<f64>,
-    ) -> Self {
+    ) -> Result<Self, QuantileError> {
         let alphabet = Alphabet::new(labels);
-        assert_eq!(
-            breaks.len(),
-            alphabet.len() - 1,
-            "need exactly |alphabet|-1 breakpoints"
-        );
-        assert!(
-            breaks.windows(2).all(|w| w[0] < w[1]),
-            "breakpoints must be strictly ascending"
-        );
-        QuantileSymbolizer { breaks, alphabet }
+        if breaks.len() != alphabet.len() - 1 {
+            return Err(QuantileError::BreakCount {
+                states: alphabet.len(),
+                breaks: breaks.len(),
+            });
+        }
+        if let Some(index) = breaks.iter().position(|b| !b.is_finite()) {
+            return Err(QuantileError::NonFiniteBreak {
+                index,
+                value: breaks[index],
+            });
+        }
+        if let Some(index) = breaks.windows(2).position(|w| w[0] >= w[1]) {
+            return Err(QuantileError::UnorderedBreaks { index: index + 1 });
+        }
+        Ok(QuantileSymbolizer { breaks, alphabet })
     }
 
     /// Derives breakpoints from the empirical quantiles of `data` at evenly
@@ -172,7 +184,8 @@ impl QuantileSymbolizer {
     }
 }
 
-/// Why [`QuantileSymbolizer::from_data`] could not derive breakpoints.
+/// Why [`QuantileSymbolizer::from_data`] could not derive breakpoints,
+/// or [`QuantileSymbolizer::with_breaks`] could not use them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QuantileError {
     /// The data has no samples.
@@ -192,6 +205,25 @@ pub enum QuantileError {
         /// The quantile value shared by two breakpoints.
         value: f64,
     },
+    /// `states` labels need `states - 1` breakpoints, not `breaks`.
+    BreakCount {
+        /// The number of states (labels).
+        states: usize,
+        /// The number of breakpoints given.
+        breaks: usize,
+    },
+    /// The breakpoint at `index` is NaN or infinite.
+    NonFiniteBreak {
+        /// Position of the first non-finite breakpoint.
+        index: usize,
+        /// The breakpoint itself.
+        value: f64,
+    },
+    /// The breakpoint at `index` is not above the one before it.
+    UnorderedBreaks {
+        /// Position of the first breakpoint out of order.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for QuantileError {
@@ -208,6 +240,23 @@ impl std::fmt::Display for QuantileError {
                 f,
                 "data quantiles collide at {value}: too few distinct values for {states} states; \
                  use fewer states or explicit breakpoints"
+            ),
+            QuantileError::BreakCount { states, breaks } => write!(
+                f,
+                "the breakpoint count is {breaks}, but {states} states need {}",
+                states - 1
+            ),
+            QuantileError::NonFiniteBreak { index, value } => {
+                write!(
+                    f,
+                    "breakpoint {index} is {value}; breakpoints must be finite"
+                )
+            }
+            QuantileError::UnorderedBreaks { index } => write!(
+                f,
+                "breakpoint {index} is not above breakpoint {}; breakpoints must be strictly \
+                 ascending",
+                index - 1
             ),
         }
     }
@@ -250,7 +299,7 @@ mod tests {
 
     #[test]
     fn quantile_bins_cover_range() {
-        let s = QuantileSymbolizer::with_breaks(["Low", "Mid", "High"], vec![10.0, 20.0]);
+        let s = QuantileSymbolizer::with_breaks(["Low", "Mid", "High"], vec![10.0, 20.0]).unwrap();
         assert_eq!(s.symbolize(-5.0), SymbolId(0));
         assert_eq!(s.symbolize(9.99), SymbolId(0));
         assert_eq!(s.symbolize(10.0), SymbolId(1));
@@ -260,15 +309,56 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn unsorted_breaks_panic() {
-        let _ = QuantileSymbolizer::with_breaks(["A", "B", "C"], vec![2.0, 1.0]);
+    fn unsorted_breaks_are_an_error() {
+        for breaks in [vec![2.0, 1.0], vec![1.0, 1.0]] {
+            let err = QuantileSymbolizer::with_breaks(["A", "B", "C"], breaks).unwrap_err();
+            assert_eq!(err, QuantileError::UnorderedBreaks { index: 1 });
+            assert!(err.to_string().contains("strictly ascending"), "{err}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "|alphabet|-1 breakpoints")]
-    fn wrong_break_count_panics() {
-        let _ = QuantileSymbolizer::with_breaks(["A", "B"], vec![1.0, 2.0]);
+    fn a_wrong_break_count_is_an_error() {
+        let err = QuantileSymbolizer::with_breaks(["A", "B"], vec![1.0, 2.0]).unwrap_err();
+        assert_eq!(
+            err,
+            QuantileError::BreakCount {
+                states: 2,
+                breaks: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "the breakpoint count is 2, but 2 states need 1"
+        );
+        let err = QuantileSymbolizer::with_breaks(["A", "B", "C"], vec![]).unwrap_err();
+        assert_eq!(
+            err,
+            QuantileError::BreakCount {
+                states: 3,
+                breaks: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_non_finite_break_is_an_error() {
+        // One breakpoint has no pair to compare, so only the finiteness
+        // check catches a NaN (which would map every sample to symbol 0).
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = QuantileSymbolizer::with_breaks(["A", "B"], vec![bad]).unwrap_err();
+            assert!(
+                matches!(err, QuantileError::NonFiniteBreak { index: 0, value } if value.to_bits() == bad.to_bits()),
+                "{err:?}"
+            );
+            assert!(err.to_string().starts_with("breakpoint 0 is "), "{err}");
+        }
+        let err =
+            QuantileSymbolizer::with_breaks(["A", "B", "C"], vec![1.0, f64::NAN]).unwrap_err();
+        assert!(
+            matches!(err, QuantileError::NonFiniteBreak { index: 1, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -326,7 +416,7 @@ mod tests {
         #[test]
         fn prop_quantile_symbol_in_alphabet(v in -1e6f64..1e6) {
             let s = QuantileSymbolizer::with_breaks(
-                ["A", "B", "C", "D"], vec![-10.0, 0.0, 10.0]);
+                ["A", "B", "C", "D"], vec![-10.0, 0.0, 10.0]).unwrap();
             let id = s.symbolize(v);
             prop_assert!((id.0 as usize) < s.alphabet().len());
         }
@@ -334,7 +424,7 @@ mod tests {
         #[test]
         fn prop_quantile_monotone(a in -1e6f64..1e6, b in -1e6f64..1e6) {
             let s = QuantileSymbolizer::with_breaks(
-                ["A", "B", "C"], vec![-1.0, 1.0]);
+                ["A", "B", "C"], vec![-1.0, 1.0]).unwrap();
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!(s.symbolize(lo) <= s.symbolize(hi));
         }

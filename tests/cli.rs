@@ -490,6 +490,29 @@ fn a_header_that_repeats_a_name_is_rejected() {
     }
 }
 
+/// A header with an empty variable name is rejected, naming the column
+/// by its position in the file (the time column is column 1): its events
+/// would carry no name.
+#[test]
+fn a_header_with_an_empty_name_is_rejected() {
+    let cases = [
+        ("empty_name.csv", "time,,b", 2),
+        ("blank_name.csv", "time, ,b", 2),
+        ("empty_names.csv", "time,a,,", 3),
+    ];
+    for (name, header, column) in cases {
+        let rows = "0,1,0,1\n5,1,0,1\n10,0,1,1\n15,0,1,1\n";
+        let path = temp_csv(name, &format!("{header}\n{rows}"));
+        for command in ["mine", "graph"] {
+            let out = ftpm(&[command, "--input", &path, "--window", "10"]);
+            assert_usage_error(
+                &out,
+                &format!("error: {path}: line 1: column {column} has no name"),
+            );
+        }
+    }
+}
+
 /// `--window 22` over a 5-tick step rounds to 20: `mine`, which splits
 /// the data, says so, and `graph`, which never splits it, does not.
 #[test]
