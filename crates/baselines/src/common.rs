@@ -13,17 +13,14 @@ use std::collections::{HashMap, HashSet};
 
 use ftpm_core::{FrequentPattern, MinerConfig, MiningResult, MiningStats, Pattern};
 use ftpm_events::{
-    BoundaryKernel, BoundaryPolicy, EventId, SequenceDatabase, TemporalRelation,
-    TemporalSequence,
+    BoundaryKernel, BoundaryPolicy, EventId, SequenceDatabase, TemporalRelation, TemporalSequence,
 };
 
 /// Event supports counted with one horizontal scan of the database.
 /// Instances the boundary policy discards are invisible — they feed
 /// neither supports nor confidence denominators, matching
 /// `DatabaseIndex::build_with_policy`.
-pub(crate) fn event_supports<K: BoundaryKernel>(
-    db: &SequenceDatabase,
-) -> HashMap<EventId, usize> {
+pub(crate) fn event_supports<K: BoundaryKernel>(db: &SequenceDatabase) -> HashMap<EventId, usize> {
     let mut supports: HashMap<EventId, usize> = HashMap::new();
     let mut seen: HashSet<EventId> = HashSet::new();
     for seq in db.sequences() {
@@ -46,10 +43,7 @@ pub(crate) fn event_supports<K: BoundaryKernel>(
     clippy::expect_used,
     reason = "structural invariant: patterns always hold at least one event"
 )]
-pub(crate) fn max_event_support(
-    pattern: &Pattern,
-    supports: &HashMap<EventId, usize>,
-) -> usize {
+pub(crate) fn max_event_support(pattern: &Pattern, supports: &HashMap<EventId, usize>) -> usize {
     pattern
         .events()
         .iter()
@@ -115,10 +109,8 @@ fn backtrack_from<K: BoundaryKernel>(
             clippy::expect_used,
             reason = "structural invariant: binding members passed the boundary policy on entry"
         )]
-        let bound_iv = |b: usize| {
-            K::interval(&insts[b])
-                .expect("bound instances pass the boundary policy")
-        };
+        let bound_iv =
+            |b: usize| K::interval(&insts[b]).expect("bound instances pass the boundary policy");
         // Duration constraint: the whole occurrence fits in t_max.
         if !binding.is_empty() {
             let first_start = bound_iv(binding[0]).start;
@@ -224,16 +216,15 @@ pub(crate) fn relation_column<K: BoundaryKernel>(
         clippy::expect_used,
         reason = "structural invariant: candidates passed the boundary policy on entry"
     )]
-    let x_iv = K::interval(&insts[x])
-        .expect("candidate instances pass the boundary policy");
+    let x_iv = K::interval(&insts[x]).expect("candidate instances pass the boundary policy");
     let mut rels = Vec::with_capacity(binding.len());
     for &b in binding {
         #[expect(
             clippy::expect_used,
             reason = "structural invariant: binding members passed the boundary policy on entry"
         )]
-        let b_iv = K::interval(&insts[b as usize])
-            .expect("bound instances pass the boundary policy");
+        let b_iv =
+            K::interval(&insts[b as usize]).expect("bound instances pass the boundary policy");
         rels.push(rel.relate(&b_iv, &x_iv)?);
     }
     Some(rels)

@@ -15,9 +15,7 @@
 use std::collections::{HashMap, HashSet};
 
 use ftpm_core::{MinerConfig, MiningResult, Pattern};
-use ftpm_events::{
-    BoundaryKernel, BoundaryVisit, EventId, SequenceDatabase, TemporalRelation,
-};
+use ftpm_events::{BoundaryKernel, BoundaryVisit, EventId, SequenceDatabase, TemporalRelation};
 
 use crate::common::{assemble, event_supports, relation_column};
 
@@ -202,8 +200,7 @@ fn merge_extend<K: BoundaryKernel>(
 ) -> Vec<Arrangement> {
     let mut per_col: HashMap<Vec<TemporalRelation>, Accum> = HashMap::new();
     // The ID-list is sorted by sequence; look it up per occurrence.
-    let by_seq: HashMap<u32, &Vec<u32>> =
-        idl.per_seq.iter().map(|(s, v)| (*s, v)).collect();
+    let by_seq: HashMap<u32, &Vec<u32>> = idl.per_seq.iter().map(|(s, v)| (*s, v)).collect();
     for (si, binding) in &arr.occurrences {
         let Some(candidates) = by_seq.get(si) else {
             continue;
@@ -216,8 +213,7 @@ fn merge_extend<K: BoundaryKernel>(
             reason = "structural invariant: binding members passed the boundary policy on entry"
         )]
         let bound_iv = |b: u32| {
-            K::interval(&insts[b as usize])
-                .expect("bound instances pass the boundary policy")
+            K::interval(&insts[b as usize]).expect("bound instances pass the boundary policy")
         };
         #[expect(
             clippy::expect_used,

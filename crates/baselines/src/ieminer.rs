@@ -14,9 +14,7 @@
 use std::collections::{HashMap, HashSet};
 
 use ftpm_core::{MinerConfig, MiningResult, Pattern};
-use ftpm_events::{
-    BoundaryKernel, BoundaryVisit, EventId, SequenceDatabase, TemporalRelation,
-};
+use ftpm_events::{BoundaryKernel, BoundaryVisit, EventId, SequenceDatabase, TemporalRelation};
 
 use crate::common::{assemble, event_supports, sequence_supports};
 
@@ -129,8 +127,5 @@ fn count_by_scanning<K: BoundaryKernel>(
             counts.insert(candidate, supp);
         }
     }
-    counts
-        .into_iter()
-        .map(|(p, s)| (p.clone(), s))
-        .collect()
+    counts.into_iter().map(|(p, s)| (p.clone(), s)).collect()
 }

@@ -146,8 +146,7 @@ fn grow<K: BoundaryKernel>(
                 reason = "structural invariant: binding members passed the boundary policy on entry"
             )]
             let bound_iv = |b: u32| {
-                K::interval(&insts[b as usize])
-                    .expect("bound instances pass the boundary policy")
+                K::interval(&insts[b as usize]).expect("bound instances pass the boundary policy")
             };
             #[expect(
                 clippy::expect_used,

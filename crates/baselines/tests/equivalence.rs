@@ -26,7 +26,10 @@ fn assert_equivalent(exact: &MiningResult, other: &MiningResult, who: &str) {
             None => panic!("{who}: missing pattern {pat:?}"),
             Some((s, c)) => {
                 assert_eq!(supp, s, "{who}: support mismatch on {pat:?}");
-                assert!((conf - c).abs() < 1e-9, "{who}: confidence mismatch on {pat:?}");
+                assert!(
+                    (conf - c).abs() < 1e-9,
+                    "{who}: confidence mismatch on {pat:?}"
+                );
             }
         }
     }

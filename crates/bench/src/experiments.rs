@@ -32,7 +32,9 @@ pub fn table5(opts: &Opts) {
     let grid = [0.2, 0.4, 0.6, 0.8];
     let mut report = Report::new(
         "table5",
-        &["dataset", "sigma%", "conf=20", "conf=40", "conf=60", "conf=80"],
+        &[
+            "dataset", "sigma%", "conf=20", "conf=40", "conf=60", "conf=80",
+        ],
     );
     for data in &datasets {
         for &sigma in &grid {
@@ -246,8 +248,8 @@ pub fn fig8(opts: &Opts) {
         for sigma_pct in [10, 20, 30, 40] {
             // delta ~ 0 so the exact miner keeps even low-confidence
             // patterns: we are studying what A-HTPGM would discard.
-            let cfg = MinerConfig::new(sigma_pct as f64 / 100.0, 1e-9)
-                .with_max_events(opts.max_events);
+            let cfg =
+                MinerConfig::new(sigma_pct as f64 / 100.0, 1e-9).with_max_events(opts.max_events);
             let exact = mine_exact(&data.seq, &cfg);
             let approx = approximate(data, 0.2, &cfg);
             let kept = approx.result.pattern_keys();
@@ -262,8 +264,8 @@ pub fn fig8(opts: &Opts) {
             }
             for bucket in (10..=100).step_by(10) {
                 let cutoff = bucket as f64 / 100.0;
-                let cdf = pruned.iter().filter(|&&c| c <= cutoff).count() as f64
-                    / pruned.len() as f64;
+                let cdf =
+                    pruned.iter().filter(|&&c| c <= cutoff).count() as f64 / pruned.len() as f64;
                 report.row(vec![
                     data.name.clone(),
                     sigma_pct.to_string(),
@@ -361,7 +363,14 @@ pub fn threads_scaling(opts: &Opts) {
     let datasets = [nist_like(opts.scale), ukdale_like(opts.scale)];
     let mut report = Report::new(
         "threads",
-        &["dataset", "threads", "seconds", "patterns", "speedup", "host_cores"],
+        &[
+            "dataset",
+            "threads",
+            "seconds",
+            "patterns",
+            "speedup",
+            "host_cores",
+        ],
     );
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     for data in &datasets {
@@ -369,8 +378,7 @@ pub fn threads_scaling(opts: &Opts) {
         let mut base: Option<(f64, usize)> = None;
         for threads in [1usize, 2, 4, 8] {
             let (r, elapsed) = time(|| Method::EHtpgmPar(threads).run(data, &cfg));
-            let (base_secs, base_patterns) =
-                *base.get_or_insert((elapsed.as_secs_f64(), r.len()));
+            let (base_secs, base_patterns) = *base.get_or_insert((elapsed.as_secs_f64(), r.len()));
             assert_eq!(
                 r.len(),
                 base_patterns,
@@ -418,14 +426,26 @@ pub fn sink_memory(opts: &Opts) {
         let (stats, _) = plan.run(&mut sink);
         sink.into_result(stats).len()
     });
-    report.row(vec![data.name.clone(), "collect".into(), "1".into(), mb(peak), n.to_string()]);
+    report.row(vec![
+        data.name.clone(),
+        "collect".into(),
+        "1".into(),
+        mb(peak),
+        n.to_string(),
+    ]);
     // Count: stats only, nothing retained.
     let (n, peak) = measure_peak(|| {
         let mut sink = CountingSink::default();
         plan.run(&mut sink);
         sink.patterns()
     });
-    report.row(vec![data.name.clone(), "count".into(), "1".into(), mb(peak), n.to_string()]);
+    report.row(vec![
+        data.name.clone(),
+        "count".into(),
+        "1".into(),
+        mb(peak),
+        n.to_string(),
+    ]);
     // Stream: every pattern serialized to a JSONL writer, none retained.
     for threads in [1usize, 2] {
         let (n, peak) = measure_peak(|| {
@@ -454,10 +474,7 @@ fn scalability(name: &str, data: &Dataset, opts: &Opts, by_sequences: bool) {
         Method::IEMiner,
         Method::HDfs,
     ];
-    let mut report = Report::new(
-        name,
-        &["setting", "x%", "method", "seconds", "patterns"],
-    );
+    let mut report = Report::new(name, &["setting", "x%", "method", "seconds", "patterns"]);
     for sd in [0.2, 0.5, 0.8] {
         let cfg = config(sd, sd, opts);
         for pct in [20, 40, 60, 80, 100] {

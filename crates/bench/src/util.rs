@@ -106,7 +106,10 @@ impl Opts {
         let mut argv = std::env::args();
         let bin = argv.next().unwrap_or_default();
         let args: Vec<String> = argv.collect();
-        let defaults = Opts { scale: default_scale, max_events: default_max_events };
+        let defaults = Opts {
+            scale: default_scale,
+            max_events: default_max_events,
+        };
         Opts::parse(&args, defaults).unwrap_or_else(|e| {
             eprintln!("error: {e}\nusage: {bin} [scale] [max_events]");
             std::process::exit(1)
@@ -186,7 +189,10 @@ impl Report {
                 .join("  ")
         };
         println!("{}", fmt_row(&self.header));
-        println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+        println!(
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+        );
         for r in &self.rows {
             println!("{}", fmt_row(r));
         }
@@ -248,10 +254,28 @@ mod tests {
     fn bad_or_extra_arguments_are_usage_errors_that_name_them() {
         let parse = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            Opts::parse(&args, Opts { scale: 0.02, max_events: 3 })
+            Opts::parse(
+                &args,
+                Opts {
+                    scale: 0.02,
+                    max_events: 3,
+                },
+            )
         };
-        assert_eq!(parse(&[]), Ok(Opts { scale: 0.02, max_events: 3 }));
-        assert_eq!(parse(&["1", "4"]), Ok(Opts { scale: 1.0, max_events: 4 }));
+        assert_eq!(
+            parse(&[]),
+            Ok(Opts {
+                scale: 0.02,
+                max_events: 3
+            })
+        );
+        assert_eq!(
+            parse(&["1", "4"]),
+            Ok(Opts {
+                scale: 1.0,
+                max_events: 4
+            })
+        );
         for (args, bad) in [
             (&["0,01"][..], "0,01"),
             (&["0"], "0"),

@@ -18,10 +18,11 @@ use ftpm_mi::CorrelationGraph;
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 /// 8.5 MiB. The run is single-threaded, so its peak is deterministic:
-/// 7,930,039 bytes with sorted proposal runs that the gate merges and
-/// each shard frees before it re-derives, and 10,440,796 bytes when each
-/// shard held its proposals in a hash map until its next count and the
-/// gate summed them into another.
+/// 7,888,951 bytes (and 290,813 allocations against the unsharded run's
+/// 83,130) with sorted proposal runs that the gate merges and each shard
+/// frees before it re-derives, and 10,440,796 bytes when each shard held
+/// its proposals in a hash map until its next count and the gate summed
+/// them into another.
 const PEAK_HEAP_BUDGET: usize = 17 << 19;
 
 #[test]

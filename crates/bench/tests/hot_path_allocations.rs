@@ -26,7 +26,7 @@ static ALLOC: TrackingAllocator = TrackingAllocator;
 /// Allocations of one run over the input below with all pruning on, by
 /// thread count, as measured when the budget was set. A run may exceed
 /// them by at most 2 %.
-const BUDGET: [(usize, usize); 2] = [(1, 373_539), (2, 373_561)];
+const BUDGET: [(usize, usize); 2] = [(1, 314_714), (2, 314_738)];
 
 /// At most one allocation per this many extra verified candidates when
 /// transitivity pruning is off.

@@ -169,9 +169,7 @@ pub fn and_count_many_words(a: &[u64], partners: &[&[u64]], counts: &mut Vec<usi
     }
     // Only the prefix every partner covers goes through the blocked
     // pass; per-partner leftovers are finished individually below.
-    let n_all = partners
-        .iter()
-        .fold(a.len(), |n, p| n.min(p.len()));
+    let n_all = partners.iter().fold(a.len(), |n, p| n.min(p.len()));
     let blocks = n_all / CSA_BLOCK;
     let mut states = vec![CsaState::new(); partners.len()];
     for blk in 0..blocks {
@@ -306,16 +304,30 @@ mod tests {
 
     #[test]
     fn and_count_exact_block_and_tail_lengths() {
-        for len in [0, 1, LANES - 1, LANES, CSA_BLOCK - 1, CSA_BLOCK, CSA_BLOCK + 7, 3 * CSA_BLOCK]
-        {
-            let a: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        for len in [
+            0,
+            1,
+            LANES - 1,
+            LANES,
+            CSA_BLOCK - 1,
+            CSA_BLOCK,
+            CSA_BLOCK + 7,
+            3 * CSA_BLOCK,
+        ] {
+            let a: Vec<u64> = (0..len as u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9))
+                .collect();
             let b: Vec<u64> = (0..len as u64).map(|i| !i ^ 0x0f0f).collect();
             assert_eq!(
                 and_count_words(&a, &b),
                 and_count_words_scalar(&a, &b),
                 "len {len}"
             );
-            assert_eq!(count_ones_words(&a), count_ones_words_scalar(&a), "len {len}");
+            assert_eq!(
+                count_ones_words(&a),
+                count_ones_words_scalar(&a),
+                "len {len}"
+            );
         }
     }
 

@@ -116,7 +116,10 @@ impl Bitmap {
         // growing `Vec` would round a one-word bitmap up to four.
         let mut words = Vec::with_capacity(self.words.len());
         kernel::and_words(&self.words, &other.words, &mut words);
-        Bitmap { words, len: self.len }
+        Bitmap {
+            words,
+            len: self.len,
+        }
     }
 
     /// Fused AND + popcount: `self.and(other).count_ones()` without
@@ -198,7 +201,10 @@ impl Bitmap {
         assert_eq!(self.len, other.len, "bitmap universe mismatch");
         let mut words = Vec::new();
         kernel::or_words(&self.words, &other.words, &mut words);
-        Bitmap { words, len: self.len }
+        Bitmap {
+            words,
+            len: self.len,
+        }
     }
 
     /// In-place bitwise OR.
@@ -213,9 +219,13 @@ impl Bitmap {
 
     /// Iterates over the indices of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            BitIter { word, base: wi * 64 }
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &word)| BitIter {
+                word,
+                base: wi * 64,
+            })
     }
 
     /// Heap memory held by this bitmap, in bytes (used by the Table VIII

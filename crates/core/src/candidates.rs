@@ -1,24 +1,24 @@
-//! Shared candidate engine: the Apriori support/confidence gates
-//! (Lemmas 2–3) and the L2 pair-verification step, in one place.
+//! Shared candidate engine: the work nodes of the Hierarchical Pattern
+//! Graph, the screens a candidate meets first, and the Apriori
+//! support/confidence gates (Lemmas 2–3), in one place.
 //!
-//! The threaded engine (every unsharded [`crate::MinePlan`], at any
-//! thread count) and the exchange executor drive this engine for
-//! candidate generation, and level-`k` growth reuses the
-//! same gates, so the thresholds — including the confidence tolerance
-//! [`CONF_EPS`] — are applied identically everywhere. (Historically the
-//! parallel miner carried its own hard-coded epsilon at the L2 gate,
-//! which is exactly the kind of drift this module exists to prevent.)
-
-use std::marker::PhantomData;
+//! L1 nodes are roots ([`WorkNode::root`]): level 2 grows them by one
+//! event exactly as level `k` grows a node of level `k − 1`, through the
+//! one growth step of [`crate::exact`]. The threaded engine (every
+//! unsharded [`crate::MinePlan`], at any thread count) and the exchange
+//! executor both drive that step, so the thresholds — including the
+//! confidence tolerance [`CONF_EPS`] — are applied identically
+//! everywhere; only the [`Screen`] differs between level 2 and above.
 
 use ftpm_bitmap::Bitmap;
-use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase, TemporalRelation};
+use ftpm_events::{EventId, TemporalRelation};
 
+use crate::approx::CorrelationFilter;
 use crate::config::MinerConfig;
 use crate::index::DatabaseIndex;
 use crate::occ::{OccArena, OccRange};
 use crate::pattern::Pattern;
-use crate::pool::{pack_relation, PatternId};
+use crate::pool::PatternId;
 use crate::result::MiningStats;
 
 /// Tolerance for `conf >= delta` comparisons, so that thresholds like 0.7
@@ -88,7 +88,7 @@ pub(crate) struct WorkPattern {
     /// Pool identity of the (k−1)-prefix this pattern was grown from —
     /// with [`WorkPattern::code`], the pattern's [`crate::pool::DeltaKey`]
     /// the exchange executor keys proposals on instead of cloning the
-    /// pattern. Level-2 patterns use the first event's root id.
+    /// pattern. Level-2 patterns have the first event's root id.
     pub(crate) parent_id: PatternId,
     /// The delta relation column, packed 2 bits per relation (already
     /// computed as the extension grouping key in `extend_node`).
@@ -105,6 +105,53 @@ pub(crate) struct WorkNode {
     pub(crate) support: usize,
     pub(crate) patterns: Vec<WorkPattern>,
     pub(crate) occs: OccArena,
+}
+
+impl WorkNode {
+    /// The L1 node of event `e`, a root that level 2 grows from: one
+    /// single-event pattern with `e`'s root id, bound to every instance
+    /// of `e` in `index`, in sequence order. A root is never archived.
+    pub(crate) fn root(index: &DatabaseIndex, e: EventId) -> WorkNode {
+        let bitmap = index.bitmap(e).clone();
+        let mut occs = OccArena::new(1);
+        for seq in bitmap.iter_ones() {
+            for &ii in index.instances_in(seq, e) {
+                occs.push(seq as u32, &[ii]);
+            }
+        }
+        let support = index.support(e);
+        let pattern = WorkPattern {
+            pattern: Pattern::root(e),
+            support,
+            confidence: 1.0,
+            occurrences: occs.since(0),
+            id: PatternId(e.0),
+            parent_id: PatternId::NONE,
+            code: 0,
+        };
+        WorkNode {
+            events: vec![e],
+            bitmap,
+            support,
+            patterns: vec![pattern],
+            occs,
+        }
+    }
+}
+
+/// What screens a growth step's candidate last events before the
+/// Apriori gate.
+#[derive(Clone, Copy)]
+pub(crate) enum Screen<'a> {
+    /// Level 2: the correlation filter's edge gate between the root's
+    /// event and the candidate (A-HTPGM, Alg. 2), when the run has one.
+    /// A pair it drops is not counted as pruned.
+    Edges(Option<&'a CorrelationFilter<'a>>),
+    /// Levels `k ≥ 3`: the frequent 2-event relations, for the per-node
+    /// Lemma 5 test and the per-triple check of Lemmas 4–7. Both count
+    /// in `transitivity_pruned`, and both are off without transitivity
+    /// pruning.
+    Pairs(&'a PairRelations),
 }
 
 /// Dense `events × events` table of frequent 2-event relations: 3 bits
@@ -140,214 +187,6 @@ impl PairRelations {
     }
 }
 
-/// The L2 candidate engine: gates one ordered event pair through Apriori
-/// pruning and verifies the survivors on instances. One instance is
-/// shared by every L2 code path (sequential loop, parallel shards).
-///
-/// The engine is monomorphized over the boundary kernel `K` — the
-/// [`ftpm_events::BoundaryPolicy`] variant fixed at compile time — so
-/// the per-instance interval/order decisions in [`verify_pair`] are
-/// straight-line code. Miners pick `K` once per run through
-/// [`ftpm_events::BoundaryPolicy::dispatch`] at their entry point.
-///
-/// [`verify_pair`]: L2Engine::verify_pair
-pub(crate) struct L2Engine<'a, K: BoundaryKernel> {
-    pub(crate) db: &'a SequenceDatabase,
-    pub(crate) index: &'a DatabaseIndex,
-    pub(crate) cfg: &'a MinerConfig,
-    pub(crate) sigma_abs: usize,
-    pub(crate) kernel: PhantomData<K>,
-}
-
-impl<K: BoundaryKernel> L2Engine<'_, K> {
-    /// The Apriori gate of one ordered candidate pair `(ei, ej)`: returns
-    /// the pair's confidence denominator `max(supp(ei), supp(ej))` iff it
-    /// proceeds to instance verification, and counts it in
-    /// `stats.nodes_verified[0]`.
-    #[inline]
-    fn gate_pair(&self, ei: EventId, ej: EventId, stats: &mut MiningStats) -> Option<usize> {
-        let max_supp = self.index.support(ei).max(self.index.support(ej));
-        if self.cfg.pruning.apriori {
-            // Gate on the fused AND+popcount first: most candidates die
-            // here, and the joint bitmap is only materialized for the
-            // survivors.
-            let joint_supp = self.index.joint_support(ei, ej);
-            if !apriori_gate(self.cfg, self.sigma_abs, joint_supp, max_supp, stats) {
-                return None;
-            }
-        } else if self.index.bitmap(ei).is_disjoint(self.index.bitmap(ej)) {
-            // Without Apriori pruning only the zero/nonzero answer gates
-            // the pair; the early-exit kernel gives it without a full
-            // popcount pass.
-            return None;
-        }
-        stats.nodes_verified[0] += 1;
-        Some(max_supp)
-    }
-
-    /// Runs one ordered candidate pair `(ei, ej)` end to end: Apriori
-    /// gate, then instance verification, binding each frequent
-    /// relation's occurrences into the node's arena.
-    pub(crate) fn try_pair(
-        &self,
-        ei: EventId,
-        ej: EventId,
-        stats: &mut MiningStats,
-    ) -> Option<WorkNode> {
-        let max_supp = self.gate_pair(ei, ej, stats)?;
-        let joint = self.index.bitmap(ei).and(self.index.bitmap(ej));
-        // One occurrence accumulator per relation type.
-        let mut occs = [OccArena::new(2), OccArena::new(2), OccArena::new(2)];
-        let supports = self.verify_pair(ei, ej, joint.iter_ones(), stats, |r, seq, pair| {
-            occs[r.index()].push(seq, &pair);
-        });
-
-        let mut node_patterns = Vec::new();
-        let mut node_occs = OccArena::new(2);
-        for r in TemporalRelation::ALL {
-            let support = supports[r.index()];
-            let Some(confidence) =
-                passes_thresholds(support, max_supp, self.sigma_abs, self.cfg.delta)
-            else {
-                continue;
-            };
-            let scratch = &occs[r.index()];
-            let all = scratch.since(0);
-            node_patterns.push(WorkPattern {
-                pattern: Pattern::pair(ei, r, ej),
-                support,
-                confidence,
-                occurrences: node_occs.append_from(scratch, all),
-                id: PatternId::NONE,
-                parent_id: PatternId(ei.0),
-                code: pack_relation(0, r),
-            });
-        }
-        if node_patterns.is_empty() {
-            return None; // a "brown" node: frequent pair, no frequent pattern.
-        }
-        Some(WorkNode {
-            events: vec![ei, ej],
-            support: joint.count_ones(),
-            bitmap: joint,
-            patterns: node_patterns,
-            occs: node_occs,
-        })
-    }
-
-    /// The count-only twin of [`L2Engine::try_pair`]: the same gate and
-    /// instance loop, but nothing is bound — no joint bitmap, arena or
-    /// [`Pattern`]. Passes each relation that clears the thresholds to
-    /// `propose` as `(relation, support, clipped)`, where `clipped`
-    /// counts the occurrences that bind a boundary-clipped instance (0
-    /// unless `count_clipped`), and returns how many relations it passed.
-    pub(crate) fn count_pair(
-        &self,
-        ei: EventId,
-        ej: EventId,
-        count_clipped: bool,
-        stats: &mut MiningStats,
-        mut propose: impl FnMut(TemporalRelation, usize, usize),
-    ) -> usize {
-        let Some(max_supp) = self.gate_pair(ei, ej, stats) else {
-            return 0;
-        };
-        let (bitmap_i, bitmap_j) = (self.index.bitmap(ei), self.index.bitmap(ej));
-        let joint = bitmap_i.iter_ones().filter(|&seq| bitmap_j.get(seq));
-        let seqs = self.db.sequences();
-        let mut clipped = [0usize; 3];
-        let supports = self.verify_pair(ei, ej, joint, stats, |r, seq, pair| {
-            if count_clipped {
-                let insts = seqs[seq as usize].instances();
-                if pair.iter().any(|&ti| insts[ti as usize].is_clipped()) {
-                    clipped[r.index()] += 1;
-                }
-            }
-        });
-        let mut proposed = 0;
-        for r in TemporalRelation::ALL {
-            let support = supports[r.index()];
-            if passes_thresholds(support, max_supp, self.sigma_abs, self.cfg.delta).is_some() {
-                propose(r, support, clipped[r.index()]);
-                proposed += 1;
-            }
-        }
-        proposed
-    }
-
-    /// Step 2.2, the one L2 instance loop: checks the instance pairs of
-    /// `(ei, ej)` in the sequences `joint` (ascending ids, each holding
-    /// both events) and passes every related pair to `record` as
-    /// `(relation, sequence, [instance of ei, instance of ej])`. Returns
-    /// each relation's support, indexed by [`TemporalRelation::index`]:
-    /// the sequences holding one of its occurrences, counted where the
-    /// sequence changes, since `joint` ascends.
-    #[inline]
-    fn verify_pair(
-        &self,
-        ei: EventId,
-        ej: EventId,
-        joint: impl Iterator<Item = usize>,
-        stats: &mut MiningStats,
-        mut record: impl FnMut(TemporalRelation, u32, [u32; 2]),
-    ) -> [usize; 3] {
-        let mut supports = [0usize; 3];
-        let mut last_seq = [usize::MAX; 3];
-        let mut prev_seq = None;
-
-        // The boundary kernel `K` decides which interval of each instance
-        // the relation model sees (clipped view, true run extent, or none
-        // at all). Under `Discard` the index already hides clipped
-        // instances, so the `None` arms are just belt-and-braces.
-        let rel = &self.cfg.relation;
-        for seq_id in joint {
-            debug_assert!(
-                prev_seq.is_none_or(|prev| prev < seq_id),
-                "the joint sequences ascend"
-            );
-            prev_seq = Some(seq_id);
-            let seq = &self.db.sequences()[seq_id];
-            for &ii in self.index.instances_in(seq_id, ei) {
-                let inst_i = &seq.instances()[ii as usize];
-                let Some(iv_i) = K::interval(inst_i) else {
-                    continue;
-                };
-                let key_i = K::key(inst_i);
-                for &jj in self.index.instances_in(seq_id, ej) {
-                    let inst_j = &seq.instances()[jj as usize];
-                    let Some(iv_j) = K::interval(inst_j) else {
-                        continue;
-                    };
-                    // The node (Ei, Ej) binds Ei to the chronologically first
-                    // instance; the opposite order belongs to node (Ej, Ei).
-                    if key_i >= K::key(inst_j) {
-                        continue;
-                    }
-                    stats.instance_checks += 1;
-                    // Maximal-duration constraint (Section III-C). We use the
-                    // monotone reading — the whole occurrence must fit inside
-                    // a t_max window — so that every prefix of a valid
-                    // occurrence is itself valid and level-wise growth stays
-                    // complete (see DESIGN.md).
-                    let max_end = iv_i.end.max(iv_j.end);
-                    if !rel.within_t_max(iv_i.start, max_end) {
-                        continue;
-                    }
-                    if let Some(r) = rel.relate(&iv_i, &iv_j) {
-                        let at = r.index();
-                        if last_seq[at] != seq_id {
-                            supports[at] += 1;
-                            last_seq[at] = seq_id;
-                        }
-                        record(r, seq_id as u32, [ii, jj]);
-                    }
-                }
-            }
-        }
-        supports
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,6 +200,53 @@ mod tests {
         assert!(!t.contains(EventId(3), TemporalRelation::Contain, EventId(1)));
         assert!(t.any(EventId(1), EventId(3)));
         assert!(!t.any(EventId(0), EventId(3)));
+    }
+
+    /// A root's pattern has the root id, and its occurrences are exactly
+    /// the index's instances of the event in sequence order, so under
+    /// `Discard` it binds no clipped instance.
+    #[test]
+    fn a_root_binds_the_indexed_instances_in_sequence_order() {
+        use ftpm_events::{
+            BoundaryPolicy, EventInstance, EventRegistry, Interval, SequenceDatabase,
+            TemporalSequence,
+        };
+        use ftpm_timeseries::{SymbolId, VariableId};
+        let mut reg = EventRegistry::new();
+        let a = reg.intern(VariableId(0), SymbolId(1), || "A".into());
+        let b = reg.intern(VariableId(1), SymbolId(1), || "B".into());
+        let clipped = EventInstance::with_extent(a, Interval::new(0, 5), Interval::new(-3, 5));
+        let s0 = TemporalSequence::new(vec![clipped, EventInstance::new(a, 6, 8)]);
+        let s1 = TemporalSequence::new(vec![
+            EventInstance::new(b, 0, 2),
+            EventInstance::new(a, 1, 3),
+            EventInstance::new(a, 4, 9),
+        ]);
+        let db = SequenceDatabase::new(reg, vec![s0, s1]);
+        for (policy, clipped_bound) in [(BoundaryPolicy::Clip, 1), (BoundaryPolicy::Discard, 0)] {
+            let index = DatabaseIndex::build_with_policy(&db, policy);
+            let root = WorkNode::root(&index, a);
+            let [pattern] = &root.patterns[..] else {
+                panic!("{policy}: one pattern per root");
+            };
+            assert_eq!(pattern.id, PatternId(a.0), "{policy}");
+            assert_eq!(pattern.pattern.events(), &[a], "{policy}");
+            assert_eq!(root.support, index.support(a), "{policy}");
+            let bound: Vec<(usize, u32)> = pattern
+                .occurrences
+                .iter()
+                .map(|oi| (root.occs.seq(oi) as usize, root.occs.tuple(oi)[0]))
+                .collect();
+            let indexed: Vec<(usize, u32)> = (0..db.len())
+                .flat_map(|s| index.instances_in(s, a).iter().map(move |&ii| (s, ii)))
+                .collect();
+            assert_eq!(bound, indexed, "{policy}");
+            let clipped = bound
+                .iter()
+                .filter(|&&(s, ii)| db.sequences()[s].instances()[ii as usize].is_clipped())
+                .count();
+            assert_eq!(clipped, clipped_bound, "{policy}");
+        }
     }
 
     #[test]
@@ -385,8 +271,8 @@ mod tests {
         assert!(apriori_gate(&cfg, 2, 6, 8, &mut stats));
         assert_eq!(stats.apriori_pruned, 2);
         // Pruning off: only empty bitmaps are skipped, without counting.
-        let no_prune = MinerConfig::new(0.5, 0.5)
-            .with_pruning(crate::config::PruningConfig::NO_PRUNE);
+        let no_prune =
+            MinerConfig::new(0.5, 0.5).with_pruning(crate::config::PruningConfig::NO_PRUNE);
         assert!(!apriori_gate(&no_prune, 5, 0, 8, &mut stats));
         assert!(apriori_gate(&no_prune, 5, 1, 8, &mut stats));
         assert_eq!(stats.apriori_pruned, 2);

@@ -2,29 +2,30 @@
 //! (paper Section IV, Algorithm 1).
 //!
 //! Mining proceeds level by level. L1 finds frequent single events with
-//! one bitmap scan. L2 verifies event pairs: the Apriori filter (Lemmas
-//! 2–3) discards pairs whose joint-bitmap support/confidence already
-//! misses the thresholds, and the survivors have their instance pairs
-//! checked against the relation model. Level `k ≥ 3` grows each
-//! pattern-bearing node of level `k−1` by one event that is
-//! chronologically last, using the transitivity property (Lemmas 4–7):
-//! only single events that appear at level `k−1` are candidates, a node
-//! extension is skipped outright when some node event has no frequent
-//! relation at all with the new event (Lemma 5), and an individual
-//! occurrence extension dies as soon as one of its new triples is not a
-//! frequent, high-confidence 2-event pattern (Lemmas 6–7).
+//! one bitmap scan; each is a root node whose one pattern binds all its
+//! instances. Every level `k ≥ 2` then grows each pattern-bearing node
+//! of level `k−1` by one event that is chronologically last: the
+//! Apriori filter (Lemmas 2–3) discards extensions whose joint-bitmap
+//! support/confidence already misses the thresholds, and the survivors
+//! have their instance tuples checked against the relation model.
+//! Level 2 grows the roots, under A-HTPGM only by events whose series
+//! share a correlation edge. Above it the transitivity property (Lemmas
+//! 4–7) prunes: a node extension is skipped outright when some node
+//! event has no frequent relation at all with the new event (Lemma 5),
+//! and an individual occurrence extension dies as soon as one of its
+//! new triples is not a frequent, high-confidence 2-event pattern
+//! (Lemmas 6–7).
 //!
-//! The L1/L2 loop lives in the one unsharded mining engine,
+//! The level loops live in the one unsharded mining engine,
 //! [`crate::parallel`], which runs [`mine_exact`] at `threads = 1` on
 //! the calling thread. This module holds the paper-named entry points
-//! and the level-`k` growth step that engine and the exchange executor
-//! share: the executor's count-only [`count_candidates`] runs the same
-//! gates and grouping loop as [`grow_candidates`] and builds no child.
-//! Candidate gating (the Apriori support/confidence bounds and the L2
-//! verification step) lives in [`crate::candidates`]; output flows
-//! through a [`PatternSink`] (see [`crate::sink`]) so finished nodes can
-//! be collected, counted or streamed without materializing a global
-//! pattern `Vec`.
+//! and the growth step that engine and the exchange executor share at
+//! every level: the executor's count-only [`count_candidates`] runs the
+//! same gates and instance loop as [`grow_candidates`] and builds no
+//! child. The gates and screens live in [`crate::candidates`]; output
+//! flows through a [`PatternSink`] (see [`crate::sink`]) so finished
+//! nodes can be collected, counted or streamed without materializing a
+//! global pattern `Vec`.
 //!
 //! Performance notes: frequent 2-event relations are kept as a dense
 //! `events × events` bitmask table (no hashing on the hot path), and the
@@ -56,7 +57,9 @@ use std::marker::PhantomData;
 use ftpm_bitmap::Bitmap;
 use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase, TemporalRelation};
 
-use crate::candidates::{apriori_gate, passes_thresholds, PairRelations, WorkNode, WorkPattern};
+use crate::candidates::{
+    apriori_gate, passes_thresholds, PairRelations, Screen, WorkNode, WorkPattern,
+};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::index::DatabaseIndex;
 use crate::occ::{OccArena, OccRange};
@@ -240,13 +243,13 @@ fn clipped_occurrences(db: &SequenceDatabase, occs: &OccArena, range: OccRange) 
         .count()
 }
 
-/// Step 3.2's grouping loop, shared by [`extend_node`] and
-/// [`count_candidates`]: extends each occurrence of `parent` (a pattern of
-/// `node`) with one instance of `ek` that is chronologically last,
-/// verifies the new triples iteratively (pruning through L2 when
-/// transitivity pruning is on), and files each valid extension into the
-/// reset `groups` by its packed relation column
-/// (r(E_1,E_k), …, r(E_{k-1},E_k)).
+/// The one instance loop, shared by [`extend_node`] and
+/// [`count_candidates`] at every level: extends each occurrence of
+/// `parent` (a pattern of `node`) with one instance of `ek` that is
+/// chronologically last, verifies the new triples iteratively (above
+/// level 2, pruning through L2 when transitivity pruning is on), and
+/// files each valid extension into the reset `groups` by its packed
+/// relation column (r(E_1,E_k), …, r(E_{k-1},E_k)).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn group_extensions<K: BoundaryKernel>(
@@ -257,16 +260,20 @@ fn group_extensions<K: BoundaryKernel>(
     node: &WorkNode,
     parent: &WorkPattern,
     ek: EventId,
-    pair_relations: &PairRelations,
+    screen: Screen<'_>,
     groups: &mut ExtensionGroups,
 ) {
     let rel = &cfg.relation;
     let ek_bitmap = index.bitmap(ek);
+    let triples = match screen {
+        Screen::Pairs(pairs) if cfg.pruning.transitivity => Some(pairs),
+        Screen::Pairs(_) | Screen::Edges(_) => None,
+    };
     groups.start_parent();
     for oi in parent.occurrences.iter() {
         let seq_id = node.occs.seq(oi);
-        // verify_pair binds occurrences in ascending sequence order,
-        // and growth, `append_from` and `compact` keep it.
+        // A root binds its occurrences in ascending sequence order, and
+        // growth, `append_from` and `compact` keep it.
         debug_assert!(
             oi == parent.occurrences.start as usize || node.occs.seq(oi - 1) <= seq_id,
             "a pattern's occurrences ascend by sequence id"
@@ -293,8 +300,7 @@ fn group_extensions<K: BoundaryKernel>(
             clippy::expect_used,
             reason = "structural invariant: the binding is non-empty on this path"
         )]
-        let last_key =
-            K::key(&seq.instances()[*tuple.last().expect("non-empty") as usize]);
+        let last_key = K::key(&seq.instances()[*tuple.last().expect("non-empty") as usize]);
         let first_start = bound_iv(tuple[0]).start;
         #[expect(
             clippy::expect_used,
@@ -317,6 +323,10 @@ fn group_extensions<K: BoundaryKernel>(
                 continue;
             }
             stats.instance_checks += 1;
+            // Maximal-duration constraint (Section III-C), in its
+            // monotone reading: the whole occurrence must fit inside a
+            // t_max window, so every prefix of a valid occurrence is
+            // valid and level-wise growth stays complete.
             let max_end = tuple_max_end.max(x_iv.end);
             if !rel.within_t_max(first_start, max_end) {
                 continue;
@@ -329,9 +339,7 @@ fn group_extensions<K: BoundaryKernel>(
                         // Lemmas 4–7: the triple (E_pos, r, E_k) must
                         // itself be a frequent, confident 2-event
                         // pattern, or this extension cannot yield one.
-                        if cfg.pruning.transitivity
-                            && !pair_relations.contains(node.events[pos], r, ek)
-                        {
+                        if triples.is_some_and(|t| !t.contains(node.events[pos], r, ek)) {
                             stats.transitivity_pruned += 1;
                             ok = false;
                             break;
@@ -368,7 +376,7 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
     joint_supp: usize,
     max_supp: usize,
     sigma_abs: usize,
-    pair_relations: &PairRelations,
+    screen: Screen<'_>,
     groups: &mut ExtensionGroups,
 ) -> Option<WorkNode> {
     let mut new_patterns: Vec<WorkPattern> = Vec::new();
@@ -377,17 +385,7 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
     let threshold = |support| passes_thresholds(support, max_supp, sigma_abs, cfg.delta);
 
     for parent in &node.patterns {
-        group_extensions::<K>(
-            db,
-            index,
-            cfg,
-            stats,
-            node,
-            parent,
-            ek,
-            pair_relations,
-            groups,
-        );
+        group_extensions::<K>(db, index, cfg, stats, node, parent, ek, screen, groups);
         groups.for_each_survivor(threshold, |group, confidence| {
             let rels = decode_column(group.code, &mut column[..node.events.len()]);
             new_patterns.push(WorkPattern {
@@ -419,7 +417,7 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
 
 /// Phases 1–3 of growing `node` (level `k` in event count for the
 /// children), shared by [`grow_candidates`] and [`count_candidates`]:
-/// the Lemma 5 screen, the fused AND-count and the Apriori gate. Calls
+/// the `screen`, the fused AND-count and the Apriori gate. Calls
 /// `verify(stats, ek, joint_supp, max_supp)` for every candidate last
 /// event that passes, after counting it in `stats.nodes_verified[k - 2]`.
 #[inline]
@@ -430,25 +428,29 @@ fn for_each_gated_candidate(
     stats: &mut MiningStats,
     node: &WorkNode,
     freq_events: &[EventId],
-    pair_relations: &PairRelations,
+    screen: Screen<'_>,
     sigma_abs: usize,
     k: usize,
     mut verify: impl FnMut(&mut MiningStats, EventId, usize, usize),
 ) {
-    // Phase 1 — per-node Lemma 5 screen: every node event must form at
-    // least one frequent relation with ek, or no k-event pattern over
-    // this combination can be frequent.
+    // Phase 1 — the screen. Level 2: the pair must share a correlation
+    // edge. Above: the per-node Lemma 5 test, where every node event
+    // must form at least one frequent relation with ek, or no k-event
+    // pattern over this combination can be frequent.
     let mut cands: Vec<EventId> = Vec::with_capacity(freq_events.len());
-    'candidates: for &ek in freq_events {
-        if cfg.pruning.transitivity {
-            for &e in &node.events {
-                if !pair_relations.any(e, ek) {
-                    stats.transitivity_pruned += 1;
-                    continue 'candidates;
-                }
+    for &ek in freq_events {
+        let screened = match screen {
+            Screen::Edges(corr) => corr.is_some_and(|c| !c.allows_pair(node.events[0], ek)),
+            Screen::Pairs(pairs) => {
+                let lemma5 =
+                    cfg.pruning.transitivity && node.events.iter().any(|&e| !pairs.any(e, ek));
+                stats.transitivity_pruned += u64::from(lemma5);
+                lemma5
             }
+        };
+        if !screened {
+            cands.push(ek);
         }
-        cands.push(ek);
     }
 
     // Phase 2 — fused AND+popcount over all survivors in one pass
@@ -473,12 +475,13 @@ fn for_each_gated_candidate(
 
 /// Tries every candidate last event `ek` for `node` (level `k` in event
 /// count for the children) and returns the surviving children — the
-/// candidate-extension loop of the depth-first [`GrowContext::grow_node`],
-/// whose gates and grouping loop the exchange executor's count-only
-/// [`count_candidates`] shares. Keeping one copy is load-bearing: the two
-/// paths must stay semantically identical for the exchange's
-/// bit-identical-output guarantee. `stats` must already have level slots
-/// up to `k - 1`.
+/// growth step of every level `k ≥ 2`: the threaded engine's level-2
+/// loop over the roots and the depth-first [`GrowContext::grow_node`]
+/// below it both run it, and the exchange executor's count-only
+/// [`count_candidates`] shares its gates and grouping loop. Keeping one
+/// copy is load-bearing: the paths must stay semantically identical for
+/// the exchange's bit-identical-output guarantee. `stats` must already
+/// have level slots up to `k - 1`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn grow_candidates<K: BoundaryKernel>(
     db: &SequenceDatabase,
@@ -487,7 +490,7 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
     stats: &mut MiningStats,
     node: &WorkNode,
     freq_events: &[EventId],
-    pair_relations: &PairRelations,
+    screen: Screen<'_>,
     sigma_abs: usize,
     k: usize,
 ) -> Vec<WorkNode> {
@@ -506,7 +509,7 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
             joint_supp,
             max_supp,
             sigma_abs,
-            pair_relations,
+            screen,
             &mut groups,
         ) {
             stats.nodes_kept[k - 2] += 1;
@@ -520,7 +523,7 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
         stats,
         node,
         freq_events,
-        pair_relations,
+        screen,
         sigma_abs,
         k,
         verify,
@@ -543,7 +546,7 @@ pub(crate) fn count_candidates<K: BoundaryKernel>(
     stats: &mut MiningStats,
     node: &WorkNode,
     freq_events: &[EventId],
-    pair_relations: &PairRelations,
+    screen: Screen<'_>,
     sigma_abs: usize,
     k: usize,
     count_clipped: bool,
@@ -553,17 +556,7 @@ pub(crate) fn count_candidates<K: BoundaryKernel>(
     let count = |stats: &mut MiningStats, ek, _, max_supp| {
         let mut patterns = 0;
         for parent in &node.patterns {
-            group_extensions::<K>(
-                db,
-                index,
-                cfg,
-                stats,
-                node,
-                parent,
-                ek,
-                pair_relations,
-                groups,
-            );
+            group_extensions::<K>(db, index, cfg, stats, node, parent, ek, screen, groups);
             for group in groups.current() {
                 if passes_thresholds(group.support, max_supp, sigma_abs, cfg.delta).is_none() {
                     continue;
@@ -593,7 +586,7 @@ pub(crate) fn count_candidates<K: BoundaryKernel>(
         stats,
         node,
         freq_events,
-        pair_relations,
+        screen,
         sigma_abs,
         k,
         count,
@@ -636,7 +629,7 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
             self.stats,
             &node,
             self.freq_events,
-            self.pair_relations,
+            Screen::Pairs(self.pair_relations),
             self.sigma_abs,
             k,
         );

@@ -12,10 +12,10 @@
 //!
 //! 1. **Count** — every shard counts its level-`k` candidates
 //!    (support-complete locally, grown only from the previous round's
-//!    survivors) straight from the scratch of the instance loops: the
-//!    per-relation counters of [`L2Engine::count_pair`] at level 2, the
-//!    reused extension-group slots of [`count_candidates`] above. It
-//!    reports each candidate with its **owned** support and owned
+//!    survivors, or at level 2 from the L1 roots of the frequent events
+//!    it holds) straight from the reused extension-group slots of
+//!    [`count_candidates`], the growth step of every level. It reports
+//!    each candidate with its **owned** support and owned
 //!    clipped-occurrence count — "what do you see, and how often?" — and
 //!    builds nothing for it: no [`crate::Pattern`], joint bitmap or
 //!    occurrence range.
@@ -28,10 +28,10 @@
 //!    occurrence of a `(k+1)`-pattern contains an occurrence of its
 //!    `k`-prefix in the same window, so `supp(prefix) ≥ supp(P)` and
 //!    `conf(prefix) ≥ conf(P)` hold on the *summed* statistics.
-//! 3. **Re-derive** — each shard re-runs [`L2Engine::try_pair`] or
-//!    [`extend_node`] only where it proposed a survivor, and keeps only
-//!    the survivors, with their occurrence bindings, as the parents of
-//!    round `k + 1`. Nothing is re-derived after the last round.
+//! 3. **Re-derive** — each shard re-runs [`extend_node`] only where it
+//!    proposed a survivor, and keeps only the survivors, with their
+//!    occurrence bindings, as the parents of round `k + 1`. Nothing is
+//!    re-derived after the last round.
 //!
 //! Between rounds a shard therefore holds survivors only — about 7 % of
 //! its proposals on the long perfbench input, where 215,471 of 230,783
@@ -50,8 +50,8 @@
 //!
 //! Shards run their stages concurrently on the scoped worker machinery
 //! of [`crate::parallel`]; the thread budget is split between
-//! shard-level concurrency and intra-shard workers (chunks of L2 pairs
-//! or level-`k` nodes), so `--threads` composes with `--shards`. The
+//! shard-level concurrency and intra-shard workers (chunks of parent
+//! nodes), so `--threads` composes with `--shards`. The
 //! propose/recount calls on `ShardWorker` are the seam a cross-machine
 //! deployment would turn into RPC messages: the coordinator only ever
 //! sees `(candidate key, owned support, owned clipped)` triples and
@@ -78,14 +78,14 @@ use std::time::{Duration, Instant};
 use ftpm_events::{BoundaryKernel, BoundaryPolicy, EventId, TemporalRelation};
 
 use crate::approx::CorrelationFilter;
-use crate::candidates::{passes_thresholds, L2Engine, PairRelations, WorkNode, WorkPattern};
+use crate::candidates::{passes_thresholds, PairRelations, Screen, WorkNode, WorkPattern};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::exact::{count_candidates, extend_node, max_support, ExtensionGroups};
 use crate::index::DatabaseIndex;
 use crate::occ::OccRange;
 use crate::parallel::{par_for_each, par_map};
 use crate::pattern::Pattern;
-use crate::pool::{decode_column, pack_relation, DeltaKey, FnvHashMap, PatternId, PatternPool};
+use crate::pool::{decode_column, DeltaKey, FnvHashMap, PatternId, PatternPool};
 use crate::result::{merge_stats, FrequentPattern, MiningStats};
 use crate::shard::{Shard, ShardPlan};
 use crate::sink::PatternSink;
@@ -131,14 +131,14 @@ fn delta_key(wp: &WorkPattern) -> DeltaKey {
     }
 }
 
-/// How many work items (L2 pairs, or level-`k` nodes) one intra-shard
-/// work unit takes: the scoped workers amortize their bookkeeping over a
-/// chunk.
+/// How many parent nodes (L1 roots, or level-`k` nodes) one
+/// intra-shard work unit takes: the scoped workers amortize their
+/// bookkeeping over a chunk.
 const CHUNK: usize = 32;
 
 /// Per-shard worker of the exchange executor: holds the shard's masked
 /// index and the previous round's survivors, and answers the two
-/// protocol questions — [`propose`](ShardWorker::propose_l2) ("what do
+/// protocol questions — [`propose`](ShardWorker::propose) ("what do
 /// you see?") and [`recount`](ShardWorker::recount) ("how often do you
 /// see these?") — as independent calls.
 pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
@@ -160,19 +160,13 @@ pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
     has_clipped: bool,
     /// Owned single-event supports reported by [`ShardWorker::l1`].
     l1_supports: Vec<usize>,
-    /// Owned `(clipped, discarded)` instance counts from the L1 scan.
-    l1_boundary: (u64, u64),
-    /// The parents of the next propose round. A round counts its
-    /// proposals without building them, the coordinator gates them, and
-    /// the shard then re-derives only the verdict's survivors among its
-    /// own proposals: they are kept here with their occurrence bindings,
-    /// stamped with their master pool ids. Nothing else is ever built.
+    /// The parents of the next propose round: the L1 roots in round 2.
+    /// A round counts its proposals without building them, the
+    /// coordinator gates them, and the shard then re-derives only the
+    /// verdict's survivors among its own proposals: they are kept here
+    /// with their occurrence bindings, stamped with their master pool
+    /// ids. Nothing else is ever built.
     level: Vec<WorkNode>,
-    /// The A-HTPGM gate, built once globally by the coordinator (from
-    /// the *global* correlation graph over the master registry — never
-    /// per shard): L2 proposals skip MI-pruned pairs outright, so a
-    /// pruned pair costs no verification in any shard.
-    corr: Option<&'a CorrelationFilter<'a>>,
     /// The last propose round's candidates with owned statistics, as a
     /// sorted run: unique [`DeltaKey`]s in ascending order, held from the
     /// count until the shard has listed the survivors it re-derives.
@@ -181,6 +175,7 @@ pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
     /// parents are master root ids), which makes the key canonical across
     /// shards without any pattern cloning.
     proposals: Vec<(DeltaKey, OwnedStats)>,
+    /// The shard's work counters, and its owned boundary counts.
     stats: MiningStats,
     proposed_total: usize,
     pruned_total: usize,
@@ -190,12 +185,7 @@ pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
 }
 
 impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
-    fn new(
-        shard: &'a Shard,
-        cfg: &MinerConfig,
-        threads: usize,
-        corr: Option<&'a CorrelationFilter<'a>>,
-    ) -> Self {
+    fn new(shard: &'a Shard, cfg: &MinerConfig, threads: usize) -> Self {
         ShardWorker {
             shard,
             local_cfg: MinerConfig {
@@ -205,11 +195,9 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
             },
             boundary: cfg.relation.boundary,
             threads,
-            corr,
             index: None,
             has_clipped: false,
             l1_supports: Vec::new(),
-            l1_boundary: (0, 0),
             level: Vec::new(),
             proposals: Vec::new(),
             stats: MiningStats::default(),
@@ -226,25 +214,10 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
     fn l1(&mut self) {
         let index =
             DatabaseIndex::build_masked(&self.shard.db, self.boundary, Some(&self.shard.owned));
-        let mut clipped = 0u64;
-        for (si, seq) in self.shard.db.sequences().iter().enumerate() {
-            if !self.shard.owned[si] {
-                continue;
-            }
-            clipped += seq.instances().iter().filter(|i| i.is_clipped()).count() as u64;
-        }
-        let discarded = if self.boundary == BoundaryPolicy::Discard {
-            clipped
-        } else {
-            0
-        };
-        // Under Discard the index hides clipped instances, so occurrence
-        // tuples can never contain one and the clip scan is pointless.
-        self.has_clipped = clipped > 0 && self.boundary != BoundaryPolicy::Discard;
+        self.has_clipped = self.stats.record_boundary(&index, self.boundary);
         self.l1_supports = (0..self.shard.db.registry().len())
             .map(|e| index.support(EventId(e as u32)))
             .collect();
-        self.l1_boundary = (clipped, discarded);
         self.index = Some(index);
     }
 
@@ -257,86 +230,27 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         self.index.as_ref().expect("l1 ran first")
     }
 
-    /// The shard's L2 engine, support-complete at local `σ_abs = 1`.
-    fn l2_engine(&self) -> L2Engine<'_, K> {
-        L2Engine {
-            db: &self.shard.db,
-            index: self.index(),
-            cfg: &self.local_cfg,
-            sigma_abs: 1,
-            kernel: PhantomData,
-        }
-    }
-
-    /// The candidate pairs over the globally frequent events that this
-    /// shard can hold: both events locally present, and (under A-HTPGM)
-    /// the pair allowed by the G_C edge gate. The gate applies *at
-    /// propose time*: an MI-pruned pair is never enumerated, so no shard
-    /// ever verifies it — strictly fewer proposals than filtering the
-    /// exchange output post hoc.
-    fn l2_pairs(&self, freq: &[EventId]) -> Vec<(EventId, EventId)> {
-        let index = self.index();
-        let local: Vec<EventId> = freq
-            .iter()
-            .copied()
-            .filter(|&e| index.support(e) > 0)
-            .collect();
-        let corr = self.corr;
-        local
-            .iter()
-            .flat_map(|&ei| local.iter().map(move |&ej| (ei, ej)))
-            .filter(|&(ei, ej)| corr.is_none_or(|c| c.allows_pair(ei, ej)))
-            .collect()
-    }
-
-    /// Propose round for level 2: counts every candidate pair's relations
-    /// support-complete locally, building nothing, and records each
-    /// relation with its owned statistics.
-    fn propose_l2(&mut self, freq: &[EventId]) {
-        let mut proposals = std::mem::take(&mut self.proposals);
-        let mut stats = std::mem::take(&mut self.stats);
-        stats.ensure_levels(1);
-        let pairs = self.l2_pairs(freq);
-        let engine = self.l2_engine();
-        let count_clipped = self.has_clipped;
-        let count = |range: Range<usize>, stats: &mut MiningStats, propose: &mut Propose<'_>| {
-            for &(ei, ej) in &pairs[range] {
-                let parent = PatternId(ei.0);
-                let found =
-                    engine.count_pair(ei, ej, count_clipped, stats, |r, support, clipped| {
-                        let code = pack_relation(0, r);
-                        propose(
-                            DeltaKey {
-                                parent,
-                                last: ej,
-                                code,
-                            },
-                            (support, clipped),
-                        );
-                    });
-                if found > 0 {
-                    stats.nodes_kept[0] += 1;
-                    stats.patterns_found[0] += found;
-                }
-            }
+    /// Propose round for level `k`: counts the extensions of the parents
+    /// by one chronologically-last event each, support-complete locally,
+    /// building nothing. Level 2's parents are the roots of the frequent
+    /// events this shard holds, grown by those events only: a pair with
+    /// an event the shard lacks has no local occurrence, and trying it
+    /// would count it as Apriori-pruned.
+    fn propose(&mut self, freq: &[EventId], screen: Screen<'_>, k: usize) {
+        let local: Vec<EventId>;
+        let cands = if k == 2 {
+            let index = self.index();
+            local = freq
+                .iter()
+                .copied()
+                .filter(|&e| index.support(e) > 0)
+                .collect();
+            let roots = local.iter().map(|&e| WorkNode::root(index, e)).collect();
+            self.level = roots;
+            &local
+        } else {
+            freq
         };
-        count_proposals(
-            pairs.len(),
-            2,
-            self.threads,
-            count,
-            &mut proposals,
-            &mut stats,
-        );
-        self.proposals = proposals;
-        self.stats = stats;
-        self.proposed_total += self.proposals.len();
-    }
-
-    /// Propose round for level `k ≥ 3`: counts the extensions of the
-    /// re-derived survivors by one chronologically-last event each,
-    /// support-complete locally, building nothing.
-    fn propose_next(&mut self, freq: &[EventId], pair_relations: &PairRelations, k: usize) {
         let mut proposals = std::mem::take(&mut self.proposals);
         let mut stats = std::mem::take(&mut self.stats);
         let (db, index, cfg) = (&self.shard.db, self.index(), &self.local_cfg);
@@ -354,8 +268,8 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
                     cfg,
                     stats,
                     node,
-                    freq,
-                    pair_relations,
+                    cands,
+                    screen,
                     1,
                     k,
                     count_clipped,
@@ -411,41 +325,13 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         self.pruned_total += self.proposals.len() - survived;
     }
 
-    /// Re-derives the level-2 survivors this shard proposed: re-runs
-    /// [`L2Engine::try_pair`] on each surviving event pair and keeps only
-    /// the verdict's patterns. The proposal already counted this work, so
-    /// its counters go to a scratch [`MiningStats`].
-    fn rederive_l2(&mut self, verdict: &Verdict) {
-        let mut pairs: Vec<(EventId, EventId)> = self
-            .proposed_survivors(verdict)
-            .map(|key| (EventId(key.parent.0), key.last))
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        // The run has answered every question of this round: free it
-        // before the survivors' bindings are built.
-        self.proposals = Vec::new();
-        let engine = self.l2_engine();
-        let starts: Vec<usize> = (0..pairs.len()).step_by(CHUNK).collect();
-        let outputs = par_map(starts, self.threads, |start| {
-            let mut scratch = MiningStats::default();
-            scratch.ensure_levels(1);
-            pairs[start..(start + CHUNK).min(pairs.len())]
-                .iter()
-                .filter_map(|&(ei, ej)| engine.try_pair(ei, ej, &mut scratch))
-                .filter_map(|node| keep_survivors(node, verdict))
-                .collect::<Vec<_>>()
-        });
-        self.level = outputs.into_iter().flatten().collect();
-    }
-
     /// Re-derives the level-`k` survivors this shard proposed: each
     /// surviving `(parent node, appended event)` pair re-runs
     /// [`extend_node`] on the node's reused extension-group slots, and
     /// only the verdict's patterns are kept. The parents are released
     /// afterwards; the proposal already counted this work, so its
     /// counters go to a scratch [`MiningStats`].
-    fn rederive_next(&mut self, verdict: &Verdict, pair_relations: &PairRelations, k: usize) {
+    fn rederive(&mut self, verdict: &Verdict, screen: Screen<'_>, k: usize) {
         let parents = std::mem::take(&mut self.level);
         // Every proposal's parent is a pattern of one of these nodes.
         let node_of: FnvHashMap<PatternId, usize> = parents
@@ -482,7 +368,7 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
                         joint_supp,
                         max_supp,
                         1,
-                        pair_relations,
+                        screen,
                         &mut groups,
                     )
                 })
@@ -728,8 +614,9 @@ fn debug_assert_recount<K: BoundaryKernel>(workers: &[ShardWorker<'_, K>], verdi
 /// globally-built [`CorrelationFilter`] (see [`crate::approx`]) and
 /// applies it exactly where the unsharded miner would — the round-1
 /// global frequent-event list keeps only `X_C` events, and every
-/// worker's L2 propose skips MI-pruned pairs — so the merged output
-/// equals unsharded [`crate::mine_approximate`] identically.
+/// worker's level-2 propose screens its pairs by the filter's edges —
+/// so the merged output equals unsharded [`crate::mine_approximate`]
+/// identically.
 pub(crate) fn mine_exchange<K: BoundaryKernel>(
     plan: &ShardPlan,
     cfg: &MinerConfig,
@@ -755,23 +642,20 @@ pub(crate) fn mine_exchange<K: BoundaryKernel>(
     };
     let mut workers: Vec<ShardWorker<'_, K>> = shards
         .iter()
-        .map(|shard| ShardWorker::new(shard, cfg, inner, corr))
+        .map(|shard| ShardWorker::new(shard, cfg, inner))
         .collect();
     let sigma_abs = cfg.absolute_support(plan.n_windows());
-    let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
+    // Level 2 is mined even under a hand-built `max_events` below 2, as
+    // in the threaded engine.
+    let max_events = cfg.max_events.clamp(2, MAX_EVENTS_HARD_CAP);
 
     // ---- Round 1: owned L1 supports and boundary counts ----
     run_round(&mut workers, outer, sched, |w| w.l1());
     let mut event_supports = vec![0usize; plan.registry().len()];
-    // Boundary counts describe the database: the shards' owned counts,
-    // which leave out the duplicated overlap windows.
-    let mut stats = MiningStats::default();
     for worker in &workers {
         for (e, &s) in worker.l1_supports.iter().enumerate() {
             event_supports[e] += s;
         }
-        stats.clipped_instances += worker.l1_boundary.0;
-        stats.discarded_instances += worker.l1_boundary.1;
     }
     // Events outside X_C are invisible to the whole run, as in the
     // unsharded approximate miner's filtered L1; filtered patterns only
@@ -792,51 +676,49 @@ pub(crate) fn mine_exchange<K: BoundaryKernel>(
         gate_round(&runs, supports, sigma_abs, delta, &mut pool, &mut survivors)
     };
 
-    // ---- Round 2: L2 count → global gate → re-derive ----
-    run_round(&mut workers, outer, sched, |w| w.propose_l2(&freq));
-    let mut verdict = gate(&workers);
-    debug_assert_recount(&workers, &verdict);
-    run_round(&mut workers, outer, sched, |w| {
-        w.count_pruned(&verdict);
-        if max_events > 2 {
-            w.rederive_l2(&verdict);
-        }
-    });
-
-    // The survivors are by construction the globally frequent 2-event
-    // patterns — the transitivity table of Lemmas 4–7, identical to the
-    // one the unsharded miner builds, shared read-only by every shard.
-    // A level-2 key decodes in place: the parent is a root (so its id is
-    // the first event's id) and the packed column holds one relation.
+    // ---- Rounds 2+: lockstep count → global gate → re-derive. Level 2
+    // grows the L1 roots under the correlation screen, each later level
+    // the previous round's survivors under the Lemma 5 table ----
     let mut pair_relations = PairRelations::new(plan.registry().len());
-    for key in verdict.keys() {
-        pair_relations.insert(
-            EventId(key.parent.0),
-            decode_column(key.code, &mut [TemporalRelation::Follow])[0],
-            key.last,
-        );
-    }
-
-    // ---- Rounds 3+: lockstep growth of the surviving candidates ----
-    for k in 3..=max_events {
-        if verdict.is_empty() {
-            break;
-        }
-        run_round(&mut workers, outer, sched, |w| {
-            w.propose_next(&freq, &pair_relations, k);
-        });
-        verdict = gate(&workers);
+    for k in 2..=max_events {
+        let screen = if k == 2 {
+            Screen::Edges(corr)
+        } else {
+            Screen::Pairs(&pair_relations)
+        };
+        run_round(&mut workers, outer, sched, |w| w.propose(&freq, screen, k));
+        let verdict = gate(&workers);
         debug_assert_recount(&workers, &verdict);
         // Nothing is re-derived after the last round.
         run_round(&mut workers, outer, sched, |w| {
             w.count_pruned(&verdict);
             if k < max_events {
-                w.rederive_next(&verdict, &pair_relations, k);
+                w.rederive(&verdict, screen, k);
             }
         });
+        if verdict.is_empty() {
+            break;
+        }
+        // Level 2's survivors are by construction the globally frequent
+        // 2-event patterns — the transitivity table of Lemmas 4–7,
+        // identical to the one the unsharded miner builds, shared
+        // read-only by every shard. A level-2 key decodes in place: the
+        // parent is a root (so its id is the first event's id) and the
+        // packed column holds one relation.
+        if k == 2 {
+            for key in verdict.keys() {
+                pair_relations.insert(
+                    EventId(key.parent.0),
+                    decode_column(key.code, &mut [TemporalRelation::Follow])[0],
+                    key.last,
+                );
+            }
+        }
     }
 
-    // ---- Summed work counters, then the sorted emission ----
+    // ---- Summed work counters and owned boundary counts (which leave
+    // out the duplicated overlap windows), then the sorted emission ----
+    let mut stats = MiningStats::default();
     let mut reports = Vec::with_capacity(workers.len());
     for worker in workers {
         merge_stats(&mut stats, worker.stats);
@@ -859,6 +741,7 @@ pub(crate) fn mine_exchange<K: BoundaryKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::pack_relation;
     use crate::sink::CollectSink;
 
     /// The level-2 key of `e1 r e2`: a root parent, one packed relation.

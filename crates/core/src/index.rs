@@ -14,6 +14,9 @@ pub struct DatabaseIndex {
     instances: Vec<Vec<Vec<u32>>>,
     /// `supports[event]` — cached popcount of `bitmaps[event]`.
     supports: Vec<usize>,
+    /// Boundary-clipped instances of the indexed sequences, hidden or
+    /// not.
+    clipped: u64,
 }
 
 impl DatabaseIndex {
@@ -56,13 +59,17 @@ impl DatabaseIndex {
         let mut bitmaps = vec![Bitmap::new(n_seqs); n_events];
         let mut instances = vec![vec![Vec::new(); n_events]; n_seqs];
         let discard = policy == BoundaryPolicy::Discard;
+        let mut clipped = 0;
         for (si, seq) in db.sequences().iter().enumerate() {
             if mask.is_some_and(|m| !m[si]) {
                 continue;
             }
             for (ii, inst) in seq.instances().iter().enumerate() {
-                if discard && inst.is_clipped() {
-                    continue;
+                if inst.is_clipped() {
+                    clipped += 1;
+                    if discard {
+                        continue;
+                    }
                 }
                 let e = inst.event.0 as usize;
                 bitmaps[e].set(si);
@@ -74,6 +81,7 @@ impl DatabaseIndex {
             bitmaps,
             instances,
             supports,
+            clipped,
         }
     }
 
@@ -99,6 +107,12 @@ impl DatabaseIndex {
     /// Instance indices of `event` within sequence `seq`, ascending.
     pub fn instances_in(&self, seq: usize, event: EventId) -> &[u32] {
         &self.instances[seq][event.0 as usize]
+    }
+
+    /// Boundary-clipped instances of the indexed sequences, counted in
+    /// the build pass whether or not the policy hides them.
+    pub(crate) fn clipped_instances(&self) -> u64 {
+        self.clipped
     }
 
     /// Number of distinct events indexed.
@@ -167,9 +181,12 @@ mod tests {
     fn masked_build_hides_sequences_end_to_end() {
         let db = tiny_db();
         // Mask out sequence 0: only B (in sequence 1) remains visible.
-        let idx =
-            DatabaseIndex::build_masked(&db, BoundaryPolicy::Clip, Some(&[false, true]));
-        assert_eq!(idx.support(EventId(0)), 0, "A lived only in masked-out seq 0");
+        let idx = DatabaseIndex::build_masked(&db, BoundaryPolicy::Clip, Some(&[false, true]));
+        assert_eq!(
+            idx.support(EventId(0)),
+            0,
+            "A lived only in masked-out seq 0"
+        );
         assert_eq!(idx.support(EventId(1)), 1);
         assert!(!idx.bitmap(EventId(1)).get(0));
         assert!(idx.bitmap(EventId(1)).get(1));
@@ -185,11 +202,7 @@ mod tests {
         let mut reg = EventRegistry::new();
         let a = reg.intern(VariableId(0), SymbolId(1), || "A".into());
         // Sequence 0: one clipped A; sequence 1: one clean A.
-        let clipped = EventInstance::with_extent(
-            a,
-            Interval::new(0, 5),
-            Interval::new(-3, 5),
-        );
+        let clipped = EventInstance::with_extent(a, Interval::new(0, 5), Interval::new(-3, 5));
         let s0 = TemporalSequence::new(vec![clipped]);
         let s1 = TemporalSequence::new(vec![EventInstance::new(a, 1, 2)]);
         let db = SequenceDatabase::new(reg, vec![s0, s1]);

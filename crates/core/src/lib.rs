@@ -82,18 +82,18 @@ pub use approx::{
 };
 pub use config::{MinerConfig, PruningConfig, MAX_EVENTS_HARD_CAP};
 pub use exact::{mine_exact, mine_exact_with_sink};
+pub use executor::ShardReport;
+pub use hpg::{HierarchicalPatternGraph, Level, Node};
+pub use index::DatabaseIndex;
 pub use parallel::mine_exact_parallel_with_sink;
+pub use pattern::Pattern;
 pub use plan::{Correlation, MineData, MinePlan};
+pub use pool::{DeltaKey, EventsRev, PatternId, PatternPool};
 pub use postprocess::{
     closed_patterns, maximal_patterns, pattern_lift, rank_patterns, top_k_by_lift, PatternSort,
 };
-pub use hpg::{HierarchicalPatternGraph, Level, Node};
-pub use index::DatabaseIndex;
-pub use pattern::Pattern;
-pub use pool::{DeltaKey, EventsRev, PatternId, PatternPool};
 pub use reference::{mine_reference, mine_reference_filtered};
 pub use result::{FrequentPattern, MiningResult, MiningStats};
 pub use schedule::{ExploreStats, Explorer, Schedule};
-pub use executor::ShardReport;
 pub use shard::{Shard, ShardPlan, ShardPlanner};
 pub use sink::{CollectSink, CountingSink, CsvSink, JsonlSink, PatternSink, RowEncoder};

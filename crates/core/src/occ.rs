@@ -126,8 +126,7 @@ impl OccArena {
     pub(crate) fn append_from(&mut self, other: &OccArena, range: OccRange) -> OccRange {
         debug_assert_eq!(self.width, other.width);
         let start = self.mark();
-        self.seqs
-            .extend_from_slice(&other.seqs[range.iter()]);
+        self.seqs.extend_from_slice(&other.seqs[range.iter()]);
         self.insts.extend_from_slice(
             &other.insts[range.start as usize * self.width..range.end as usize * self.width],
         );

@@ -1,13 +1,13 @@
 //! The E-HTPGM engine, on one thread or many.
 //!
 //! HTPGM parallelizes naturally along the Hierarchical Pattern Graph:
-//! L2 candidate pairs are independent of each other, and from L3 onward
-//! every L2 node's subtree grows independently of its siblings (the only
-//! cross-node structure, the frequent-relation table of Lemmas 4–7, is
-//! complete once L2 is done and read-only afterwards). This module
-//! shards both phases over `std::thread::scope` workers, driving the
-//! shared [`crate::candidates`] engine, and emits finished nodes into a
-//! shared [`PatternSink`]. It is the only unsharded miner:
+//! each L1 root grows into its L2 nodes independently of the others, and
+//! from L3 onward every L2 node's subtree grows independently of its
+//! siblings (the only cross-node structure, the frequent-relation table
+//! of Lemmas 4–7, is complete once L2 is done and read-only afterwards).
+//! Both phases run the one growth step of [`crate::exact`] on
+//! `std::thread::scope` workers, which emit finished nodes into a shared
+//! [`PatternSink`]. It is the only unsharded miner:
 //! [`crate::mine_exact`] is this engine at `threads = 1`, where the one
 //! worker runs on the calling thread and the emission order is fixed (L2
 //! nodes in event order, each subtree depth-first before the next). With
@@ -34,12 +34,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::ScopedJoinHandle;
 
-use ftpm_events::{BoundaryKernel, BoundaryPolicy, EventId, SequenceDatabase};
+use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase};
 
 use crate::approx::CorrelationFilter;
-use crate::candidates::{L2Engine, PairRelations, WorkNode};
+use crate::candidates::{PairRelations, Screen, WorkNode};
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
-use crate::exact::GrowContext;
+use crate::exact::{grow_candidates, GrowContext};
 use crate::index::DatabaseIndex;
 use crate::plan::MinePlan;
 use crate::result::{merge_stats, FrequentPattern, MiningStats};
@@ -124,25 +124,8 @@ where
     })
 }
 
-/// Records how many instances of `db` carry a window-boundary clip, and
-/// how many of those the active [`BoundaryPolicy`] drops outright — the
-/// run-level observability half of the boundary-artifact story (the
-/// per-pattern half is `clipped_occurrences`).
-fn record_boundary_stats(db: &SequenceDatabase, cfg: &MinerConfig, stats: &mut MiningStats) {
-    let clipped = db
-        .sequences()
-        .iter()
-        .flat_map(|s| s.instances())
-        .filter(|i| i.is_clipped())
-        .count() as u64;
-    stats.clipped_instances = clipped;
-    stats.discarded_instances = match cfg.relation.boundary {
-        BoundaryPolicy::Discard => clipped,
-        BoundaryPolicy::Clip | BoundaryPolicy::TrueExtent => 0,
-    };
-}
-
-/// How many L2 candidate pairs a worker claims at once: batched work
+/// How many L2 candidate pairs a worker claims at once, at least: it
+/// claims whole roots, each one pair per frequent event. Batched work
 /// stealing keeps workers balanced even when a few pairs dominate the
 /// cost.
 const PAIR_BATCH: usize = 16;
@@ -170,8 +153,7 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
     let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
     let index = DatabaseIndex::build_with_policy(db, cfg.relation.boundary);
     let mut stats = MiningStats::default();
-    record_boundary_stats(db, cfg, &mut stats);
-    let db_has_clipped = stats.clipped_instances > 0;
+    let db_has_clipped = stats.record_boundary(&index, cfg.relation.boundary);
 
     // ---- L1: frequent single events (Alg. 1 lines 1–4) ----
     let freq_events: Vec<EventId> = db
@@ -180,53 +162,45 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
         .filter(|&e| corr.is_none_or(|c| c.allows_event(e)))
         .filter(|&e| index.support(e) >= sigma_abs)
         .collect();
-    let l1: Vec<(EventId, usize)> = freq_events
-        .iter()
-        .map(|&e| (e, index.support(e)))
-        .collect();
+    let l1: Vec<(EventId, usize)> = freq_events.iter().map(|&e| (e, index.support(e))).collect();
     sink.begin(&l1);
 
-    // ---- L2: frequent 2-event patterns (Alg. 1 lines 5–14), workers
-    // claiming batches of the row-major `freq_events × freq_events`
-    // pair space ----
-    let engine = L2Engine::<K> {
-        db,
-        index: &index,
-        cfg,
-        sigma_abs,
-        kernel: PhantomData,
-    };
+    // ---- L2: frequent 2-event patterns (Alg. 1 lines 5–14): each L1
+    // root grows by one event, workers claiming batches of roots ----
     let n_freq = freq_events.len();
-    let n_pairs = n_freq * n_freq;
-    let next_pair = AtomicUsize::new(0);
+    let roots_per_claim = PAIR_BATCH.div_ceil(n_freq.max(1));
+    let next_root = AtomicUsize::new(0);
+    let screen = Screen::Edges(corr);
     let l2_outputs = run_workers(n_threads, sched, |worker| {
         let mut nodes = Vec::new();
         let mut stats = MiningStats::default();
-        stats.nodes_verified.push(0);
+        stats.ensure_levels(1);
         loop {
             if let Some(ctl) = sched {
                 ctl.turn(worker);
             }
-            let at = next_pair.fetch_add(PAIR_BATCH, Ordering::Relaxed);
-            if at >= n_pairs {
+            let at = next_root.fetch_add(roots_per_claim, Ordering::Relaxed);
+            if at >= n_freq {
                 break;
             }
-            for pair in at..(at + PAIR_BATCH).min(n_pairs) {
-                let (ei, ej) = (freq_events[pair / n_freq], freq_events[pair % n_freq]);
-                if corr.is_some_and(|c| !c.allows_pair(ei, ej)) {
-                    continue;
-                }
-                if let Some(node) = engine.try_pair(ei, ej, &mut stats) {
-                    nodes.push(node);
-                }
+            for &e in &freq_events[at..(at + roots_per_claim).min(n_freq)] {
+                let root = WorkNode::root(&index, e);
+                nodes.extend(grow_candidates::<K>(
+                    db,
+                    &index,
+                    cfg,
+                    &mut stats,
+                    &root,
+                    &freq_events,
+                    screen,
+                    sigma_abs,
+                    2,
+                ));
             }
         }
         (nodes, stats)
     });
 
-    stats.nodes_verified.push(0);
-    stats.nodes_kept.push(0);
-    stats.patterns_found.push(0);
     let mut level2: Vec<WorkNode> = Vec::new();
     for (nodes, worker_stats) in l2_outputs {
         merge_stats(&mut stats, worker_stats);
@@ -239,10 +213,14 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
         }
     }
     // Canonical order so work distribution is deterministic across runs
-    // (event pairs are unique, so an in-place unstable sort suffices).
+    // (event pairs are unique, so an in-place unstable sort suffices),
+    // and each node's patterns by relation, the order the one-thread
+    // output is pinned to. Their arena ranges no longer ascend, which
+    // only the exchange's compaction needs.
     level2.sort_unstable_by(|a, b| a.events.cmp(&b.events));
-    stats.nodes_kept[0] = level2.len();
-    stats.patterns_found[0] = level2.iter().map(|n| n.patterns.len()).sum();
+    for node in &mut level2 {
+        node.patterns.sort_unstable_by_key(|p| p.code);
+    }
 
     let mut pair_relations = PairRelations::new(db.registry().len());
     for node in &level2 {
@@ -341,8 +319,8 @@ where
 /// input order in the output. Built on [`par_for_each`]; single-threaded
 /// calls stay allocation- and spawn-free. Used for the intra-shard
 /// parallelism of the exchange executor's count and re-derive stages
-/// (chunks of L2 pairs or level-k nodes), composing with the shard-level
-/// concurrency the way `--threads` composes with `--shards`.
+/// (chunks of parent nodes), composing with the shard-level concurrency
+/// the way `--threads` composes with `--shards`.
 #[expect(
     clippy::expect_used,
     reason = "structural invariant: par_for_each visits every slot exactly once"
@@ -534,10 +512,7 @@ mod tests {
         // Single item: stays on the calling thread.
         assert_eq!(par_map(vec![7u32], 8, |x| x * 2), vec![14]);
         // More threads than items, order preserved.
-        assert_eq!(
-            par_map(vec![1u32, 2, 3], 64, |x| x * 10),
-            vec![10, 20, 30]
-        );
+        assert_eq!(par_map(vec![1u32, 2, 3], 64, |x| x * 10), vec![10, 20, 30]);
     }
 
     #[test]
@@ -565,7 +540,10 @@ mod tests {
         let msg = payload
             .downcast_ref::<String>()
             .expect("original panic payload");
-        assert!(msg.contains("task failure on item 3"), "payload was {msg:?}");
+        assert!(
+            msg.contains("task failure on item 3"),
+            "payload was {msg:?}"
+        );
         assert_eq!(
             processed.load(Ordering::Relaxed),
             7,

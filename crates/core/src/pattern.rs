@@ -49,6 +49,15 @@ impl Pattern {
         }
     }
 
+    /// The single-event pattern of `e`: the root a level-2 growth step
+    /// extends. Roots are never output.
+    pub(crate) fn root(e: EventId) -> Self {
+        Pattern {
+            events: vec![e],
+            relations: Vec::new(),
+        }
+    }
+
     /// The events, in chronological role order.
     pub fn events(&self) -> &[EventId] {
         &self.events
@@ -64,7 +73,7 @@ impl Pattern {
         self.events.len()
     }
 
-    /// Always false (patterns have at least two events).
+    /// Always false (a pattern has at least one event).
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -82,9 +91,8 @@ impl Pattern {
 
     /// Iterates over all triples `(i, j, relation)` with `i < j`.
     pub fn triples(&self) -> impl Iterator<Item = (usize, usize, TemporalRelation)> + '_ {
-        (1..self.events.len()).flat_map(move |j| {
-            (0..j).map(move |i| (i, j, self.relation_between(i, j)))
-        })
+        (1..self.events.len())
+            .flat_map(move |j| (0..j).map(move |i| (i, j, self.relation_between(i, j))))
     }
 
     /// A new pattern extended with event `event`, whose relations to the

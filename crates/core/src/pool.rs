@@ -216,7 +216,11 @@ impl PatternPool {
     /// Panics if `event` was not covered by [`PatternPool::with_roots`].
     #[inline]
     pub fn root(&self, event: EventId) -> PatternId {
-        assert!(event.0 < self.n_roots, "event {} has no root in this pool", event.0);
+        assert!(
+            event.0 < self.n_roots,
+            "event {} has no root in this pool",
+            event.0
+        );
         PatternId(event.0)
     }
 
@@ -443,10 +447,7 @@ mod tests {
     use TemporalRelation::{Contain, Follow, Overlap};
 
     fn pat(events: &[u32], rels: &[TemporalRelation]) -> Pattern {
-        Pattern::new(
-            events.iter().map(|&e| EventId(e)).collect(),
-            rels.to_vec(),
-        )
+        Pattern::new(events.iter().map(|&e| EventId(e)).collect(), rels.to_vec())
     }
 
     #[test]
@@ -477,7 +478,10 @@ mod tests {
         assert_eq!(pool.delta_rels(id), &[Follow, Follow, Overlap]);
         // The parent chain is the prefix chain.
         let prefix = pool.parent(id);
-        assert_eq!(pool.resolve(prefix), pat(&[0, 2, 1], &[Follow, Overlap, Contain]));
+        assert_eq!(
+            pool.resolve(prefix),
+            pat(&[0, 2, 1], &[Follow, Overlap, Contain])
+        );
     }
 
     #[test]
@@ -488,7 +492,11 @@ mod tests {
         let len_after_first = pool.len();
         let b = pool.intern(&p);
         assert_eq!(a, b);
-        assert_eq!(pool.len(), len_after_first, "re-interning allocates nothing");
+        assert_eq!(
+            pool.len(),
+            len_after_first,
+            "re-interning allocates nothing"
+        );
         // Sharing a prefix shares the prefix entries.
         let q = pat(&[0, 1, 2], &[Follow, Overlap, Overlap]);
         let c = pool.intern(&q);

@@ -286,9 +286,7 @@ mod tests {
         let ab = result
             .patterns
             .iter()
-            .find(|p| {
-                p.pattern.events() == [a, b]
-            })
+            .find(|p| p.pattern.events() == [a, b])
             .expect("A->B mined");
         assert!(
             !closed.iter().any(|p| p.pattern == ab.pattern),
@@ -306,7 +304,10 @@ mod tests {
             .find(|p| p.pattern.len() == 2 && p.support == 3)
             .unwrap();
         let lift = pattern_lift(&result, ab).unwrap();
-        assert!(lift >= 1.0, "perfectly co-occurring events: lift {lift} >= 1");
+        assert!(
+            lift >= 1.0,
+            "perfectly co-occurring events: lift {lift} >= 1"
+        );
     }
 
     #[test]

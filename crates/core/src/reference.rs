@@ -10,9 +10,7 @@
 use std::collections::HashMap;
 
 use ftpm_bitmap::Bitmap;
-use ftpm_events::{
-    BoundaryKernel, BoundaryVisit, SequenceDatabase, TemporalRelation,
-};
+use ftpm_events::{BoundaryKernel, BoundaryVisit, SequenceDatabase, TemporalRelation};
 
 use crate::approx::CorrelationFilter;
 use crate::config::MinerConfig;
@@ -203,10 +201,8 @@ fn dfs<K: BoundaryKernel>(
         clippy::expect_used,
         reason = "structural invariant: binding members passed the boundary policy on entry"
     )]
-    let bound_iv = |i: usize| {
-        K::interval(&insts[i])
-            .expect("bound instances pass the boundary policy")
-    };
+    let bound_iv =
+        |i: usize| K::interval(&insts[i]).expect("bound instances pass the boundary policy");
     let first_start = bound_iv(tuple[0]).start;
     #[expect(
         clippy::expect_used,
@@ -232,7 +228,9 @@ fn dfs<K: BoundaryKernel>(
         }
         if corr.is_some_and(|c| {
             !c.allows_event(x.event)
-                || tuple.iter().any(|&ti| !c.allows_pair(insts[ti].event, x.event))
+                || tuple
+                    .iter()
+                    .any(|&ti| !c.allows_pair(insts[ti].event, x.event))
         }) {
             continue; // pruned by the correlation graph (L1 / L2 gates)
         }

@@ -1,8 +1,9 @@
 use std::collections::HashSet;
 
-use ftpm_events::{EventId, EventRegistry};
+use ftpm_events::{BoundaryPolicy, EventId, EventRegistry};
 
 use crate::hpg::HierarchicalPatternGraph;
+use crate::index::DatabaseIndex;
 use crate::pattern::Pattern;
 
 /// A mined frequent temporal pattern together with its measures.
@@ -64,6 +65,26 @@ impl MiningStats {
             self.patterns_found.push(0);
         }
     }
+
+    /// Records the boundary counts of the sequences `index` covers, built
+    /// under `policy`: the run-level half of the boundary-artifact story
+    /// (the per-pattern half is `clipped_occurrences`). Returns whether a
+    /// bound occurrence can hold a clipped instance, that is whether the
+    /// per-pattern count needs its occurrence scan: `Discard` hides every
+    /// clipped instance from the index.
+    pub(crate) fn record_boundary(
+        &mut self,
+        index: &DatabaseIndex,
+        policy: BoundaryPolicy,
+    ) -> bool {
+        let clipped = index.clipped_instances();
+        self.clipped_instances = clipped;
+        self.discarded_instances = match policy {
+            BoundaryPolicy::Discard => clipped,
+            BoundaryPolicy::Clip | BoundaryPolicy::TrueExtent => 0,
+        };
+        clipped > 0 && policy != BoundaryPolicy::Discard
+    }
 }
 
 /// Sums per-worker / per-shard run counters into `into` — the single
@@ -93,8 +114,8 @@ pub(crate) fn merge_stats(into: &mut MiningStats, from: MiningStats) {
     into.instance_checks += from.instance_checks;
     into.apriori_pruned += from.apriori_pruned;
     into.transitivity_pruned += from.transitivity_pruned;
-    // Boundary counts describe the database, not per-shard work: they
-    // are recorded once up front, and shard stats carry zeros.
+    // Boundary counts describe the database: a worker's stats carry
+    // zeros, and a shard's its owned sequences' counts.
     into.clipped_instances += from.clipped_instances;
     into.discarded_instances += from.discarded_instances;
 }

@@ -7,7 +7,7 @@
 //! This module turns the claim into a checked property: a [`Schedule`]
 //! replaces the pools' free-running claim loops with a seeded
 //! sequencer, so each seed drives one reproducible interleaving of the
-//! task-claim order — L2 pair chunks and L3 subtrees of an unsharded
+//! task-claim order — batches of L1 roots and L3 subtrees of an unsharded
 //! plan, count → gate → re-derive shard rounds of a sharded one (see
 //! [`Schedule::collect`]) — and a test sweeps seeds asserting the merged
 //! output never changes.
@@ -418,7 +418,11 @@ impl Schedule {
     }
 
     /// A schedule replaying `script` branch choices (see [`Explorer`]).
-    fn from_script(workers: usize, script: Vec<usize>, preemption_bound: Option<usize>) -> Schedule {
+    fn from_script(
+        workers: usize,
+        script: Vec<usize>,
+        preemption_bound: Option<usize>,
+    ) -> Schedule {
         Schedule {
             ctl: SimCtl::scripted(script, preemption_bound),
             workers: workers.max(1),
@@ -538,8 +542,7 @@ impl Explorer {
                 .iter()
                 .rposition(|d| d.chosen + 1 < d.allowed_len)
                 .map(|i| {
-                    let mut s: Vec<usize> =
-                        decisions[..i].iter().map(|d| d.chosen).collect();
+                    let mut s: Vec<usize> = decisions[..i].iter().map(|d| d.chosen).collect();
                     s.push(decisions[i].chosen + 1);
                     s
                 });

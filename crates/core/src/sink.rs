@@ -587,35 +587,16 @@ impl<W: Write> PatternSink for JsonlSink<'_, W> {
 }
 
 impl MiningResult {
-    /// Replays a fully collected result into a sink — the buffered
-    /// counterpart of mining straight into one, used by export paths
-    /// that already hold a [`MiningResult`] (e.g. `ftpm mine --output`
-    /// without `--stream`).
+    /// Moves a fully collected result into a sink, pattern by pattern —
+    /// the buffered counterpart of mining straight into one, used by
+    /// export paths that already hold a [`MiningResult`] (e.g. `ftpm
+    /// mine --output` without `--stream`).
     ///
     /// Emission follows the HPG summary: one
     /// [`node`](PatternSink::node) call per graph node, levels in order.
     /// The caller remains responsible for
     /// [`finish`](PatternSink::finish)ing the sink; writer sinks latch
     /// any I/O error until then.
-    pub fn replay_into(&self, sink: &mut dyn PatternSink) {
-        sink.begin(&self.frequent_events);
-        for (li, level) in self.graph.levels.iter().enumerate() {
-            for node in &level.nodes {
-                let patterns = node
-                    .pattern_indices
-                    .iter()
-                    .map(|&i| self.patterns[i].clone())
-                    .collect();
-                sink.node(node.events.clone(), node.support, li + 2, patterns);
-            }
-        }
-    }
-
-    /// Consuming counterpart of [`MiningResult::replay_into`]: moves each
-    /// pattern into the sink instead of cloning it. Prefer this when the
-    /// result is not needed afterwards (the export-only CLI path) —
-    /// replaying a large result then dropping it doubles every pattern
-    /// allocation for no reason.
     pub fn drain_into(self, sink: &mut dyn PatternSink) {
         sink.begin(&self.frequent_events);
         let mut patterns: Vec<Option<FrequentPattern>> =
@@ -666,8 +647,18 @@ mod tests {
     fn counting_sink_counts() {
         let mut sink = CountingSink::default();
         sink.begin(&[(EventId(0), 4)]);
-        sink.node(vec![EventId(0), EventId(1)], 3, 2, vec![fp(0, 1, 3), fp(1, 0, 3)]);
-        sink.node(vec![EventId(0), EventId(1), EventId(2)], 2, 3, vec![fp(0, 2, 2)]);
+        sink.node(
+            vec![EventId(0), EventId(1)],
+            3,
+            2,
+            vec![fp(0, 1, 3), fp(1, 0, 3)],
+        );
+        sink.node(
+            vec![EventId(0), EventId(1), EventId(2)],
+            2,
+            3,
+            vec![fp(0, 2, 2)],
+        );
         assert_eq!(sink.patterns(), 3);
         assert_eq!(sink.nodes(), 2);
         assert_eq!(sink.frequent_events(), 1);

@@ -7,8 +7,7 @@
 use std::collections::HashMap;
 
 use ftpm_core::{
-    mine_approximate, mine_exact, mine_reference, MinerConfig, MiningResult, Pattern,
-    PruningConfig,
+    mine_approximate, mine_exact, mine_reference, MinerConfig, MiningResult, Pattern, PruningConfig,
 };
 use ftpm_datagen::random_sequence_database;
 use ftpm_events::RelationConfig;
@@ -116,8 +115,7 @@ fn exact_matches_reference_under_every_boundary_policy() {
             .collect();
         for p in &exact.patterns {
             assert_eq!(
-                p.clipped_occurrences,
-                clipped[&p.pattern],
+                p.clipped_occurrences, clipped[&p.pattern],
                 "policy={policy}: clipped_occurrences mismatch for {:?}",
                 p.pattern
             );
@@ -256,9 +254,7 @@ fn lemma6_prefix_confidence_at_least_pattern_confidence() {
         let by_key = as_map(&result);
         for p in &result.patterns {
             for other in &result.patterns {
-                if other.pattern.len() < p.pattern.len()
-                    && p.pattern.has_prefix(&other.pattern)
-                {
+                if other.pattern.len() < p.pattern.len() && p.pattern.has_prefix(&other.pattern) {
                     let (_, prefix_conf) = by_key[&other.pattern];
                     assert!(
                         prefix_conf + 1e-9 >= p.confidence,

@@ -11,6 +11,7 @@ mod common;
 use common::{assert_equivalent, labelled, policy_cfg, random_syb, runs, Layout};
 use ftpm_core::{mine_exact, Correlation, MinePlan, MinerConfig, ShardPlanner};
 use ftpm_events::{to_sequence_database, BoundaryPolicy, RelationConfig, SplitConfig};
+use ftpm_mi::CorrelationGraph;
 use ftpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};
 
 /// One full check: the exchange against the unsharded baseline —
@@ -71,7 +72,14 @@ fn exchange_equals_baselines_across_policies_and_shard_counts() {
     ] {
         let cfg = policy_cfg(0.25, 0.25, 20, policy);
         for shards in [1usize, 2, 4] {
-            check_exchange(&syb, split, &cfg, shards, 1, &format!("{policy} K={shards}"));
+            check_exchange(
+                &syb,
+                split,
+                &cfg,
+                shards,
+                1,
+                &format!("{policy} K={shards}"),
+            );
         }
     }
 }
@@ -143,6 +151,73 @@ fn exchange_gate_prunes_candidates_and_matches_unsharded() {
     }
 }
 
+/// Pinned work of one unsharded run on the energy demo: the pattern
+/// count, then `nodes_verified`, `nodes_kept` and `patterns_found` per
+/// level, `instance_checks`, `apriori_pruned` and `transitivity_pruned`.
+type UnshardedWork = (usize, Vec<usize>, Vec<usize>, Vec<usize>, u64, u64, u64);
+
+/// The unsharded engine's counters and the level-2 correlation screen,
+/// pinned on the energy demo and config of
+/// [`exchange_gate_prunes_candidates_and_matches_unsharded`] at 1 and 2
+/// threads: exactly, and under an A-HTPGM gate that keeps half of the
+/// graph's edges, unsharded and at K = 2. The screen is not counted as
+/// pruning, so only the verified nodes and the instance work show it.
+#[test]
+fn unsharded_counters_and_the_correlation_screen_are_pinned() {
+    let data = ftpm_datagen::nist_like(0.01).project_variables(8);
+    let t_max = 3 * 60;
+    let cfg = MinerConfig::new(0.25, 0.25)
+        .with_max_events(3)
+        .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(BoundaryPolicy::TrueExtent));
+    let graph = CorrelationGraph::build_with_density(&data.syb, 0.5);
+    let correlations = [Correlation::None, Correlation::Series(&graph)];
+    let pinned: [UnshardedWork; 2] = [
+        (21, vec![254, 10], vec![16, 5], vec![16, 5], 2_284, 2, 263),
+        (17, vec![144, 6], vec![12, 5], vec![12, 5], 1_338, 0, 197),
+    ];
+    let layouts = [Layout::Unsharded];
+    let unsharded = runs(
+        &data.syb,
+        data.split,
+        &cfg,
+        &[1, 2],
+        &layouts,
+        &correlations,
+    );
+    for (i, run) in unsharded.iter().enumerate() {
+        let stats = &run.result.stats;
+        let got: UnshardedWork = (
+            run.result.len(),
+            stats.nodes_verified.clone(),
+            stats.nodes_kept.clone(),
+            stats.patterns_found.clone(),
+            stats.instance_checks,
+            stats.apriori_pruned,
+            stats.transitivity_pruned,
+        );
+        assert_eq!(got, pinned[i % 2], "energy demo [{}]", run.context);
+    }
+
+    let want: ExchangeWork = (vec![(44, 27), (40, 23)], vec![288, 12], 1_338, 0, 383);
+    let (layouts, gated) = ([Layout::Shards(2)], [Correlation::Series(&graph)]);
+    for run in runs(&data.syb, data.split, &cfg, &[1, 2], &layouts, &gated) {
+        let stats = &run.result.stats;
+        let got: ExchangeWork = (
+            run.reports
+                .iter()
+                .map(|r| (r.candidates_proposed, r.candidates_pruned))
+                .collect(),
+            stats.nodes_verified.clone(),
+            stats.instance_checks,
+            stats.apriori_pruned,
+            stats.transitivity_pruned,
+        );
+        let context = format!("energy demo [{}]", run.context);
+        assert_eq!(got, want, "{context}");
+        assert_equivalent(&unsharded[1].labelled, &run.labelled, &context);
+    }
+}
+
 /// A shard whose slice contains no (visible) instances must propose
 /// nothing and not poison the exchange. Variant 1: a database with no
 /// variables at all — every window is empty, and asking for more shards
@@ -160,7 +235,11 @@ fn empty_shards_propose_nothing() {
     assert!(result.is_empty(), "no instances, no patterns");
     assert!(result.frequent_events.is_empty());
     for r in &reports {
-        assert_eq!(r.candidates_proposed, 0, "shard {} proposed from nothing", r.shard);
+        assert_eq!(
+            r.candidates_proposed, 0,
+            "shard {} proposed from nothing",
+            r.shard
+        );
         assert_eq!(r.candidates_pruned, 0);
     }
 }
@@ -178,12 +257,20 @@ fn discard_hidden_tail_shards_do_not_poison_the_exchange() {
         .into_iter()
         .chain(std::iter::repeat_n("Off", 40))
         .collect();
-    syb.push(SymbolicSeries::from_labels("V0", Alphabet::on_off(), labels.clone()));
+    syb.push(SymbolicSeries::from_labels(
+        "V0",
+        Alphabet::on_off(),
+        labels.clone(),
+    ));
     let shifted: Vec<&str> = std::iter::once("Off")
         .chain(active)
         .chain(std::iter::repeat_n("Off", 39))
         .collect();
-    syb.push(SymbolicSeries::from_labels("V1", Alphabet::on_off(), shifted));
+    syb.push(SymbolicSeries::from_labels(
+        "V1",
+        Alphabet::on_off(),
+        shifted,
+    ));
     let split = SplitConfig::new(20, 0);
     for policy in [BoundaryPolicy::Discard, BoundaryPolicy::TrueExtent] {
         // sigma low enough that head-only patterns survive globally.

@@ -184,8 +184,14 @@ fn explorer_covers_the_one_worker_engine() {
     let stats = Explorer::new(1)
         .explore(|sched| {
             let (run, _) = sched.collect(&MinePlan::new(&seq, &cfg));
-            assert_eq!(run.patterns, base.patterns, "one worker keeps the emission order");
-            assert!(!sched.trace().is_empty(), "claims must go through the sequencer");
+            assert_eq!(
+                run.patterns, base.patterns,
+                "one worker keeps the emission order"
+            );
+            assert!(
+                !sched.trace().is_empty(),
+                "claims must go through the sequencer"
+            );
             Ok::<(), String>(())
         })
         .expect("the one-worker run matches the baseline");

@@ -171,7 +171,9 @@ fn overlap_dedup_never_under_counts_and_naive_merge_over_counts() {
         "the probe pattern is supported by every window"
     );
 
-    let plan = ShardPlanner::new(3).plan(&syb, split, cfg.relation.t_max).expect("plan");
+    let plan = ShardPlanner::new(3)
+        .plan(&syb, split, cfg.relation.t_max)
+        .expect("plan");
     // The deduplicating merge reproduces the baseline exactly.
     let (merged, _) = MinePlan::new(&plan, &cfg).collect();
     let merged_map = labelled(&merged, plan.registry());

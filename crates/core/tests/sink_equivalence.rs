@@ -70,7 +70,11 @@ fn stream_writers(
     let mut jsonl = Vec::new();
     let mut jsonl_sink = JsonlSink::new(&mut jsonl, seq.registry());
     plan.run(&mut jsonl_sink);
-    assert_eq!(jsonl_sink.written() as usize, patterns, "{context}: jsonl lines");
+    assert_eq!(
+        jsonl_sink.written() as usize,
+        patterns,
+        "{context}: jsonl lines"
+    );
     jsonl_sink.finish().expect("vec write");
     drop(jsonl_sink);
     (
@@ -121,7 +125,10 @@ fn check_all_paths(data: &Dataset, cfg: &MinerConfig) {
     let mut collect = CollectSink::new();
     let (stats, _) = one_thread.run(&mut collect);
     let collected = collect.into_result(stats);
-    assert_eq!(exact.patterns, collected.patterns, "{context}: collect order");
+    assert_eq!(
+        exact.patterns, collected.patterns,
+        "{context}: collect order"
+    );
     assert_eq!(exact.graph, collected.graph, "{context}: collect graph");
     assert_eq!(exact.stats, collected.stats, "{context}: collect stats");
 
@@ -201,7 +208,10 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 fn order_digest(result: &MiningResult, registry: &ftpm_events::EventRegistry) -> u64 {
     result.patterns.iter().fold(FNV_OFFSET, |h, fp| {
         let label = fp.pattern.display(registry).to_string();
-        fnv1a(fnv1a(h, label.as_bytes()), &(fp.support as u64).to_le_bytes())
+        fnv1a(
+            fnv1a(h, label.as_bytes()),
+            &(fp.support as u64).to_le_bytes(),
+        )
     })
 }
 
@@ -247,8 +257,16 @@ fn one_thread_output_matches_the_retired_sequential_engine() {
     // The complete one-thread CSV and JSONL bytes: row order, label
     // escaping and number formatting.
     let (csv, jsonl) = stream_writers(&data.seq, &cfg, 1, 1632, "writers");
-    assert_eq!(fnv1a(FNV_OFFSET, csv.as_bytes()), 0x495c_0eb9_b512_9fc5, "CSV bytes");
-    assert_eq!(fnv1a(FNV_OFFSET, jsonl.as_bytes()), 0x859f_52c0_d040_0587, "JSONL bytes");
+    assert_eq!(
+        fnv1a(FNV_OFFSET, csv.as_bytes()),
+        0x495c_0eb9_b512_9fc5,
+        "CSV bytes"
+    );
+    assert_eq!(
+        fnv1a(FNV_OFFSET, jsonl.as_bytes()),
+        0x859f_52c0_d040_0587,
+        "JSONL bytes"
+    );
 
     // On the input above no parent pattern has two surviving extension
     // groups whose order could differ, so the digest does not pin the
@@ -313,8 +331,14 @@ fn top_n_selection_is_stable_across_thread_counts() {
         }
     }
     for pair in selections.chunks(2).collect::<Vec<_>>().windows(2) {
-        assert_eq!(pair[0][0], pair[1][0], "--top --sort support selection drifted");
-        assert_eq!(pair[0][1], pair[1][1], "--top --sort confidence selection drifted");
+        assert_eq!(
+            pair[0][0], pair[1][0],
+            "--top --sort support selection drifted"
+        );
+        assert_eq!(
+            pair[0][1], pair[1][1],
+            "--top --sort confidence selection drifted"
+        );
     }
 }
 
@@ -340,27 +364,36 @@ fn parallel_collect_sink_merges_graph_consistently() {
 }
 
 #[test]
-fn replay_into_collect_roundtrips() {
+fn drain_into_collect_roundtrips() {
     let data = ukdale_like(0.01);
     let cfg = MinerConfig::new(0.4, 0.4).with_max_events(3);
     let exact = mine_exact(&data.seq, &cfg);
     let mut sink = CollectSink::new();
-    exact.replay_into(&mut sink);
+    exact.clone().drain_into(&mut sink);
     sink.finish().expect("collect never fails");
-    let replayed = sink.into_result(exact.stats.clone());
-    // Replay walks the graph level by level, so the pattern order changes
-    // from discovery (depth-first) to level order — but the set, the
-    // frequent events, and the graph structure survive the round trip.
-    assert_same_patterns(&exact, &replayed, "replay");
-    assert_eq!(exact.frequent_events, replayed.frequent_events);
-    assert_eq!(exact.graph.n_nodes(), replayed.graph.n_nodes());
-    for (le, lr) in exact.graph.levels.iter().zip(&replayed.graph.levels) {
+    let drained = sink.into_result(exact.stats.clone());
+    // Draining walks the graph level by level, so the pattern order
+    // changes from discovery (depth-first) to level order — but the set,
+    // the frequent events, and the graph structure survive the round
+    // trip.
+    assert_same_patterns(&exact, &drained, "drain");
+    assert_eq!(exact.frequent_events, drained.frequent_events);
+    assert_eq!(exact.graph.n_nodes(), drained.graph.n_nodes());
+    for (le, lr) in exact.graph.levels.iter().zip(&drained.graph.levels) {
         for (ne, nr) in le.nodes.iter().zip(&lr.nodes) {
             assert_eq!(ne.events, nr.events);
             assert_eq!(ne.support, nr.support);
-            let pats_e: Vec<_> = ne.pattern_indices.iter().map(|&i| &exact.patterns[i]).collect();
-            let pats_r: Vec<_> = nr.pattern_indices.iter().map(|&i| &replayed.patterns[i]).collect();
-            assert_eq!(pats_e, pats_r, "per-node patterns survive replay");
+            let pats_e: Vec<_> = ne
+                .pattern_indices
+                .iter()
+                .map(|&i| &exact.patterns[i])
+                .collect();
+            let pats_r: Vec<_> = nr
+                .pattern_indices
+                .iter()
+                .map(|&i| &drained.patterns[i])
+                .collect();
+            assert_eq!(pats_e, pats_r, "per-node patterns survive the drain");
         }
     }
 }

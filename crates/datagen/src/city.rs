@@ -62,9 +62,8 @@ pub fn generate_city(cfg: &CityConfig) -> Vec<TimeSeries> {
             let mut value = 0.0f64;
             (0..n_steps)
                 .map(|s| {
-                    let daily = ((s as f64 / steps_per_day as f64) * std::f64::consts::TAU
-                        + phase)
-                        .sin();
+                    let daily =
+                        ((s as f64 / steps_per_day as f64) * std::f64::consts::TAU + phase).sin();
                     value = 0.85 * value + rng.gen_range(-1.0..1.0);
                     value + 2.0 * daily
                 })

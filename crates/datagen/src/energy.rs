@@ -75,11 +75,7 @@ pub fn generate_energy(cfg: &EnergyConfig) -> Vec<TimeSeries> {
     // the common 6-hour analysis window, a group whose two blocks share
     // a window can never exceed ~25% relative support no matter how
     // tightly its appliances correlate.
-    const BLOCKS: [(i64, i64); 3] = [
-        (6 * 60, 9 * 60),
-        (13 * 60, 16 * 60),
-        (18 * 60, 22 * 60),
-    ];
+    const BLOCKS: [(i64, i64); 3] = [(6 * 60, 9 * 60), (13 * 60, 16 * 60), (18 * 60, 22 * 60)];
     // Two anchors per group, in distinct occupancy blocks. Both are
     // always present: a routine firing only once per day sits in 1 of
     // the 4 daily 6-hour windows (~25% relative support, before the
@@ -109,22 +105,23 @@ pub fn generate_energy(cfg: &EnergyConfig) -> Vec<TimeSeries> {
 
     // on[i][step] — appliance i drawing power at this step.
     let mut on = vec![vec![false; n_steps]; cfg.n_appliances];
-    let turn_on = |on: &mut Vec<Vec<bool>>, appliance: usize, day: usize, start_min: i64, dur_min: i64| {
-        let day_base = day as i64 * 24 * 60;
-        let from = ((day_base + start_min.max(0)) / cfg.step_minutes) as usize;
-        let to = ((day_base + (start_min + dur_min).min(24 * 60)) / cfg.step_minutes) as usize;
-        for slot in &mut on[appliance][from..to.min(n_steps)] {
-            *slot = true;
-        }
-    };
+    let turn_on =
+        |on: &mut Vec<Vec<bool>>, appliance: usize, day: usize, start_min: i64, dur_min: i64| {
+            let day_base = day as i64 * 24 * 60;
+            let from = ((day_base + start_min.max(0)) / cfg.step_minutes) as usize;
+            let to = ((day_base + (start_min + dur_min).min(24 * 60)) / cfg.step_minutes) as usize;
+            for slot in &mut on[appliance][from..to.min(n_steps)] {
+                *slot = true;
+            }
+        };
 
     for day in 0..cfg.days {
         for (g, anchors) in routines.iter().enumerate() {
             for &anchor in anchors {
                 // Day-level jitter of the routine as a whole.
                 let jitter = rng.gen_range(-15i64..=15);
-                let members = (g * cfg.group_size)
-                    ..((g + 1) * cfg.group_size).min(cfg.n_appliances);
+                let members =
+                    (g * cfg.group_size)..((g + 1) * cfg.group_size).min(cfg.n_appliances);
                 // Staggered nested cascade: whoever participates first
                 // becomes the leader; every later member starts strictly
                 // after the previous one and ends strictly inside the
@@ -241,11 +238,7 @@ mod tests {
         for s in &series {
             let on_steps = s.values().iter().filter(|&&v| v >= 0.05).count();
             assert!(on_steps > 0, "{} never turns on", s.name());
-            assert!(
-                on_steps < s.len(),
-                "{} never turns off",
-                s.name()
-            );
+            assert!(on_steps < s.len(), "{} never turns off", s.name());
         }
     }
 

@@ -78,7 +78,10 @@ mod tests {
         for seq in db.sequences() {
             let mut seen = std::collections::HashSet::new();
             for inst in seq.instances() {
-                assert!(seen.insert((inst.event, inst.interval)), "duplicate {inst:?}");
+                assert!(
+                    seen.insert((inst.event, inst.interval)),
+                    "duplicate {inst:?}"
+                );
             }
         }
     }

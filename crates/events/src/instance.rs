@@ -44,7 +44,10 @@ impl Interval {
     ///
     /// Panics if `end <= start`.
     pub fn new(start: i64, end: i64) -> Self {
-        assert!(end > start, "interval must have positive duration: [{start}, {end})");
+        assert!(
+            end > start,
+            "interval must have positive duration: [{start}, {end})"
+        );
         Interval { start, end }
     }
 
@@ -180,7 +183,10 @@ mod tests {
         let c = Interval::new(10, 12);
         assert_eq!(a.duration(), 10);
         assert!(a.intersects(&b));
-        assert!(!a.intersects(&c), "half-open intervals touching do not intersect");
+        assert!(
+            !a.intersects(&c),
+            "half-open intervals touching do not intersect"
+        );
         assert_eq!(a.overlap_duration(&b), 5);
         assert_eq!(a.overlap_duration(&c), 0);
         assert!(a.contains(&Interval::new(0, 10)));
@@ -208,7 +214,10 @@ mod tests {
             Err(InvalidInterval { start: 4, end: 4 })
         );
         let err = Interval::try_new(9, 3).expect_err("reversed");
-        assert_eq!(err.to_string(), "interval must have positive duration: [9, 3)");
+        assert_eq!(
+            err.to_string(),
+            "interval must have positive duration: [9, 3)"
+        );
     }
 
     #[test]
@@ -235,11 +244,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must contain")]
     fn with_extent_rejects_non_containing_extent() {
-        let _ = EventInstance::with_extent(
-            EventId(0),
-            Interval::new(0, 10),
-            Interval::new(2, 12),
-        );
+        let _ = EventInstance::with_extent(EventId(0), Interval::new(0, 10), Interval::new(2, 12));
     }
 
     #[test]

@@ -384,24 +384,42 @@ mod tests {
     #[test]
     fn follow_basic() {
         let cfg = RelationConfig::default();
-        assert_eq!(cfg.relate(&iv(0, 5), &iv(5, 8)), Some(TemporalRelation::Follow));
-        assert_eq!(cfg.relate(&iv(0, 5), &iv(9, 12)), Some(TemporalRelation::Follow));
+        assert_eq!(
+            cfg.relate(&iv(0, 5), &iv(5, 8)),
+            Some(TemporalRelation::Follow)
+        );
+        assert_eq!(
+            cfg.relate(&iv(0, 5), &iv(9, 12)),
+            Some(TemporalRelation::Follow)
+        );
     }
 
     #[test]
     fn contain_basic() {
         let cfg = RelationConfig::default();
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(2, 8)), Some(TemporalRelation::Contain));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(2, 8)),
+            Some(TemporalRelation::Contain)
+        );
         // Shared right endpoint still contains.
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(2, 10)), Some(TemporalRelation::Contain));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(2, 10)),
+            Some(TemporalRelation::Contain)
+        );
         // Shared start: ts1 <= ts2 holds, so Contain applies.
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(0, 10)), Some(TemporalRelation::Contain));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(0, 10)),
+            Some(TemporalRelation::Contain)
+        );
     }
 
     #[test]
     fn overlap_basic() {
         let cfg = RelationConfig::default();
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(5, 15)), Some(TemporalRelation::Overlap));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(5, 15)),
+            Some(TemporalRelation::Overlap)
+        );
     }
 
     #[test]
@@ -410,25 +428,40 @@ mod tests {
         // Overlap of 2 < d_o = 3: no relation at all.
         assert_eq!(cfg.relate(&iv(0, 10), &iv(8, 15)), None);
         // Overlap of exactly 3 qualifies.
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(7, 15)), Some(TemporalRelation::Overlap));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(7, 15)),
+            Some(TemporalRelation::Overlap)
+        );
     }
 
     #[test]
     fn epsilon_turns_small_overlap_into_follow() {
         let cfg = RelationConfig::new(2, 2, 1000);
         // Overlap of 2 <= epsilon: tolerated, counted as Follow.
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(8, 15)), Some(TemporalRelation::Follow));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(8, 15)),
+            Some(TemporalRelation::Follow)
+        );
         // Overlap of 3 > epsilon and >= d_o: Overlap.
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(7, 15)), Some(TemporalRelation::Overlap));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(7, 15)),
+            Some(TemporalRelation::Overlap)
+        );
     }
 
     #[test]
     fn epsilon_extends_contain_at_the_end() {
         let cfg = RelationConfig::new(2, 2, 1000);
         // e2 outlives e1 by 2 <= epsilon: still contained.
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(3, 12)), Some(TemporalRelation::Contain));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(3, 12)),
+            Some(TemporalRelation::Contain)
+        );
         // Outlives by 3 > epsilon: overlap (overlap duration 7 >= d_o).
-        assert_eq!(cfg.relate(&iv(0, 10), &iv(3, 13)), Some(TemporalRelation::Overlap));
+        assert_eq!(
+            cfg.relate(&iv(0, 10), &iv(3, 13)),
+            Some(TemporalRelation::Overlap)
+        );
     }
 
     #[test]
@@ -470,16 +503,16 @@ mod tests {
     #[test]
     fn effective_interval_follows_policy() {
         use crate::instance::EventInstance;
-        let clipped = EventInstance::with_extent(
-            EventId(0),
-            Interval::new(10, 20),
-            Interval::new(4, 26),
-        );
+        let clipped =
+            EventInstance::with_extent(EventId(0), Interval::new(10, 20), Interval::new(4, 26));
         let clean = EventInstance::new(EventId(1), 12, 18);
         let base = RelationConfig::default();
 
         let clip = base.with_boundary(BoundaryPolicy::Clip);
-        assert_eq!(clip.effective_interval(&clipped), Some(Interval::new(10, 20)));
+        assert_eq!(
+            clip.effective_interval(&clipped),
+            Some(Interval::new(10, 20))
+        );
         assert_eq!(clip.effective_key(&clipped), clipped.chrono_key());
 
         let ext = base.with_boundary(BoundaryPolicy::TrueExtent);

@@ -134,11 +134,7 @@ mod tests {
 
     #[test]
     fn instances_of_filters_by_event() {
-        let seq = TemporalSequence::new(vec![
-            inst(0, 0, 5),
-            inst(1, 2, 9),
-            inst(0, 10, 12),
-        ]);
+        let seq = TemporalSequence::new(vec![inst(0, 0, 5), inst(1, 2, 9), inst(0, 10, 12)]);
         assert_eq!(seq.instances_of(EventId(0)).collect::<Vec<_>>(), vec![0, 2]);
         assert!(seq.contains_event(EventId(1)));
         assert!(!seq.contains_event(EventId(9)));
@@ -152,10 +148,7 @@ mod tests {
 
     #[test]
     fn take_sequences_truncates() {
-        let db = SequenceDatabase::new(
-            EventRegistry::new(),
-            vec![TemporalSequence::default(); 5],
-        );
+        let db = SequenceDatabase::new(EventRegistry::new(), vec![TemporalSequence::default(); 5]);
         assert_eq!(db.take_sequences(3).len(), 3);
         assert_eq!(db.take_sequences(10).len(), 5);
     }

@@ -159,7 +159,9 @@ impl SplitConfig {
             return Err(format!("step must be positive, got {step}"));
         }
         if t_ov < 0 {
-            return Err(format!("shard overlap t_ov must be non-negative, got {t_ov}"));
+            return Err(format!(
+                "shard overlap t_ov must be non-negative, got {t_ov}"
+            ));
         }
         if shards == 0 {
             return Err("need at least one shard".into());
@@ -169,15 +171,15 @@ impl SplitConfig {
         let stride = (eff.stride() / step) as usize;
         if n_steps < win {
             return Err(format!(
-                "no full window fits: window {} needs {win} steps, database has {n_steps}"
-            , eff.window));
+                "no full window fits: window {} needs {win} steps, database has {n_steps}",
+                eff.window
+            ));
         }
         let n_windows = (n_steps - win) / stride + 1;
         let k = shards.min(n_windows);
         // Overlap in steps, rounded up; clamping to n_steps keeps the
         // arithmetic small even for "unconstrained" t_max-sized overlaps.
-        let t_ov_steps =
-            ((t_ov as u128).div_ceil(step as u128)).min(n_steps as u128) as usize;
+        let t_ov_steps = ((t_ov as u128).div_ceil(step as u128)).min(n_steps as u128) as usize;
         // The pads guarantee >= 1 step beyond every owned window (so the
         // slice reproduces the global clipped-side flags) and >= t_ov
         // ticks (so truncated extents exceed t_ov). The left pad rounds
@@ -381,7 +383,11 @@ mod tests {
                 .chars()
                 .map(|c| if c == '1' { "On" } else { "Off" })
                 .collect();
-            db.push(SymbolicSeries::from_labels(*name, Alphabet::on_off(), labels));
+            db.push(SymbolicSeries::from_labels(
+                *name,
+                Alphabet::on_off(),
+                labels,
+            ));
         }
         db
     }

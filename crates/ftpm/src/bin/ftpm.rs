@@ -296,9 +296,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
     // threshold directly, one by the edge density it should achieve — so
     // giving both is a contradiction, not a composition.
     if opt.mu.is_some() && opt.density.is_some() {
-        return Err(
-            "--mu and --approx-density both choose the correlation graph; pick one".into(),
-        );
+        return Err("--mu and --approx-density both choose the correlation graph; pick one".into());
     }
     // The demo generators and the graph builders (Defs 5.4 and 5.6)
     // assert these domains.
@@ -334,7 +332,8 @@ fn parse(args: &[String]) -> Result<Options, String> {
 }
 
 fn num(s: &str) -> Result<f64, String> {
-    s.parse::<f64>().map_err(|e| format!("bad number {s:?}: {e}"))
+    s.parse::<f64>()
+        .map_err(|e| format!("bad number {s:?}: {e}"))
 }
 
 /// Parses the value of an integer flag — a count, or a tick length such

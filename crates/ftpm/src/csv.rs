@@ -131,7 +131,9 @@ impl Columns {
     fn row(&mut self, line: &str) -> Result<(), String> {
         let row = self.lines;
         let mut fields = line.split(',').map(str::trim);
-        let t = fields.next().ok_or_else(|| format!("line {row}: missing time"))?;
+        let t = fields
+            .next()
+            .ok_or_else(|| format!("line {row}: missing time"))?;
         self.times.push(
             t.parse::<i64>()
                 .map_err(|e| format!("line {row}: bad time {t:?}: {e}"))?,
@@ -166,9 +168,16 @@ impl Columns {
         }
         let start = times[0];
         let step = times[1].checked_sub(start).ok_or_else(|| {
-            format!("time column overflows: the step from {start} to {} exceeds i64", times[1])
+            format!(
+                "time column overflows: the step from {start} to {} exceeds i64",
+                times[1]
+            )
         })?;
-        if step <= 0 || !times.windows(2).all(|w| w[1].checked_sub(w[0]) == Some(step)) {
+        if step <= 0
+            || !times
+                .windows(2)
+                .all(|w| w[1].checked_sub(w[0]) == Some(step))
+        {
             return Err("time column must increase at a constant step".into());
         }
         let rows = times.len();
@@ -341,7 +350,10 @@ mod tests {
                     .collect()
             };
             let row = |time: String, cells: Vec<String>| {
-                std::iter::once(time).chain(cells).collect::<Vec<_>>().join(",")
+                std::iter::once(time)
+                    .chain(cells)
+                    .collect::<Vec<_>>()
+                    .join(",")
             };
             let line = match (d >> 40) % 32 {
                 20 => String::new(),
@@ -354,9 +366,10 @@ mod tests {
                 23 if faulty => row(t.to_string(), cells(None)[1..].to_vec()),
                 24 if faulty => row(t.to_string(), cells(None)) + ",9",
                 25 if faulty => row(t.to_string(), cells(Some("1.x"))),
-                26 if faulty => {
-                    row(t.saturating_sub(step * (d as i64 & 1)).to_string(), cells(None))
-                }
+                26 if faulty => row(
+                    t.saturating_sub(step * (d as i64 & 1)).to_string(),
+                    cells(None),
+                ),
                 27 if faulty => row("t0".to_owned(), cells(None)),
                 _ => {
                     let line = row(t.to_string(), cells(None));

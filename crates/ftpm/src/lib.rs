@@ -54,8 +54,8 @@ pub use ftpm_datagen::{
 };
 pub use ftpm_events::{
     to_sequence_database, BoundaryPolicy, EventId, EventInstance, EventRegistry, Interval,
-    InvalidInterval, RelationConfig, SequenceDatabase, ShardSpan, SplitConfig,
-    TemporalRelation, TemporalSequence,
+    InvalidInterval, RelationConfig, SequenceDatabase, ShardSpan, SplitConfig, TemporalRelation,
+    TemporalSequence,
 };
 pub use ftpm_mi::{
     conditional_entropy, confidence_lower_bound, entropy, joint_distribution, mu_for_density,

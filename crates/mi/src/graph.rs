@@ -53,10 +53,7 @@ impl CorrelationGraph {
     ///
     /// Panics unless `0 < density ≤ 1` (Def 5.6).
     pub fn build_with_density(db: &SymbolicDatabase, density: f64) -> Self {
-        assert!(
-            density > 0.0 && density <= 1.0,
-            "density must be in (0, 1]"
-        );
+        assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
         let nmi = nmi_matrix(db);
         let mu = mu_from_matrix(&nmi, density);
         Self::from_nmi_matrix(nmi, mu)
@@ -238,8 +235,7 @@ fn mu_from_matrix(nmi: &[Vec<f64>], density: f64) -> f64 {
         }
     }
     weights.sort_by(|a, b| b.total_cmp(a));
-    let keep = ((density * weights.len() as f64).ceil() as usize)
-        .clamp(1, weights.len());
+    let keep = ((density * weights.len() as f64).ceil() as usize).clamp(1, weights.len());
     // An edge needs weight >= mu, so the cutoff is the weight of the last
     // kept pair. Guard against zero so the Def 5.4 constraint mu > 0 holds.
     weights[keep - 1].max(f64::MIN_POSITIVE)
@@ -275,10 +271,7 @@ mod tests {
         assert!(g.has_edge(VariableId(0), VariableId(1)));
         assert!(!g.has_edge(VariableId(0), VariableId(2)));
         assert_eq!(g.n_edges(), 1);
-        assert_eq!(
-            g.correlated_variables(),
-            vec![VariableId(0), VariableId(1)]
-        );
+        assert_eq!(g.correlated_variables(), vec![VariableId(0), VariableId(1)]);
     }
 
     #[test]
@@ -307,7 +300,12 @@ mod tests {
 
     #[test]
     fn density_counts_fraction_of_complete_graph() {
-        let d = db(&[("A", "110010"), ("B", "110010"), ("C", "110010"), ("D", "010101")]);
+        let d = db(&[
+            ("A", "110010"),
+            ("B", "110010"),
+            ("C", "110010"),
+            ("D", "010101"),
+        ]);
         let g = CorrelationGraph::build(&d, 0.99);
         // A-B, A-C, B-C connected: 3 of 6 possible edges.
         assert_eq!(g.n_edges(), 3);

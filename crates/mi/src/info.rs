@@ -218,13 +218,27 @@ mod tests {
         let x = SymbolicSeries::new(
             "X",
             abc.clone(),
-            vec![SymbolId(0), SymbolId(1), SymbolId(2), SymbolId(0), SymbolId(1), SymbolId(2)],
+            vec![
+                SymbolId(0),
+                SymbolId(1),
+                SymbolId(2),
+                SymbolId(0),
+                SymbolId(1),
+                SymbolId(2),
+            ],
         );
         // y is a deterministic function of x → NMI(Y;X) = 1.
         let y = SymbolicSeries::new(
             "Y",
             Alphabet::on_off(),
-            vec![SymbolId(0), SymbolId(1), SymbolId(1), SymbolId(0), SymbolId(1), SymbolId(1)],
+            vec![
+                SymbolId(0),
+                SymbolId(1),
+                SymbolId(1),
+                SymbolId(0),
+                SymbolId(1),
+                SymbolId(1),
+            ],
         );
         assert!((normalized_mutual_information(&y, &x) - 1.0).abs() < 1e-12);
         // But x is not determined by y, so NMI(X;Y) < 1.

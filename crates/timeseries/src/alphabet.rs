@@ -92,7 +92,10 @@ mod tests {
     #[test]
     fn ids_are_dense() {
         let a = Alphabet::new(["Low", "Mid", "High"]);
-        assert_eq!(a.ids().collect::<Vec<_>>(), vec![SymbolId(0), SymbolId(1), SymbolId(2)]);
+        assert_eq!(
+            a.ids().collect::<Vec<_>>(),
+            vec![SymbolId(0), SymbolId(1), SymbolId(2)]
+        );
     }
 
     #[test]

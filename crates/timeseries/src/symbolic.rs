@@ -219,11 +219,7 @@ impl SymbolicDatabase {
     /// # Panics
     ///
     /// Panics if the series clock or length disagrees with the database.
-    pub fn add_time_series(
-        &mut self,
-        ts: &TimeSeries,
-        symbolizer: &dyn Symbolizer,
-    ) -> VariableId {
+    pub fn add_time_series(&mut self, ts: &TimeSeries, symbolizer: &dyn Symbolizer) -> VariableId {
         assert_eq!(ts.start(), self.start, "series start mismatch");
         assert_eq!(ts.step(), self.step, "series step mismatch");
         self.push(SymbolicSeries::from_time_series(ts, symbolizer))
@@ -363,7 +359,11 @@ mod tests {
                 .chars()
                 .map(|c| if c == '1' { "On".into() } else { "Off".into() })
                 .collect();
-            db.push(SymbolicSeries::from_labels(*name, Alphabet::on_off(), labels));
+            db.push(SymbolicSeries::from_labels(
+                *name,
+                Alphabet::on_off(),
+                labels,
+            ));
         }
         db
     }

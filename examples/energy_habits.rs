@@ -37,16 +37,23 @@ fn main() {
         .iter()
         .filter(|p| {
             let evs = p.pattern.events();
-            evs.iter()
-                .all(|&e| registry.label(e).ends_with("=On"))
-                && evs.windows(2).any(|w| {
-                    registry.variable(w[0]) != registry.variable(w[1])
-                })
+            evs.iter().all(|&e| registry.label(e).ends_with("=On"))
+                && evs
+                    .windows(2)
+                    .any(|w| registry.variable(w[0]) != registry.variable(w[1]))
         })
         .collect();
     habits.sort_by(|a, b| {
-        (b.pattern.len(), b.support, b.confidence.total_cmp(&a.confidence))
-            .cmp(&(a.pattern.len(), a.support, a.confidence.total_cmp(&b.confidence)))
+        (
+            b.pattern.len(),
+            b.support,
+            b.confidence.total_cmp(&a.confidence),
+        )
+            .cmp(&(
+                a.pattern.len(),
+                a.support,
+                a.confidence.total_cmp(&b.confidence),
+            ))
     });
     println!("\ntop habit patterns (co-activations across appliances):");
     for p in habits.iter().take(10) {

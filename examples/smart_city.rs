@@ -29,19 +29,21 @@ fn main() {
 
     let registry = data.seq.registry();
     let is_extreme_weather = |label: &str| {
-        label.starts_with("weather")
-            && (label.ends_with("VeryHigh") || label.ends_with("VeryLow"))
+        label.starts_with("weather") && (label.ends_with("VeryHigh") || label.ends_with("VeryLow"))
     };
     let is_bad_collision = |label: &str| {
-        label.starts_with("collision")
-            && (label.ends_with("High") || label.ends_with("Medium"))
+        label.starts_with("collision") && (label.ends_with("High") || label.ends_with("Medium"))
     };
     let mut findings: Vec<&FrequentPattern> = result
         .patterns
         .iter()
         .filter(|p| {
-            let labels: Vec<&str> =
-                p.pattern.events().iter().map(|&e| registry.label(e)).collect();
+            let labels: Vec<&str> = p
+                .pattern
+                .events()
+                .iter()
+                .map(|&e| registry.label(e))
+                .collect();
             labels.iter().any(|l| is_extreme_weather(l))
                 && labels.iter().any(|l| is_bad_collision(l))
         })

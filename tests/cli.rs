@@ -97,7 +97,15 @@ fn tick_flags_take_whole_numbers() {
     std::fs::write(&path, text).expect("the temp dir is writable");
     let csv = path.display().to_string();
     let input = |extra: &[&str]| {
-        let mut args = vec!["mine", "--input", &csv, "--sigma", "0.3", "--max-events", "3"];
+        let mut args = vec![
+            "mine",
+            "--input",
+            &csv,
+            "--sigma",
+            "0.3",
+            "--max-events",
+            "3",
+        ];
         args.extend_from_slice(extra);
         ftpm(&args)
     };
@@ -114,7 +122,15 @@ fn tick_flags_take_whole_numbers() {
     }
     // Whole values apply exactly: 40-tick windows at stride 30 over 400
     // ticks are 13 sequences.
-    let out = input(&["--window", "40", "--overlap", "10", "--t-max", "20", "--json"]);
+    let out = input(&[
+        "--window",
+        "40",
+        "--overlap",
+        "10",
+        "--t-max",
+        "20",
+        "--json",
+    ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{out:?}");
     assert!(stdout.contains("\"sequences\": 13"), "{stdout}");
@@ -275,9 +291,27 @@ fn graph_to_a_closed_pipe_exits_1_without_a_panic() {
 fn sharded_threaded_approx_stream_equals_the_sequential_stream() {
     let rows = |shards: &str, threads: &str| -> Vec<String> {
         let out = ftpm(&[
-            "mine", "--demo", "energy", "--scale", "0.005", "--sigma", "0.3", "--delta",
-            "0.3", "--max-events", "3", "--approx-density", "0.8", "--boundary",
-            "true-extent", "--t-max", "180", "--stream", "--shards", shards, "--threads",
+            "mine",
+            "--demo",
+            "energy",
+            "--scale",
+            "0.005",
+            "--sigma",
+            "0.3",
+            "--delta",
+            "0.3",
+            "--max-events",
+            "3",
+            "--approx-density",
+            "0.8",
+            "--boundary",
+            "true-extent",
+            "--t-max",
+            "180",
+            "--stream",
+            "--shards",
+            shards,
+            "--threads",
             threads,
         ]);
         assert!(out.status.success(), "{out:?}");
@@ -303,8 +337,20 @@ fn mine_stream_to_a_closed_pipe_exits_1_without_a_panic() {
         drop(reader);
         let out = Command::new(env!("CARGO_BIN_EXE_ftpm"))
             .args([
-                "mine", "--demo", "nist", "--scale", "0.005", "--sigma", "0.3", "--delta",
-                "0.3", "--max-events", "3", "--stream", "--threads", threads,
+                "mine",
+                "--demo",
+                "nist",
+                "--scale",
+                "0.005",
+                "--sigma",
+                "0.3",
+                "--delta",
+                "0.3",
+                "--max-events",
+                "3",
+                "--stream",
+                "--threads",
+                threads,
             ])
             .stdout(writer)
             .output()
@@ -312,7 +358,10 @@ fn mine_stream_to_a_closed_pipe_exits_1_without_a_panic() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "threads {threads}: {stderr}");
         assert!(!stderr.contains("panicked"), "threads {threads}: {stderr}");
-        assert!(stderr.contains("error: stdout:"), "threads {threads}: {stderr}");
+        assert!(
+            stderr.contains("error: stdout:"),
+            "threads {threads}: {stderr}"
+        );
     }
 }
 
@@ -327,15 +376,33 @@ fn labels_that_need_escaping_stream_the_same_rows_on_any_thread_count() {
     let mut text = String::from("time,a\"q,b\\s,in\tner,é日本\n");
     for t in 0..400 {
         let on = |period: u32, phase: u32| u8::from((t / period + phase).is_multiple_of(2));
-        text.push_str(&format!("{t},{},{},{},{}\n", on(7, 0), on(11, 1), on(5, 0), on(13, 1)));
+        text.push_str(&format!(
+            "{t},{},{},{},{}\n",
+            on(7, 0),
+            on(11, 1),
+            on(5, 0),
+            on(13, 1)
+        ));
     }
     std::fs::write(&csv, text).expect("the temp dir is writable");
     let csv = csv.display().to_string();
     let rows = |threads: &str| -> (Vec<String>, Vec<String>) {
         let mine = |extra: &[&str]| {
             let mut args = vec![
-                "mine", "--input", &csv, "--window", "40", "--sigma", "0.3", "--delta", "0.3",
-                "--max-events", "3", "--stream", "--threads", threads,
+                "mine",
+                "--input",
+                &csv,
+                "--window",
+                "40",
+                "--sigma",
+                "0.3",
+                "--delta",
+                "0.3",
+                "--max-events",
+                "3",
+                "--stream",
+                "--threads",
+                threads,
             ];
             args.extend_from_slice(extra);
             let out = ftpm(&args);
@@ -355,7 +422,10 @@ fn labels_that_need_escaping_stream_the_same_rows_on_any_thread_count() {
         (csv_rows, jsonl_rows)
     };
     let (csv_rows, jsonl_rows) = rows("1");
-    assert!(csv_rows.len() > 10, "the input must yield patterns: {csv_rows:?}");
+    assert!(
+        csv_rows.len() > 10,
+        "the input must yield patterns: {csv_rows:?}"
+    );
     assert_eq!(csv_rows.len(), jsonl_rows.len() + 1, "CSV adds a header");
     let (csv_text, jsonl_text) = (csv_rows.concat(), jsonl_rows.concat());
     for needle in ["a\"\"q=On", "b\\s=On", "in\tner=On", "é日本=On"] {
@@ -379,7 +449,10 @@ fn summaries_count_one_thread_in_the_singular() {
             (String::from_utf8_lossy(&streamed.stderr), "streamed"),
         ] {
             let first = summary.lines().next().unwrap_or_default();
-            assert!(first.ends_with(expected), "{what}, threads {threads}: {first}");
+            assert!(
+                first.ends_with(expected),
+                "{what}, threads {threads}: {first}"
+            );
         }
     }
 }
@@ -400,7 +473,11 @@ fn crlf_blank_lines_and_no_final_newline_stream_the_same_rows() {
     for (i, row) in rows.iter().enumerate() {
         crlf.push_str(row);
         if i + 1 < rows.len() {
-            crlf.push_str(if i % 50 == 3 { "\r\n \t\r\n\r\n" } else { "\r\n" });
+            crlf.push_str(if i % 50 == 3 {
+                "\r\n \t\r\n\r\n"
+            } else {
+                "\r\n"
+            });
         }
     }
     let write = |name: &str, text: &str| {
@@ -411,7 +488,15 @@ fn crlf_blank_lines_and_no_final_newline_stream_the_same_rows() {
     let (lf, crlf) = (write("rows_lf.csv", &lf), write("rows_crlf.csv", &crlf));
     for command in [
         &[
-            "mine", "--window", "20", "--sigma", "0.3", "--delta", "0.3", "--threads", "1",
+            "mine",
+            "--window",
+            "20",
+            "--sigma",
+            "0.3",
+            "--delta",
+            "0.3",
+            "--threads",
+            "1",
             "--stream",
         ][..],
         &["graph", "--mu", "0.01"][..],
@@ -422,7 +507,10 @@ fn crlf_blank_lines_and_no_final_newline_stream_the_same_rows() {
             String::from_utf8_lossy(&out.stdout).into_owned()
         };
         let expected = stdout(&lf);
-        assert!(expected.lines().count() > 1, "the input must yield rows: {expected}");
+        assert!(
+            expected.lines().count() > 1,
+            "the input must yield rows: {expected}"
+        );
         assert_eq!(stdout(&crlf), expected, "{}", command[0]);
     }
 }

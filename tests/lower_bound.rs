@@ -109,8 +109,7 @@ fn theorem1_bound_holds_empirically() {
                             if sigma < 0.05 {
                                 continue; // not frequent in D_SYB
                             }
-                            let (Some(ea), Some(eb)) = (reg.get(vi, x1), reg.get(vj, y1))
-                            else {
+                            let (Some(ea), Some(eb)) = (reg.get(vi, x1), reg.get(vj, y1)) else {
                                 continue;
                             };
                             let sa = seq_event_support(&seq_db, ea);
@@ -142,7 +141,10 @@ fn theorem1_bound_holds_empirically() {
             }
         }
     }
-    assert!(checked > 100, "only {checked} pairs checked — test too weak");
+    assert!(
+        checked > 100,
+        "only {checked} pairs checked — test too weak"
+    );
 }
 
 #[test]

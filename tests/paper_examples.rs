@@ -19,10 +19,12 @@ fn table1() -> SymbolicDatabase {
     ];
     let mut syb = SymbolicDatabase::new(600, 5, 36);
     for (name, bits) in rows {
-        let labels = bits
-            .chars()
-            .map(|c| if c == '1' { "On" } else { "Off" });
-        syb.push(SymbolicSeries::from_labels(name, Alphabet::on_off(), labels));
+        let labels = bits.chars().map(|c| if c == '1' { "On" } else { "Off" });
+        syb.push(SymbolicSeries::from_labels(
+            name,
+            Alphabet::on_off(),
+            labels,
+        ));
     }
     syb
 }
@@ -121,8 +123,7 @@ fn fig4_kitchen_contains_toaster() {
     let k_on = reg.lookup_label("K=On").unwrap();
     let t_on = reg.lookup_label("T=On").unwrap();
     let hit = result.patterns.iter().find(|p| {
-        p.pattern.events() == [k_on, t_on]
-            && p.pattern.relations() == [TemporalRelation::Contain]
+        p.pattern.events() == [k_on, t_on] && p.pattern.relations() == [TemporalRelation::Contain]
     });
     let hit = hit.expect("(K=On Contain T=On) must be frequent");
     assert_eq!(hit.support, 4);
@@ -150,8 +151,7 @@ fn fig5_correlation_graph_density_example() {
 }
 
 #[test]
-fn approximate_on_paper_example_matches_exact_at_full_density()
-{
+fn approximate_on_paper_example_matches_exact_at_full_density() {
     let syb = table1();
     let seq_db = table3();
     let cfg = MinerConfig::new(0.7, 0.7).with_max_events(3);

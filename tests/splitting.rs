@@ -23,10 +23,12 @@ fn fig3_database() -> SymbolicDatabase {
     let names = ["K", "T", "M", "C"];
     let mut syb = SymbolicDatabase::new(0, 1, n);
     for (name, row) in names.iter().zip(rows) {
-        let labels = row
-            .iter()
-            .map(|&c| if c == '1' { "On" } else { "Off" });
-        syb.push(SymbolicSeries::from_labels(*name, Alphabet::on_off(), labels));
+        let labels = row.iter().map(|&c| if c == '1' { "On" } else { "Off" });
+        syb.push(SymbolicSeries::from_labels(
+            *name,
+            Alphabet::on_off(),
+            labels,
+        ));
     }
     syb
 }
@@ -49,12 +51,14 @@ fn mine_keys(seq_db: &SequenceDatabase, events: &[&str]) -> Vec<Pattern> {
     result
         .patterns
         .iter()
-        .filter(|p| p.pattern.len() == 4 && {
-            let mut evs = p.pattern.events().to_vec();
-            evs.sort_unstable();
-            let mut want = wanted.clone();
-            want.sort_unstable();
-            evs == want
+        .filter(|p| {
+            p.pattern.len() == 4 && {
+                let mut evs = p.pattern.events().to_vec();
+                evs.sort_unstable();
+                let mut want = wanted.clone();
+                want.sort_unstable();
+                evs == want
+            }
         })
         .map(|p| p.pattern.clone())
         .collect()
@@ -68,8 +72,14 @@ fn a_clock_that_ends_at_i64_max_splits_and_mines() {
     let max = i64::MAX;
     let mut syb = SymbolicDatabase::try_new(max - 20, 5, 4).expect("ends at i64::MAX");
     let sym = ThresholdSymbolizer::new(0.5);
-    syb.add_time_series(&TimeSeries::new("a", max - 20, 5, vec![1.0, 0.0, 1.0, 0.0]), &sym);
-    syb.add_time_series(&TimeSeries::new("b", max - 20, 5, vec![1.0, 1.0, 0.0, 0.0]), &sym);
+    syb.add_time_series(
+        &TimeSeries::new("a", max - 20, 5, vec![1.0, 0.0, 1.0, 0.0]),
+        &sym,
+    );
+    syb.add_time_series(
+        &TimeSeries::new("b", max - 20, 5, vec![1.0, 1.0, 0.0, 0.0]),
+        &sym,
+    );
     let seq_db = to_sequence_database(&syb, SplitConfig::new(10, 5));
     assert_eq!(seq_db.len(), 3);
     let last = seq_db.sequences()[2].instances();
@@ -202,8 +212,8 @@ fn clip_policy_default_reproduces_historical_results() {
     let plain = MinerConfig::new(0.01, 0.01)
         .with_max_events(3)
         .with_relation(RelationConfig::new(0, 1, 40));
-    let explicit = plain
-        .with_relation(RelationConfig::new(0, 1, 40).with_boundary(BoundaryPolicy::Clip));
+    let explicit =
+        plain.with_relation(RelationConfig::new(0, 1, 40).with_boundary(BoundaryPolicy::Clip));
     let a = mine_exact(&seq_db, &plain);
     let b = mine_exact(&seq_db, &explicit);
     assert_eq!(a.patterns, b.patterns);
@@ -240,7 +250,11 @@ mod prop {
             let labels = bits
                 .iter()
                 .map(|&b| if b ^ flip == 1 { "On" } else { "Off" });
-            syb.push(SymbolicSeries::from_labels(name, Alphabet::on_off(), labels));
+            syb.push(SymbolicSeries::from_labels(
+                name,
+                Alphabet::on_off(),
+                labels,
+            ));
         }
         syb
     }
