@@ -81,15 +81,12 @@ pub(crate) struct WorkPattern {
     /// The pattern's occurrence bindings: a range of rows in the owning
     /// node's [`WorkNode::occs`] arena.
     pub(crate) occurrences: OccRange,
-    /// Pool identity, assigned by the exchange coordinator when this
-    /// pattern survives the global gate; [`PatternId::NONE`] in the
-    /// non-exchange miners and before gating.
+    /// Pool identity: a root's event id, or the master pool id the
+    /// exchange coordinator assigned this pattern when it survived the
+    /// global gate; [`PatternId::NONE`] in the threaded engine above L1.
+    /// The exchange keys its children's proposals on it, as the parent of
+    /// their [`crate::pool::DeltaKey`]s, instead of cloning the pattern.
     pub(crate) id: PatternId,
-    /// Pool identity of the (k−1)-prefix this pattern was grown from —
-    /// with [`WorkPattern::code`], the pattern's [`crate::pool::DeltaKey`]
-    /// the exchange executor keys proposals on instead of cloning the
-    /// pattern. Level-2 patterns have the first event's root id.
-    pub(crate) parent_id: PatternId,
     /// The delta relation column, packed 2 bits per relation (already
     /// computed as the extension grouping key in `extend_node`).
     pub(crate) code: u64,
@@ -126,7 +123,6 @@ impl WorkNode {
             confidence: 1.0,
             occurrences: occs.since(0),
             id: PatternId(e.0),
-            parent_id: PatternId::NONE,
             code: 0,
         };
         WorkNode {

@@ -67,7 +67,8 @@ pub struct MinerConfig {
     /// Upper bound on pattern length (number of events). The miner stops
     /// on its own once a level yields no frequent patterns; this cap is a
     /// safety valve for pathological inputs. `usize::MAX` by default;
-    /// miners clamp it to [`MAX_EVENTS_HARD_CAP`].
+    /// miners clamp it to [`MAX_EVENTS_HARD_CAP`], and mine no pattern
+    /// when it is below 2.
     pub max_events: usize,
     /// Pruning ablation switches.
     pub pruning: PruningConfig,
@@ -112,6 +113,13 @@ impl MinerConfig {
     pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
         self.pruning = pruning;
         self
+    }
+
+    /// The last level a run grows, in events: [`MinerConfig::max_events`]
+    /// capped at [`MAX_EVENTS_HARD_CAP`]. Below 2 no pattern is mined,
+    /// though the frequent single events are still announced.
+    pub(crate) fn last_level(&self) -> usize {
+        self.max_events.min(MAX_EVENTS_HARD_CAP)
     }
 
     /// Absolute support threshold for a database of `n` sequences:

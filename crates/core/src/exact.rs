@@ -20,12 +20,15 @@
 //! [`crate::parallel`], which runs [`mine_exact`] at `threads = 1` on
 //! the calling thread. This module holds the paper-named entry points
 //! and the growth step that engine and the exchange executor share at
-//! every level: the executor's count-only [`count_candidates`] runs the
-//! same gates and instance loop as [`grow_candidates`] and builds no
-//! child. The gates and screens live in [`crate::candidates`]; output
-//! flows through a [`PatternSink`] (see [`crate::sink`]) so finished
-//! nodes can be collected, counted or streamed without materializing a
-//! global pattern `Vec`.
+//! every level: one instance loop fills one kind of extension-group
+//! scratch, which either binds each extension's occurrence row, for a
+//! child that grows further, or only counts it. The threaded engine's
+//! last level and the executor's [`count_candidates`] run the same gates
+//! and instance loop as [`grow_candidates`] on count-only groups. The
+//! gates and screens live in [`crate::candidates`]; output flows through
+//! a [`PatternSink`] (see [`crate::sink`]) so finished nodes can be
+//! collected, counted or streamed without materializing a global pattern
+//! `Vec`.
 //!
 //! Performance notes: frequent 2-event relations are kept as a dense
 //! `events × events` bitmask table (no hashing on the hot path), and the
@@ -44,13 +47,20 @@
 //! - **Joint bitmaps only for survivors.** Every occurrence lies in a
 //!   sequence of the node's bitmap, so `ek`'s own bit is the joint test;
 //!   `node.bitmap ∧ bitmap(ek)` is built only for a child that survives.
+//! - **A counted last level.** The last level has no next level to grow,
+//!   so its groups keep no occurrence row: each tracks its support and,
+//!   when the database holds clipped instances, its clipped occurrences.
+//!   A leaf's patterns are built straight from its groups, with no arena,
+//!   joint bitmap or archive-time row scan. On the dense perfbench input
+//!   that level holds 1.33 M of the 1.54 M verified nodes.
 //! - **Kept emission order.** A parent's surviving groups come out in the
 //!   iteration order of a fresh code-keyed FNV map filled in
 //!   first-appearance order, the order the one-thread output is pinned
 //!   to; the map is built only when two or more groups survive.
 //!
 //! On the dense perfbench input (one thread, counting sink) a run makes
-//! 2.7 M heap allocations instead of 13.8 M.
+//! 1.26 M heap allocations: 1.88 M while the last level bound its rows,
+//! and 13.8 M before the group slots were reused.
 
 use std::marker::PhantomData;
 
@@ -63,6 +73,7 @@ use crate::candidates::{
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::index::DatabaseIndex;
 use crate::occ::{OccArena, OccRange};
+use crate::pattern::Pattern;
 use crate::plan::MinePlan;
 use crate::pool::{decode_column, pack_relation, DeltaKey, FnvHashMap, PatternId};
 use crate::result::{FrequentPattern, MiningResult, MiningStats};
@@ -99,14 +110,31 @@ struct GroupSlot {
     support: usize,
     /// Sequence of the group's latest occurrence.
     last_seq: Option<u32>,
+    /// Occurrences that bind a boundary-clipped instance; counted only by
+    /// count-only groups that count clipped instances.
+    clipped: usize,
+    /// The group's occurrence rows; empty in count-only groups.
     occs: OccArena,
 }
 
+/// What [`ExtensionGroups`] keep of each extension besides its group's
+/// support.
+#[derive(Clone, Copy)]
+enum Keep {
+    /// Every occurrence row, `width` bound instances wide: the groups of
+    /// a child that grows further.
+    Rows { width: usize },
+    /// No row. With `clipped` set, each group counts its occurrences that
+    /// bind a boundary-clipped instance instead: the groups of the
+    /// threaded engine's last level and of the exchange's count step.
+    Counts { clipped: bool },
+}
+
 /// Reused extension-group slots for growing nodes of one level: one
-/// scratch per [`grow_candidates`] call (or per batch of
-/// [`count_candidates`] calls), shared by every candidate last event, so a
-/// candidate allocates only what a surviving child keeps. Slots are
-/// reset without giving back their capacity.
+/// scratch per [`grow_candidates`] call or last-level parent (or per
+/// batch of [`count_candidates`] calls), shared by every candidate last
+/// event, so a candidate allocates only what a surviving child keeps.
+/// Slots are reset without giving back their capacity.
 pub(crate) struct ExtensionGroups {
     slots: Vec<GroupSlot>,
     /// The current parent's groups are `slots[..used]`, in the order
@@ -114,18 +142,37 @@ pub(crate) struct ExtensionGroups {
     /// most 3 on the dense perfbench input), so codes are looked up by a
     /// linear scan.
     used: usize,
-    /// Bound instances per occurrence of the node's children.
-    width: usize,
+    keep: Keep,
 }
 
 impl ExtensionGroups {
-    /// Empty slots for children of `width` events.
-    pub(crate) fn new(width: usize) -> Self {
+    /// Empty slots that keep the occurrence rows of children of `width`
+    /// events.
+    pub(crate) fn binding(width: usize) -> Self {
+        Self::with(Keep::Rows { width })
+    }
+
+    /// Empty count-only slots: each group tracks its support, and its
+    /// occurrences that bind a boundary-clipped instance when
+    /// `count_clipped`, and stores no occurrence row.
+    pub(crate) fn counting(count_clipped: bool) -> Self {
+        Self::with(Keep::Counts {
+            clipped: count_clipped,
+        })
+    }
+
+    fn with(keep: Keep) -> Self {
         ExtensionGroups {
             slots: Vec::new(),
             used: 0,
-            width,
+            keep,
         }
+    }
+
+    /// Whether [`push`](Self::push) wants to know which extensions bind
+    /// a boundary-clipped instance.
+    fn counts_clipped(&self) -> bool {
+        matches!(self.keep, Keep::Counts { clipped: true })
     }
 
     /// Forgets the previous parent's groups.
@@ -134,17 +181,22 @@ impl ExtensionGroups {
     }
 
     /// Adds the occurrence `tuple` extended by instance `x`, in sequence
-    /// `seq`, to the group of relation column `code`. A parent's
+    /// `seq`, to the group of relation column `code`; `clipped` says
+    /// whether it binds a boundary-clipped instance. A parent's
     /// occurrences come in ascending sequence order, so the group's
     /// support is the number of times its sequence changes.
-    fn push(&mut self, code: u64, seq: u32, tuple: &[u32], x: u32) {
+    fn push(&mut self, code: u64, seq: u32, tuple: &[u32], x: u32, clipped: bool) {
+        let keep = self.keep;
         let i = self.slot_of(code);
         let slot = &mut self.slots[i];
         if slot.last_seq != Some(seq) {
             slot.support += 1;
             slot.last_seq = Some(seq);
         }
-        slot.occs.push_extend(seq, tuple, x);
+        match keep {
+            Keep::Rows { .. } => slot.occs.push_extend(seq, tuple, x),
+            Keep::Counts { .. } => slot.clipped += usize::from(clipped),
+        }
     }
 
     /// The slot of `code`'s group, opening a reset slot for a new code.
@@ -159,39 +211,44 @@ impl ExtensionGroups {
                 slot.code = code;
                 slot.support = 0;
                 slot.last_seq = None;
+                slot.clipped = 0;
                 slot.occs.clear();
             }
-            None => self.slots.push(GroupSlot {
-                code,
-                support: 0,
-                last_seq: None,
-                occs: OccArena::new(self.width),
-            }),
+            None => {
+                let width = match self.keep {
+                    Keep::Rows { width } => width,
+                    Keep::Counts { .. } => 0,
+                };
+                self.slots.push(GroupSlot {
+                    code,
+                    support: 0,
+                    last_seq: None,
+                    clipped: 0,
+                    occs: OccArena::new(width),
+                });
+            }
         }
         i
     }
 
-    /// Passes each of the current parent's groups that `threshold` keeps
-    /// to `emit`, with the confidence `threshold` returned for it. The
-    /// order is the one in which a fresh code-keyed [`FnvHashMap`], filled
-    /// in first-appearance order, iterates the groups: the emission order
+    /// Passes each of the current parent's groups that `survives` keeps
+    /// to `emit`, with what `survives` returned for it. The order is the
+    /// one in which a fresh code-keyed [`FnvHashMap`], filled in
+    /// first-appearance order, iterates the groups: the emission order
     /// the miner's output is pinned to. The map is built only when at
     /// least two groups survive.
-    fn for_each_survivor(
+    fn for_each_survivor<T>(
         &self,
-        threshold: impl Fn(usize) -> Option<f64>,
-        mut emit: impl FnMut(&GroupSlot, f64),
+        survives: impl Fn(&GroupSlot) -> Option<T>,
+        mut emit: impl FnMut(&GroupSlot, T),
     ) {
         let groups = self.current();
         let mut emit_survivor = |slot: &GroupSlot| {
-            if let Some(confidence) = threshold(slot.support) {
-                emit(slot, confidence);
+            if let Some(verdict) = survives(slot) {
+                emit(slot, verdict);
             }
         };
-        let survivors = groups
-            .iter()
-            .filter(|s| threshold(s.support).is_some())
-            .count();
+        let survivors = groups.iter().filter(|s| survives(s).is_some()).count();
         if survivors < 2 {
             // A lone survivor has no order to keep.
             groups.iter().for_each(emit_survivor);
@@ -243,13 +300,15 @@ fn clipped_occurrences(db: &SequenceDatabase, occs: &OccArena, range: OccRange) 
         .count()
 }
 
-/// The one instance loop, shared by [`extend_node`] and
-/// [`count_candidates`] at every level: extends each occurrence of
-/// `parent` (a pattern of `node`) with one instance of `ek` that is
-/// chronologically last, verifies the new triples iteratively (above
-/// level 2, pruning through L2 when transitivity pruning is on), and
-/// files each valid extension into the reset `groups` by its packed
-/// relation column (r(E_1,E_k), …, r(E_{k-1},E_k)).
+/// The one instance loop, shared by [`extend_node`], the last level of
+/// [`GrowContext::grow_node`] and [`count_candidates`] at every level:
+/// extends each occurrence of `parent` (a pattern of `node`) with one
+/// instance of `ek` that is chronologically last, verifies the new
+/// triples iteratively (above level 2, pruning through L2 when
+/// transitivity pruning is on), and files each valid extension into the
+/// reset `groups` by its packed relation column (r(E_1,E_k), …,
+/// r(E_{k-1},E_k)), flagged when `groups` count clipped instances and it
+/// binds one.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn group_extensions<K: BoundaryKernel>(
@@ -269,11 +328,12 @@ fn group_extensions<K: BoundaryKernel>(
         Screen::Pairs(pairs) if cfg.pruning.transitivity => Some(pairs),
         Screen::Pairs(_) | Screen::Edges(_) => None,
     };
+    let count_clipped = groups.counts_clipped();
     groups.start_parent();
     for oi in parent.occurrences.iter() {
         let seq_id = node.occs.seq(oi);
         // A root binds its occurrences in ascending sequence order, and
-        // growth, `append_from` and `compact` keep it.
+        // growth and `append_from` keep it.
         debug_assert!(
             oi == parent.occurrences.start as usize || node.occs.seq(oi - 1) <= seq_id,
             "a pattern's occurrences ascend by sequence id"
@@ -311,6 +371,10 @@ fn group_extensions<K: BoundaryKernel>(
             .map(|&ti| bound_iv(ti).end)
             .max()
             .expect("non-empty");
+        let tuple_clipped = count_clipped
+            && tuple
+                .iter()
+                .any(|&ti| seq.instances()[ti as usize].is_clipped());
         for &xi in index.instances_in(seq_id as usize, ek) {
             let x = &seq.instances()[xi as usize];
             let Some(x_iv) = K::interval(x) else {
@@ -355,16 +419,57 @@ fn group_extensions<K: BoundaryKernel>(
             if !ok {
                 continue;
             }
-            groups.push(code, seq_id, tuple, xi);
+            let clipped = count_clipped && (tuple_clipped || x.is_clipped());
+            groups.push(code, seq_id, tuple, xi, clipped);
         }
     }
 }
 
+/// Extends each pattern of `node` with one instance of `ek` that is
+/// chronologically last (see [`group_extensions`]) and passes each group
+/// that `survives` keeps to `emit`, parent by parent in the pinned order
+/// of [`ExtensionGroups::for_each_survivor`]: the extended pattern, the
+/// group, and what `survives` returned for the group's [`DeltaKey`] and
+/// support. Shared by [`extend_node`] and the last level of
+/// [`GrowContext::grow_node`].
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn for_each_extension<K: BoundaryKernel, T>(
+    db: &SequenceDatabase,
+    index: &DatabaseIndex,
+    cfg: &MinerConfig,
+    stats: &mut MiningStats,
+    node: &WorkNode,
+    ek: EventId,
+    screen: Screen<'_>,
+    groups: &mut ExtensionGroups,
+    survives: impl Fn(DeltaKey, usize) -> Option<T>,
+    mut emit: impl FnMut(Pattern, &GroupSlot, T),
+) {
+    let mut column = [TemporalRelation::Follow; MAX_EVENTS_HARD_CAP];
+    for parent in &node.patterns {
+        group_extensions::<K>(db, index, cfg, stats, node, parent, ek, screen, groups);
+        let key = |code| DeltaKey {
+            parent: parent.id,
+            last: ek,
+            code,
+        };
+        groups.for_each_survivor(
+            |group| survives(key(group.code), group.support),
+            |group, verdict| {
+                let rels = decode_column(group.code, &mut column[..node.events.len()]);
+                emit(parent.pattern.extend(ek, rels), group, verdict);
+            },
+        );
+    }
+}
+
 /// Step 3.2: extend each frequent pattern of `node` with one instance of
-/// `ek` that is chronologically last (see [`group_extensions`]) and keep
-/// the groups that pass the thresholds as the child's patterns. `groups`
-/// is the node's reused scratch; the child's bitmap, arena and patterns
-/// are built only when some group survives the thresholds.
+/// `ek` that is chronologically last and keep the groups that `survives`
+/// lets through as the child's patterns, each with the confidence and
+/// pool id `survives` gave it. `groups` is the node's reused binding
+/// scratch; the child's bitmap, arena and patterns are built only when
+/// some group survives.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn extend_node<K: BoundaryKernel>(
     db: &SequenceDatabase,
@@ -374,40 +479,31 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
     node: &WorkNode,
     ek: EventId,
     joint_supp: usize,
-    max_supp: usize,
-    sigma_abs: usize,
     screen: Screen<'_>,
     groups: &mut ExtensionGroups,
+    survives: impl Fn(DeltaKey, usize) -> Option<(f64, PatternId)>,
 ) -> Option<WorkNode> {
     let mut new_patterns: Vec<WorkPattern> = Vec::new();
     let mut child_occs = OccArena::new(node.events.len() + 1);
-    let mut column = [TemporalRelation::Follow; MAX_EVENTS_HARD_CAP];
-    let threshold = |support| passes_thresholds(support, max_supp, sigma_abs, cfg.delta);
-
-    for parent in &node.patterns {
-        group_extensions::<K>(db, index, cfg, stats, node, parent, ek, screen, groups);
-        groups.for_each_survivor(threshold, |group, confidence| {
-            let rels = decode_column(group.code, &mut column[..node.events.len()]);
-            new_patterns.push(WorkPattern {
-                pattern: parent.pattern.extend(ek, rels),
-                support: group.support,
-                confidence,
-                occurrences: child_occs.append_from(&group.occs, group.occs.since(0)),
-                id: PatternId::NONE,
-                parent_id: parent.id,
-                code: group.code,
-            });
+    let keep = |pattern, group: &GroupSlot, (confidence, id)| {
+        new_patterns.push(WorkPattern {
+            pattern,
+            support: group.support,
+            confidence,
+            occurrences: child_occs.append_from(&group.occs, group.occs.since(0)),
+            id,
+            code: group.code,
         });
-    }
+    };
+    for_each_extension::<K, _>(
+        db, index, cfg, stats, node, ek, screen, groups, survives, keep,
+    );
 
     if new_patterns.is_empty() {
         return None;
     }
-    let mut events = Vec::with_capacity(node.events.len() + 1);
-    events.extend_from_slice(&node.events);
-    events.push(ek);
     Some(WorkNode {
-        events,
+        events: child_events(node, ek),
         bitmap: node.bitmap.and(index.bitmap(ek)),
         support: joint_supp,
         patterns: new_patterns,
@@ -415,8 +511,17 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
     })
 }
 
+/// The events of `node` extended by `ek`.
+fn child_events(node: &WorkNode, ek: EventId) -> Vec<EventId> {
+    let mut events = Vec::with_capacity(node.events.len() + 1);
+    events.extend_from_slice(&node.events);
+    events.push(ek);
+    events
+}
+
 /// Phases 1–3 of growing `node` (level `k` in event count for the
-/// children), shared by [`grow_candidates`] and [`count_candidates`]:
+/// children), shared by [`grow_candidates`], the last level of
+/// [`GrowContext::grow_node`] and [`count_candidates`]:
 /// the `screen`, the fused AND-count and the Apriori gate. Calls
 /// `verify(stats, ek, joint_supp, max_supp)` for every candidate last
 /// event that passes, after counting it in `stats.nodes_verified[k - 2]`.
@@ -475,13 +580,14 @@ fn for_each_gated_candidate(
 
 /// Tries every candidate last event `ek` for `node` (level `k` in event
 /// count for the children) and returns the surviving children — the
-/// growth step of every level `k ≥ 2`: the threaded engine's level-2
-/// loop over the roots and the depth-first [`GrowContext::grow_node`]
-/// below it both run it, and the exchange executor's count-only
-/// [`count_candidates`] shares its gates and grouping loop. Keeping one
-/// copy is load-bearing: the paths must stay semantically identical for
-/// the exchange's bit-identical-output guarantee. `stats` must already
-/// have level slots up to `k - 1`.
+/// growth step of every level `k ≥ 2` whose children grow further: the
+/// threaded engine's level-2 loop over the roots and the depth-first
+/// [`GrowContext::grow_node`] below it both run it. The last level of
+/// `grow_node` and the exchange executor's [`count_candidates`] share its
+/// gates and instance loop, on count-only groups. Keeping one copy is
+/// load-bearing: the paths must stay semantically identical for the
+/// exchange's bit-identical-output guarantee. `stats` must already have
+/// level slots up to `k - 1`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn grow_candidates<K: BoundaryKernel>(
     db: &SequenceDatabase,
@@ -497,8 +603,12 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
     // Every candidate verifies on the node's one set of reused
     // extension-group slots.
     let mut children: Vec<WorkNode> = Vec::new();
-    let mut groups = ExtensionGroups::new(node.events.len() + 1);
+    let mut groups = ExtensionGroups::binding(node.events.len() + 1);
     let verify = |stats: &mut MiningStats, ek, joint_supp, max_supp| {
+        let survives = |_, support| {
+            passes_thresholds(support, max_supp, sigma_abs, cfg.delta)
+                .map(|confidence| (confidence, PatternId::NONE))
+        };
         if let Some(child) = extend_node::<K>(
             db,
             index,
@@ -507,10 +617,9 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
             node,
             ek,
             joint_supp,
-            max_supp,
-            sigma_abs,
             screen,
             &mut groups,
+            survives,
         ) {
             stats.nodes_kept[k - 2] += 1;
             stats.patterns_found[k - 2] += child.patterns.len();
@@ -532,12 +641,12 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
 }
 
 /// The count-only twin of [`grow_candidates`], for the exchange's
-/// propose stage: the same gates, grouping loop and counters, but no
-/// child is built. Passes each group that clears the thresholds to
-/// `propose` as `(key, support, clipped)`: its [`DeltaKey`], its support
-/// read off the slot, and — when `count_clipped` — its occurrences that
-/// bind a boundary-clipped instance, counted off the slot's arena.
-/// `groups` is the caller's scratch for nodes of this level (width `k`).
+/// propose stage: the same gates, instance loop and counters, but no
+/// child is built and no occurrence row is kept. Passes each group that
+/// clears the thresholds to `propose` as `(key, support, clipped)`: its
+/// [`DeltaKey`], its support, and its occurrences that bind a
+/// boundary-clipped instance, as far as the count-only `groups` (the
+/// caller's scratch for nodes of this level) count them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn count_candidates<K: BoundaryKernel>(
     db: &SequenceDatabase,
@@ -549,10 +658,10 @@ pub(crate) fn count_candidates<K: BoundaryKernel>(
     screen: Screen<'_>,
     sigma_abs: usize,
     k: usize,
-    count_clipped: bool,
     groups: &mut ExtensionGroups,
     mut propose: impl FnMut(DeltaKey, usize, usize),
 ) {
+    debug_assert!(matches!(groups.keep, Keep::Counts { .. }));
     let count = |stats: &mut MiningStats, ek, _, max_supp| {
         let mut patterns = 0;
         for parent in &node.patterns {
@@ -561,17 +670,12 @@ pub(crate) fn count_candidates<K: BoundaryKernel>(
                 if passes_thresholds(group.support, max_supp, sigma_abs, cfg.delta).is_none() {
                     continue;
                 }
-                let clipped = if count_clipped {
-                    clipped_occurrences(db, &group.occs, group.occs.since(0))
-                } else {
-                    0
-                };
                 let key = DeltaKey {
                     parent: parent.id,
                     last: ek,
                     code: group.code,
                 };
-                propose(key, group.support, clipped);
+                propose(key, group.support, group.clipped);
                 patterns += 1;
             }
         }
@@ -593,6 +697,10 @@ pub(crate) fn count_candidates<K: BoundaryKernel>(
     );
 }
 
+/// One node of the last level, built straight from count-only groups:
+/// its events, joint support and patterns.
+type Leaf = (Vec<EventId>, usize, Vec<FrequentPattern>);
+
 /// Depth-first growth of the Hierarchical Pattern Graph below L2.
 pub(crate) struct GrowContext<'a, K: BoundaryKernel> {
     pub(crate) db: &'a SequenceDatabase,
@@ -601,12 +709,14 @@ pub(crate) struct GrowContext<'a, K: BoundaryKernel> {
     pub(crate) pair_relations: &'a PairRelations,
     pub(crate) freq_events: &'a [EventId],
     pub(crate) sigma_abs: usize,
+    /// The last level: [`MinerConfig::last_level`].
     pub(crate) max_events: usize,
     pub(crate) stats: &'a mut MiningStats,
     pub(crate) sink: &'a mut dyn PatternSink,
     /// Whether the database contains any boundary-clipped instance —
-    /// lets [`archive_node`] skip the per-occurrence artifact scan when
-    /// every count would be 0.
+    /// lets [`archive_node`] skip the per-occurrence artifact scan, and
+    /// the last level skip the per-extension clip test, when every count
+    /// would be 0.
     pub(crate) db_has_clipped: bool,
     /// The monomorphized boundary kernel (fixed at dispatch).
     pub(crate) kernel: PhantomData<K>,
@@ -615,13 +725,23 @@ pub(crate) struct GrowContext<'a, K: BoundaryKernel> {
 impl<K: BoundaryKernel> GrowContext<'_, K> {
     /// Archives `node` (level `k − 1` in event count) and tries every
     /// candidate last event for level `k`. The node's occurrence
-    /// bindings die when this frame returns.
+    /// bindings die when this frame returns. At the last level the
+    /// children are leaves: they keep no occurrence row and are emitted
+    /// right after their parent.
     pub(crate) fn grow_node(&mut self, node: WorkNode, k: usize) {
         if k > self.max_events {
             archive_node(self.sink, self.db, self.db_has_clipped, node, k - 1);
             return;
         }
         self.stats.ensure_levels(k - 1);
+        if k == self.max_events {
+            let leaves = self.leaves(&node, k);
+            archive_node(self.sink, self.db, self.db_has_clipped, node, k - 1);
+            for (events, support, patterns) in leaves {
+                self.sink.node(events, support, k, patterns);
+            }
+            return;
+        }
         let children = grow_candidates::<K>(
             self.db,
             self.index,
@@ -639,6 +759,60 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
         for child in children {
             self.grow_node(child, k + 1);
         }
+    }
+
+    /// The children of `node` at the last level `k`, grown through the
+    /// gates and instance loop of [`grow_candidates`] on count-only
+    /// groups: each leaf's patterns are built straight from its groups,
+    /// in the pinned order, with no arena, joint bitmap or row scan.
+    fn leaves(&mut self, node: &WorkNode, k: usize) -> Vec<Leaf> {
+        let (db, index, cfg) = (self.db, self.index, self.cfg);
+        let (sigma_abs, screen) = (self.sigma_abs, Screen::Pairs(self.pair_relations));
+        let n_seqs = db.len().max(1) as f64;
+        let mut leaves: Vec<Leaf> = Vec::new();
+        let mut groups = ExtensionGroups::counting(self.db_has_clipped);
+        let verify = |stats: &mut MiningStats, ek, joint_supp, max_supp| {
+            let mut patterns: Vec<FrequentPattern> = Vec::new();
+            let survives = |_, support| passes_thresholds(support, max_supp, sigma_abs, cfg.delta);
+            let keep = |pattern, group: &GroupSlot, confidence| {
+                patterns.push(FrequentPattern {
+                    pattern,
+                    support: group.support,
+                    rel_support: group.support as f64 / n_seqs,
+                    confidence,
+                    clipped_occurrences: group.clipped,
+                });
+            };
+            for_each_extension::<K, _>(
+                db,
+                index,
+                cfg,
+                stats,
+                node,
+                ek,
+                screen,
+                &mut groups,
+                survives,
+                keep,
+            );
+            if !patterns.is_empty() {
+                stats.nodes_kept[k - 2] += 1;
+                stats.patterns_found[k - 2] += patterns.len();
+                leaves.push((child_events(node, ek), joint_supp, patterns));
+            }
+        };
+        for_each_gated_candidate(
+            index,
+            cfg,
+            self.stats,
+            node,
+            self.freq_events,
+            screen,
+            sigma_abs,
+            k,
+            verify,
+        );
+        leaves
     }
 }
 
@@ -706,8 +880,9 @@ mod tests {
         }
     }
 
-    /// One group as `(code, support, confidence, occurrences)`.
-    type Emitted = (u64, usize, f64, Vec<(u32, Vec<u32>)>);
+    /// One binding group as `(code, support, confidence, occurrences,
+    /// clipped occurrences)`.
+    type Emitted = (u64, usize, f64, Vec<(u32, Vec<u32>)>, usize);
 
     fn rows(occs: &OccArena) -> Vec<(u32, Vec<u32>)> {
         (0..occs.len())
@@ -715,23 +890,59 @@ mod tests {
             .collect()
     }
 
+    /// `n_seqs` sequences of `n_insts` instances of one event, in which
+    /// instance `i` of sequence `s` is boundary-clipped iff `(i + s)` is
+    /// a multiple of 4.
+    fn every_fourth_clipped(n_seqs: u32, n_insts: i64) -> SequenceDatabase {
+        use ftpm_events::{EventInstance, EventRegistry, Interval, TemporalSequence};
+        use ftpm_timeseries::{SymbolId, VariableId};
+        let mut reg = EventRegistry::new();
+        let a = reg.intern(VariableId(0), SymbolId(1), || "A".into());
+        let sequences = (0..n_seqs)
+            .map(|s| {
+                let instances = (0..n_insts)
+                    .map(|i| {
+                        let iv = Interval::new(2 * i, 2 * i + 1);
+                        let clipped = (i + i64::from(s)) % 4 == 0;
+                        let extent = Interval::new(2 * i - i64::from(clipped), 2 * i + 1);
+                        EventInstance::with_extent(a, iv, extent)
+                    })
+                    .collect();
+                TemporalSequence::new(instances)
+            })
+            .collect();
+        SequenceDatabase::new(reg, sequences)
+    }
+
     /// The reused slots give each parent the groups, supports and
     /// emission order of the accumulator they replaced: a fresh
     /// code-keyed FNV map per parent holding a sequence bitmap and an
-    /// arena per group. Covers slot reuse across parents, map tables that
-    /// grow several times, and thresholds that keep none, one or several
-    /// groups.
+    /// arena per group. Count-only slots give the same codes, supports,
+    /// order and confidences, keep no row, and count as clipped exactly
+    /// the rows of the matching binding group that [`clipped_occurrences`]
+    /// counts (none when they do not count clipped instances). Covers
+    /// slot reuse across parents, map tables that grow several times, and
+    /// thresholds that keep none, one or several groups.
     #[test]
     fn extension_groups_match_a_fresh_map_per_parent() {
         let keep_all = |support: usize| Some(support as f64);
         let keep_even = |support: usize| support.is_multiple_of(2).then_some(support as f64 / 2.0);
         let keep_none = |_: usize| None;
         let thresholds: [&dyn Fn(usize) -> Option<f64>; 3] = [&keep_all, &keep_even, &keep_none];
+        let db = every_fourth_clipped(12, 300);
+        let is_clipped =
+            |seq: u32, i: u32| db.sequences()[seq as usize].instances()[i as usize].is_clipped();
+        let mut clipped_rows = 0;
         for n_codes in [1, 2, 5, 9, 40, 300] {
-            let mut groups = ExtensionGroups::new(2);
+            let mut groups = ExtensionGroups::binding(2);
+            let mut counting = [
+                ExtensionGroups::counting(true),
+                ExtensionGroups::counting(false),
+            ];
             for parent in 0..6 {
                 let threshold = thresholds[parent % 3];
                 groups.start_parent();
+                counting.iter_mut().for_each(ExtensionGroups::start_parent);
                 let mut fresh: FnvHashMap<u64, (Bitmap, OccArena)> = FnvHashMap::default();
                 for seq in 0..12u32 {
                     for x in 0..n_codes as u32 {
@@ -742,7 +953,14 @@ mod tests {
                         // map's order.
                         let code =
                             ((x as usize * 7 + seq as usize + parent) % n_codes) as u64 * 3 + 1;
-                        groups.push(code, seq, &[seq], x);
+                        // What the instance loop passes for the row
+                        // (seq, [seq, x]).
+                        let clipped = is_clipped(seq, seq) || is_clipped(seq, x);
+                        groups.push(code, seq, &[seq], x, false);
+                        for c in &mut counting {
+                            let flag = c.counts_clipped() && clipped;
+                            c.push(code, seq, &[seq], x, flag);
+                        }
                         let (bitmap, occs) = fresh
                             .entry(code)
                             .or_insert_with(|| (Bitmap::new(12), OccArena::new(2)));
@@ -750,20 +968,44 @@ mod tests {
                         occs.push_extend(seq, &[seq], x);
                     }
                 }
+                let emitted = |code, support, confidence, occs: &OccArena| {
+                    let clipped = clipped_occurrences(&db, occs, occs.since(0));
+                    (code, support, confidence, rows(occs), clipped)
+                };
+                let survives = |group: &GroupSlot| threshold(group.support);
                 let mut got: Vec<Emitted> = Vec::new();
-                groups.for_each_survivor(threshold, |group, confidence| {
-                    got.push((group.code, group.support, confidence, rows(&group.occs)));
+                groups.for_each_survivor(survives, |group, confidence| {
+                    got.push(emitted(group.code, group.support, confidence, &group.occs));
                 });
                 let want: Vec<Emitted> = fresh
                     .into_iter()
                     .filter_map(|(code, (bitmap, occs))| {
                         let support = bitmap.count_ones();
                         threshold(support)
-                            .map(|confidence| (code, support, confidence, rows(&occs)))
+                            .map(|confidence| emitted(code, support, confidence, &occs))
                     })
                     .collect();
                 assert_eq!(got, want, "{n_codes} codes, parent {parent}");
+                clipped_rows += got.iter().map(|g| g.4).sum::<usize>();
+                for c in &counting {
+                    let mut counted = Vec::new();
+                    c.for_each_survivor(survives, |group, confidence| {
+                        assert_eq!(group.occs.len(), 0, "a count-only group keeps no row");
+                        counted.push((group.code, group.support, confidence, group.clipped));
+                    });
+                    let expected: Vec<_> = got
+                        .iter()
+                        .map(|g| (g.0, g.1, g.2, if c.counts_clipped() { g.4 } else { 0 }))
+                        .collect();
+                    assert_eq!(
+                        counted,
+                        expected,
+                        "{n_codes} codes, parent {parent}, count clipped: {}",
+                        c.counts_clipped()
+                    );
+                }
             }
         }
+        assert!(clipped_rows > 0, "the input must bind clipped instances");
     }
 }

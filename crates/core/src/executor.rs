@@ -13,12 +13,14 @@
 //! 1. **Count** — every shard counts its level-`k` candidates
 //!    (support-complete locally, grown only from the previous round's
 //!    survivors, or at level 2 from the L1 roots of the frequent events
-//!    it holds) straight from the reused extension-group slots of
-//!    [`count_candidates`], the growth step of every level. It reports
-//!    each candidate with its **owned** support and owned
-//!    clipped-occurrence count — "what do you see, and how often?" — and
-//!    builds nothing for it: no [`crate::Pattern`], joint bitmap or
-//!    occurrence range.
+//!    it holds) straight from the reused count-only extension-group
+//!    slots of [`count_candidates`], the growth step of every level. The
+//!    slots keep no occurrence row: each group counts its support, and
+//!    its occurrences that bind a clipped instance when the shard holds
+//!    any, as the instance loop files them. The shard reports each
+//!    candidate with its **owned** support and owned clipped-occurrence
+//!    count — "what do you see, and how often?" — and builds nothing for
+//!    it: no [`crate::Pattern`], joint bitmap, occurrence range or row.
 //! 2. **Gate** — the coordinator sums owned supports across shards
 //!    (window ownership partitions the window space, so the sums are the
 //!    exact global statistics) and applies the *global* σ/δ Apriori gate.
@@ -29,9 +31,10 @@
 //!    `k`-prefix in the same window, so `supp(prefix) ≥ supp(P)` and
 //!    `conf(prefix) ≥ conf(P)` hold on the *summed* statistics.
 //! 3. **Re-derive** — each shard re-runs [`extend_node`] only where it
-//!    proposed a survivor, and keeps only the survivors, with their
-//!    occurrence bindings, as the parents of round `k + 1`. Nothing is
-//!    re-derived after the last round.
+//!    proposed a survivor. The growth step builds only the verdict's
+//!    patterns, each stamped with its master pool id as it is built, and
+//!    they become the parents of round `k + 1` with their occurrence
+//!    bindings. Nothing is re-derived after the last round.
 //!
 //! Between rounds a shard therefore holds survivors only — about 7 % of
 //! its proposals on the long perfbench input, where 215,471 of 230,783
@@ -78,11 +81,10 @@ use std::time::{Duration, Instant};
 use ftpm_events::{BoundaryKernel, BoundaryPolicy, EventId, TemporalRelation};
 
 use crate::approx::CorrelationFilter;
-use crate::candidates::{passes_thresholds, PairRelations, Screen, WorkNode, WorkPattern};
-use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
+use crate::candidates::{passes_thresholds, PairRelations, Screen, WorkNode};
+use crate::config::MinerConfig;
 use crate::exact::{count_candidates, extend_node, max_support, ExtensionGroups};
 use crate::index::DatabaseIndex;
-use crate::occ::OccRange;
 use crate::parallel::{par_for_each, par_map};
 use crate::pattern::Pattern;
 use crate::pool::{decode_column, DeltaKey, FnvHashMap, PatternId, PatternPool};
@@ -119,17 +121,6 @@ type Survivor = (usize, usize, f64);
 /// every surviving candidate key mapped to its master pool id (the
 /// parent id of next round's extensions).
 type Verdict = FnvHashMap<DeltaKey, PatternId>;
-
-/// A work pattern's canonical exchange identity, read off the fields the
-/// miner already tracks (prefix id, appended event, packed delta column).
-fn delta_key(wp: &WorkPattern) -> DeltaKey {
-    let events = wp.pattern.events();
-    DeltaKey {
-        parent: wp.parent_id,
-        last: events[events.len() - 1],
-        code: wp.code,
-    }
-}
 
 /// How many parent nodes (L1 roots, or level-`k` nodes) one
 /// intra-shard work unit takes: the scoped workers amortize their
@@ -258,9 +249,9 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         // The same gates and grouping loop as the unsharded miner —
         // local σ_abs = 1 gates only empty joints, and the Lemma 5 table
         // is the *global* one the coordinator broadcast. One set of
-        // extension-group slots serves a whole chunk of nodes.
+        // count-only extension-group slots serves a whole chunk of nodes.
         let count = |range: Range<usize>, stats: &mut MiningStats, propose: &mut Propose<'_>| {
-            let mut groups = ExtensionGroups::new(k);
+            let mut groups = ExtensionGroups::counting(count_clipped);
             for node in &level[range] {
                 count_candidates::<K>(
                     db,
@@ -272,7 +263,6 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
                     screen,
                     1,
                     k,
-                    count_clipped,
                     &mut groups,
                     |key, support, clipped| propose(key, (support, clipped)),
                 );
@@ -327,8 +317,10 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
 
     /// Re-derives the level-`k` survivors this shard proposed: each
     /// surviving `(parent node, appended event)` pair re-runs
-    /// [`extend_node`] on the node's reused extension-group slots, and
-    /// only the verdict's patterns are kept. The parents are released
+    /// [`extend_node`] on the node's reused extension-group slots, which
+    /// builds only the verdict's patterns, each stamped with the master
+    /// pool id the coordinator assigned it (next round's extensions
+    /// inherit it as their [`DeltaKey`] parent). The parents are released
     /// afterwards; the proposal already counted this work, so its
     /// counters go to a scratch [`MiningStats`].
     fn rederive(&mut self, verdict: &Verdict, screen: Screen<'_>, k: usize) {
@@ -353,11 +345,15 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         let outputs = par_map(per_node, self.threads, |run| {
             let node = &parents[run[0].0];
             let mut scratch = MiningStats::default();
-            let mut groups = ExtensionGroups::new(k);
+            let mut groups = ExtensionGroups::binding(k);
             run.iter()
                 .filter_map(|&(_, ek)| {
                     let joint_supp = node.bitmap.and_count(index.bitmap(ek));
                     let max_supp = max_support(index, node, ek);
+                    let survives = |key, support| {
+                        let id = *verdict.get(&key)?;
+                        Some((support as f64 / max_supp as f64, id))
+                    };
                     extend_node::<K>(
                         db,
                         index,
@@ -366,13 +362,11 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
                         node,
                         ek,
                         joint_supp,
-                        max_supp,
-                        1,
                         screen,
                         &mut groups,
+                        survives,
                     )
                 })
-                .filter_map(|child| keep_survivors(child, verdict))
                 .collect::<Vec<_>>()
         });
         self.level = outputs.into_iter().flatten().collect();
@@ -431,32 +425,6 @@ fn count_proposals(
         "a shard proposes each candidate key once"
     );
     proposals.shrink_to_fit();
-}
-
-/// Keeps the patterns of a re-derived `node` that the verdict let
-/// through, stamps each with the master pool id the coordinator assigned
-/// it — next round's extensions inherit it as their [`DeltaKey`] parent —
-/// and compacts the node's arena over them. `None` if none survived.
-fn keep_survivors(mut node: WorkNode, verdict: &Verdict) -> Option<WorkNode> {
-    node.patterns
-        .retain_mut(|wp| match verdict.get(&delta_key(wp)) {
-            Some(&id) => {
-                wp.id = id;
-                true
-            }
-            None => false,
-        });
-    if node.patterns.is_empty() {
-        return None;
-    }
-    // Patterns hold ascending disjoint arena ranges, so dropping the
-    // losers' bindings is one compaction sweep over the flat columns.
-    let mut kept: Vec<OccRange> = node.patterns.iter().map(|wp| wp.occurrences).collect();
-    node.occs.compact(&mut kept);
-    for (wp, range) in node.patterns.iter_mut().zip(kept) {
-        wp.occurrences = range;
-    }
-    Some(node)
 }
 
 /// Runs one stage on every worker, shards concurrent up to `outer`
@@ -645,9 +613,7 @@ pub(crate) fn mine_exchange<K: BoundaryKernel>(
         .map(|shard| ShardWorker::new(shard, cfg, inner))
         .collect();
     let sigma_abs = cfg.absolute_support(plan.n_windows());
-    // Level 2 is mined even under a hand-built `max_events` below 2, as
-    // in the threaded engine.
-    let max_events = cfg.max_events.clamp(2, MAX_EVENTS_HARD_CAP);
+    let max_events = cfg.last_level();
 
     // ---- Round 1: owned L1 supports and boundary counts ----
     run_round(&mut workers, outer, sched, |w| w.l1());

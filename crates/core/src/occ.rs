@@ -11,10 +11,8 @@
 //!   count).
 //!
 //! A pattern holds an [`OccRange`] of occurrence indices instead of its
-//! own vector, so growing a level appends to the flat columns, dropping
-//! a pattern is free, and the exchange executor's drop-losers step
-//! ([`OccArena::compact`]) is a range shift + truncation instead of a
-//! per-pattern reallocation.
+//! own vector, so growing a level appends to the flat columns and
+//! dropping a pattern is free.
 
 /// Half-open range of occurrence indices into an [`OccArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,12 +22,6 @@ pub(crate) struct OccRange {
 }
 
 impl OccRange {
-    /// Number of occurrences in the range.
-    #[inline]
-    pub(crate) fn len(self) -> usize {
-        (self.end - self.start) as usize
-    }
-
     /// The occurrence indices as a `usize` iterator.
     #[inline]
     pub(crate) fn iter(self) -> std::ops::Range<usize> {
@@ -132,33 +124,6 @@ impl OccArena {
         );
         self.since(start)
     }
-
-    /// Drop-losers step: keeps only the occurrences of `kept` (ascending,
-    /// disjoint ranges), shifting them down in place and truncating the
-    /// columns at the new watermark. Each range in `kept` is rewritten to
-    /// its post-compaction position. No allocation, no per-pattern copy —
-    /// just one sweep over the flat columns.
-    pub(crate) fn compact(&mut self, kept: &mut [OccRange]) {
-        let mut write = 0usize;
-        for range in kept.iter_mut() {
-            let (start, len) = (range.start as usize, range.len());
-            debug_assert!(write <= start, "kept ranges must be ascending and disjoint");
-            if write != start {
-                self.seqs.copy_within(start..start + len, write);
-                self.insts.copy_within(
-                    start * self.width..(start + len) * self.width,
-                    write * self.width,
-                );
-            }
-            *range = OccRange {
-                start: write as u32,
-                end: (write + len) as u32,
-            };
-            write += len;
-        }
-        self.seqs.truncate(write);
-        self.insts.truncate(write * self.width);
-    }
 }
 
 #[cfg(test)]
@@ -195,27 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_shifts_kept_ranges_down() {
-        let mut a = OccArena::new(1);
-        for i in 0..10u32 {
-            a.push(i, &[i * 10]);
-        }
-        // Keep [2,4) and [7,10); drop the rest.
-        let mut kept = [
-            OccRange { start: 2, end: 4 },
-            OccRange { start: 7, end: 10 },
-        ];
-        a.compact(&mut kept);
-        assert_eq!(kept[0], OccRange { start: 0, end: 2 });
-        assert_eq!(kept[1], OccRange { start: 2, end: 5 });
-        assert_eq!(a.len(), 5);
-        let seqs: Vec<u32> = (0..a.len()).map(|i| a.seq(i)).collect();
-        assert_eq!(seqs, vec![2, 3, 7, 8, 9]);
-        let insts: Vec<u32> = (0..a.len()).map(|i| a.tuple(i)[0]).collect();
-        assert_eq!(insts, vec![20, 30, 70, 80, 90]);
-    }
-
-    #[test]
     fn clear_keeps_capacity() {
         let mut a = OccArena::new(2);
         for i in 0..8u32 {
@@ -227,19 +171,5 @@ mod tests {
         assert_eq!((a.seqs.capacity(), a.insts.capacity()), (seqs, insts));
         a.push(3, &[4, 5]);
         assert_eq!((a.seq(0), a.tuple(0)), (3, &[4, 5][..]));
-    }
-
-    #[test]
-    fn compact_all_and_none() {
-        let mut a = OccArena::new(2);
-        for i in 0..3u32 {
-            a.push(i, &[i, i]);
-        }
-        let mut all = [OccRange { start: 0, end: 3 }];
-        a.compact(&mut all);
-        assert_eq!(a.len(), 3);
-        let mut none: [OccRange; 0] = [];
-        a.compact(&mut none);
-        assert_eq!(a.len(), 0);
     }
 }

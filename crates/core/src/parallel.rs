@@ -38,7 +38,7 @@ use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase};
 
 use crate::approx::CorrelationFilter;
 use crate::candidates::{PairRelations, Screen, WorkNode};
-use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
+use crate::config::MinerConfig;
 use crate::exact::{grow_candidates, GrowContext};
 use crate::index::DatabaseIndex;
 use crate::plan::MinePlan;
@@ -150,7 +150,7 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
 ) -> MiningStats {
     assert!(n_threads > 0, "need at least one thread");
     let sigma_abs = cfg.absolute_support(db.len());
-    let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
+    let max_events = cfg.last_level();
     let index = DatabaseIndex::build_with_policy(db, cfg.relation.boundary);
     let mut stats = MiningStats::default();
     let db_has_clipped = stats.record_boundary(&index, cfg.relation.boundary);
@@ -166,8 +166,10 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
     sink.begin(&l1);
 
     // ---- L2: frequent 2-event patterns (Alg. 1 lines 5–14): each L1
-    // root grows by one event, workers claiming batches of roots ----
+    // root grows by one event, workers claiming batches of roots. Below
+    // a last level of 2, no root grows ----
     let n_freq = freq_events.len();
+    let n_roots = if max_events >= 2 { n_freq } else { 0 };
     let roots_per_claim = PAIR_BATCH.div_ceil(n_freq.max(1));
     let next_root = AtomicUsize::new(0);
     let screen = Screen::Edges(corr);
@@ -180,10 +182,10 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
                 ctl.turn(worker);
             }
             let at = next_root.fetch_add(roots_per_claim, Ordering::Relaxed);
-            if at >= n_freq {
+            if at >= n_roots {
                 break;
             }
-            for &e in &freq_events[at..(at + roots_per_claim).min(n_freq)] {
+            for &e in &freq_events[at..(at + roots_per_claim).min(n_roots)] {
                 let root = WorkNode::root(&index, e);
                 nodes.extend(grow_candidates::<K>(
                     db,
@@ -215,8 +217,7 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
     // Canonical order so work distribution is deterministic across runs
     // (event pairs are unique, so an in-place unstable sort suffices),
     // and each node's patterns by relation, the order the one-thread
-    // output is pinned to. Their arena ranges no longer ascend, which
-    // only the exchange's compaction needs.
+    // output is pinned to.
     level2.sort_unstable_by(|a, b| a.events.cmp(&b.events));
     for node in &mut level2 {
         node.patterns.sort_unstable_by_key(|p| p.code);
@@ -235,9 +236,9 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
     // nodes into the shared sink. The level-wise semantics (k-event
     // patterns derived from (k-1)-event patterns and the L1/L2
     // structures) are unchanged, but a node's occurrence bindings are
-    // released as soon as its subtree is done — this is what keeps
-    // HTPGM's memory footprint below the list-materializing baselines
-    // (Table VIII).
+    // released as soon as its subtree is done, and the last level's
+    // nodes never bind theirs — this is what keeps HTPGM's memory
+    // footprint below the list-materializing baselines (Table VIII).
     let queue = Mutex::new(level2.into_iter());
     let encoder = sink.encoder();
     let shared = Mutex::new(sink);
