@@ -18,10 +18,12 @@ use ftpm_mi::CorrelationGraph;
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 /// 8.5 MiB. The run is single-threaded, so its peak is deterministic:
-/// 7,860,039 bytes (and 261,854 allocations against the unsharded run's
-/// 81,699) with count-only proposals kept as sorted runs that the gate
-/// merges and each shard frees before it re-derives only the verdict's
-/// patterns; 7,888,951 bytes (290,813 allocations against 83,130) while
+/// 7,860,071 bytes (and 261,854 allocations against the unsharded run's
+/// 77,875, which stops hopeless instance walks at the support bound and
+/// reuses one last-level scratch per worker; 81,699 before) with
+/// count-only proposals kept as sorted runs that the gate merges and
+/// each shard frees before it re-derives only the verdict's patterns;
+/// 7,888,951 bytes (290,813 allocations against 83,130) while
 /// the count kept each group's occurrence rows and the re-derivation
 /// built every proposal of a surviving combination; and 10,440,796 bytes
 /// when each shard held its proposals in a hash map until its next count

@@ -44,6 +44,29 @@ pub(crate) fn passes_thresholds(
     Some(confidence)
 }
 
+/// The support an instance walk of a candidate whose confidence
+/// denominator is `max_supp` must still be able to reach. Under Apriori
+/// pruning it is the least support [`passes_thresholds`] accepts:
+/// `max(σ_abs, ⌈(δ − ε)·max_supp⌉)` in closed form, then stepped to the
+/// exact boundary of the float test, so that [`CONF_EPS`] rounds the same
+/// way in both. Without Apriori pruning it is 1, which stops no walk.
+pub(crate) fn support_bound(cfg: &MinerConfig, sigma_abs: usize, max_supp: usize) -> usize {
+    if !cfg.pruning.apriori {
+        return 1;
+    }
+    let passes = |support| passes_thresholds(support, max_supp, sigma_abs, cfg.delta).is_some();
+    // A negative product casts to 0.
+    let mut need = (((cfg.delta - CONF_EPS) * max_supp as f64).ceil() as usize).max(sigma_abs);
+    while need > sigma_abs && passes(need - 1) {
+        need -= 1;
+    }
+    // `max_supp` itself passes (`δ ≤ 1`), so this stops there at the latest.
+    while !passes(need) && need < max_supp {
+        need += 1;
+    }
+    need
+}
+
 /// The Apriori gate (Lemmas 2–3) on a candidate event combination: true
 /// iff the candidate must proceed to instance verification. With Apriori
 /// pruning off, only empty joint bitmaps are skipped (and not counted as
@@ -253,6 +276,47 @@ mod tests {
         assert!(passes_thresholds(7, 10, 8, 0.7).is_none());
         let conf = passes_thresholds(3, 4, 1, 0.5).expect("passes");
         assert!((conf - 0.75).abs() < 1e-12);
+    }
+
+    /// Under Apriori pruning the closed form agrees with a scan of
+    /// [`passes_thresholds`], including the confidences that land on `δ`
+    /// up to float noise; without it the bound is 1.
+    #[test]
+    fn the_support_bound_is_the_first_support_that_passes() {
+        for delta in [
+            1e-12,
+            0.01,
+            0.1,
+            0.25,
+            0.3,
+            1.0 / 3.0,
+            0.4,
+            0.5,
+            0.7,
+            0.9,
+            1.0,
+        ] {
+            let cfg = MinerConfig::new(0.5, delta);
+            let no_apriori = cfg.with_pruning(crate::config::PruningConfig::TRANSITIVITY);
+            for max_supp in 1..=60 {
+                for sigma_abs in [1, 2, 7, 30] {
+                    let first = (0..=max_supp.max(sigma_abs))
+                        .find(|&s| passes_thresholds(s, max_supp, sigma_abs, delta).is_some());
+                    let context =
+                        format!("max_supp {max_supp}, sigma_abs {sigma_abs}, delta {delta}");
+                    assert_eq!(
+                        Some(support_bound(&cfg, sigma_abs, max_supp)),
+                        first,
+                        "{context}"
+                    );
+                    assert_eq!(
+                        support_bound(&no_apriori, sigma_abs, max_supp),
+                        1,
+                        "{context}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@ pub struct PruningConfig {
     /// Apriori-based pruning (Lemmas 2–3): discard candidate event
     /// combinations whose joint-bitmap support or confidence upper bound
     /// already misses `σ`/`δ`, before any instance-level verification.
+    /// It also stops an instance walk once no extension group of the
+    /// parent pattern can still reach the least support that passes
+    /// `σ`/`δ` (counted in `MiningStats::support_bound_pruned`).
     pub apriori: bool,
     /// Transitivity-based pruning (Lemmas 4–7): restrict the single events
     /// used to grow level `k` to those participating in a frequent pattern

@@ -354,6 +354,8 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
                         let id = *verdict.get(&key)?;
                         Some((support as f64 / max_supp as f64, id))
                     };
+                    // Support bound 1: the verdict, not the local
+                    // support, decides which groups survive.
                     extend_node::<K>(
                         db,
                         index,
@@ -363,6 +365,7 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
                         ek,
                         joint_supp,
                         screen,
+                        1,
                         &mut groups,
                         survives,
                     )

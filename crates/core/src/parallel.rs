@@ -39,7 +39,7 @@ use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase};
 use crate::approx::CorrelationFilter;
 use crate::candidates::{PairRelations, Screen, WorkNode};
 use crate::config::MinerConfig;
-use crate::exact::{grow_candidates, GrowContext};
+use crate::exact::{grow_candidates, ExtensionGroups, GrowContext};
 use crate::index::DatabaseIndex;
 use crate::plan::MinePlan;
 use crate::result::{merge_stats, FrequentPattern, MiningStats};
@@ -248,25 +248,29 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
     let grow_outputs = run_workers(n_threads, sched, |worker| {
         let mut worker_sink = SharedSink::new(&shared, encoder.clone(), batch);
         let mut worker_stats = MiningStats::default();
+        // One context per worker, so its last-level scratch serves every
+        // node the worker claims.
+        let mut grow = GrowContext::<K> {
+            db,
+            cfg,
+            index: &index,
+            pair_relations: &pair_relations,
+            freq_events: &freq_events,
+            sigma_abs,
+            max_events,
+            stats: &mut worker_stats,
+            sink: &mut worker_sink,
+            db_has_clipped,
+            leaf_groups: ExtensionGroups::counting(db_has_clipped),
+            leaves: Vec::new(),
+            kernel: PhantomData,
+        };
         loop {
             if let Some(ctl) = sched {
                 ctl.turn(worker);
             }
             let Some(node) = lock_clean(&queue).next() else {
                 break;
-            };
-            let mut grow = GrowContext::<K> {
-                db,
-                cfg,
-                index: &index,
-                pair_relations: &pair_relations,
-                freq_events: &freq_events,
-                sigma_abs,
-                max_events,
-                stats: &mut worker_stats,
-                sink: &mut worker_sink,
-                db_has_clipped,
-                kernel: PhantomData,
             };
             grow.grow_node(node, 3);
         }

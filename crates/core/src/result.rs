@@ -39,7 +39,10 @@ pub struct MiningStats {
     pub nodes_kept: Vec<usize>,
     /// Frequent patterns found, per level.
     pub patterns_found: Vec<usize>,
-    /// Instance pairs / extension candidates examined.
+    /// Instance checks performed: each pairing of a parent occurrence with
+    /// a chronologically later instance of the appended event that the
+    /// instance loop tests. A walk stopped by the support bound performs,
+    /// and counts, only the checks before the stop.
     pub instance_checks: u64,
     /// Candidate event combinations discarded by Apriori pruning
     /// (Lemmas 2–3) before instance verification.
@@ -47,6 +50,13 @@ pub struct MiningStats {
     /// Extension candidates discarded by the transitivity / L2 lookup
     /// (Lemmas 4–7).
     pub transitivity_pruned: u64,
+    /// Instance walks stopped early by the support bound: a parent
+    /// pattern's walk over its occurrences ends as soon as no extension
+    /// group can still reach the least support that passes `σ` and `δ`,
+    /// since a group gains at most one support per sequence left. Only
+    /// with Apriori pruning on, and only in unsharded runs: a shard
+    /// cannot know a candidate's global support.
+    pub support_bound_pruned: u64,
     /// Instances of the mined database whose run was clipped at a window
     /// boundary by the split (either side).
     pub clipped_instances: u64,
@@ -114,6 +124,7 @@ pub(crate) fn merge_stats(into: &mut MiningStats, from: MiningStats) {
     into.instance_checks += from.instance_checks;
     into.apriori_pruned += from.apriori_pruned;
     into.transitivity_pruned += from.transitivity_pruned;
+    into.support_bound_pruned += from.support_bound_pruned;
     // Boundary counts describe the database: a worker's stats carry
     // zeros, and a shard's its owned sequences' counts.
     into.clipped_instances += from.clipped_instances;

@@ -153,18 +153,35 @@ fn all_pruning_configurations_agree() {
 #[test]
 fn pruning_reduces_work_not_output() {
     // On a structured dataset the pruned runs must check strictly fewer
-    // candidates while finding the same patterns.
+    // candidates while finding the same patterns. The support bound
+    // stops instance walks under Apriori pruning, and only there.
     let data = ftpm_datagen::nist_like(0.01);
     let base = MinerConfig::new(0.4, 0.4).with_max_events(3);
     let no_prune = mine_exact(&data.seq, &base.with_pruning(PruningConfig::NO_PRUNE));
-    let all = mine_exact(&data.seq, &base.with_pruning(PruningConfig::ALL));
-    assert_same_patterns(&no_prune, &all, "nist-like pruning equivalence");
-    assert!(
-        all.stats.instance_checks < no_prune.stats.instance_checks,
-        "pruning should reduce instance checks: {} vs {}",
-        all.stats.instance_checks,
-        no_prune.stats.instance_checks
-    );
+    for (name, pruning, bounded) in [
+        ("All", PruningConfig::ALL, true),
+        ("Apriori", PruningConfig::APRIORI, true),
+        ("Trans", PruningConfig::TRANSITIVITY, false),
+        ("NoPrune", PruningConfig::NO_PRUNE, false),
+    ] {
+        let run = mine_exact(&data.seq, &base.with_pruning(pruning));
+        let context = format!("nist-like pruning equivalence, {name}");
+        assert_same_patterns(&no_prune, &run, &context);
+        assert_eq!(
+            run.stats.support_bound_pruned > 0,
+            bounded,
+            "{context}: {} walks stopped by the support bound",
+            run.stats.support_bound_pruned
+        );
+        if pruning != PruningConfig::NO_PRUNE {
+            assert!(
+                run.stats.instance_checks < no_prune.stats.instance_checks,
+                "{context}: pruning should reduce instance checks: {} vs {}",
+                run.stats.instance_checks,
+                no_prune.stats.instance_checks
+            );
+        }
+    }
 }
 
 #[test]

@@ -162,6 +162,10 @@ type UnshardedWork = (usize, Vec<usize>, Vec<usize>, Vec<usize>, u64, u64, u64);
 /// threads: exactly, and under an A-HTPGM gate that keeps half of the
 /// graph's edges, unsharded and at K = 2. The screen is not counted as
 /// pruning, so only the verified nodes and the instance work show it.
+/// The unsharded engine stops hopeless instance walks by the support
+/// bound and a shard cannot, so the unsharded rows do less instance work
+/// than the exchange rows on the same input (1,740 checks against 2,287,
+/// and 1,033 against 1,338).
 #[test]
 fn unsharded_counters_and_the_correlation_screen_are_pinned() {
     let data = ftpm_datagen::nist_like(0.01).project_variables(8);
@@ -172,8 +176,8 @@ fn unsharded_counters_and_the_correlation_screen_are_pinned() {
     let graph = CorrelationGraph::build_with_density(&data.syb, 0.5);
     let correlations = [Correlation::None, Correlation::Series(&graph)];
     let pinned: [UnshardedWork; 2] = [
-        (21, vec![254, 10], vec![16, 5], vec![16, 5], 2_284, 2, 263),
-        (17, vec![144, 6], vec![12, 5], vec![12, 5], 1_338, 0, 197),
+        (21, vec![254, 10], vec![16, 5], vec![16, 5], 1_740, 2, 261),
+        (17, vec![144, 6], vec![12, 5], vec![12, 5], 1_033, 0, 197),
     ];
     let layouts = [Layout::Unsharded];
     let unsharded = runs(

@@ -12,7 +12,7 @@
 //! | exact mining | `ftpm-core` | [`mine_exact`], [`MinerConfig`] |
 //! | one plan per run: threads, shards, correlation gate | `ftpm-core` | [`MinePlan`], [`MineData`], [`Correlation`], [`ShardPlanner`] |
 //! | streaming output | `ftpm-core` | [`PatternSink`], [`MinePlan::run`], [`CsvSink`], [`JsonlSink`] |
-//! | MI-approximate mining | `ftpm-core` + `ftpm-mi` | [`mine_approximate`], [`mine_approximate_with_density`], [`CorrelationGraph`], [`confidence_lower_bound`] |
+//! | MI-approximate mining | `ftpm-core` + `ftpm-mi` | [`mine_approximate`], [`mine_approximate_with_density`], [`CorrelationGraph`], [`confidence_lower_bound`], [`LowerBoundError`] |
 //! | baselines | `ftpm-baselines` | [`mine_tpminer`], [`mine_ieminer`], [`mine_hdfs`] |
 //! | synthetic data | `ftpm-datagen` | [`nist_like`], [`smartcity_like`], … |
 //!
@@ -59,7 +59,7 @@ pub use ftpm_events::{
 };
 pub use ftpm_mi::{
     conditional_entropy, confidence_lower_bound, entropy, joint_distribution, mu_for_density,
-    mutual_information, normalized_mutual_information, CorrelationGraph,
+    mutual_information, normalized_mutual_information, CorrelationGraph, LowerBoundError,
 };
 pub use ftpm_timeseries::{
     Alphabet, ClockError, QuantileError, QuantileSymbolizer, SymbolId, SymbolicDatabase,

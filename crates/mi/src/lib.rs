@@ -14,7 +14,8 @@
 //!   reads both directions from the one table. Every cell has the bits
 //!   the scalar functions above return;
 //! * [`confidence_lower_bound`] — Theorem 1: the minimum confidence any
-//!   frequent event pair from μ-correlated series can have in `D_SEQ`.
+//!   frequent event pair from μ-correlated series can have in `D_SEQ`,
+//!   or a [`LowerBoundError`] for arguments outside the theorem's ranges.
 //!
 //! All entropies use the natural logarithm; normalized mutual information
 //! is scale-invariant, so the choice does not affect A-HTPGM.
@@ -23,7 +24,7 @@ mod bound;
 mod graph;
 mod info;
 
-pub use bound::confidence_lower_bound;
+pub use bound::{confidence_lower_bound, LowerBoundError};
 pub use graph::{mu_for_density, CorrelationGraph};
 pub use info::{
     conditional_entropy, entropy, joint_distribution, mutual_information,

@@ -6,12 +6,12 @@
 
 use ftpm::*;
 
-fn main() {
+fn main() -> Result<(), LowerBoundError> {
     println!("LB(sigma, sigma_m, n_x, mu) — Eq. 11 of the paper\n");
     println!("  sigma  sigma_m  n_x   mu     LB");
     for &(sigma, sigma_m, n_x) in &[(0.2, 0.4, 2), (0.3, 0.5, 2), (0.3, 0.5, 5)] {
         for &mu in &[0.2, 0.4, 0.6, 0.8, 0.95] {
-            let lb = confidence_lower_bound(sigma, sigma_m, n_x, mu);
+            let lb = confidence_lower_bound(sigma, sigma_m, n_x, mu)?;
             println!("  {sigma:>5}  {sigma_m:>7}  {n_x:>3}  {mu:>4}  {lb:>6.4}");
         }
         println!();
@@ -46,4 +46,11 @@ fn main() {
          {n_corr} pairs from correlated series, min confidence {corr_min:.2}\n  \
          {n_uncorr} pairs from uncorrelated series, min confidence {uncorr_min:.2}"
     );
+
+    // Arguments outside the theorem's ranges are a typed error, not a
+    // panic: sigma_m is the larger support, so it cannot lie below sigma.
+    if let Err(err) = confidence_lower_bound(0.5, 0.3, 2, 0.8) {
+        println!("\nLB(0.5, 0.3, 2, 0.8): {err}");
+    }
+    Ok(())
 }

@@ -127,7 +127,8 @@ fn theorem1_bound_holds_empirically() {
                                 sigma_m,
                                 x.alphabet().len(),
                                 mu,
-                            );
+                            )
+                            .expect("supports, mu and alphabet lie in the theorem's ranges");
                             checked += 1;
                             assert!(
                                 conf + 1e-9 >= lb,
@@ -157,6 +158,6 @@ fn bound_is_informative_for_tightly_correlated_series() {
     let y = syb.series(VariableId(1));
     let mu = normalized_mutual_information(x, y);
     assert!(mu > 0.5, "coupling should give high NMI, got {mu}");
-    let lb = confidence_lower_bound(0.3, 0.55, 2, mu);
+    let lb = confidence_lower_bound(0.3, 0.55, 2, mu).expect("arguments in range");
     assert!(lb > 0.05, "LB should be informative, got {lb}");
 }
