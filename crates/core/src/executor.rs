@@ -83,7 +83,7 @@ use ftpm_events::{BoundaryKernel, BoundaryPolicy, EventId, TemporalRelation};
 use crate::approx::CorrelationFilter;
 use crate::candidates::{passes_thresholds, PairRelations, Screen, WorkNode};
 use crate::config::MinerConfig;
-use crate::exact::{count_candidates, extend_node, max_support, ExtensionGroups};
+use crate::exact::{count_candidates, extend_node, max_support, ExtensionGroups, SupportBound};
 use crate::index::DatabaseIndex;
 use crate::parallel::{par_for_each, par_map};
 use crate::pattern::Pattern;
@@ -365,7 +365,7 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
                         ek,
                         joint_supp,
                         screen,
-                        1,
+                        SupportBound::NONE,
                         &mut groups,
                         survives,
                     )

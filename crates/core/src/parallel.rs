@@ -39,7 +39,7 @@ use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase};
 use crate::approx::CorrelationFilter;
 use crate::candidates::{PairRelations, Screen, WorkNode};
 use crate::config::MinerConfig;
-use crate::exact::{grow_candidates, ExtensionGroups, GrowContext};
+use crate::exact::{grow_candidates, ExtensionGroups, GrowContext, LastInstanceRanks, LatestRanks};
 use crate::index::DatabaseIndex;
 use crate::plan::MinePlan;
 use crate::result::{merge_stats, FrequentPattern, MiningStats};
@@ -164,6 +164,8 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
         .collect();
     let l1: Vec<(EventId, usize)> = freq_events.iter().map(|&e| (e, index.support(e))).collect();
     sink.begin(&l1);
+    // `latest(ek, s)` of the last-instance bound, shared by every worker.
+    let latest = LatestRanks::build::<K>(db, &index, &freq_events);
 
     // ---- L2: frequent 2-event patterns (Alg. 1 lines 5–14): each L1
     // root grows by one event, workers claiming batches of roots. Below
@@ -177,6 +179,7 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
         let mut nodes = Vec::new();
         let mut stats = MiningStats::default();
         stats.ensure_levels(1);
+        let mut ranks = LastInstanceRanks::new(&latest);
         loop {
             if let Some(ctl) = sched {
                 ctl.turn(worker);
@@ -197,6 +200,7 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
                     screen,
                     sigma_abs,
                     2,
+                    &mut ranks,
                 ));
             }
         }
@@ -248,8 +252,8 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
     let grow_outputs = run_workers(n_threads, sched, |worker| {
         let mut worker_sink = SharedSink::new(&shared, encoder.clone(), batch);
         let mut worker_stats = MiningStats::default();
-        // One context per worker, so its last-level scratch serves every
-        // node the worker claims.
+        // One context per worker, so its last-level and last-instance
+        // scratch serve every node the worker claims.
         let mut grow = GrowContext::<K> {
             db,
             cfg,
@@ -263,6 +267,7 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
             db_has_clipped,
             leaf_groups: ExtensionGroups::counting(db_has_clipped),
             leaves: Vec::new(),
+            ranks: LastInstanceRanks::new(&latest),
             kernel: PhantomData,
         };
         loop {

@@ -42,7 +42,8 @@ pub struct MiningStats {
     /// Instance checks performed: each pairing of a parent occurrence with
     /// a chronologically later instance of the appended event that the
     /// instance loop tests. A walk stopped by the support bound performs,
-    /// and counts, only the checks before the stop.
+    /// and counts, only the checks before the stop; a walk it skipped
+    /// performs none.
     pub instance_checks: u64,
     /// Candidate event combinations discarded by Apriori pruning
     /// (Lemmas 2–3) before instance verification.
@@ -50,12 +51,15 @@ pub struct MiningStats {
     /// Extension candidates discarded by the transitivity / L2 lookup
     /// (Lemmas 4–7).
     pub transitivity_pruned: u64,
-    /// Instance walks stopped early by the support bound: a parent
-    /// pattern's walk over its occurrences ends as soon as no extension
-    /// group can still reach the least support that passes `σ` and `δ`,
-    /// since a group gains at most one support per sequence left. Only
-    /// with Apriori pruning on, and only in unsharded runs: a shard
-    /// cannot know a candidate's global support.
+    /// Instance walks the support bound skipped or stopped early, because
+    /// no extension group could still reach the least support that passes
+    /// `σ` and `δ`. A walk is skipped before it starts when too few of the
+    /// parent pattern's sequences hold an instance of the appended event
+    /// after the pattern's earliest last instance there (the last-instance
+    /// bound), and stops at a new sequence when the best group plus the
+    /// sequences left falls short, since a group gains at most one
+    /// support per sequence. Only with Apriori pruning on, and only in
+    /// unsharded runs: a shard cannot know a candidate's global support.
     pub support_bound_pruned: u64,
     /// Instances of the mined database whose run was clipped at a window
     /// boundary by the split (either side).

@@ -4,13 +4,17 @@
 //! random databases. A-HTPGM must always return a subset of E-HTPGM and
 //! converge to it as μ → 0.
 
+mod common;
+
 use std::collections::HashMap;
 
+use common::{assert_equivalent, labelled};
 use ftpm_core::{
-    mine_approximate, mine_exact, mine_reference, MinerConfig, MiningResult, Pattern, PruningConfig,
+    mine_approximate, mine_exact, mine_reference, MinePlan, MinerConfig, MiningResult, Pattern,
+    PruningConfig,
 };
 use ftpm_datagen::random_sequence_database;
-use ftpm_events::RelationConfig;
+use ftpm_events::{BoundaryPolicy, RelationConfig, SequenceDatabase};
 
 fn as_map(result: &MiningResult) -> HashMap<Pattern, (usize, f64)> {
     result
@@ -354,4 +358,108 @@ fn parallel_matches_sequential() {
     let sequential = mine_exact(&data.seq, &cfg);
     let (parallel, _) = MinePlan::new(&data.seq, &cfg).with_threads(4).collect();
     assert_same_patterns(&sequential, &parallel, "structured parallel");
+}
+
+/// Mines `seq` under `relation` with every boundary policy, with all
+/// pruning and with none, at 1 and 2 threads, and asserts that every run
+/// finds the same labelled patterns with the same supports, confidences
+/// and clipped counts. Returns the walks the support bound skipped or
+/// stopped, over all runs.
+fn pruned_runs_keep_every_pattern(
+    seq: &SequenceDatabase,
+    sigma: f64,
+    delta: f64,
+    relation: RelationConfig,
+    context: &str,
+) -> u64 {
+    let mut bounded = 0;
+    for policy in [
+        BoundaryPolicy::Clip,
+        BoundaryPolicy::TrueExtent,
+        BoundaryPolicy::Discard,
+    ] {
+        let cfg = MinerConfig::new(sigma, delta)
+            .with_max_events(4)
+            .with_relation(relation.with_boundary(policy));
+        let base = labelled(
+            &mine_exact(seq, &cfg.with_pruning(PruningConfig::NO_PRUNE)),
+            seq.registry(),
+        );
+        for pruning in [PruningConfig::NO_PRUNE, PruningConfig::ALL] {
+            for threads in [1, 2] {
+                let pruned = cfg.with_pruning(pruning);
+                let (result, _) = MinePlan::new(seq, &pruned).with_threads(threads).collect();
+                bounded += result.stats.support_bound_pruned;
+                let context = format!("{context}, {policy}, {pruning:?}, {threads} threads");
+                assert_equivalent(&base, &labelled(&result, seq.registry()), &context);
+            }
+        }
+    }
+    bounded
+}
+
+/// The last-instance bound orders instances by the run's kernel. In each
+/// of three sequences `A` spans (10, 20), and two right-clipped instances
+/// of `B` start at 10 too. Their intervals (10, 12) and (10, 13) come
+/// before `A`, but their extents (10, 20) and (10, 15) order the other
+/// way, and under `TrueExtent` the one first in sequence order ends last,
+/// after `A` by the event-id tie-break: it gives `A Contain B`, which
+/// every sequence must support.
+#[test]
+fn the_last_instance_bound_orders_by_the_kernels_key() {
+    use ftpm_events::{EventInstance, EventRegistry, Interval, TemporalSequence};
+    use ftpm_timeseries::{SymbolId, VariableId};
+    let mut reg = EventRegistry::new();
+    let a = reg.intern(VariableId(0), SymbolId(1), || "A".into());
+    let b = reg.intern(VariableId(1), SymbolId(1), || "B".into());
+    let clipped_b = |end, extent_end| {
+        EventInstance::with_extent(b, Interval::new(10, end), Interval::new(10, extent_end))
+    };
+    let sequences = (0..3)
+        .map(|_| {
+            TemporalSequence::new(vec![
+                EventInstance::new(a, 10, 20),
+                clipped_b(12, 20),
+                clipped_b(13, 15),
+            ])
+        })
+        .collect();
+    let seq = SequenceDatabase::new(reg, sequences);
+    let extent = MinerConfig::new(1.0, 0.5)
+        .with_relation(RelationConfig::default().with_boundary(BoundaryPolicy::TrueExtent));
+    let contain = labelled(&mine_exact(&seq, &extent), seq.registry());
+    assert!(contain.contains_key("(A Contain B)"), "{contain:?}");
+    let bounded =
+        pruned_runs_keep_every_pattern(&seq, 1.0, 0.5, RelationConfig::default(), "fixed");
+    assert!(bounded > 0, "the support bound must skip or stop walks");
+}
+
+mod prop {
+    use super::*;
+    use common::random_syb;
+    use ftpm_events::{to_sequence_database, SplitConfig};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Over random split databases, with overlapping windows that
+        /// clip runs on either side and a `t_max`, the support bound
+        /// (under Apriori pruning) keeps every pattern under every
+        /// boundary policy.
+        #[test]
+        fn the_support_bound_keeps_every_pattern(
+            seed in 0u64..60,
+            vars in 2usize..5,
+            sigma in 0.15f64..0.7,
+            delta in 0.15f64..0.7,
+            overlap_steps in 0i64..3,
+            t_max_steps in 2i64..10,
+        ) {
+            let step = 5i64;
+            let syb = random_syb(seed, vars, 72, step, 7);
+            let seq = to_sequence_database(&syb, SplitConfig::new(8 * step, overlap_steps * step));
+            let relation = RelationConfig::new(0, 1, t_max_steps * step);
+            let context = format!("seed {seed}, {vars} vars, sigma {sigma}, delta {delta}");
+            pruned_runs_keep_every_pattern(&seq, sigma, delta, relation, &context);
+        }
+    }
 }

@@ -144,8 +144,8 @@ pub fn smartcity_like(scale: f64) -> Dataset {
         if ts.name().starts_with("weather") {
             #[expect(
                 clippy::expect_used,
-                reason = "generated weather readings are finite and continuously distributed, \
-                          so their five quantiles never collide"
+                reason = "five distinct labels, and generated weather readings are finite and \
+                          continuously distributed, so their quantiles never collide"
             )]
             let q = QuantileSymbolizer::from_data(weather_labels, ts.values())
                 .expect("generated weather readings have distinct quantiles");
@@ -155,7 +155,7 @@ pub fn smartcity_like(scale: f64) -> Dataset {
             // collide, so use fixed count breakpoints.
             #[expect(
                 clippy::expect_used,
-                reason = "three finite ascending breakpoints for four labels are valid"
+                reason = "three finite ascending breakpoints for four distinct labels are valid"
             )]
             let q = QuantileSymbolizer::with_breaks(collision_labels, vec![1.0, 3.0, 6.0])
                 .expect("fixed collision breakpoints are valid");

@@ -526,7 +526,7 @@ mod tests {
         let mut db = SymbolicDatabase::new(0, 1, 11);
         db.push(SymbolicSeries::from_labels(
             "K",
-            Alphabet::new(["a", "b", "c"]),
+            Alphabet::new(["a", "b", "c"]).unwrap(),
             ["a", "a", "a", "a", "b", "b", "b", "b", "b", "b", "c"],
         ));
         db.push(SymbolicSeries::from_labels(
@@ -621,7 +621,7 @@ mod tests {
             for (v, chunk) in cells.chunks_exact(n_steps).take(vars).enumerate() {
                 db.push(SymbolicSeries::new(
                     format!("v{v}"),
-                    Alphabet::new(["x", "y", "z"]),
+                    Alphabet::new(["x", "y", "z"]).unwrap(),
                     chunk.iter().map(|&c| SymbolId(c)).collect(),
                 ));
             }

@@ -7,7 +7,7 @@
 //!
 //! | stage | crate | entry points |
 //! |-------|-------|--------------|
-//! | raw time series → symbols | `ftpm-timeseries` | [`TimeSeries`], [`ThresholdSymbolizer`], [`QuantileSymbolizer`], [`SymbolicDatabase`] |
+//! | raw time series → symbols | `ftpm-timeseries` | [`TimeSeries`], [`ThresholdSymbolizer`], [`QuantileSymbolizer`], [`QuantileError`], [`Alphabet`], [`AlphabetError`], [`SymbolicDatabase`] |
 //! | symbols → event sequences | `ftpm-events` | [`to_sequence_database`], [`SplitConfig`], [`SequenceDatabase`] |
 //! | exact mining | `ftpm-core` | [`mine_exact`], [`MinerConfig`] |
 //! | one plan per run: threads, shards, correlation gate | `ftpm-core` | [`MinePlan`], [`MineData`], [`Correlation`], [`ShardPlanner`] |
@@ -62,6 +62,6 @@ pub use ftpm_mi::{
     mutual_information, normalized_mutual_information, CorrelationGraph, LowerBoundError,
 };
 pub use ftpm_timeseries::{
-    Alphabet, ClockError, QuantileError, QuantileSymbolizer, SymbolId, SymbolicDatabase,
-    SymbolicSeries, Symbolizer, ThresholdSymbolizer, TimeSeries, VariableId,
+    Alphabet, AlphabetError, ClockError, QuantileError, QuantileSymbolizer, SymbolId,
+    SymbolicDatabase, SymbolicSeries, Symbolizer, ThresholdSymbolizer, TimeSeries, VariableId,
 };

@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn edge_requires_both_directions() {
         // y is a function of x (NMI(Y;X)=1) but not vice versa.
-        let abc = Alphabet::new(["A", "B", "C"]);
+        let abc = Alphabet::new(["A", "B", "C"]).unwrap();
         let mut d = SymbolicDatabase::new(0, 1, 6);
         d.push(SymbolicSeries::from_labels(
             "X",
@@ -391,7 +391,7 @@ mod tests {
                     SymbolId((offset + r % used) as u16)
                 })
                 .collect();
-            let alphabet = Alphabet::new((0..size).map(|k| format!("S{k}")));
+            let alphabet = Alphabet::new((0..size).map(|k| format!("S{k}"))).unwrap();
             d.push(SymbolicSeries::new(format!("X{s}"), alphabet, symbols));
         }
         d

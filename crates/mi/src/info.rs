@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn multi_state_alphabet_mi() {
-        let abc = Alphabet::new(["A", "B", "C"]);
+        let abc = Alphabet::new(["A", "B", "C"]).unwrap();
         let x = SymbolicSeries::new(
             "X",
             abc.clone(),
@@ -269,7 +269,7 @@ mod tests {
             ys in proptest::collection::vec(0u16..3, 6..64),
         ) {
             let n = xs.len().min(ys.len());
-            let abc = Alphabet::new(["A", "B", "C"]);
+            let abc = Alphabet::new(["A", "B", "C"]).unwrap();
             let x = SymbolicSeries::new("X", abc.clone(),
                 xs[..n].iter().map(|&s| SymbolId(s)).collect());
             let y = SymbolicSeries::new("Y", abc.clone(),

@@ -13,6 +13,9 @@ pub struct SymbolId(pub u16);
 /// let onoff = Alphabet::on_off();
 /// assert_eq!(onoff.len(), 2);
 /// assert_eq!(onoff.label(onoff.lookup("On").unwrap()), "On");
+///
+/// // A label may appear only once.
+/// assert!(Alphabet::new(["Low", "Low"]).is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alphabet {
@@ -22,25 +25,37 @@ pub struct Alphabet {
 impl Alphabet {
     /// Builds an alphabet from symbol labels.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `labels` is empty, contains duplicates, or has more than
-    /// `u16::MAX` entries.
-    pub fn new<S: Into<String>>(labels: impl IntoIterator<Item = S>) -> Self {
+    /// Returns an [`AlphabetError`] if `labels` is empty, has more than
+    /// `u16::MAX` entries, or repeats a label.
+    pub fn new<S: Into<String>>(
+        labels: impl IntoIterator<Item = S>,
+    ) -> Result<Self, AlphabetError> {
         let labels: Vec<String> = labels.into_iter().map(Into::into).collect();
-        assert!(!labels.is_empty(), "alphabet must not be empty");
-        assert!(labels.len() <= u16::MAX as usize, "alphabet too large");
-        let mut seen = std::collections::HashSet::new();
-        for l in &labels {
-            assert!(seen.insert(l.as_str()), "duplicate symbol label {l:?}");
+        if labels.is_empty() {
+            return Err(AlphabetError::Empty);
         }
-        Alphabet { labels }
+        if labels.len() > u16::MAX as usize {
+            return Err(AlphabetError::TooLarge {
+                labels: labels.len(),
+            });
+        }
+        let mut seen = std::collections::HashSet::new();
+        if let Some(label) = labels.iter().find(|l| !seen.insert(l.as_str())) {
+            return Err(AlphabetError::Duplicate {
+                label: label.clone(),
+            });
+        }
+        Ok(Alphabet { labels })
     }
 
     /// The binary `{Off, On}` alphabet used for the energy datasets
     /// (paper Section VI-A2). `Off` is symbol 0, `On` is symbol 1.
     pub fn on_off() -> Self {
-        Alphabet::new(["Off", "On"])
+        Alphabet {
+            labels: vec!["Off".to_owned(), "On".to_owned()],
+        }
     }
 
     /// Number of symbols (`n_x` in Theorem 1).
@@ -77,6 +92,41 @@ impl Alphabet {
     }
 }
 
+/// Why [`Alphabet::new`] rejected its labels.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AlphabetError {
+    /// No label was given.
+    Empty,
+    /// More labels than the `u16::MAX` a [`SymbolId`] can number.
+    TooLarge {
+        /// The number of labels given.
+        labels: usize,
+    },
+    /// A label appears more than once.
+    Duplicate {
+        /// The first label that repeats an earlier one.
+        label: String,
+    },
+}
+
+impl std::fmt::Display for AlphabetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AlphabetError::Empty => write!(f, "an alphabet needs at least one label"),
+            AlphabetError::TooLarge { labels } => write!(
+                f,
+                "{labels} labels are too many for an alphabet; at most {} fit",
+                u16::MAX
+            ),
+            AlphabetError::Duplicate { label } => {
+                write!(f, "the label {label:?} appears twice in the alphabet")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AlphabetError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +141,7 @@ mod tests {
 
     #[test]
     fn ids_are_dense() {
-        let a = Alphabet::new(["Low", "Mid", "High"]);
+        let a = Alphabet::new(["Low", "Mid", "High"]).unwrap();
         assert_eq!(
             a.ids().collect::<Vec<_>>(),
             vec![SymbolId(0), SymbolId(1), SymbolId(2)]
@@ -99,14 +149,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate symbol label")]
-    fn duplicate_labels_panic() {
-        let _ = Alphabet::new(["A", "A"]);
+    fn on_off_is_a_valid_alphabet() {
+        assert_eq!(Alphabet::new(["Off", "On"]), Ok(Alphabet::on_off()));
     }
 
     #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_alphabet_panics() {
-        let _ = Alphabet::new(Vec::<String>::new());
+    fn duplicate_labels_are_an_error() {
+        let err = Alphabet::new(["A", "B", "A", "B"]).unwrap_err();
+        assert_eq!(
+            err,
+            AlphabetError::Duplicate {
+                label: "A".to_owned()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "the label \"A\" appears twice in the alphabet"
+        );
+    }
+
+    #[test]
+    fn empty_alphabet_is_an_error() {
+        let err = Alphabet::new(Vec::<String>::new()).unwrap_err();
+        assert_eq!(err, AlphabetError::Empty);
+        assert_eq!(err.to_string(), "an alphabet needs at least one label");
+    }
+
+    /// `u16::MAX` labels fit; one more is an error.
+    #[test]
+    fn too_many_labels_are_an_error() {
+        let labels = |n: usize| (0..n).map(|i| i.to_string());
+        let max = u16::MAX as usize;
+        assert_eq!(Alphabet::new(labels(max)).map(|a| a.len()), Ok(max));
+        let err = Alphabet::new(labels(max + 1)).unwrap_err();
+        assert_eq!(err, AlphabetError::TooLarge { labels: max + 1 });
+        assert_eq!(
+            err.to_string(),
+            "65536 labels are too many for an alphabet; at most 65535 fit"
+        );
     }
 }

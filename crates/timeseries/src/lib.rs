@@ -16,7 +16,7 @@ mod series;
 mod symbolic;
 mod symbolizer;
 
-pub use alphabet::{Alphabet, SymbolId};
+pub use alphabet::{Alphabet, AlphabetError, SymbolId};
 pub use series::TimeSeries;
 pub use symbolic::{ClockError, SymbolicDatabase, SymbolicSeries, VariableId};
 pub use symbolizer::{QuantileError, QuantileSymbolizer, Symbolizer, ThresholdSymbolizer};

@@ -1,4 +1,4 @@
-use crate::alphabet::{Alphabet, SymbolId};
+use crate::alphabet::{Alphabet, AlphabetError, SymbolId};
 
 /// Maps raw time series values to symbols of a fixed alphabet — the mapping
 /// function `f : X → Σ_X` of Def 3.2.
@@ -98,19 +98,15 @@ impl QuantileSymbolizer {
     ///
     /// # Errors
     ///
-    /// Returns a [`QuantileError`] if the breakpoint count does not match
-    /// the label count, a breakpoint is NaN or infinite, or the
-    /// breakpoints are not strictly ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels` is not a valid [`Alphabet`] (empty, duplicated
-    /// or more than `u16::MAX` labels).
+    /// Returns a [`QuantileError`] if `labels` is not a valid
+    /// [`Alphabet`], the breakpoint count does not match the label count,
+    /// a breakpoint is NaN or infinite, or the breakpoints are not
+    /// strictly ascending.
     pub fn with_breaks<S: Into<String>>(
         labels: impl IntoIterator<Item = S>,
         breaks: Vec<f64>,
     ) -> Result<Self, QuantileError> {
-        let alphabet = Alphabet::new(labels);
+        let alphabet = Alphabet::new(labels)?;
         if breaks.len() != alphabet.len() - 1 {
             return Err(QuantileError::BreakCount {
                 states: alphabet.len(),
@@ -138,19 +134,15 @@ impl QuantileSymbolizer {
     ///
     /// # Errors
     ///
-    /// Returns a [`QuantileError`] if `data` is empty, holds a NaN or
-    /// infinite sample, or has quantiles that collide (e.g. constant
-    /// data, or fewer distinct values than labels).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels` is not a valid [`Alphabet`] (empty, duplicated
-    /// or more than `u16::MAX` labels).
+    /// Returns a [`QuantileError`] if `labels` is not a valid
+    /// [`Alphabet`], `data` is empty, holds a NaN or infinite sample, or
+    /// has quantiles that collide (e.g. constant data, or fewer distinct
+    /// values than labels).
     pub fn from_data<S: Into<String>>(
         labels: impl IntoIterator<Item = S>,
         data: &[f64],
     ) -> Result<Self, QuantileError> {
-        let alphabet = Alphabet::new(labels);
+        let alphabet = Alphabet::new(labels)?;
         if data.is_empty() {
             return Err(QuantileError::EmptyData);
         }
@@ -186,8 +178,10 @@ impl QuantileSymbolizer {
 
 /// Why [`QuantileSymbolizer::from_data`] could not derive breakpoints,
 /// or [`QuantileSymbolizer::with_breaks`] could not use them.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuantileError {
+    /// The labels do not make an [`Alphabet`].
+    Alphabet(AlphabetError),
     /// The data has no samples.
     EmptyData,
     /// The sample at `index` is NaN or infinite.
@@ -226,9 +220,16 @@ pub enum QuantileError {
     },
 }
 
+impl From<AlphabetError> for QuantileError {
+    fn from(err: AlphabetError) -> Self {
+        QuantileError::Alphabet(err)
+    }
+}
+
 impl std::fmt::Display for QuantileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            QuantileError::Alphabet(ref err) => err.fmt(f),
             QuantileError::EmptyData => write!(f, "cannot derive quantiles from empty data"),
             QuantileError::NonFinite { index, value } => {
                 write!(
@@ -410,6 +411,28 @@ mod tests {
         assert!(err.to_string().contains("3 states"), "{err}");
         let error: &dyn std::error::Error = &err;
         assert!(error.source().is_none());
+    }
+
+    /// Labels that make no alphabet are a typed error from both
+    /// constructors, checked before the breakpoints or the data.
+    #[test]
+    fn quantile_constructors_reject_invalid_labels() {
+        let duplicate = QuantileError::Alphabet(AlphabetError::Duplicate {
+            label: "A".to_owned(),
+        });
+        let errors = [
+            QuantileSymbolizer::with_breaks(["A", "A"], vec![1.0]).unwrap_err(),
+            QuantileSymbolizer::from_data(["A", "A"], &[1.0, 2.0]).unwrap_err(),
+        ];
+        for err in errors {
+            assert_eq!(err, duplicate);
+            assert_eq!(
+                err.to_string(),
+                "the label \"A\" appears twice in the alphabet"
+            );
+        }
+        let empty = QuantileSymbolizer::from_data(Vec::<String>::new(), &[]).unwrap_err();
+        assert_eq!(empty, QuantileError::Alphabet(AlphabetError::Empty));
     }
 
     proptest! {
