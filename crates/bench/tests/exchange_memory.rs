@@ -17,14 +17,23 @@ use ftpm_mi::CorrelationGraph;
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
-/// 8.5 MiB. The run is single-threaded, so its peak is deterministic:
-/// 7,860,071 bytes (and 261,854 allocations against the unsharded run's
-/// 75,257, which skips or stops hopeless instance walks by the support
-/// bound and reuses one last-level scratch per worker; 77,875 while it
-/// only stopped them, 81,699 before) with
-/// count-only proposals kept as sorted runs that the gate merges and
-/// each shard frees before it re-derives only the verdict's patterns;
-/// 7,888,951 bytes (290,813 allocations against 83,130) while
+/// 8.5 MiB. The run is single-threaded, so its peak and allocation
+/// counts are deterministic; the counts depend on the build profile. In a
+/// release build (`cargo test --release`) the exchange peaks at 7,723,055
+/// bytes in 181,479 allocations against the unsharded run's 56,094
+/// (about 3.24x), with every extension group counting its own clipped
+/// occurrences and a flat instance index. A debug build adds one
+/// allocation per survivor per shard in `debug_assert_recount` (5,762 ×
+/// 4 = 23,048): 204,527. Earlier release figures: 7,860,071 bytes and
+/// 238,806 allocations against 75,257 while the growth step batched its
+/// bitmap counts through per-node buffers, rescanned bound rows for
+/// clipped instances at archive time and the index held one `Vec` per
+/// (sequence, event) pair. Earlier debug figures: 261,854 against 75,257
+/// once the unsharded run skipped or stopped hopeless instance walks by
+/// the support bound (77,875 while it only stopped them, 81,699 before)
+/// with count-only proposals kept as sorted runs that the gate merges
+/// and each shard frees before it re-derives only the verdict's
+/// patterns; 7,888,951 bytes (290,813 allocations against 83,130) while
 /// the count kept each group's occurrence rows and the re-derivation
 /// built every proposal of a surviving combination; and 10,440,796 bytes
 /// when each shard held its proposals in a hash map until its next count

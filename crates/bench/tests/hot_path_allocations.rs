@@ -3,8 +3,8 @@
 //! counts allocations instead:
 //!
 //! * every Apriori gate counts the AND of two bitmaps with the fused
-//!   kernels, without building the intermediate bitmap: the kernels
-//!   and `DatabaseIndex::joint_support` allocate nothing;
+//!   kernel, without building the intermediate bitmap: `and_count` and
+//!   `count_ones` allocate nothing;
 //! * verifying a candidate makes no transient allocation: a full run
 //!   stays within a committed allocation budget, and verifying the
 //!   candidates transitivity pruning would have skipped costs at most
@@ -17,8 +17,8 @@ use std::hint::black_box;
 
 use ftpm_bench::TrackingAllocator;
 use ftpm_bitmap::Bitmap;
-use ftpm_core::{CountingSink, DatabaseIndex, MinePlan, MinerConfig, MiningStats, PruningConfig};
-use ftpm_events::{EventId, SequenceDatabase};
+use ftpm_core::{CountingSink, MinePlan, MinerConfig, MiningStats, PruningConfig};
+use ftpm_events::SequenceDatabase;
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -26,7 +26,7 @@ static ALLOC: TrackingAllocator = TrackingAllocator;
 /// Allocations of one run over the input below with all pruning on, by
 /// thread count, as measured when the budget was set. A run may exceed
 /// them by at most 2 %.
-const BUDGET: [(usize, usize); 2] = [(1, 191_059), (2, 191_085)];
+const BUDGET: [(usize, usize); 2] = [(1, 176_349), (2, 176_379)];
 
 /// At most one allocation per this many extra verified candidates when
 /// transitivity pruning is off.
@@ -57,23 +57,10 @@ fn run(db: &SequenceDatabase, cfg: &MinerConfig, threads: usize) -> (usize, Mini
 #[test]
 fn hot_path_allocations_stay_within_budget() {
     // The kernels, on a universe of three CSA blocks and a tail (the
-    // blocked and scalar paths), and `and_count_many` below one block.
+    // blocked and scalar paths).
     let wide = 64 * 100 + 17;
     let a = Bitmap::from_indices(wide, (0..wide).step_by(3));
     let b = Bitmap::from_indices(wide, (0..wide).step_by(5));
-    let c = Bitmap::from_indices(wide, (1..wide).step_by(2));
-    let narrow = 64 * 20 + 9;
-    let n = Bitmap::from_indices(narrow, (0..narrow).step_by(3));
-    let partners: Vec<Bitmap> = (2..5)
-        .map(|k| Bitmap::from_indices(narrow, (0..narrow).step_by(k)))
-        .collect();
-    let partners: Vec<&Bitmap> = partners.iter().collect();
-    let mut counts = Vec::with_capacity(partners.len());
-
-    let data = ftpm_datagen::nist_like(0.005);
-    let index = DatabaseIndex::build(&data.seq);
-    let n_events = index.n_events() as u32;
-    let mut pair = 0u32;
 
     for (name, allocs) in [
         (
@@ -84,24 +71,6 @@ fn hot_path_allocations_stay_within_budget() {
             "Bitmap::count_ones",
             allocations_of(|| black_box(&a).count_ones()),
         ),
-        (
-            "Bitmap::is_disjoint",
-            allocations_of(|| usize::from(black_box(&b).is_disjoint(black_box(&c)))),
-        ),
-        (
-            "Bitmap::and_count_many",
-            allocations_of(|| {
-                black_box(&n).and_count_many(black_box(&partners), &mut counts);
-                counts.iter().sum()
-            }),
-        ),
-        (
-            "DatabaseIndex::joint_support",
-            allocations_of(|| {
-                pair = (pair + 1) % (n_events * n_events);
-                index.joint_support(EventId(pair / n_events), EventId(pair % n_events))
-            }),
-        ),
     ] {
         assert_eq!(
             allocs, 0,
@@ -110,6 +79,7 @@ fn hot_path_allocations_stay_within_budget() {
     }
 
     // Whole runs: nist_like(0.005), sigma = delta = 0.4, up to 3 events.
+    let data = ftpm_datagen::nist_like(0.005);
     let cfg = MinerConfig::new(0.4, 0.4).with_max_events(3);
     for (threads, budget) in BUDGET {
         let (allocs, _) = run(&data.seq, &cfg, threads);

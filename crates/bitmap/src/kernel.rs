@@ -1,43 +1,41 @@
-//! Word-level kernels behind the [`crate::Bitmap`] operations.
+//! Word-level kernels behind the [`crate::Bitmap`] operations, private to
+//! this crate.
 //!
 //! This module is the one place in the workspace where raw `u64` word
 //! loops are written out by hand; everything else goes through the
 //! `Bitmap` API. Two implementation idioms live here:
 //!
-//! * **Lane-unrolled loops** (`count_ones_words`, `and_words`,
-//!   `or_words`, the assign variants, `is_disjoint_words`): iterate over
-//!   [`slice::chunks_exact`] blocks of [`LANES`] words with the lane
+//! * **Lane-unrolled loops** (`count_ones_words`, `and_words`): iterate
+//!   over [`slice::chunks_exact`] blocks of [`LANES`] words with the lane
 //!   body written element-wise over fixed-size arrays, plus a scalar
 //!   tail. LLVM turns the fixed-size lane bodies into SSE2 vector ops
 //!   on the stable baseline target (no `portable_simd`, no `unsafe`,
 //!   no runtime feature detection).
 //! * **A carry-save-adder (Harley–Seal) popcount tree**
 //!   (`and_count_words`): the fused AND+popcount behind every Apriori
-//!   gate. Instead of popcounting each word (≈15 SWAR ops per word on
-//!   a baseline x86-64 without `popcnt`), a block of 32 words is
-//!   reduced through a tree of carry-save adders (5 cheap bitwise ops
-//!   each) so only one two-lane popcount is paid per block. The tree
-//!   is written over `[u64; 2]` lanes so the superword-level
-//!   vectorizer maps it onto 128-bit registers. Its per-call cost on
-//!   real mining operands is the `bitmap.and_count_ns` layer row of
-//!   `perfbench/`.
+//!   gate, one call per candidate. Instead of popcounting each word
+//!   (≈15 SWAR ops per word on a baseline x86-64 without `popcnt`), a
+//!   block of 32 words is reduced through a tree of carry-save adders
+//!   (5 cheap bitwise ops each) so only one two-lane popcount is paid per
+//!   block. The tree is written over `[u64; 2]` lanes so the
+//!   superword-level vectorizer maps it onto 128-bit registers. Its
+//!   per-call cost on real mining operands is the `bitmap.and_count_ns`
+//!   layer row of `perfbench/`.
 //!
-//! Every kernel has a `*_scalar` reference — the loop the pre-kernel
-//! `Bitmap` methods used — and property tests in `crate::tests` pin the
-//! kernels to those references over arbitrary lengths (zero, sub-lane
-//! tails, exact lane multiples).
+//! The popcount kernels have plain `*_scalar` references, compiled for
+//! tests only: property tests pin the kernels to them over arbitrary
+//! lengths (zero, sub-lane tails, exact lane multiples, several CSA
+//! blocks).
 //!
 //! Mismatched operand lengths are tolerated: binary kernels operate on
 //! the common word prefix, leaving the length contract (a
 //! `debug_assert`) to the `Bitmap` layer.
 
 /// Unroll width, in words, of the lane-unrolled kernels.
-pub const LANES: usize = 4;
+const LANES: usize = 4;
 
-/// Words per block of the carry-save-adder `and_count` tree. Public so
-/// the `Bitmap` layer can route sub-block universes around the batched
-/// kernel's per-partner state allocation.
-pub const CSA_BLOCK: usize = 32;
+/// Words per block of the carry-save-adder `and_count` tree.
+const CSA_BLOCK: usize = 32;
 
 /// Two 64-bit lanes — the shape the superword vectorizer folds into one
 /// 128-bit register on the SSE2 baseline.
@@ -70,7 +68,6 @@ fn wpop(w: W2) -> usize {
 
 /// Running Harley–Seal state: per-weight carry words accumulated across
 /// blocks, popcounted only once at the end of the pass.
-#[derive(Clone, Copy)]
 struct CsaState {
     ones: W2,
     twos: W2,
@@ -129,7 +126,7 @@ impl CsaState {
 }
 
 /// Fused AND + popcount over the common word prefix of `a` and `b`.
-pub fn and_count_words(a: &[u64], b: &[u64]) -> usize {
+pub(crate) fn and_count_words(a: &[u64], b: &[u64]) -> usize {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let ac = a.chunks_exact(CSA_BLOCK);
@@ -146,48 +143,18 @@ pub fn and_count_words(a: &[u64], b: &[u64]) -> usize {
     total
 }
 
-/// Scalar reference for [`and_count_words`]: the loop `Bitmap::and_count`
-/// used before the kernel layer. Kept as the property-test pin and as
-/// the tail loop of [`and_count_many_words`].
-pub fn and_count_words_scalar(a: &[u64], b: &[u64]) -> usize {
+/// Scalar reference for [`and_count_words`], the property-test pin.
+#[cfg(test)]
+fn and_count_words_scalar(a: &[u64], b: &[u64]) -> usize {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x & y).count_ones() as usize)
         .sum()
 }
 
-/// Fused AND + popcount of one candidate against several partners in a
-/// single pass: `a` is walked block by block, and for each block every
-/// partner folds it into its own carry-save state — the candidate's
-/// words stay hot in registers/L1 across all partners instead of being
-/// re-streamed once per pair. Returns one count per partner, over each
-/// common word prefix.
-pub fn and_count_many_words(a: &[u64], partners: &[&[u64]], counts: &mut Vec<usize>) {
-    counts.clear();
-    if partners.is_empty() {
-        return;
-    }
-    // Only the prefix every partner covers goes through the blocked
-    // pass; per-partner leftovers are finished individually below.
-    let n_all = partners.iter().fold(a.len(), |n, p| n.min(p.len()));
-    let blocks = n_all / CSA_BLOCK;
-    let mut states = vec![CsaState::new(); partners.len()];
-    for blk in 0..blocks {
-        let lo = blk * CSA_BLOCK;
-        let ca = &a[lo..lo + CSA_BLOCK];
-        for (state, p) in states.iter_mut().zip(partners) {
-            state.block(ca, &p[lo..lo + CSA_BLOCK]);
-        }
-    }
-    let done = blocks * CSA_BLOCK;
-    for (state, p) in states.into_iter().zip(partners) {
-        counts.push(state.finish() + and_count_words_scalar(&a[done..], &p[done..]));
-    }
-}
-
 /// Popcount of a word slice, [`LANES`] independent accumulators per
 /// block so the adds do not form one dependency chain.
-pub fn count_ones_words(words: &[u64]) -> usize {
+pub(crate) fn count_ones_words(words: &[u64]) -> usize {
     let chunks = words.chunks_exact(LANES);
     let tail = chunks.remainder();
     let mut acc = [0usize; LANES];
@@ -204,48 +171,17 @@ pub fn count_ones_words(words: &[u64]) -> usize {
 }
 
 /// Scalar reference for [`count_ones_words`].
-pub fn count_ones_words_scalar(words: &[u64]) -> usize {
+#[cfg(test)]
+fn count_ones_words_scalar(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// True iff `a & b` is all-zero on the common word prefix, giving up at
-/// the first nonzero lane block — gates that only need a zero/nonzero
-/// answer skip the full popcount pass.
-pub fn is_disjoint_words(a: &[u64], b: &[u64]) -> bool {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let ac = a.chunks_exact(LANES);
-    let bc = b.chunks_exact(LANES);
-    let (at, bt) = (ac.remainder(), bc.remainder());
-    for (ca, cb) in ac.zip(bc) {
-        let mut any = 0u64;
-        for l in 0..LANES {
-            any |= ca[l] & cb[l];
-        }
-        if any != 0 {
-            return false;
-        }
-    }
-    at.iter().zip(bt).all(|(x, y)| x & y == 0)
-}
-
-/// `out = a & b`, lane-unrolled. `out` is cleared first.
-pub fn and_words(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
+/// `out = a & b` over the common word prefix, lane-unrolled. `out` is
+/// cleared first.
+pub(crate) fn and_words(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     out.clear();
-    out.reserve(a.len().min(b.len()));
-    binary_words(a, b, out, |x, y| x & y);
-}
-
-/// `out = a | b`, lane-unrolled. `out` is cleared first.
-pub fn or_words(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(a.len().min(b.len()));
-    binary_words(a, b, out, |x, y| x | y);
-}
-
-#[inline(always)]
-fn binary_words(a: &[u64], b: &[u64], out: &mut Vec<u64>, op: impl Fn(u64, u64) -> u64) {
     let n = a.len().min(b.len());
+    out.reserve(n);
     let (a, b) = (&a[..n], &b[..n]);
     let ac = a.chunks_exact(LANES);
     let bc = b.chunks_exact(LANES);
@@ -253,41 +189,12 @@ fn binary_words(a: &[u64], b: &[u64], out: &mut Vec<u64>, op: impl Fn(u64, u64) 
     for (ca, cb) in ac.zip(bc) {
         let mut lane = [0u64; LANES];
         for l in 0..LANES {
-            lane[l] = op(ca[l], cb[l]);
+            lane[l] = ca[l] & cb[l];
         }
         out.extend_from_slice(&lane);
     }
     for (x, y) in at.iter().zip(bt) {
-        out.push(op(*x, *y));
-    }
-}
-
-/// `a &= b` in place, lane-unrolled over the common prefix.
-pub fn and_assign_words(a: &mut [u64], b: &[u64]) {
-    assign_words(a, b, |x, y| x & y);
-}
-
-/// `a |= b` in place, lane-unrolled over the common prefix.
-pub fn or_assign_words(a: &mut [u64], b: &[u64]) {
-    assign_words(a, b, |x, y| x | y);
-}
-
-#[inline(always)]
-fn assign_words(a: &mut [u64], b: &[u64], op: impl Fn(u64, u64) -> u64) {
-    let n = a.len().min(b.len());
-    let (a, b) = (&mut a[..n], &b[..n]);
-    let ac = a.chunks_exact_mut(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    let mut tail_at = 0usize;
-    for (ca, cb) in ac.zip(&mut bc) {
-        for l in 0..LANES {
-            ca[l] = op(ca[l], cb[l]);
-        }
-        tail_at += LANES;
-    }
-    let bt = bc.remainder();
-    for (x, y) in a[tail_at..].iter_mut().zip(bt) {
-        *x = op(*x, *y);
+        out.push(x & y);
     }
 }
 
@@ -347,52 +254,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_and_or_match_scalar(a in words(2 * CSA_BLOCK), b in words(2 * CSA_BLOCK)) {
+        fn prop_and_matches_scalar(a in words(2 * CSA_BLOCK), b in words(2 * CSA_BLOCK)) {
             let n = a.len().min(b.len());
             let mut out = Vec::new();
             and_words(&a, &b, &mut out);
             let expect: Vec<u64> = a[..n].iter().zip(&b[..n]).map(|(x, y)| x & y).collect();
             prop_assert_eq!(&out, &expect);
-            or_words(&a, &b, &mut out);
-            let expect: Vec<u64> = a[..n].iter().zip(&b[..n]).map(|(x, y)| x | y).collect();
-            prop_assert_eq!(&out, &expect);
-        }
-
-        #[test]
-        fn prop_assign_kernels_match_scalar(a in words(2 * CSA_BLOCK), b in words(2 * CSA_BLOCK)) {
-            let n = a.len().min(b.len());
-            let mut got = a.clone();
-            and_assign_words(&mut got, &b);
-            let mut expect = a.clone();
-            for i in 0..n { expect[i] &= b[i]; }
-            prop_assert_eq!(&got, &expect);
-            let mut got = a.clone();
-            or_assign_words(&mut got, &b);
-            let mut expect = a.clone();
-            for i in 0..n { expect[i] |= b[i]; }
-            prop_assert_eq!(&got, &expect);
-        }
-
-        #[test]
-        fn prop_is_disjoint_matches_and_count(a in words(2 * CSA_BLOCK), b in words(2 * CSA_BLOCK)) {
-            // Random words rarely miss each other entirely, so also check
-            // a forced-disjoint pair derived from the same lengths.
-            prop_assert_eq!(is_disjoint_words(&a, &b), and_count_words(&a, &b) == 0);
-            let masked: Vec<u64> = b.iter().zip(&a).map(|(y, x)| y & !x).collect();
-            prop_assert!(is_disjoint_words(&a, &masked));
-        }
-
-        #[test]
-        fn prop_and_count_many_matches_per_pair(
-            a in words(2 * CSA_BLOCK),
-            ps in proptest::collection::vec(words(2 * CSA_BLOCK), 0..5),
-        ) {
-            let partners: Vec<&[u64]> = ps.iter().map(|p| p.as_slice()).collect();
-            let mut counts = Vec::new();
-            and_count_many_words(&a, &partners, &mut counts);
-            let expect: Vec<usize> =
-                partners.iter().map(|p| and_count_words(&a, p)).collect();
-            prop_assert_eq!(counts, expect);
         }
     }
 }

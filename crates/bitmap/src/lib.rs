@@ -6,9 +6,12 @@
 //! `|D_SEQ|`; bit `i` is set iff the indexed object occurs in sequence `i`
 //! (paper, Section IV-C "Efficient bitmap indexing"). Support counting is a
 //! popcount, and the joint support of an event combination is the popcount
-//! of the AND of the member bitmaps (Alg. 1, line 8).
+//! of the AND of the member bitmaps (Alg. 1, line 8): one fused
+//! [`Bitmap::and_count`] per candidate, which builds no intermediate
+//! bitmap. The word loops behind the operations live in a private kernel
+//! module, pinned by property tests to plain scalar loops.
 
-pub mod kernel;
+mod kernel;
 
 /// A fixed-length bitmap over sequence identifiers `0..len`.
 ///
@@ -74,16 +77,6 @@ impl Bitmap {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Clears bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    pub fn clear(&mut self, i: usize) {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
     /// Returns bit `i`.
     ///
     /// # Panics
@@ -98,11 +91,6 @@ impl Bitmap {
     /// i.e. the (absolute) support of the indexed object.
     pub fn count_ones(&self) -> usize {
         kernel::count_ones_words(&self.words)
-    }
-
-    /// True iff no bit is set.
-    pub fn none(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 
     /// Bitwise AND, producing the joint-occurrence bitmap of two objects.
@@ -147,76 +135,6 @@ impl Bitmap {
         kernel::and_count_words(&self.words, &other.words)
     }
 
-    /// Fused AND+popcount of `self` against every bitmap in `partners`
-    /// in one pass over `self`'s words; `counts` is cleared and filled
-    /// with one support per partner. Equivalent to calling
-    /// [`and_count`](Bitmap::and_count) per pair, but each block of the
-    /// candidate bitmap is gated against all partners while it is hot.
-    pub fn and_count_many(&self, partners: &[&Bitmap], counts: &mut Vec<usize>) {
-        debug_assert!(
-            partners.iter().all(|p| p.len == self.len),
-            "bitmap universe mismatch"
-        );
-        // Below one CSA block the batched kernel's per-partner state (two
-        // heap allocations) costs more than the intersections themselves;
-        // sequence universes are often this small (one bit per window).
-        if self.words.len() < kernel::CSA_BLOCK {
-            counts.clear();
-            counts.extend(
-                partners
-                    .iter()
-                    .map(|p| kernel::and_count_words(&self.words, &p.words)),
-            );
-            return;
-        }
-        let mut words: Vec<&[u64]> = Vec::with_capacity(partners.len());
-        words.extend(partners.iter().map(|p| p.words.as_slice()));
-        kernel::and_count_many_words(&self.words, &words, counts);
-    }
-
-    /// True iff `self & other` has no bit set — the zero/nonzero half of
-    /// [`and_count`](Bitmap::and_count), with an early exit on the first
-    /// shared word.
-    pub fn is_disjoint(&self, other: &Bitmap) -> bool {
-        debug_assert_eq!(self.len, other.len, "bitmap universe mismatch");
-        kernel::is_disjoint_words(&self.words, &other.words)
-    }
-
-    /// In-place bitwise AND.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn and_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap universe mismatch");
-        kernel::and_assign_words(&mut self.words, &other.words);
-    }
-
-    /// Bitwise OR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn or(&self, other: &Bitmap) -> Bitmap {
-        assert_eq!(self.len, other.len, "bitmap universe mismatch");
-        let mut words = Vec::new();
-        kernel::or_words(&self.words, &other.words, &mut words);
-        Bitmap {
-            words,
-            len: self.len,
-        }
-    }
-
-    /// In-place bitwise OR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap universe mismatch");
-        kernel::or_assign_words(&mut self.words, &other.words);
-    }
-
     /// Iterates over the indices of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words
@@ -226,12 +144,6 @@ impl Bitmap {
                 word,
                 base: wi * 64,
             })
-    }
-
-    /// Heap memory held by this bitmap, in bytes (used by the Table VIII
-    /// memory accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -277,14 +189,13 @@ mod tests {
     fn new_is_all_zero() {
         let bm = Bitmap::new(130);
         assert_eq!(bm.count_ones(), 0);
-        assert!(bm.none());
         assert_eq!(bm.len(), 130);
         assert!(!bm.get(0));
         assert!(!bm.get(129));
     }
 
     #[test]
-    fn set_get_clear_roundtrip() {
+    fn set_get_roundtrip() {
         let mut bm = Bitmap::new(70);
         bm.set(0);
         bm.set(63);
@@ -293,9 +204,6 @@ mod tests {
         assert!(bm.get(0) && bm.get(63) && bm.get(64) && bm.get(69));
         assert!(!bm.get(1) && !bm.get(65));
         assert_eq!(bm.count_ones(), 4);
-        bm.clear(63);
-        assert!(!bm.get(63));
-        assert_eq!(bm.count_ones(), 3);
     }
 
     #[test]
@@ -348,38 +256,6 @@ mod tests {
         let a = Bitmap::new(10);
         let b = Bitmap::new(11);
         let _ = a.and_count(&b);
-    }
-
-    #[test]
-    fn and_count_many_matches_per_pair() {
-        let a = Bitmap::from_indices(500, (0..500).step_by(3));
-        let b = Bitmap::from_indices(500, (0..500).step_by(2));
-        let c = Bitmap::from_indices(500, [7, 9, 480]);
-        let d = Bitmap::new(500);
-        let partners = [&b, &c, &d];
-        let mut counts = Vec::new();
-        a.and_count_many(&partners, &mut counts);
-        let expect: Vec<usize> = partners.iter().map(|p| a.and_count(p)).collect();
-        assert_eq!(counts, expect);
-        a.and_count_many(&[], &mut counts);
-        assert!(counts.is_empty());
-    }
-
-    #[test]
-    fn is_disjoint_matches_and_count() {
-        let a = Bitmap::from_indices(300, [0, 64, 299]);
-        let b = Bitmap::from_indices(300, [1, 65, 298]);
-        let c = Bitmap::from_indices(300, [299]);
-        assert!(a.is_disjoint(&b));
-        assert!(!a.is_disjoint(&c));
-        assert!(Bitmap::new(0).is_disjoint(&Bitmap::new(0)));
-    }
-
-    #[test]
-    fn or_unions() {
-        let a = Bitmap::from_indices(100, [1, 2]);
-        let b = Bitmap::from_indices(100, [2, 3]);
-        assert_eq!(a.or(&b).iter_ones().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -460,19 +336,6 @@ mod tests {
             let a = Bitmap::from_indices(len, a_raw.into_iter().map(|i| i % len));
             let b = Bitmap::from_indices(len, b_raw.into_iter().map(|i| i % len));
             prop_assert_eq!(a.and_count(&b), a.and(&b).count_ones());
-        }
-
-        #[test]
-        fn prop_and_assign_matches_and(
-            len in 1usize..300,
-            a_raw in proptest::collection::vec(0usize..300, 0..32),
-            b_raw in proptest::collection::vec(0usize..300, 0..32),
-        ) {
-            let mut a = Bitmap::from_indices(len, a_raw.into_iter().map(|i| i % len));
-            let b = Bitmap::from_indices(len, b_raw.into_iter().map(|i| i % len));
-            let expect = a.and(&b);
-            a.and_assign(&b);
-            prop_assert_eq!(a, expect);
         }
     }
 }

@@ -161,16 +161,29 @@ pub(crate) fn check_graph(
 /// "correlated" means, and the exchange coordinator borrows a filter
 /// built here.
 pub struct CorrelationFilter<'a> {
-    /// `allowed[event]` — the event's series is in the correlated set X_C.
+    /// The correlation graph `G_C`.
+    graph: &'a CorrelationGraph,
+    /// `vertex[event]` — the event's vertex in `graph`.
+    vertex: Vec<VariableId>,
+    /// `allowed[event]` — the event's vertex is in the correlated set X_C.
     allowed: Vec<bool>,
-    /// Edge test between the series of two events.
-    edge: Box<dyn Fn(EventId, EventId) -> bool + Sync + 'a>,
 }
 
 impl<'a> CorrelationFilter<'a> {
-    /// Assembles a filter from its two gates.
-    fn new(allowed: Vec<bool>, edge: Box<dyn Fn(EventId, EventId) -> bool + Sync + 'a>) -> Self {
-        CorrelationFilter { allowed, edge }
+    /// The filter of `graph` whose events sit at the vertices `vertex`,
+    /// one per event: L1 admits events at a vertex in `X_C`, L2 pairs at
+    /// two vertices that share an edge.
+    fn new(graph: &'a CorrelationGraph, vertex: Vec<VariableId>) -> Self {
+        let mut in_xc = vec![false; graph.n_vertices()];
+        for var in graph.correlated_variables() {
+            in_xc[var.0 as usize] = true;
+        }
+        let allowed = vertex.iter().map(|v| in_xc[v.0 as usize]).collect();
+        CorrelationFilter {
+            graph,
+            vertex,
+            allowed,
+        }
     }
 
     /// L1 gate: is `e`'s series in the correlated set X_C?
@@ -182,7 +195,8 @@ impl<'a> CorrelationFilter<'a> {
     /// L2 gate: do the series of `ei` and `ej` share a G_C edge?
     #[inline]
     pub(crate) fn allows_pair(&self, ei: EventId, ej: EventId) -> bool {
-        (self.edge)(ei, ej)
+        let vertex = |e: EventId| self.vertex[e.0 as usize];
+        self.graph.has_edge(vertex(ei), vertex(ej))
     }
 }
 
@@ -211,22 +225,14 @@ pub fn correlation_filter<'a>(
 }
 
 /// The series-level filter of a graph that [`check_graph`] accepted for
-/// `registry`.
+/// `registry`: each event sits at its variable's vertex.
 fn series_filter<'a>(
     graph: &'a CorrelationGraph,
-    registry: &'a EventRegistry,
+    registry: &EventRegistry,
 ) -> CorrelationFilter<'a> {
-    let mut in_xc = vec![false; graph.n_vertices()];
-    for var in graph.correlated_variables() {
-        in_xc[var.0 as usize] = true;
-    }
-    let allowed: Vec<bool> = registry
-        .ids()
-        .map(|e| in_xc[registry.variable(e).0 as usize])
-        .collect();
     CorrelationFilter::new(
-        allowed,
-        Box::new(move |ei, ej| graph.has_edge(registry.variable(ei), registry.variable(ej))),
+        graph,
+        registry.ids().map(|e| registry.variable(e)).collect(),
     )
 }
 
@@ -235,24 +241,17 @@ fn series_filter<'a>(
 /// graph against `registry` when the arm was set.
 pub(crate) fn plan_filter<'a>(
     correlation: Correlation<'a>,
-    registry: &'a EventRegistry,
+    registry: &EventRegistry,
 ) -> Option<CorrelationFilter<'a>> {
     match correlation {
         Correlation::None => None,
         Correlation::Series(graph) => Some(series_filter(graph, registry)),
-        Correlation::Events(graph) => {
-            // The indicator database has one vertex per event, so the
-            // mapping is the identity instead of the registry's variable
-            // projection.
-            let mut allowed = vec![false; registry.len()];
-            for var in graph.correlated_variables() {
-                allowed[var.0 as usize] = true;
-            }
-            Some(CorrelationFilter::new(
-                allowed,
-                Box::new(|ei, ej| graph.has_edge(VariableId(ei.0), VariableId(ej.0))),
-            ))
-        }
+        // The indicator database has one vertex per event, so each event
+        // sits at its own vertex instead of its variable's.
+        Correlation::Events(graph) => Some(CorrelationFilter::new(
+            graph,
+            registry.ids().map(|e| VariableId(e.0)).collect(),
+        )),
     }
 }
 

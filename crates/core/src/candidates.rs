@@ -110,6 +110,10 @@ pub(crate) struct WorkPattern {
     /// The exchange keys its children's proposals on it, as the parent of
     /// their [`crate::pool::DeltaKey`]s, instead of cloning the pattern.
     pub(crate) id: PatternId,
+    /// Occurrences that bind a boundary-clipped instance, counted as the
+    /// pattern's group formed (0 for a root, which is never archived).
+    /// A `u32` fills the padding after `id`.
+    pub(crate) clipped: u32,
     /// The delta relation column, packed 2 bits per relation (already
     /// computed as the extension grouping key in `extend_node`).
     pub(crate) code: u64,
@@ -146,6 +150,7 @@ impl WorkNode {
             confidence: 1.0,
             occurrences: occs.since(0),
             id: PatternId(e.0),
+            clipped: 0,
             code: 0,
         };
         WorkNode {
@@ -266,6 +271,15 @@ mod tests {
                 .count();
             assert_eq!(clipped, clipped_bound, "{policy}");
         }
+    }
+
+    /// The clipped count fills the padding after the pool id: a work
+    /// pattern is its pattern plus 8 bytes each for support, confidence,
+    /// occurrence range, id and clipped count, and code.
+    #[test]
+    fn the_clipped_count_does_not_grow_a_work_pattern() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<WorkPattern>(), size_of::<Pattern>() + 40);
     }
 
     #[test]

@@ -46,15 +46,18 @@
 //! - **Support at sequence changes.** A pattern's occurrences ascend by
 //!   sequence id, so a group's support is the number of times the
 //!   sequence changes along its occurrences; no per-group bitmap exists.
-//! - **Joint bitmaps only for survivors.** Every occurrence lies in a
-//!   sequence of the node's bitmap, so `ek`'s own bit is the joint test;
-//!   `node.bitmap ∧ bitmap(ek)` is built only for a child that survives.
+//!   Each group counts its occurrences that bind a boundary-clipped
+//!   instance as they are filed, so no row is read twice.
+//! - **Joint bitmaps only for survivors.** A candidate's joint support is
+//!   one fused `and_count` of the node's bitmap and `ek`'s, and every
+//!   occurrence lies in a sequence of the node's bitmap, so `ek`'s own
+//!   bit is the joint test; `node.bitmap ∧ bitmap(ek)` is built only for
+//!   a child that survives.
 //! - **A counted last level.** The last level has no next level to grow,
-//!   so its groups keep no occurrence row: each tracks its support and,
-//!   when the database holds clipped instances, its clipped occurrences.
-//!   A leaf's patterns are built straight from its groups, with no arena,
-//!   joint bitmap or archive-time row scan. On the dense perfbench input
-//!   that level holds 1.33 M of the 1.54 M verified nodes.
+//!   so its groups keep no occurrence row, only their support and
+//!   clipped-occurrence count. A leaf's patterns are built straight from
+//!   its groups, with no arena or joint bitmap. On the dense perfbench
+//!   input that level holds 1.33 M of the 1.54 M verified nodes.
 //! - **Support-bound walk.** A group gains at most one support per
 //!   sequence, so when the instance loop enters a new sequence of the
 //!   parent, the best group's support plus the sequences still to walk
@@ -85,13 +88,15 @@
 //!   to; the map is built only when two or more groups survive.
 //!
 //! On the dense perfbench input (one thread, counting sink) a run makes
-//! 1.19 M heap allocations: 1.26 M while every last-level parent made
-//! its own scratch and leaf buffer, 1.88 M while the last level bound its
-//! rows, and 13.8 M before the group slots were reused.
+//! 1.05 M heap allocations: 1.19 M while each grown node filled three
+//! candidate buffers for a batched AND-count and the index held one
+//! instance list per (sequence, event) pair, 1.26 M while every
+//! last-level parent made its own scratch and leaf buffer, 1.88 M while
+//! the last level bound its rows, and 13.8 M before the group slots were
+//! reused.
 
 use std::marker::PhantomData;
 
-use ftpm_bitmap::Bitmap;
 use ftpm_events::{BoundaryKernel, BoundaryPolicy, EventId, SequenceDatabase, TemporalRelation};
 
 use crate::candidates::{
@@ -99,7 +104,7 @@ use crate::candidates::{
 };
 use crate::config::{MinerConfig, MAX_EVENTS_HARD_CAP};
 use crate::index::DatabaseIndex;
-use crate::occ::{OccArena, OccRange};
+use crate::occ::OccArena;
 use crate::pattern::Pattern;
 use crate::plan::MinePlan;
 use crate::pool::{decode_column, pack_relation, DeltaKey, FnvHashMap, PatternId};
@@ -137,24 +142,22 @@ struct GroupSlot {
     support: usize,
     /// Sequence of the group's latest occurrence.
     last_seq: Option<u32>,
-    /// Occurrences that bind a boundary-clipped instance; counted only by
-    /// count-only groups that count clipped instances.
+    /// Occurrences that bind a boundary-clipped instance.
     clipped: usize,
     /// The group's occurrence rows; empty in count-only groups.
     occs: OccArena,
 }
 
 /// What [`ExtensionGroups`] keep of each extension besides its group's
-/// support.
+/// support and clipped-occurrence count.
 #[derive(Clone, Copy)]
 enum Keep {
     /// Every occurrence row, `width` bound instances wide: the groups of
     /// a child that grows further.
     Rows { width: usize },
-    /// No row. With `clipped` set, each group counts its occurrences that
-    /// bind a boundary-clipped instance instead: the groups of the
-    /// threaded engine's last level and of the exchange's count step.
-    Counts { clipped: bool },
+    /// No row: the groups of the threaded engine's last level and of the
+    /// exchange's count step.
+    Counts,
 }
 
 /// Reused extension-group slots for growing nodes of one level: one
@@ -180,13 +183,11 @@ impl ExtensionGroups {
         Self::with(Keep::Rows { width })
     }
 
-    /// Empty count-only slots: each group tracks its support, and its
-    /// occurrences that bind a boundary-clipped instance when
-    /// `count_clipped`, and stores no occurrence row.
-    pub(crate) fn counting(count_clipped: bool) -> Self {
-        Self::with(Keep::Counts {
-            clipped: count_clipped,
-        })
+    /// Empty count-only slots: each group tracks its support and its
+    /// occurrences that bind a boundary-clipped instance, and stores no
+    /// occurrence row.
+    pub(crate) fn counting() -> Self {
+        Self::with(Keep::Counts)
     }
 
     fn with(keep: Keep) -> Self {
@@ -195,12 +196,6 @@ impl ExtensionGroups {
             used: 0,
             keep,
         }
-    }
-
-    /// Whether [`push`](Self::push) wants to know which extensions bind
-    /// a boundary-clipped instance.
-    fn counts_clipped(&self) -> bool {
-        matches!(self.keep, Keep::Counts { clipped: true })
     }
 
     /// Forgets the previous parent's groups.
@@ -221,9 +216,10 @@ impl ExtensionGroups {
             slot.support += 1;
             slot.last_seq = Some(seq);
         }
+        slot.clipped += usize::from(clipped);
         match keep {
             Keep::Rows { .. } => slot.occs.push_extend(seq, tuple, x),
-            Keep::Counts { .. } => slot.clipped += usize::from(clipped),
+            Keep::Counts => {}
         }
     }
 
@@ -245,7 +241,7 @@ impl ExtensionGroups {
             None => {
                 let width = match self.keep {
                     Keep::Rows { width } => width,
-                    Keep::Counts { .. } => 0,
+                    Keep::Counts => 0,
                 };
                 self.slots.push(GroupSlot {
                     code,
@@ -506,21 +502,6 @@ pub(crate) fn max_support(index: &DatabaseIndex, node: &WorkNode, ek: EventId) -
         .max(index.support(ek))
 }
 
-/// Occurrences in `range` of `occs` that bind a boundary-clipped
-/// instance — the per-pattern artifact measure exported through the
-/// sinks.
-fn clipped_occurrences(db: &SequenceDatabase, occs: &OccArena, range: OccRange) -> usize {
-    range
-        .iter()
-        .filter(|&oi| {
-            let insts = db.sequences()[occs.seq(oi) as usize].instances();
-            occs.tuple(oi)
-                .iter()
-                .any(|&ti| insts[ti as usize].is_clipped())
-        })
-        .count()
-}
-
 /// The one instance loop, shared by [`extend_node`], the last level of
 /// [`GrowContext::grow_node`] and [`count_candidates`] at every level:
 /// extends each occurrence of pattern `p` of `node` with one instance of
@@ -528,8 +509,9 @@ fn clipped_occurrences(db: &SequenceDatabase, occs: &OccArena, range: OccRange) 
 /// iteratively (above level 2, pruning through L2 when transitivity
 /// pruning is on), and files each valid extension into the reset
 /// `groups` by its packed relation column (r(E_1,E_k), …,
-/// r(E_{k-1},E_k)), flagged when `groups` count clipped instances and it
-/// binds one.
+/// r(E_{k-1},E_k)), flagged when it binds a boundary-clipped instance:
+/// the per-pattern artifact measure the sinks export, counted here once
+/// for every kind of group.
 ///
 /// `bound.need` is the least support a group must reach to be kept (see
 /// [`support_bound`]). A group gains support only in a sequence where
@@ -562,7 +544,6 @@ fn group_extensions<K: BoundaryKernel>(
         Screen::Pairs(pairs) if cfg.pruning.transitivity => Some(pairs),
         Screen::Pairs(_) | Screen::Edges(_) => None,
     };
-    let count_clipped = groups.counts_clipped();
     groups.start_parent();
     let need = bound.need;
     let bounded = need > 1;
@@ -618,19 +599,12 @@ fn group_extensions<K: BoundaryKernel>(
         )]
         let last_key = K::key(&seq.instances()[*tuple.last().expect("non-empty") as usize]);
         let first_start = bound_iv(tuple[0]).start;
-        #[expect(
-            clippy::expect_used,
-            reason = "structural invariant: the binding is non-empty on this path"
-        )]
-        let tuple_max_end = tuple
-            .iter()
-            .map(|&ti| bound_iv(ti).end)
-            .max()
-            .expect("non-empty");
-        let tuple_clipped = count_clipped
-            && tuple
-                .iter()
-                .any(|&ti| seq.instances()[ti as usize].is_clipped());
+        // Every bound interval ends after the first one starts.
+        let (mut tuple_max_end, mut tuple_clipped) = (first_start, false);
+        for &ti in tuple {
+            tuple_max_end = tuple_max_end.max(bound_iv(ti).end);
+            tuple_clipped |= seq.instances()[ti as usize].is_clipped();
+        }
         for &xi in index.instances_in(seq_id as usize, ek) {
             let x = &seq.instances()[xi as usize];
             let Some(x_iv) = K::interval(x) else {
@@ -675,8 +649,7 @@ fn group_extensions<K: BoundaryKernel>(
             if !ok {
                 continue;
             }
-            let clipped = count_clipped && (tuple_clipped || x.is_clipped());
-            groups.push(code, seq_id, tuple, xi, clipped);
+            groups.push(code, seq_id, tuple, xi, tuple_clipped || x.is_clipped());
         }
     }
 }
@@ -752,6 +725,8 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
             confidence,
             occurrences: child_occs.append_from(&group.occs, group.occs.since(0)),
             id,
+            // At most one per row, and rows are counted in `u32`.
+            clipped: group.clipped as u32,
             code: group.code,
         });
     };
@@ -779,12 +754,13 @@ fn child_events(node: &WorkNode, ek: EventId) -> Vec<EventId> {
     events
 }
 
-/// Phases 1–3 of growing `node` (level `k` in event count for the
+/// The gates of growing `node` (level `k` in event count for the
 /// children), shared by [`grow_candidates`], the last level of
-/// [`GrowContext::grow_node`] and [`count_candidates`]:
-/// the `screen`, the fused AND-count and the Apriori gate. Calls
-/// `verify(stats, ek, joint_supp, max_supp)` for every candidate last
-/// event that passes, after counting it in `stats.nodes_verified[k - 2]`.
+/// [`GrowContext::grow_node`] and [`count_candidates`]: for each candidate
+/// last event in turn, the `screen`, the joint support and the Apriori
+/// gate. Calls `verify(stats, ek, joint_supp, max_supp)` for every
+/// candidate that passes, after counting it in
+/// `stats.nodes_verified[k - 2]`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn for_each_gated_candidate(
@@ -798,12 +774,11 @@ fn for_each_gated_candidate(
     k: usize,
     mut verify: impl FnMut(&mut MiningStats, EventId, usize, usize),
 ) {
-    // Phase 1 — the screen. Level 2: the pair must share a correlation
-    // edge. Above: the per-node Lemma 5 test, where every node event
-    // must form at least one frequent relation with ek, or no k-event
-    // pattern over this combination can be frequent.
-    let mut cands: Vec<EventId> = Vec::with_capacity(freq_events.len());
     for &ek in freq_events {
+        // The screen. Level 2: the pair must share a correlation edge.
+        // Above: the per-node Lemma 5 test, where every node event must
+        // form at least one frequent relation with ek, or no k-event
+        // pattern over this combination can be frequent.
         let screened = match screen {
             Screen::Edges(corr) => corr.is_some_and(|c| !c.allows_pair(node.events[0], ek)),
             Screen::Pairs(pairs) => {
@@ -813,22 +788,12 @@ fn for_each_gated_candidate(
                 lemma5
             }
         };
-        if !screened {
-            cands.push(ek);
+        if screened {
+            continue;
         }
-    }
-
-    // Phase 2 — fused AND+popcount over all survivors in one pass
-    // ([`Bitmap::and_count_many`] re-reads the node bitmap once per
-    // 32-word block instead of once per candidate). No candidate pays
-    // for a joint-bitmap allocation here: `extend_node` builds one only
-    // for a child that survives.
-    let partners: Vec<&Bitmap> = cands.iter().map(|&ek| index.bitmap(ek)).collect();
-    let mut joint_supps: Vec<usize> = Vec::new();
-    node.bitmap.and_count_many(&partners, &mut joint_supps);
-
-    // Phase 3 — Apriori gate, then instance verification per survivor.
-    for (&ek, &joint_supp) in cands.iter().zip(&joint_supps) {
+        // Fused AND+popcount: no candidate pays for a joint bitmap here;
+        // `extend_node` builds one only for a child that survives.
+        let joint_supp = node.bitmap.and_count(index.bitmap(ek));
         let max_supp = max_support(index, node, ek);
         if !apriori_gate(cfg, sigma_abs, joint_supp, max_supp, stats) {
             continue;
@@ -914,8 +879,8 @@ pub(crate) fn grow_candidates<K: BoundaryKernel>(
 /// whatever their local support. Passes each group that
 /// clears the thresholds to `propose` as `(key, support, clipped)`: its
 /// [`DeltaKey`], its support, and its occurrences that bind a
-/// boundary-clipped instance, as far as the count-only `groups` (the
-/// caller's scratch for nodes of this level) count them.
+/// boundary-clipped instance, counted on the count-only `groups` (the
+/// caller's scratch for nodes of this level).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn count_candidates<K: BoundaryKernel>(
     db: &SequenceDatabase,
@@ -930,7 +895,7 @@ pub(crate) fn count_candidates<K: BoundaryKernel>(
     groups: &mut ExtensionGroups,
     mut propose: impl FnMut(DeltaKey, usize, usize),
 ) {
-    debug_assert!(matches!(groups.keep, Keep::Counts { .. }));
+    debug_assert!(matches!(groups.keep, Keep::Counts));
     let count = |stats: &mut MiningStats, ek, _, max_supp| {
         let mut patterns = 0;
         for (p, parent) in node.patterns.iter().enumerate() {
@@ -983,14 +948,8 @@ pub(crate) struct GrowContext<'a, K: BoundaryKernel> {
     pub(crate) max_events: usize,
     pub(crate) stats: &'a mut MiningStats,
     pub(crate) sink: &'a mut dyn PatternSink,
-    /// Whether the database contains any boundary-clipped instance —
-    /// lets [`archive_node`] skip the per-occurrence artifact scan, and
-    /// the last level skip the per-extension clip test, when every count
-    /// would be 0.
-    pub(crate) db_has_clipped: bool,
-    /// The last level's count-only groups (counting clipped occurrences
-    /// iff `db_has_clipped`), reused by every parent of that level this
-    /// context grows.
+    /// The last level's count-only groups, reused by every parent of that
+    /// level this context grows.
     pub(crate) leaf_groups: ExtensionGroups,
     /// The current last-level parent's leaves, drained into the sink
     /// right after the parent.
@@ -1010,13 +969,13 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
     /// right after their parent.
     pub(crate) fn grow_node(&mut self, node: WorkNode, k: usize) {
         if k > self.max_events {
-            archive_node(self.sink, self.db, self.db_has_clipped, node, k - 1);
+            archive_node(self.sink, self.db, node, k - 1);
             return;
         }
         self.stats.ensure_levels(k - 1);
         if k == self.max_events {
             self.grow_leaves(&node, k);
-            archive_node(self.sink, self.db, self.db_has_clipped, node, k - 1);
+            archive_node(self.sink, self.db, node, k - 1);
             for (events, support, patterns) in self.leaves.drain(..) {
                 self.sink.node(events, support, k, patterns);
             }
@@ -1036,7 +995,7 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
         );
         // The parent's occurrences are no longer needed once all its
         // children have been generated.
-        archive_node(self.sink, self.db, self.db_has_clipped, node, k - 1);
+        archive_node(self.sink, self.db, node, k - 1);
         for child in children {
             self.grow_node(child, k + 1);
         }
@@ -1046,7 +1005,7 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
     /// `k`, grown through the gates and instance loop of
     /// [`grow_candidates`] on the reused count-only groups: each leaf's
     /// patterns are built straight from its groups, in the pinned order,
-    /// with no arena, joint bitmap or row scan.
+    /// with no arena or joint bitmap.
     fn grow_leaves(&mut self, node: &WorkNode, k: usize) {
         let (db, index, cfg) = (self.db, self.index, self.cfg);
         let (sigma_abs, screen) = (self.sigma_abs, Screen::Pairs(self.pair_relations));
@@ -1106,50 +1065,33 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
 }
 
 /// Emits a finished node into the sink, dropping occurrence bindings.
-/// `k` is the node's event count; its level slot is `k - 2`. Before the
-/// bindings die, each pattern counts how many of its occurrences touch a
-/// boundary-clipped instance — the per-pattern artifact measure exported
-/// through the sinks. `db_has_clipped` (false for unsplit or
-/// cleanly-tiled databases) skips that occurrence scan on the hot
-/// archive path when the answer can only be 0.
+/// `k` is the node's event count; its level slot is `k - 2`. Each
+/// pattern's clipped occurrences were counted as its group formed.
 pub(crate) fn archive_node(
     sink: &mut dyn PatternSink,
     db: &SequenceDatabase,
-    db_has_clipped: bool,
     node: WorkNode,
     k: usize,
 ) {
-    let n_seqs = db.len();
-    let WorkNode {
-        events,
-        bitmap: _,
-        support: node_support,
-        patterns,
-        occs,
-    } = node;
-    let patterns: Vec<FrequentPattern> = patterns
+    let n_seqs = db.len().max(1) as f64;
+    let patterns: Vec<FrequentPattern> = node
+        .patterns
         .into_iter()
-        .map(|wp| {
-            let clipped_occurrences = if db_has_clipped {
-                clipped_occurrences(db, &occs, wp.occurrences)
-            } else {
-                0
-            };
-            FrequentPattern {
-                pattern: wp.pattern,
-                support: wp.support,
-                rel_support: wp.support as f64 / n_seqs.max(1) as f64,
-                confidence: wp.confidence,
-                clipped_occurrences,
-            }
+        .map(|wp| FrequentPattern {
+            pattern: wp.pattern,
+            support: wp.support,
+            rel_support: wp.support as f64 / n_seqs,
+            confidence: wp.confidence,
+            clipped_occurrences: wp.clipped as usize,
         })
         .collect();
-    sink.node(events, node_support, k, patterns);
+    sink.node(node.events, node.support, k, patterns);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftpm_bitmap::Bitmap;
 
     #[test]
     fn relation_column_roundtrip() {
@@ -1248,7 +1190,7 @@ mod tests {
         ];
         for (need, supports, checks, stops) in cases {
             let mut stats = MiningStats::default();
-            let mut groups = ExtensionGroups::counting(false);
+            let mut groups = ExtensionGroups::counting();
             let bound = SupportBound { need, ranks: None };
             group_extensions::<ClipKernel>(
                 &db,
@@ -1331,7 +1273,7 @@ mod tests {
         for (ek, need, with_ranks, supports, checks, pruned) in cases {
             let context = format!("append {ek:?}, need {need}, ranks {with_ranks}");
             let mut stats = MiningStats::default();
-            let mut groups = ExtensionGroups::counting(false);
+            let mut groups = ExtensionGroups::counting();
             let bound = SupportBound {
                 need,
                 ranks: if with_ranks { ranks } else { None },
@@ -1396,14 +1338,27 @@ mod tests {
         assert_eq!((discard.of(b), discard.of(a)), (&[0, 0][..], &[2, 0][..]));
     }
 
+    /// Rows of `occs` that bind a boundary-clipped instance of `db`: the
+    /// archive-time scan the groups' own count replaced, kept as its
+    /// oracle.
+    fn clipped_rows(db: &SequenceDatabase, occs: &OccArena) -> usize {
+        (0..occs.len())
+            .filter(|&oi| {
+                let insts = db.sequences()[occs.seq(oi) as usize].instances();
+                occs.tuple(oi)
+                    .iter()
+                    .any(|&ti| insts[ti as usize].is_clipped())
+            })
+            .count()
+    }
+
     /// The reused slots give each parent the groups, supports and
     /// emission order of the accumulator they replaced: a fresh
     /// code-keyed FNV map per parent holding a sequence bitmap and an
-    /// arena per group. Count-only slots give the same codes, supports,
-    /// order and confidences, keep no row, and count as clipped exactly
-    /// the rows of the matching binding group that [`clipped_occurrences`]
-    /// counts (none when they do not count clipped instances). Covers
-    /// slot reuse across parents, map tables that grow several times, and
+    /// arena per group. A binding group's clipped count equals a scan of
+    /// its rows. Count-only slots give the same codes, supports, order,
+    /// confidences and clipped counts, and keep no row. Covers slot reuse
+    /// across parents, map tables that grow several times, and
     /// thresholds that keep none, one or several groups.
     #[test]
     fn extension_groups_match_a_fresh_map_per_parent() {
@@ -1414,17 +1369,14 @@ mod tests {
         let db = every_fourth_clipped(12, 300);
         let is_clipped =
             |seq: u32, i: u32| db.sequences()[seq as usize].instances()[i as usize].is_clipped();
-        let mut clipped_rows = 0;
+        let mut clipped_total = 0;
         for n_codes in [1, 2, 5, 9, 40, 300] {
             let mut groups = ExtensionGroups::binding(2);
-            let mut counting = [
-                ExtensionGroups::counting(true),
-                ExtensionGroups::counting(false),
-            ];
+            let mut counting = ExtensionGroups::counting();
             for parent in 0..6 {
                 let threshold = thresholds[parent % 3];
                 groups.start_parent();
-                counting.iter_mut().for_each(ExtensionGroups::start_parent);
+                counting.start_parent();
                 let mut fresh: FnvHashMap<u64, (Bitmap, OccArena)> = FnvHashMap::default();
                 for seq in 0..12u32 {
                     for x in 0..n_codes as u32 {
@@ -1438,11 +1390,8 @@ mod tests {
                         // What the instance loop passes for the row
                         // (seq, [seq, x]).
                         let clipped = is_clipped(seq, seq) || is_clipped(seq, x);
-                        groups.push(code, seq, &[seq], x, false);
-                        for c in &mut counting {
-                            let flag = c.counts_clipped() && clipped;
-                            c.push(code, seq, &[seq], x, flag);
-                        }
+                        groups.push(code, seq, &[seq], x, clipped);
+                        counting.push(code, seq, &[seq], x, clipped);
                         let (bitmap, occs) = fresh
                             .entry(code)
                             .or_insert_with(|| (Bitmap::new(12), OccArena::new(2)));
@@ -1450,44 +1399,41 @@ mod tests {
                         occs.push_extend(seq, &[seq], x);
                     }
                 }
-                let emitted = |code, support, confidence, occs: &OccArena| {
-                    let clipped = clipped_occurrences(&db, occs, occs.since(0));
-                    (code, support, confidence, rows(occs), clipped)
-                };
                 let survives = |group: &GroupSlot| threshold(group.support);
                 let mut got: Vec<Emitted> = Vec::new();
                 groups.for_each_survivor(survives, |group, confidence| {
-                    got.push(emitted(group.code, group.support, confidence, &group.occs));
+                    let (code, support, occs) = (group.code, group.support, &group.occs);
+                    got.push((code, support, confidence, rows(occs), group.clipped));
                 });
                 let want: Vec<Emitted> = fresh
                     .into_iter()
                     .filter_map(|(code, (bitmap, occs))| {
                         let support = bitmap.count_ones();
-                        threshold(support)
-                            .map(|confidence| emitted(code, support, confidence, &occs))
+                        threshold(support).map(|confidence| {
+                            (
+                                code,
+                                support,
+                                confidence,
+                                rows(&occs),
+                                clipped_rows(&db, &occs),
+                            )
+                        })
                     })
                     .collect();
                 assert_eq!(got, want, "{n_codes} codes, parent {parent}");
-                clipped_rows += got.iter().map(|g| g.4).sum::<usize>();
-                for c in &counting {
-                    let mut counted = Vec::new();
-                    c.for_each_survivor(survives, |group, confidence| {
-                        assert_eq!(group.occs.len(), 0, "a count-only group keeps no row");
-                        counted.push((group.code, group.support, confidence, group.clipped));
-                    });
-                    let expected: Vec<_> = got
-                        .iter()
-                        .map(|g| (g.0, g.1, g.2, if c.counts_clipped() { g.4 } else { 0 }))
-                        .collect();
-                    assert_eq!(
-                        counted,
-                        expected,
-                        "{n_codes} codes, parent {parent}, count clipped: {}",
-                        c.counts_clipped()
-                    );
-                }
+                clipped_total += got.iter().map(|g| g.4).sum::<usize>();
+                let mut counted = Vec::new();
+                counting.for_each_survivor(survives, |group, confidence| {
+                    assert_eq!(group.occs.len(), 0, "a count-only group keeps no row");
+                    counted.push((group.code, group.support, confidence, group.clipped));
+                });
+                let expected: Vec<_> = got.iter().map(|g| (g.0, g.1, g.2, g.4)).collect();
+                assert_eq!(
+                    counted, expected,
+                    "{n_codes} codes, parent {parent}, count-only"
+                );
             }
         }
-        assert!(clipped_rows > 0, "the input must bind clipped instances");
+        assert!(clipped_total > 0, "the input must bind clipped instances");
     }
 }

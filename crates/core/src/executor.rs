@@ -15,12 +15,12 @@
 //!    survivors, or at level 2 from the L1 roots of the frequent events
 //!    it holds) straight from the reused count-only extension-group
 //!    slots of [`count_candidates`], the growth step of every level. The
-//!    slots keep no occurrence row: each group counts its support, and
-//!    its occurrences that bind a clipped instance when the shard holds
-//!    any, as the instance loop files them. The shard reports each
-//!    candidate with its **owned** support and owned clipped-occurrence
-//!    count — "what do you see, and how often?" — and builds nothing for
-//!    it: no [`crate::Pattern`], joint bitmap, occurrence range or row.
+//!    slots keep no occurrence row: each group counts its support and
+//!    its occurrences that bind a clipped instance as the instance loop
+//!    files them. The shard reports each candidate with its **owned**
+//!    support and owned clipped-occurrence count — "what do you see, and
+//!    how often?" — and builds nothing for it: no [`crate::Pattern`],
+//!    joint bitmap, occurrence range or row.
 //! 2. **Gate** — the coordinator sums owned supports across shards
 //!    (window ownership partitions the window space, so the sums are the
 //!    exact global statistics) and applies the *global* σ/δ Apriori gate.
@@ -146,9 +146,6 @@ pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
     /// every enumerated occurrence is an owned occurrence and local
     /// supports *are* owned supports.
     index: Option<DatabaseIndex>,
-    /// Whether any owned instance is boundary-clipped (and visible under
-    /// the active policy) — gates the per-occurrence clip scan.
-    has_clipped: bool,
     /// Owned single-event supports reported by [`ShardWorker::l1`].
     l1_supports: Vec<usize>,
     /// The parents of the next propose round: the L1 roots in round 2.
@@ -187,7 +184,6 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
             boundary: cfg.relation.boundary,
             threads,
             index: None,
-            has_clipped: false,
             l1_supports: Vec::new(),
             level: Vec::new(),
             proposals: Vec::new(),
@@ -205,7 +201,7 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
     fn l1(&mut self) {
         let index =
             DatabaseIndex::build_masked(&self.shard.db, self.boundary, Some(&self.shard.owned));
-        self.has_clipped = self.stats.record_boundary(&index, self.boundary);
+        self.stats.record_boundary(&index, self.boundary);
         self.l1_supports = (0..self.shard.db.registry().len())
             .map(|e| index.support(EventId(e as u32)))
             .collect();
@@ -245,13 +241,13 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         let mut proposals = std::mem::take(&mut self.proposals);
         let mut stats = std::mem::take(&mut self.stats);
         let (db, index, cfg) = (&self.shard.db, self.index(), &self.local_cfg);
-        let (level, count_clipped) = (&self.level, self.has_clipped);
+        let level = &self.level;
         // The same gates and grouping loop as the unsharded miner —
         // local σ_abs = 1 gates only empty joints, and the Lemma 5 table
         // is the *global* one the coordinator broadcast. One set of
         // count-only extension-group slots serves a whole chunk of nodes.
         let count = |range: Range<usize>, stats: &mut MiningStats, propose: &mut Propose<'_>| {
-            let mut groups = ExtensionGroups::counting(count_clipped);
+            let mut groups = ExtensionGroups::counting();
             for node in &level[range] {
                 count_candidates::<K>(
                     db,

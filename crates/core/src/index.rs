@@ -1,5 +1,5 @@
 use ftpm_bitmap::Bitmap;
-use ftpm_events::{BoundaryPolicy, EventId, SequenceDatabase};
+use ftpm_events::{BoundaryPolicy, EventId, SequenceDatabase, TemporalSequence};
 
 /// Precomputed per-event access structures over a [`SequenceDatabase`]:
 /// the single-event bitmaps of HTPGM's L1 (built with one scan of
@@ -9,18 +9,24 @@ use ftpm_events::{BoundaryPolicy, EventId, SequenceDatabase};
 pub struct DatabaseIndex {
     /// `bitmaps[event]` — sequences containing at least one instance.
     bitmaps: Vec<Bitmap>,
-    /// `instances[seq][event]` — indices into the sequence's instance
-    /// vector, chronologically ascending.
-    instances: Vec<Vec<Vec<u32>>>,
+    /// The instance list of `(seq, event)` is
+    /// `insts[starts[seq * n_events + event]..starts[seq * n_events + event + 1]]`.
+    starts: Vec<u32>,
+    /// Indices into each sequence's instance vector, sequence by
+    /// sequence, event by event, chronologically ascending within each
+    /// list.
+    insts: Vec<u32>,
     /// `supports[event]` — cached popcount of `bitmaps[event]`.
     supports: Vec<usize>,
+    n_seqs: usize,
     /// Boundary-clipped instances of the indexed sequences, hidden or
     /// not.
     clipped: u64,
 }
 
 impl DatabaseIndex {
-    /// Builds the index with a single pass over the database.
+    /// Builds the index under [`BoundaryPolicy::Clip`], which indexes
+    /// every instance.
     pub fn build(db: &SequenceDatabase) -> Self {
         DatabaseIndex::build_with_policy(db, BoundaryPolicy::Clip)
     }
@@ -49,6 +55,11 @@ impl DatabaseIndex {
     /// pattern statistic they could contribute belongs to the owning
     /// shard, and pattern growth never crosses a window boundary, so
     /// hiding them changes no owned count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the database holds more than `u32::MAX` instances: the
+    /// lists address them with `u32` offsets.
     pub fn build_masked(
         db: &SequenceDatabase,
         policy: BoundaryPolicy,
@@ -56,31 +67,63 @@ impl DatabaseIndex {
     ) -> Self {
         let n_events = db.registry().len();
         let n_seqs = db.len();
-        let mut bitmaps = vec![Bitmap::new(n_seqs); n_events];
-        let mut instances = vec![vec![Vec::new(); n_events]; n_seqs];
+        let n_lists = n_seqs * n_events;
         let discard = policy == BoundaryPolicy::Discard;
+        let masked_in = |si: usize| mask.is_none_or(|m| m[si]);
+        let n_insts: usize = db.sequences().iter().map(TemporalSequence::len).sum();
+        assert!(
+            u32::try_from(n_insts).is_ok(),
+            "{n_insts} instances overflow the index's u32 offsets"
+        );
+        // Count pass: the length of each (seq, event) list, one slot above
+        // the list, summed into list starts.
+        let mut starts = vec![0u32; n_lists + 1];
         let mut clipped = 0;
         for (si, seq) in db.sequences().iter().enumerate() {
-            if mask.is_some_and(|m| !m[si]) {
+            if !masked_in(si) {
                 continue;
             }
-            for (ii, inst) in seq.instances().iter().enumerate() {
+            for inst in seq.instances() {
                 if inst.is_clipped() {
                     clipped += 1;
                     if discard {
                         continue;
                     }
                 }
-                let e = inst.event.0 as usize;
-                bitmaps[e].set(si);
-                instances[si][e].push(ii as u32);
+                starts[si * n_events + inst.event.0 as usize + 1] += 1;
             }
         }
+        for list in 0..n_lists {
+            starts[list + 1] += starts[list];
+        }
+        // Place pass: `starts[list]` serves as the list's cursor, and ends
+        // at the next list's start, so the column shifts back one slot.
+        let mut bitmaps = vec![Bitmap::new(n_seqs); n_events];
+        let mut insts = vec![0u32; starts[n_lists] as usize];
+        for (si, seq) in db.sequences().iter().enumerate() {
+            if !masked_in(si) {
+                continue;
+            }
+            for (ii, inst) in seq.instances().iter().enumerate() {
+                if discard && inst.is_clipped() {
+                    continue;
+                }
+                let e = inst.event.0 as usize;
+                bitmaps[e].set(si);
+                let cursor = &mut starts[si * n_events + e];
+                insts[*cursor as usize] = ii as u32;
+                *cursor += 1;
+            }
+        }
+        starts.copy_within(..n_lists, 1);
+        starts[0] = 0;
         let supports = bitmaps.iter().map(Bitmap::count_ones).collect();
         DatabaseIndex {
             bitmaps,
-            instances,
+            starts,
+            insts,
             supports,
+            n_seqs,
             clipped,
         }
     }
@@ -95,18 +138,10 @@ impl DatabaseIndex {
         self.supports[event.0 as usize]
     }
 
-    /// Joint support of two events — the popcount of the AND of their
-    /// bitmaps (Alg. 1, line 8) via the fused, non-allocating
-    /// [`Bitmap::and_count`]. The Apriori gate calls this for every
-    /// candidate pair, pruned or not, so it never pays for the
-    /// intermediate bitmap.
-    pub fn joint_support(&self, a: EventId, b: EventId) -> usize {
-        self.bitmaps[a.0 as usize].and_count(&self.bitmaps[b.0 as usize])
-    }
-
     /// Instance indices of `event` within sequence `seq`, ascending.
     pub fn instances_in(&self, seq: usize, event: EventId) -> &[u32] {
-        &self.instances[seq][event.0 as usize]
+        let list = seq * self.bitmaps.len() + event.0 as usize;
+        &self.insts[self.starts[list] as usize..self.starts[list + 1] as usize]
     }
 
     /// Boundary-clipped instances of the indexed sequences, counted in
@@ -122,7 +157,7 @@ impl DatabaseIndex {
 
     /// Number of sequences indexed.
     pub fn n_sequences(&self) -> usize {
-        self.instances.len()
+        self.n_seqs
     }
 }
 
@@ -131,6 +166,7 @@ mod tests {
     use super::*;
     use ftpm_events::{EventInstance, EventRegistry, TemporalSequence};
     use ftpm_timeseries::{SymbolId, VariableId};
+    use proptest::prelude::*;
 
     fn tiny_db() -> SequenceDatabase {
         let mut reg = EventRegistry::new();
@@ -166,18 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn joint_support_matches_bitmap_and() {
-        let db = tiny_db();
-        let idx = DatabaseIndex::build(&db);
-        let (a, b) = (EventId(0), EventId(1));
-        assert_eq!(
-            idx.joint_support(a, b),
-            idx.bitmap(a).and(idx.bitmap(b)).count_ones()
-        );
-        assert_eq!(idx.joint_support(a, b), 1); // both only co-occur in seq 0
-    }
-
-    #[test]
     fn masked_build_hides_sequences_end_to_end() {
         let db = tiny_db();
         // Mask out sequence 0: only B (in sequence 1) remains visible.
@@ -193,7 +217,7 @@ mod tests {
         assert_eq!(idx.instances_in(0, EventId(0)), &[] as &[u32]);
         assert_eq!(idx.instances_in(0, EventId(1)), &[] as &[u32]);
         assert_eq!(idx.instances_in(1, EventId(1)), &[0]);
-        assert_eq!(idx.joint_support(EventId(0), EventId(1)), 0);
+        assert_eq!(idx.bitmap(EventId(0)).and_count(idx.bitmap(EventId(1))), 0);
     }
 
     #[test]
@@ -214,5 +238,59 @@ mod tests {
         assert!(!filtered.bitmap(a).get(0));
         assert!(filtered.bitmap(a).get(1));
         assert_eq!(filtered.instances_in(0, a), &[] as &[u32]);
+    }
+
+    proptest! {
+        /// Every list is the scan of its sequence: the indices of the
+        /// event's instances, ascending, empty in a masked-out sequence
+        /// and without clipped instances under `Discard`. Each drawn code
+        /// is one instance: its event, start, length and clipped sides.
+        #[test]
+        fn instance_lists_match_a_scan_of_the_sequence(
+            codes in proptest::collection::vec(
+                proptest::collection::vec(0u32..4_000, 0..12),
+                0..7,
+            ),
+            mask_bits in 0u32..128,
+        ) {
+            use ftpm_events::Interval;
+            let n_events = 5;
+            let mut reg = EventRegistry::new();
+            for e in 0..n_events {
+                reg.intern(VariableId(e), SymbolId(1), || format!("E{e}"));
+            }
+            let instance = |code: u32| {
+                let (start, len) = (i64::from(code / 5 % 40), i64::from(code / 200 % 5 + 1));
+                let (left, right) = (i64::from(code / 1000 % 2), i64::from(code / 2000));
+                let iv = Interval::new(start, start + len);
+                let extent = Interval::new(start - left, start + len + right);
+                EventInstance::with_extent(EventId(code % 5), iv, extent)
+            };
+            let sequences = codes
+                .iter()
+                .map(|seq| TemporalSequence::new(seq.iter().map(|&c| instance(c)).collect()))
+                .collect();
+            let db = SequenceDatabase::new(reg, sequences);
+            let mask: Vec<bool> = (0..db.len()).map(|s| (mask_bits >> s) & 1 == 1).collect();
+            let policies = [BoundaryPolicy::Clip, BoundaryPolicy::TrueExtent, BoundaryPolicy::Discard];
+            for (policy, mask) in policies.into_iter().flat_map(|p| [(p, None), (p, Some(&mask[..]))]) {
+                let idx = DatabaseIndex::build_masked(&db, policy, mask);
+                prop_assert_eq!(idx.n_sequences(), db.len());
+                for (s, seq) in db.sequences().iter().enumerate() {
+                    let visible = mask.is_none_or(|m| m[s]);
+                    for e in (0..n_events).map(EventId) {
+                        let scan: Vec<u32> = (0..seq.len() as u32)
+                            .filter(|&i| {
+                                let inst = &seq.instances()[i as usize];
+                                let hidden = policy == BoundaryPolicy::Discard && inst.is_clipped();
+                                visible && inst.event == e && !hidden
+                            })
+                            .collect();
+                        prop_assert_eq!(idx.instances_in(s, e), &scan[..], "{policy}, seq {s}, {e:?}");
+                        prop_assert_eq!(idx.bitmap(e).get(s), !scan.is_empty());
+                    }
+                }
+            }
+        }
     }
 }

@@ -153,7 +153,7 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
     let max_events = cfg.last_level();
     let index = DatabaseIndex::build_with_policy(db, cfg.relation.boundary);
     let mut stats = MiningStats::default();
-    let db_has_clipped = stats.record_boundary(&index, cfg.relation.boundary);
+    stats.record_boundary(&index, cfg.relation.boundary);
 
     // ---- L1: frequent single events (Alg. 1 lines 1–4) ----
     let freq_events: Vec<EventId> = db
@@ -264,8 +264,7 @@ pub(crate) fn mine_parallel<K: BoundaryKernel>(
             max_events,
             stats: &mut worker_stats,
             sink: &mut worker_sink,
-            db_has_clipped,
-            leaf_groups: ExtensionGroups::counting(db_has_clipped),
+            leaf_groups: ExtensionGroups::counting(),
             leaves: Vec::new(),
             ranks: LastInstanceRanks::new(&latest),
             kernel: PhantomData,

@@ -82,22 +82,14 @@ impl MiningStats {
 
     /// Records the boundary counts of the sequences `index` covers, built
     /// under `policy`: the run-level half of the boundary-artifact story
-    /// (the per-pattern half is `clipped_occurrences`). Returns whether a
-    /// bound occurrence can hold a clipped instance, that is whether the
-    /// per-pattern count needs its occurrence scan: `Discard` hides every
-    /// clipped instance from the index.
-    pub(crate) fn record_boundary(
-        &mut self,
-        index: &DatabaseIndex,
-        policy: BoundaryPolicy,
-    ) -> bool {
+    /// (the per-pattern half is `clipped_occurrences`).
+    pub(crate) fn record_boundary(&mut self, index: &DatabaseIndex, policy: BoundaryPolicy) {
         let clipped = index.clipped_instances();
         self.clipped_instances = clipped;
         self.discarded_instances = match policy {
             BoundaryPolicy::Discard => clipped,
             BoundaryPolicy::Clip | BoundaryPolicy::TrueExtent => 0,
         };
-        clipped > 0 && policy != BoundaryPolicy::Discard
     }
 }
 
